@@ -25,7 +25,6 @@ from .borromean import (
 )
 from .catalog import get_knot, knot_names
 from .cone import (
-    BentComplex,
     ConeProblem,
     PreconditionError,
     ScanResult,
@@ -61,7 +60,6 @@ from .knotcx import (
     validate,
 )
 from .linalg import (
-    ExactScalar,
     GradedSpace,
     LinearAlgebraError,
     SparseExactMap,

@@ -127,11 +127,6 @@ def gamma_slice(g: int, n: int, i2: int) -> MonomialModule:
 
 # --- truncated cone over the exterior-algebra model -------------------------
 
-def _lattice(offset_map: dict, p: int):
-    """offset residue map: (2 sigma mod 2p) -> raw doubled offset."""
-    return offset_map
-
-
 def _collapse_factory(offset_map: dict, p: int):
     def s0(sigma: int) -> int:
         off = offset_map[sigma % (2 * p)]
@@ -251,13 +246,13 @@ def _seifert_offsets(multiplicities: list) -> dict:
     return offsets
 
 
-def seifert_dim(g: int, m: int, pairs: Iterable[tuple]) -> int:
-    """Seifert fibered space over a genus-g base with invariants (m, r_i/v_i).
+def _seifert_setup(g: int, m: int, pairs: Iterable[tuple]) -> tuple:
+    """Validate Seifert invariants; return (degree, p, u, offset_map).
 
-    Requires nonzero orbifold degree m + sum(r_i/v_i), multiplicities
-    v_i >= 1 pairwise coprime and each r_i/v_i reduced.  Experimental for
-    v_i > 1: the monomial-block index law is extrapolated from the
-    circle-bundle computation and gated by regression tests.
+    ``degree`` is the orbifold degree m + sum(r_i/v_i) as given.  The rest
+    describes the space oriented so the degree is positive (orientation
+    reversal flips every invariant and keeps dimensions): p = prod(v_i) and
+    u = |degree| * p is the total slope numerator.
     """
     pairs = [(int(r), int(v)) for r, v in pairs]
     if g < 1:
@@ -271,19 +266,24 @@ def seifert_dim(g: int, m: int, pairs: Iterable[tuple]) -> int:
         if math.gcd(v1, v2) != 1:
             raise PreconditionError(
                 f"gcd({v1}, {v2}) > 1: multiplicities must satisfy gcd(v_i, v_j) = 1 for i != j")
-    deg = Fraction(m) + sum(Fraction(r, v) for r, v in pairs)
-    if deg == 0:
-        raise PreconditionError("orbifold degree 0 unsupported (no zero-slope formula here)")
-    if deg < 0:
-        # orientation reversal: flip every invariant, dimensions agree
-        m = -m
-        pairs = [(-r, v) for r, v in pairs]
-        deg = -deg
     multiplicities = [v for _, v in pairs]
-    p = math.prod(multiplicities) if multiplicities else 1
+    p = math.prod(multiplicities)
     u = m * p + sum((p // v) * r for r, v in pairs)
-    assert u == deg * p and u > 0
+    if u == 0:
+        raise PreconditionError("orbifold degree 0 unsupported (no zero-slope formula here)")
     offset_map = _seifert_offsets(multiplicities) if multiplicities else {0: 0}
+    return Fraction(u, p), p, abs(u), offset_map
+
+
+def seifert_dim(g: int, m: int, pairs: Iterable[tuple]) -> int:
+    """Seifert fibered space over a genus-g base with invariants (m, r_i/v_i).
+
+    Requires nonzero orbifold degree m + sum(r_i/v_i), multiplicities
+    v_i >= 1 pairwise coprime and each r_i/v_i reduced.  Experimental for
+    v_i > 1: the monomial-block index law is extrapolated from the
+    circle-bundle computation and gated by regression tests.
+    """
+    _, p, u, offset_map = _seifert_setup(g, m, pairs)
     if _large_applicable(g, p, u, offset_map):
         # large-slope regime: direct sum of u full slots
         return u * (4 ** g)
@@ -292,31 +292,11 @@ def seifert_dim(g: int, m: int, pairs: Iterable[tuple]) -> int:
 
 def seifert_dim_large(g: int, m: int, pairs: Iterable[tuple]) -> Optional[int]:
     """Large-slope shortcut value, or None when outside that regime."""
-    pairs = [(int(r), int(v)) for r, v in pairs]
-    deg = Fraction(m) + sum(Fraction(r, v) for r, v in pairs)
-    if deg == 0:
-        raise PreconditionError("orbifold degree 0 unsupported")
-    if deg < 0:
-        m, pairs = -m, [(-r, v) for r, v in pairs]
-    multiplicities = [v for _, v in pairs]
-    p = math.prod(multiplicities) if multiplicities else 1
-    u = m * p + sum((p // v) * r for r, v in pairs)
-    offset_map = _seifert_offsets(multiplicities) if multiplicities else {0: 0}
-    if _large_applicable(g, p, u, offset_map):
-        return u * (4 ** g)
-    return None
+    _, p, u, offset_map = _seifert_setup(g, m, pairs)
+    return u * (4 ** g) if _large_applicable(g, p, u, offset_map) else None
 
 
 def seifert_dim_windowed(g: int, m: int, pairs: Iterable[tuple]) -> int:
     """Force the truncated-cone evaluation even in the large regime."""
-    pairs = [(int(r), int(v)) for r, v in pairs]
-    deg = Fraction(m) + sum(Fraction(r, v) for r, v in pairs)
-    if deg == 0:
-        raise PreconditionError("orbifold degree 0 unsupported")
-    if deg < 0:
-        m, pairs = -m, [(-r, v) for r, v in pairs]
-    multiplicities = [v for _, v in pairs]
-    p = math.prod(multiplicities) if multiplicities else 1
-    u = m * p + sum((p // v) * r for r, v in pairs)
-    offset_map = _seifert_offsets(multiplicities) if multiplicities else {0: 0}
+    _, p, u, offset_map = _seifert_setup(g, m, pairs)
     return _cone_dim_exterior(g, p, u, offset_map)

@@ -6,7 +6,7 @@ polynomial -t*T + (2t+1) - t*T^-1 and tau = 1 for t < 0, else 0.
 """
 from __future__ import annotations
 
-from .knotcx import KnotComplex, ModelError, mirror, poly_from_pairs, staircase_polynomial, thin_from_alexander
+from .knotcx import KnotComplex, ModelError, poly_from_pairs, staircase_polynomial, thin_from_alexander
 
 
 def twist_knot_delta(t: int) -> dict:
@@ -21,12 +21,7 @@ def build_twist_knot(t: int) -> KnotComplex:
     return thin_from_alexander(twist_knot_delta(t), twist_knot_tau(t), name=f"twist({t})")
 
 
-def build_torus_2_strand(n: int) -> KnotComplex:
-    """Right-handed (2, 2n+1) torus knot: a pure staircase with tau = n."""
-    return thin_from_alexander(staircase_polynomial(n), n, name=f"t2_{2 * n + 1}")
-
-
-# name -> (delta pairs, tau).  Mirrors are derived, not listed.
+# name -> (Alexander polynomial as a dict or [coef, power] pairs, tau).
 _ENTRIES = {
     "unknot": ([(1, 0)], 0),
     "trefoil-right": ([(1, 1), (-1, 0), (1, -1)], 1),
@@ -36,11 +31,10 @@ _ENTRIES = {
     "5_2": ([(2, 1), (-3, 0), (2, -1)], -1),
 }
 for _n in range(2, 6):
-    _pairs = [((-1) ** (_n - p), p) for p in range(-_n, _n + 1)]
-    _ENTRIES[f"t2_{2 * _n + 1}"] = (_pairs, _n)
-    _ENTRIES[f"t2_{2 * _n + 1}-mirror"] = (_pairs, -_n)
+    _ENTRIES[f"t2_{2 * _n + 1}"] = (staircase_polynomial(_n), _n)
+    _ENTRIES[f"t2_{2 * _n + 1}-mirror"] = (staircase_polynomial(_n), -_n)
 for _t in range(-3, 4):
-    _ENTRIES[f"twist({_t})"] = ([(-_t, 1), (2 * _t + 1, 0), (-_t, -1)], twist_knot_tau(_t))
+    _ENTRIES[f"twist({_t})"] = (twist_knot_delta(_t), twist_knot_tau(_t))
 
 _ALIASES = {
     "trefoil": "trefoil-right",
@@ -73,12 +67,8 @@ def resolve_name(name: str) -> str:
 
 def get_knot(name: str) -> KnotComplex:
     key = resolve_name(name)
-    pairs, tau = _ENTRIES[key]
-    return thin_from_alexander(poly_from_pairs(pairs), tau, name=key)
-
-
-def catalog_mirror(name: str) -> KnotComplex:
-    return mirror(get_knot(name))
+    delta, tau = _ENTRIES[key]
+    return thin_from_alexander(delta, tau, name=key)
 
 
 def thin_catalog() -> list:

@@ -14,7 +14,7 @@ import sys
 from fractions import Fraction
 
 from . import borromean, catalog, cone, crosscheck, formulas
-from .knotcx import ModelError, chi_graded, parse_knot_spec, poly_str
+from .knotcx import ModelError, chi_graded, parse_knot_spec, parse_poly_pairs, poly_str
 from .linalg import LinearAlgebraError
 
 EXIT_OK = 0
@@ -86,8 +86,8 @@ def _pathway_values(K, p: int, q: int) -> dict:
     """Every applicable pathway's value for slope p/q, side by side."""
     from .knotcx import poly_norm
     values = {"cone": cone.build_cone_problem(K, p, q).dimension()}
-    if q == 1 and p >= max(2 * K.genus - 1, 1):
-        values["large-surgery"] = cone.surgery_dim(K, p, q, pathway="large-surgery").dimension
+    if q == 1 and p >= cone.large_surgery_start(K):
+        values["large-surgery"] = cone.large_surgery_dim(K, p)
     delta = K.delta()
     if delta is not None:
         values["closed-form"] = formulas.thin_surgery_formula(poly_norm(delta), K.tau, p, q)
@@ -177,11 +177,10 @@ def cmd_circle_bundle(args) -> int:
 
 def cmd_seifert(args) -> int:
     pairs = [_parse_slope(p) for p in args.pair or []]
-    pairs = [(p, q) for p, q in pairs]
-    deg = Fraction(args.base) + sum(Fraction(r, v) for r, v in pairs)
-    dim = borromean.seifert_dim(args.genus, args.base, pairs)
-    large = borromean.seifert_dim_large(args.genus, args.base, pairs)
-    pathway = "large-surgery" if large is not None else "cone"
+    deg = borromean._seifert_setup(args.genus, args.base, pairs)[0]
+    dim, pathway = borromean.seifert_dim_large(args.genus, args.base, pairs), "large-surgery"
+    if dim is None:
+        dim, pathway = borromean.seifert_dim_windowed(args.genus, args.base, pairs), "cone"
     payload = {"command": "seifert", "genus": args.genus, "base": args.base,
                "pairs": [[r, v] for r, v in pairs], "degree": str(deg),
                "dim": dim, "pathway": pathway}
@@ -222,7 +221,7 @@ def cmd_splice(args) -> int:
 
 def cmd_classify(args) -> int:
     delta = json.loads(args.delta)
-    candidates = formulas.nearly_fibered_classify(args.dim, delta)
+    candidates = formulas.nearly_fibered_classify(args.dim, parse_poly_pairs(delta, "--delta"))
     payload = {"command": "classify", "dim": args.dim, "delta": delta,
                "candidates": list(candidates)}
     _emit(args, payload, [[args.dim, c] for c in candidates], ["dim", "candidate"])

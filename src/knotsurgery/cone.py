@@ -35,14 +35,7 @@ class PreconditionError(Exception):
     """Input violates a stated hypothesis of the computation."""
 
 
-@dataclass(frozen=True)
-class BentComplex:
-    base: KnotComplex
-    s: int  # doubled-grading bend level
-    differential: SparseExactMap
-
-
-def bent_differential(K: KnotComplex, s: int) -> BentComplex:
+def bent_differential(K: KnotComplex, s: int) -> SparseExactMap:
     """Differential applying d+ above the (true-unit) level s, d+ + d- at it, d- below."""
     s2 = 2 * s
     entries = []
@@ -52,12 +45,12 @@ def bent_differential(K: KnotComplex, s: int) -> BentComplex:
             entries.extend((tgt, src, v) for tgt, src, v in K.d_plus.entries if src == g.gid)
         if k <= 0:
             entries.extend((tgt, src, v) for tgt, src, v in K.d_minus.entries if src == g.gid)
-    return BentComplex(K, s2, sparse_map(K.space, K.space, entries))
+    return sparse_map(K.space, K.space, entries)
 
 
 def bent_homology(K: KnotComplex, s: int) -> Homology:
     """Homology of the bent complex at level s (with representatives)."""
-    return homology(K.space, bent_differential(K, s).differential, prefix=f"b{s}_")
+    return homology(K.space, bent_differential(K, s), prefix=f"b{s}_")
 
 
 def _projection(K: KnotComplex, s: int, side: int) -> SparseExactMap:
@@ -71,7 +64,7 @@ def _projection(K: KnotComplex, s: int, side: int) -> SparseExactMap:
 def pi_maps(K: KnotComplex, s: int, hA: Optional[Homology] = None,
             hB_minus: Optional[Homology] = None, hB_plus: Optional[Homology] = None):
     """Induced projections (v to the lowering complex, h to the raising one)."""
-    bent = bent_differential(K, s).differential
+    bent = bent_differential(K, s)
     if hA is None:
         hA = homology(K.space, bent, prefix=f"b{s}_")
     if hB_minus is None:
@@ -89,7 +82,7 @@ class SurgeryResult:
     p: int
     q: int
     dimension: int
-    pathway: str  # cone | large-surgery | closed-form
+    pathway: str  # cone | large-surgery
     per_grading: Optional[tuple] = None  # ((grading, dim or None), ...) for slope 0
 
     @property
@@ -241,31 +234,40 @@ def build_cone_problem(K: KnotComplex, p: int, q: int, window_margin: int = 0) -
     return problem
 
 
-def _large_surgery_dim(K: KnotComplex, n: int) -> int:
-    """Direct sum over n consecutive levels ending just below the genus."""
+def large_surgery_start(K: KnotComplex) -> int:
+    """Smallest integral slope of the large-surgery regime: 2 * genus - 1, at least 1."""
+    return max(2 * K.genus - 1, 1)
+
+
+def large_surgery_dim(K: KnotComplex, n: int) -> int:
+    """Direct sum of the bent homologies at the n levels just below the genus.
+
+    Equals the cone dimension at integral slope n >= large_surgery_start(K).
+    """
+    _model_data(K)  # validates
+    if n < large_surgery_start(K):
+        raise PreconditionError(f"slope {n} is outside the large-surgery regime "
+                                f"(needs n >= {large_surgery_start(K)})")
     g = K.genus
     return sum(bent_homology(K, s).dim for s in range(g - n, g))
 
 
-def surgery_dim(K: KnotComplex, p: int, q: int, pathway: str = "auto",
-                window_margin: int = 0) -> SurgeryResult:
-    """Dimension of the surgery invariant at slope p/q on an S^3-knot model."""
+def surgery_dim(K: KnotComplex, p: int, q: int) -> SurgeryResult:
+    """Dimension of the surgery invariant at slope p/q on an S^3-knot model.
+
+    Integral slopes in the large-surgery regime use the direct sum; every
+    other slope assembles the mapping cone.
+    """
     if p == 0:
         raise PreconditionError("slope 0: use zero_surgery_dims for the per-grading table")
     if q < 1:
         raise PreconditionError("slope denominator must be a positive integer")
     if math.gcd(abs(p), q) != 1:
         raise PreconditionError(f"slope {p}/{q} is not reduced")
+    if q == 1 and p >= large_surgery_start(K):
+        return SurgeryResult(K.name, p, q, large_surgery_dim(K, p), "large-surgery")
     _model_data(K)  # validates
-    if pathway not in ("auto", "cone", "large-surgery"):
-        raise PreconditionError(f"unknown pathway {pathway!r}")
-    use_large = q == 1 and p >= max(2 * K.genus - 1, 1) and pathway in ("auto", "large-surgery")
-    if pathway == "large-surgery" and not use_large:
-        raise PreconditionError(f"slope {p}/{q} is outside the large-surgery regime")
-    if use_large:
-        return SurgeryResult(K.name, p, q, _large_surgery_dim(K, p), "large-surgery")
-    dim = build_cone_problem(K, p, q, window_margin).dimension()
-    return SurgeryResult(K.name, p, q, dim, "cone")
+    return SurgeryResult(K.name, p, q, build_cone_problem(K, p, q).dimension(), "cone")
 
 
 def zero_surgery_dims(K: KnotComplex, span: Optional[int] = None) -> dict:

@@ -76,11 +76,11 @@ def suite_large_surgery() -> SuiteResult:
     cases = 0
     bad = []
     for K in catalog.thin_catalog():
-        start = max(2 * K.genus - 1, 1)
+        start = cone.large_surgery_start(K)
         prev = None
         for n in range(start, start + 5):
             cases += 1
-            large = cone.surgery_dim(K, n, 1, pathway="large-surgery").dimension
+            large = cone.large_surgery_dim(K, n)
             full = cone.build_cone_problem(K, n, 1).dimension()
             if large != full:
                 bad.append(f"{K.name} at {n}: shortcut {large} != cone {full}")

@@ -88,7 +88,6 @@ class KnotComplex:
     d_minus: SparseExactMap
     genus: int
     tau: int
-    order_p: int = 1
     meta: tuple = ()  # sorted (key, value) pairs: name, delta, ...
 
     def meta_dict(self) -> dict:
@@ -293,7 +292,7 @@ def mirror(K: KnotComplex) -> KnotComplex:
     if nm is not None:
         meta = _meta(f"mirror({nm})" if not nm.startswith("mirror(") else nm[7:-1], delta)
     return KnotComplex(sp, flip(K.d_plus), flip(K.d_minus),
-                       genus=K.genus, tau=-K.tau, order_p=K.order_p, meta=meta)
+                       genus=K.genus, tau=-K.tau, meta=meta)
 
 
 def homology_plus(K: KnotComplex) -> Homology:
@@ -336,7 +335,6 @@ def validate(K: KnotComplex) -> ValidationReport:
     """Check every structural invariant; collects violations, never raises."""
     report = ValidationReport()
     sp = K.space
-    shift = 2 * K.order_p
 
     def check_square(d: SparseExactMap, label: str):
         for gid in sp.ids:
@@ -350,9 +348,9 @@ def validate(K: KnotComplex) -> ValidationReport:
     for d, label, sgn in ((K.d_plus, "d+", 1), (K.d_minus, "d-", -1)):
         for tgt, src, _ in d.entries:
             gs, gt = sp.generator(src), sp.generator(tgt)
-            if gt.alex - gs.alex != sgn * shift:
+            if gt.alex - gs.alex != 2 * sgn:
                 report.violations.append(
-                    f"{label} shifts grading of {src} by {(gt.alex - gs.alex) / 2}, expected {sgn * K.order_p}")
+                    f"{label} shifts grading of {src} by {(gt.alex - gs.alex) / 2}, expected {sgn}")
                 break
             if gt.z2 == gs.z2:
                 report.violations.append(f"{label} does not flip the Z/2 grading on {src}")
@@ -390,24 +388,23 @@ def validate(K: KnotComplex) -> ValidationReport:
         if chi != delta and neg != delta:
             report.violations.append("graded Euler characteristic does not match the attached polynomial")
 
-    if K.order_p == 1:
-        try:
-            hp_dim = homology_plus(K).dim
-            hm_dim = homology_minus(K).dim
-        except LinearAlgebraError:
-            hp_dim = hm_dim = None
-        if hp_dim is not None:
-            report.torsion_order_one = (hp_dim == 1)
-            if hp_dim != 1 or hm_dim != 1:
-                report.violations.append(
-                    f"one-differential homology dims ({hp_dim}, {hm_dim}) differ from the ambient value 1")
-            else:
-                try:
-                    t = compute_tau(K)
-                    if t != K.tau:
-                        report.violations.append(f"recorded tau {K.tau} differs from survivor grading {t}")
-                except ModelError as exc:
-                    report.violations.append(str(exc))
+    try:
+        hp_dim = homology_plus(K).dim
+        hm_dim = homology_minus(K).dim
+    except LinearAlgebraError:
+        hp_dim = hm_dim = None
+    if hp_dim is not None:
+        report.torsion_order_one = (hp_dim == 1)
+        if hp_dim != 1 or hm_dim != 1:
+            report.violations.append(
+                f"one-differential homology dims ({hp_dim}, {hm_dim}) differ from the ambient value 1")
+        else:
+            try:
+                t = compute_tau(K)
+                if t != K.tau:
+                    report.violations.append(f"recorded tau {K.tau} differs from survivor grading {t}")
+            except ModelError as exc:
+                report.violations.append(str(exc))
     return report
 
 
@@ -421,6 +418,30 @@ def graded_signature(K: KnotComplex):
 
 # --- knot-spec text format -------------------------------------------------
 
+def _spec_field(obj, key: str, where: str, kind=int):
+    """obj[key] checked to be a ``kind``; ModelError naming the field otherwise."""
+    if not isinstance(obj, dict):
+        raise ModelError(f"{where} must be a JSON object, got {obj!r}")
+    if key not in obj:
+        raise ModelError(f"{where} is missing field {key!r}")
+    value = obj[key]
+    if not isinstance(value, kind) or isinstance(value, bool):
+        raise ModelError(f"{where} field {key!r} must be of type {kind.__name__}, got {value!r}")
+    return value
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def parse_poly_pairs(data, where: str) -> Poly:
+    """Polynomial from JSON [[coef, power], ...]; ModelError naming ``where`` otherwise."""
+    if not isinstance(data, list) or not all(
+            isinstance(e, list) and len(e) == 2 and all(map(_is_int, e)) for e in data):
+        raise ModelError(f"{where} must be a list of integer [coef, power] pairs, got {data!r}")
+    return poly_from_pairs(data)
+
+
 def parse_knot_spec(data: dict) -> KnotComplex:
     """Build a model from the JSON-compatible knot-spec format.
 
@@ -428,28 +449,37 @@ def parse_knot_spec(data: dict) -> KnotComplex:
     Explicit form: {"generators": [{"id", "alex", "z2"}, ...],
                     "d_plus": [[src, tgt, num, den], ...], "d_minus": [...],
                     "genus", "tau"}; "alex" is the true integer grading.
+    Data that does not fit the schema raises a ModelError naming the field.
     """
+    if not isinstance(data, dict) or ("alexander" not in data and "generators" not in data):
+        raise ModelError("knot spec needs either 'alexander' or 'generators'")
+    name = None if data.get("name") is None else _spec_field(data, "name", "knot spec", str)
+    tau = _spec_field(data, "tau", "knot spec")
     if "alexander" in data:
-        delta = poly_from_pairs(data["alexander"])
+        delta = parse_poly_pairs(data["alexander"], "knot spec field 'alexander'")
         if not delta:
             raise ModelError("empty Alexander polynomial")
-        return thin_from_alexander(delta, int(data["tau"]), name=data.get("name"))
-    if "generators" not in data:
-        raise ModelError("knot spec needs either 'alexander' or 'generators'")
-    gens = [(g["id"], 2 * int(g["alex"]), int(g["z2"])) for g in data["generators"]]
+        return thin_from_alexander(delta, tau, name=name)
+    gens = []
+    for i, g in enumerate(_spec_field(data, "generators", "knot spec", list)):
+        where = f"knot spec generators[{i}]"
+        gens.append((_spec_field(g, "id", where, str), 2 * _spec_field(g, "alex", where),
+                     _spec_field(g, "z2", where)))
     sp = space(gens)
 
-    def load(entries) -> SparseExactMap:
+    def load(key: str) -> SparseExactMap:
         out = []
-        for e in entries:
-            src, tgt, num = e[0], e[1], e[2]
-            den = e[3] if len(e) > 3 else 1
-            out.append((tgt, src, Fraction(int(num), int(den))))
+        for i, e in enumerate(_spec_field(data, key, "knot spec", list) if key in data else []):
+            if not (isinstance(e, list) and len(e) in (3, 4)
+                    and isinstance(e[0], str) and isinstance(e[1], str)
+                    and all(map(_is_int, e[2:])) and (len(e) == 3 or e[3] != 0)):
+                raise ModelError(f"knot spec {key}[{i}] must be [source, target, numerator, "
+                                 f"denominator?] with integer coefficients, got {e!r}")
+            out.append((e[1], e[0], Fraction(*e[2:])))
         return sparse_map(sp, sp, out)
 
-    K = KnotComplex(sp, load(data.get("d_plus", [])), load(data.get("d_minus", [])),
-                    genus=int(data["genus"]), tau=int(data["tau"]),
-                    meta=_meta(data.get("name"), None))
+    K = KnotComplex(sp, load("d_plus"), load("d_minus"),
+                    genus=_spec_field(data, "genus", "knot spec"), tau=tau, meta=_meta(name, None))
     report = validate(K)
     if not report.ok:
         raise ModelError("invalid explicit knot model: " + "; ".join(report.violations))

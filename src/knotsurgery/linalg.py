@@ -11,20 +11,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
-# Normalized numerator/denominator pair with positive denominator; the
-# stdlib type maintains both invariants through every operation.
-ExactScalar = Fraction
-
 # Sparse vector keyed by generator id.  Zero coefficients are never stored.
 Vec = dict
 
 
 class LinearAlgebraError(Exception):
     """Malformed space or map data, or a failed structural precondition."""
-
-
-def scalar(num: int, den: int = 1) -> Fraction:
-    return Fraction(num, den)
 
 
 @dataclass(frozen=True)
@@ -60,9 +52,6 @@ class GradedSpace:
             if g.gid == gid:
                 return g
         raise LinearAlgebraError(f"unknown generator id {gid!r}")
-
-    def has(self, gid: str) -> bool:
-        return any(g.gid == gid for g in self.generators)
 
     def dims_by_grading(self) -> dict:
         """Dimension of each (doubled) Alexander grading level."""
@@ -128,12 +117,6 @@ class SparseExactMap:
             img = self.apply(inner.column(gid))
             entries.extend((tgt, gid, val) for tgt, val in img.items())
         return SparseExactMap(inner.source, self.target, tuple(entries))
-
-    def transpose(self) -> "SparseExactMap":
-        return SparseExactMap(
-            self.target, self.source,
-            tuple((src, tgt, val) for tgt, src, val in self.entries),
-        )
 
     def is_zero(self) -> bool:
         return not self.entries

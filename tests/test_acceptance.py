@@ -7,7 +7,7 @@ import random
 from fractions import Fraction
 
 from knotsurgery import borromean, catalog, cone, crosscheck, formulas
-from knotsurgery.knotcx import chi_graded, compute_tau, mirror, poly_norm, validate
+from knotsurgery.knotcx import chi_graded, compute_tau, mirror, validate
 from test_properties import random_thin_models
 
 
@@ -33,46 +33,22 @@ def test_acceptance_1_almost_lspace_anchors():
 
 
 def test_acceptance_2_circle_bundles():
-    bad = []
-    for g in range(2, 5):
-        for m in range(1, 2 * g + 3):
-            for mm in (m, -m):
-                a = borromean.circle_bundle_dim_module(g, mm)
-                b = borromean.circle_bundle_dim_formula(g, mm)
-                if a != b:
-                    bad.append(f"(g={g}, m={mm}): module {a} != formula {b}")
-                if abs(mm) >= 2 * g - 1 and a != (4 ** g) * abs(mm):
-                    bad.append(f"(g={g}, m={mm}): {a} != 4^g |m|")
-    for g, m, want in ((2, 3, 48), (2, 2, 34), (2, 1, 20)):
-        got = borromean.circle_bundle_dim_module(g, m)
-        if got != want:
-            bad.append(f"spot (g={g}, m={m}): {got} != {want}")
-    _report(2, "circle-bundle module pathway equals closed form", bad)
+    _report(2, "circle-bundle module pathway equals closed form",
+            crosscheck.suite_circle_bundles().mismatches)
 
 
 def test_acceptance_3_thin_oracle_equivalence():
-    bad = []
-    for K in catalog.thin_catalog():
-        norm = poly_norm(K.delta())
-        for p, q in crosscheck.SLOPE_GRID:
-            by_cone = cone.surgery_dim(K, p, q).dimension
-            by_formula = formulas.thin_surgery_formula(norm, K.tau, p, q)
-            if by_cone != by_formula:
-                bad.append(f"{K.name} {p}/{q}: cone {by_cone} != formula {by_formula}")
-            if K.genus == 1 and q == 1 and p >= 1:
-                by_ladder = cone.genus_one_positive_ladder(K, p)
-                if by_ladder != by_cone:
-                    bad.append(f"{K.name} {p}/1: ladder {by_ladder} != cone {by_cone}")
-    _report(3, "cone, closed formula and ladder agree on the slope grid", bad)
+    _report(3, "cone, closed formula and ladder agree on the slope grid",
+            crosscheck.suite_thin_vs_cone().mismatches)
 
 
 def test_acceptance_4_large_surgery_consistency():
     bad = []
     for K in catalog.thin_catalog():
-        start = max(2 * K.genus - 1, 1)
+        start = cone.large_surgery_start(K)
         prev = None
         for n in range(start, start + 6):
-            shortcut = cone.surgery_dim(K, n, 1, pathway="large-surgery").dimension
+            shortcut = cone.large_surgery_dim(K, n)
             full = cone.build_cone_problem(K, n, 1).dimension()
             if shortcut != full:
                 bad.append(f"{K.name} at {n}: shortcut {shortcut} != cone {full}")

@@ -155,3 +155,14 @@ def test_seifert_rejects_common_factor():
 def test_seifert_rejects_unreduced_pair():
     with pytest.raises(PreconditionError, match="not reduced"):
         seifert_dim(2, 1, [(2, 4)])
+
+
+@pytest.mark.parametrize("fn", [seifert_dim, seifert_dim_large, seifert_dim_windowed])
+@pytest.mark.parametrize("g, m, pairs, message", [
+    (0, 3, [(1, 2)], "base genus must be at least 1"),
+    (2, 1, [(1, 0)], "multiplicity 0 must be a positive integer"),
+    (2, 1, [(2, 4)], "pair 2/4 is not reduced"),
+])
+def test_seifert_entry_points_share_validation(fn, g, m, pairs, message):
+    with pytest.raises(PreconditionError, match=message):
+        fn(g, m, pairs)

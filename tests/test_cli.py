@@ -3,8 +3,10 @@ import json
 
 import pytest
 
+from knotsurgery.catalog import get_knot
 from knotsurgery.cli import main
 from knotsurgery.cone import SurgeryResult
+from knotsurgery.knotcx import knot_spec_dict
 
 
 def run(capsys, *argv):
@@ -158,3 +160,30 @@ def test_spec_file_rejects_asymmetric(tmp_path, capsys):
 def test_missing_spec_file(capsys):
     code, _, err = run(capsys, "surgery", "--spec", "/nonexistent.json", "--slope", "1")
     assert code == 1
+
+
+def _explicit_spec_without_z2():
+    spec = knot_spec_dict(get_knot("trefoil-right"))
+    del spec["generators"][0]["z2"]
+    return spec
+
+
+TREFOIL_PAIRS = [[1, 1], [-1, 0], [1, -1]]
+
+
+@pytest.mark.parametrize("spec, field", [
+    (_explicit_spec_without_z2(), "generators[0] is missing field 'z2'"),
+    ({"name": "t", "alexander": TREFOIL_PAIRS}, "missing field 'tau'"),
+    ({"name": "t", "alexander": TREFOIL_PAIRS, "tau": "x"}, "field 'tau' must be of type int"),
+], ids=["generator-missing-z2", "missing-tau", "non-integer-tau"])
+def test_malformed_spec_exits_cleanly(tmp_path, capsys, spec, field):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(spec))
+    code, _, err = run(capsys, "surgery", "--spec", str(path), "--slope", "1")
+    assert code == 2 and field in err
+
+
+@pytest.mark.parametrize("delta", ['{"a":1}', '[[1,"x"]]'], ids=["object", "non-integer-power"])
+def test_classify_rejects_malformed_delta(capsys, delta):
+    code, _, err = run(capsys, "classify", "--dim", "7", "--delta", delta)
+    assert code == 2 and "--delta must be a list of integer [coef, power] pairs" in err

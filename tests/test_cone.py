@@ -14,6 +14,8 @@ from knotsurgery.cone import (
     bent_homology,
     build_cone_problem,
     genus_one_positive_ladder,
+    large_surgery_dim,
+    large_surgery_start,
     pi_maps,
     surgery_dim,
     zero_surgery_dims,
@@ -134,13 +136,23 @@ def test_large_surgery_equals_cone_and_steps_by_one():
     for name in ("figure-eight", "trefoil-left", "t2_5", "5_2-bar"):
         K = get_knot(name)
         prev = None
-        for n in range(max(2 * K.genus - 1, 1), 2 * K.genus + 4):
-            large = surgery_dim(K, n, 1, pathway="large-surgery").dimension
+        for n in range(large_surgery_start(K), 2 * K.genus + 4):
+            large = large_surgery_dim(K, n)
             cone = build_cone_problem(K, n, 1).dimension()
             assert large == cone, (name, n)
             if prev is not None:
                 assert large - prev == 1
             prev = large
+
+
+def test_large_surgery_dim_rejects_small_slope():
+    with pytest.raises(PreconditionError, match="outside the large-surgery regime"):
+        large_surgery_dim(get_knot("t2_5"), 2)
+
+
+def test_surgery_dim_has_no_pathway_parameter():
+    with pytest.raises(TypeError):
+        surgery_dim(fig8(), 1, 1, pathway="cone")
 
 
 def test_scalar_independence_of_cone():
