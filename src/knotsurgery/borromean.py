@@ -283,11 +283,16 @@ def seifert_dim(g: int, m: int, pairs: Iterable[tuple]) -> int:
     v_i > 1: the monomial-block index law is extrapolated from the
     circle-bundle computation and gated by regression tests.
     """
-    _, p, u, offset_map = _seifert_setup(g, m, pairs)
+    return _seifert_evaluate(g, m, pairs)[1]
+
+
+def _seifert_evaluate(g: int, m: int, pairs: Iterable[tuple]) -> tuple:
+    """(degree, dim, pathway) from one setup: the large-slope shortcut, else the cone."""
+    degree, p, u, offset_map = _seifert_setup(g, m, pairs)
     if _large_applicable(g, p, u, offset_map):
         # large-slope regime: direct sum of u full slots
-        return u * (4 ** g)
-    return _cone_dim_exterior(g, p, u, offset_map)
+        return degree, u * (4 ** g), "large-surgery"
+    return degree, _cone_dim_exterior(g, p, u, offset_map), "cone"
 
 
 def seifert_dim_large(g: int, m: int, pairs: Iterable[tuple]) -> Optional[int]:

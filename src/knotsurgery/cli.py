@@ -177,10 +177,7 @@ def cmd_circle_bundle(args) -> int:
 
 def cmd_seifert(args) -> int:
     pairs = [_parse_slope(p) for p in args.pair or []]
-    deg = borromean._seifert_setup(args.genus, args.base, pairs)[0]
-    dim, pathway = borromean.seifert_dim_large(args.genus, args.base, pairs), "large-surgery"
-    if dim is None:
-        dim, pathway = borromean.seifert_dim_windowed(args.genus, args.base, pairs), "cone"
+    deg, dim, pathway = borromean._seifert_evaluate(args.genus, args.base, pairs)
     payload = {"command": "seifert", "genus": args.genus, "base": args.base,
                "pairs": [[r, v] for r, v in pairs], "degree": str(deg),
                "dim": dim, "pathway": pathway}

@@ -42,9 +42,9 @@ def bent_differential(K: KnotComplex, s: int) -> SparseExactMap:
     for g in K.space.generators:
         k = g.alex - s2
         if k >= 0:
-            entries.extend((tgt, src, v) for tgt, src, v in K.d_plus.entries if src == g.gid)
+            entries.extend((tgt, g.gid, v) for tgt, v in K.d_plus.column(g.gid).items())
         if k <= 0:
-            entries.extend((tgt, src, v) for tgt, src, v in K.d_minus.entries if src == g.gid)
+            entries.extend((tgt, g.gid, v) for tgt, v in K.d_minus.column(g.gid).items())
     return sparse_map(K.space, K.space, entries)
 
 
@@ -249,7 +249,7 @@ def large_surgery_dim(K: KnotComplex, n: int) -> int:
         raise PreconditionError(f"slope {n} is outside the large-surgery regime "
                                 f"(needs n >= {large_surgery_start(K)})")
     g = K.genus
-    return sum(bent_homology(K, s).dim for s in range(g - n, g))
+    return sum(_level_rows(K, s)[0] for s in range(g - n, g))
 
 
 def surgery_dim(K: KnotComplex, p: int, q: int) -> SurgeryResult:

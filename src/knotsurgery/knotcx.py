@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Optional
 
 from .linalg import (
@@ -89,6 +90,20 @@ class KnotComplex:
     genus: int
     tau: int
     meta: tuple = ()  # sorted (key, value) pairs: name, delta, ...
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.space, self.d_plus, self.d_minus, self.genus, self.tau, self.meta))
+
+    def __hash__(self) -> int:
+        # The field hash, computed once: models key the cone's level caches.
+        return self._hash
+
+    def __getstate__(self) -> dict:
+        # String hashes differ between processes, so a pickle must not carry one.
+        state = dict(self.__dict__)
+        state.pop("_hash", None)
+        return state
 
     def meta_dict(self) -> dict:
         return dict(self.meta)

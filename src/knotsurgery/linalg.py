@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 # Sparse vector keyed by generator id.  Zero coefficients are never stored.
@@ -31,13 +32,16 @@ class GradedSpace:
     generators: tuple[Generator, ...]
 
     def __post_init__(self):
-        seen = set()
+        index: dict = {}
         for g in self.generators:
-            if g.gid in seen:
+            if g.gid in index:
                 raise LinearAlgebraError(f"duplicate generator id {g.gid!r}")
             if g.z2 not in (0, 1):
                 raise LinearAlgebraError(f"generator {g.gid!r} has z2 grading {g.z2}, expected 0 or 1")
-            seen.add(g.gid)
+            index[g.gid] = g
+        # Derived once; not fields, so equality and hashing see only the generators.
+        object.__setattr__(self, "_index", index)
+        object.__setattr__(self, "_ids", tuple(index))
 
     @property
     def dim(self) -> int:
@@ -45,13 +49,13 @@ class GradedSpace:
 
     @property
     def ids(self) -> tuple[str, ...]:
-        return tuple(g.gid for g in self.generators)
+        return self._ids
 
     def generator(self, gid: str) -> Generator:
-        for g in self.generators:
-            if g.gid == gid:
-                return g
-        raise LinearAlgebraError(f"unknown generator id {gid!r}")
+        try:
+            return self._index[gid]
+        except KeyError:
+            raise LinearAlgebraError(f"unknown generator id {gid!r}") from None
 
     def dims_by_grading(self) -> dict:
         """Dimension of each (doubled) Alexander grading level."""
@@ -73,8 +77,8 @@ class SparseExactMap:
     entries: tuple  # of (target id, source id, Fraction)
 
     def __post_init__(self):
-        src_ids = set(self.source.ids)
-        tgt_ids = set(self.target.ids)
+        src_ids = self.source._index
+        tgt_ids = self.target._index
         seen = set()
         for tgt, src, val in self.entries:
             if src not in src_ids:
@@ -87,18 +91,21 @@ class SparseExactMap:
                 raise LinearAlgebraError(f"explicit zero entry at (target={tgt!r}, source={src!r})")
             seen.add((tgt, src))
 
-    def column(self, src_gid: str) -> Vec:
-        return {tgt: val for tgt, src, val in self.entries if src == src_gid}
-
-    def columns(self) -> dict:
+    @cached_property
+    def _cols(self) -> dict:
+        """Column index {source id: {target id: coeff}}, built on first use, in entry order."""
         cols: dict = {gid: {} for gid in self.source.ids}
         for tgt, src, val in self.entries:
             cols[src][tgt] = val
         return cols
 
+    def column(self, src_gid: str) -> Vec:
+        """Image of one source generator, as a fresh dict the caller may mutate."""
+        return dict(self._cols.get(src_gid, ()))
+
     def apply(self, vec: Vec) -> Vec:
         out: Vec = {}
-        cols = self.columns()
+        cols = self._cols
         for src, c in vec.items():
             for tgt, val in cols.get(src, {}).items():
                 acc = out.get(tgt, Fraction(0)) + c * val
@@ -113,8 +120,8 @@ class SparseExactMap:
         if inner.target != self.source:
             raise LinearAlgebraError("composition mismatch: inner target differs from outer source")
         entries = []
-        for gid in inner.source.ids:
-            img = self.apply(inner.column(gid))
+        for gid, col in inner._cols.items():
+            img = self.apply(col)
             entries.extend((tgt, gid, val) for tgt, val in img.items())
         return SparseExactMap(inner.source, self.target, tuple(entries))
 
@@ -204,8 +211,8 @@ class Echelon:
 
 def rank(m: SparseExactMap) -> int:
     ech = Echelon(m.target.ids)
-    for gid in m.source.ids:
-        ech.insert(m.column(gid))
+    for col in m._cols.values():
+        ech.insert(col)
     return ech.rank
 
 
@@ -214,8 +221,8 @@ def kernel_basis(m: SparseExactMap) -> list:
     ech = Echelon(m.target.ids)
     exprs: dict = {}  # pivot row -> expression of the stored vector over source ids
     kernel = []
-    for gid in m.source.ids:
-        res, usage = ech.reduce(m.column(gid))
+    for gid, col in m._cols.items():
+        res, usage = ech.reduce(col)
         expr: Vec = {gid: Fraction(1)}
         for piv, c in usage.items():
             for s, v in exprs[piv].items():
@@ -286,13 +293,14 @@ def homology(sp: GradedSpace, d: SparseExactMap, prefix: str = "h") -> Homology:
     """
     if d.source != sp or d.target != sp:
         raise LinearAlgebraError("differential is not an endomorphism of the given space")
-    for gid in sp.ids:
-        if d.apply(d.column(gid)):
+    cols = d._cols
+    for gid, col in cols.items():
+        if d.apply(col):
             raise LinearAlgebraError(f"not a differential: d(d({gid})) != 0")
 
     solver = Echelon(sp.ids)
-    for gid in sp.ids:
-        solver.insert(d.column(gid))  # boundaries, untagged
+    for col in cols.values():
+        solver.insert(col)  # boundaries, untagged
     classes = []
     for vec in kernel_basis(d):
         res, _ = solver.reduce(vec)
@@ -320,10 +328,10 @@ def induced_map_on_homology(
     Checks f o dsrc = dtgt o f exactly, then maps representatives and
     re-expresses them modulo boundaries.
     """
-    lhs = f.compose(dsrc)
-    rhs = dtgt.compose(f)
+    lhs = f.compose(dsrc)._cols
+    rhs = dtgt.compose(f)._cols
     for gid in f.source.ids:
-        if lhs.column(gid) != rhs.column(gid):
+        if lhs[gid] != rhs[gid]:
             raise LinearAlgebraError(f"not a chain map: (f o d - d o f)({gid}) != 0")
     if hsrc is None:
         hsrc = homology(f.source, dsrc)

@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from knotsurgery import borromean
 from knotsurgery.catalog import get_knot
 from knotsurgery.cli import main
 from knotsurgery.cone import SurgeryResult
@@ -79,6 +80,21 @@ def test_seifert_precondition_exit_code(capsys):
     code, _, err = run(capsys, "seifert", "--genus", "2", "--base", "0")
     assert code == 2
     assert "orbifold degree 0" in err
+
+
+@pytest.mark.parametrize("base, pathway", [("1", "cone"), ("3", "large-surgery")])
+def test_seifert_sets_up_once(capsys, monkeypatch, base, pathway):
+    calls = []
+    setup = borromean._seifert_setup
+
+    def counted(*args):
+        calls.append(args)
+        return setup(*args)
+
+    monkeypatch.setattr(borromean, "_seifert_setup", counted)
+    code, out, _ = run(capsys, "seifert", "--genus", "2", "--base", base, "--pair", "1/2", "--json")
+    assert code == 0 and json.loads(out)["pathway"] == pathway
+    assert len(calls) == 1
 
 
 def test_whitehead_json(capsys):

@@ -7,10 +7,12 @@ against the closed thin-knot formula where both apply.
 """
 import pytest
 
-from knotsurgery.catalog import get_knot
+from knotsurgery import cone
+from knotsurgery.catalog import get_knot, thin_catalog
 from knotsurgery.cone import (
     PreconditionError,
     almost_lspace_scan,
+    bent_differential,
     bent_homology,
     build_cone_problem,
     genus_one_positive_ladder,
@@ -33,6 +35,26 @@ def mirror_t25():
 
 
 # --- bent homology ---------------------------------------------------------
+
+def _bent_differential_by_scan(K, s):
+    """One scan of all entries per generator, kept as the reference for the index."""
+    entries = []
+    for g in K.space.generators:
+        k = g.alex - 2 * s
+        if k >= 0:
+            entries.extend((t, src, v) for t, src, v in K.d_plus.entries if src == g.gid)
+        if k <= 0:
+            entries.extend((t, src, v) for t, src, v in K.d_minus.entries if src == g.gid)
+    return tuple(entries)
+
+
+def test_bent_differential_matches_entry_scan():
+    for K0 in thin_catalog():
+        for K in (K0, mirror(K0)):
+            for s in range(-K.genus - 1, K.genus + 2):
+                assert bent_differential(K, s).entries == _bent_differential_by_scan(K, s), \
+                    (K.name, s)
+
 
 def test_bent_homology_figure_eight_level0():
     # cycles {b, c, d, e} modulo the single boundary c + b: dimension 3
@@ -143,6 +165,22 @@ def test_large_surgery_equals_cone_and_steps_by_one():
             if prev is not None:
                 assert large - prev == 1
             prev = large
+
+
+def test_large_surgery_reuses_levels(monkeypatch):
+    # Cached levels outlive a test for equal models, so start from empty caches.
+    cone._level_rows.cache_clear()
+    cone._model_data.cache_clear()
+    calls = []
+
+    def counted(K, s):
+        calls.append(s)
+        return bent_homology(K, s)
+
+    monkeypatch.setattr(cone, "bent_homology", counted)
+    almost_lspace_scan(build_staircase(12))
+    # the cone levels -11..11 plus the large-surgery levels down to 12 - 27
+    assert sorted(calls) == list(range(-15, 12))
 
 
 def test_large_surgery_dim_rejects_small_slope():

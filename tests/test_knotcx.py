@@ -211,3 +211,16 @@ def test_catalog_names_resolve():
     assert get_knot("fig8").name == "figure-eight"
     with pytest.raises(ModelError, match="unknown catalog knot"):
         get_knot("not-a-knot")
+
+
+def test_model_hash_is_cached_and_not_pickled():
+    import pickle
+
+    K = get_knot("5_2-bar")
+    field_hash = hash((K.space, K.d_plus, K.d_minus, K.genus, K.tau, K.meta))
+    assert hash(K) == field_hash == hash(get_knot("5_2-bar"))
+    assert K == get_knot("5_2-bar") and K != mirror(K)
+    assert "_hash" in vars(K)
+    K2 = pickle.loads(pickle.dumps(K))
+    assert "_hash" not in vars(K2)
+    assert K2 == K and hash(K2) == field_hash

@@ -11,6 +11,7 @@ import pytest
 from knotsurgery.linalg import (
     Echelon,
     LinearAlgebraError,
+    SparseExactMap,
     add_maps,
     homology,
     identity_map,
@@ -183,3 +184,71 @@ def test_echelon_reduce_usage():
     ech.insert({"r0": Fraction(1), "r1": Fraction(1)}, tag="u")
     res, usage = ech.reduce({"r0": Fraction(2), "r1": Fraction(2)})
     assert res == {} and usage == {"u": Fraction(2)}
+
+
+# --- the column index against a plain scan of the entries --------------------
+
+def _random_map(rng, src, tgt):
+    entries = {}
+    for _ in range(rng.randrange(0, 2 * src.dim * tgt.dim + 1)):
+        key = (rng.choice(tgt.ids), rng.choice(src.ids))
+        entries[key] = Fraction(rng.randrange(-3, 4), rng.randrange(1, 3))
+    return sparse_map(src, tgt, [(t, s, v) for (t, s), v in entries.items() if v != 0])
+
+
+def _scan_column(m, gid):
+    return {t: v for t, s, v in m.entries if s == gid}
+
+
+def _scan_apply(m, vec):
+    out = {}
+    for t, s, v in m.entries:
+        if s in vec:
+            out[t] = out.get(t, Fraction(0)) + vec[s] * v
+    return {t: v for t, v in out.items() if v != 0}
+
+
+def test_indexed_map_matches_entry_scan_random():
+    rng = random.Random(11)
+    for _ in range(40):
+        a, b, c = (space([(f"{x}{i}", 0, 0) for i in range(rng.randrange(1, 6))])
+                   for x in "abc")
+        f, g = _random_map(rng, a, b), _random_map(rng, b, c)
+        for gid in a.ids:
+            assert f.column(gid) == _scan_column(f, gid)
+        vec = {gid: Fraction(rng.randrange(-2, 3)) for gid in a.ids}
+        vec = {k: v for k, v in vec.items() if v != 0}
+        assert f.apply(vec) == _scan_apply(f, vec)
+        gf = g.compose(f)
+        assert gf.source == a and gf.target == c
+        want = {(t, s): v for s in a.ids for t, v in _scan_apply(g, _scan_column(f, s)).items()}
+        assert {(t, s): v for t, s, v in gf.entries} == want
+
+
+def test_column_is_a_copy():
+    sp = space([("a", 0, 0), ("b", 2, 1)])
+    m = sparse_map(sp, sp, [("b", "a", 1)])
+    col = m.column("a")
+    col["a"] = Fraction(7)
+    col.pop("b")
+    assert m.column("a") == {"b": Fraction(1)}
+    assert m.apply({"a": Fraction(1)}) == {"b": Fraction(1)}
+
+
+def test_generator_lookup():
+    sp = space([("a", 0, 0), ("b", 2, 1)])
+    assert sp.generator("b").alex == 2
+    assert sp.ids == ("a", "b")
+    with pytest.raises(LinearAlgebraError, match="unknown generator id 'nope'"):
+        sp.generator("nope")
+
+
+@pytest.mark.parametrize("entries, message", [
+    ([("nope", "a", 1)], "unknown target generator"),
+    ([("b", "a", 0)], "explicit zero entry"),
+])
+def test_map_construction_errors(entries, message):
+    # unknown source ids and duplicate entries have their own tests above
+    sp = space([("a", 0, 0), ("b", 2, 1)])
+    with pytest.raises(LinearAlgebraError, match=message):
+        SparseExactMap(sp, sp, tuple((t, s, Fraction(v)) for t, s, v in entries))
