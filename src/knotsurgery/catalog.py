@@ -65,10 +65,16 @@ def resolve_name(name: str) -> str:
     return key
 
 
+_BUILT: dict = {}  # canonical name -> model, each built on first request
+
+
 def get_knot(name: str) -> KnotComplex:
+    """The catalog model, built once per process (models are immutable)."""
     key = resolve_name(name)
-    delta, tau = _ENTRIES[key]
-    return thin_from_alexander(delta, tau, name=key)
+    if key not in _BUILT:
+        delta, tau = _ENTRIES[key]
+        _BUILT[key] = thin_from_alexander(delta, tau, name=key)
+    return _BUILT[key]
 
 
 def thin_catalog() -> list:

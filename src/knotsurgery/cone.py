@@ -17,10 +17,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 from typing import Optional
 
-from .knotcx import KnotComplex, ModelError, homology_minus, homology_plus, mirror, validate
+from .knotcx import KnotComplex, ModelError, mirror
 from .linalg import (
     Echelon,
     Homology,
@@ -58,19 +57,15 @@ def _projection(K: KnotComplex, s: int, side: int) -> SparseExactMap:
     s2 = 2 * s
     keep = [g.gid for g in K.space.generators
             if (g.alex <= s2 if side < 0 else g.alex >= s2)]
-    return sparse_map(K.space, K.space, [(g, g, 1) for g in keep])
+    one = Fraction(1)
+    return sparse_map(K.space, K.space, [(g, g, one) for g in keep])
 
 
-def pi_maps(K: KnotComplex, s: int, hA: Optional[Homology] = None,
-            hB_minus: Optional[Homology] = None, hB_plus: Optional[Homology] = None):
+def pi_maps(K: KnotComplex, s: int):
     """Induced projections (v to the lowering complex, h to the raising one)."""
     bent = bent_differential(K, s)
-    if hA is None:
-        hA = homology(K.space, bent, prefix=f"b{s}_")
-    if hB_minus is None:
-        hB_minus = homology_minus(K)
-    if hB_plus is None:
-        hB_plus = homology_plus(K)
+    hA = bent_homology(K, s)
+    hB_minus, hB_plus = K.homologies
     v = induced_map_on_homology(_projection(K, s, -1), bent, K.d_minus, hA, hB_minus)
     h = induced_map_on_homology(_projection(K, s, +1), bent, K.d_plus, hA, hB_plus)
     return v, h
@@ -159,24 +154,22 @@ class ConeProblem:
         return (total_src - r) + (len(self.targets) - r)
 
 
-@lru_cache(maxsize=None)
-def _model_data(K: KnotComplex):
-    report = validate(K)
-    if not report.ok:
-        raise ModelError("invalid knot model: " + "; ".join(report.violations))
-    return homology_minus(K), homology_plus(K)
+def _require_valid(K: KnotComplex):
+    if not K.report.ok:
+        raise ModelError("invalid knot model: " + "; ".join(K.report.violations))
 
 
-@lru_cache(maxsize=None)
 def _level_rows(K: KnotComplex, s: int):
-    """(class count, v row, h row) at level s; rows are {class index: coeff}."""
-    hB_minus, hB_plus = _model_data(K)
-    hA = bent_homology(K, s)
-    v, h = pi_maps(K, s, hA, hB_minus, hB_plus)
-    order = {cid: i for i, cid in enumerate(hA.space.ids)}
-    v_row = {order[src]: val for _, src, val in v.entries}
-    h_row = {order[src]: val for _, src, val in h.entries}
-    return hA.dim, v_row, h_row
+    """(class count, v row, h row) at level s, kept in K.levels; rows are {class index: coeff}."""
+    rows = K.levels.get(s)
+    if rows is None:
+        _require_valid(K)
+        v, h = pi_maps(K, s)
+        order = {cid: i for i, cid in enumerate(v.source.ids)}
+        rows = K.levels[s] = (v.source.dim,
+                              {order[src]: val for _, src, val in v.entries},
+                              {order[src]: val for _, src, val in h.entries})
+    return rows
 
 
 def _lattice_offsets(q: int) -> list:
@@ -244,7 +237,7 @@ def large_surgery_dim(K: KnotComplex, n: int) -> int:
 
     Equals the cone dimension at integral slope n >= large_surgery_start(K).
     """
-    _model_data(K)  # validates
+    _require_valid(K)
     if n < large_surgery_start(K):
         raise PreconditionError(f"slope {n} is outside the large-surgery regime "
                                 f"(needs n >= {large_surgery_start(K)})")
@@ -266,7 +259,6 @@ def surgery_dim(K: KnotComplex, p: int, q: int) -> SurgeryResult:
         raise PreconditionError(f"slope {p}/{q} is not reduced")
     if q == 1 and p >= large_surgery_start(K):
         return SurgeryResult(K.name, p, q, large_surgery_dim(K, p), "large-surgery")
-    _model_data(K)  # validates
     return SurgeryResult(K.name, p, q, build_cone_problem(K, p, q).dimension(), "cone")
 
 
@@ -278,7 +270,7 @@ def zero_surgery_dims(K: KnotComplex, span: Optional[int] = None) -> dict:
     Models with tau > 0 are replaced by their mirror (dimensions agree, the
     table is re-indexed by s -> -s).
     """
-    _model_data(K)
+    _require_valid(K)
     if K.tau > 0:
         inner = zero_surgery_dims(mirror(K), span=span)
         return {-s: d for s, d in sorted(inner.items())}

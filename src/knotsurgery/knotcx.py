@@ -91,19 +91,23 @@ class KnotComplex:
     tau: int
     meta: tuple = ()  # sorted (key, value) pairs: name, delta, ...
 
+    # Derived state, computed on first use and kept on the model (not fields,
+    # so equality and hashing see only the definition above).
     @cached_property
-    def _hash(self) -> int:
-        return hash((self.space, self.d_plus, self.d_minus, self.genus, self.tau, self.meta))
+    def homologies(self) -> tuple:
+        """(H(d-), H(d+)) with representatives."""
+        return (homology(self.space, self.d_minus, prefix="m"),
+                homology(self.space, self.d_plus, prefix="p"))
 
-    def __hash__(self) -> int:
-        # The field hash, computed once: models key the cone's level caches.
-        return self._hash
+    @cached_property
+    def report(self) -> "ValidationReport":
+        """``validate(self)``, computed once."""
+        return validate(self)
 
-    def __getstate__(self) -> dict:
-        # String hashes differ between processes, so a pickle must not carry one.
-        state = dict(self.__dict__)
-        state.pop("_hash", None)
-        return state
+    @cached_property
+    def levels(self) -> dict:
+        """The cone's level table {s: (class count, v row, h row)}, filled by ``cone``."""
+        return {}
 
     def meta_dict(self) -> dict:
         return dict(self.meta)
@@ -311,11 +315,11 @@ def mirror(K: KnotComplex) -> KnotComplex:
 
 
 def homology_plus(K: KnotComplex) -> Homology:
-    return homology(K.space, K.d_plus, prefix="p")
+    return K.homologies[1]
 
 
 def homology_minus(K: KnotComplex) -> Homology:
-    return homology(K.space, K.d_minus, prefix="m")
+    return K.homologies[0]
 
 
 def compute_tau(K: KnotComplex) -> int:
@@ -324,8 +328,7 @@ def compute_tau(K: KnotComplex) -> int:
     Requires both one-differential homologies to be one-dimensional, which
     is what makes the model a knot-in-the-three-sphere model.
     """
-    hm = homology_minus(K)
-    hp = homology_plus(K)
+    hm, hp = K.homologies
     if hm.dim != 1 or hp.dim != 1:
         raise ModelError(
             f"not an S^3-knot model: homology dims are d-:{hm.dim}, d+:{hp.dim}, expected 1 and 1")
@@ -404,8 +407,7 @@ def validate(K: KnotComplex) -> ValidationReport:
             report.violations.append("graded Euler characteristic does not match the attached polynomial")
 
     try:
-        hp_dim = homology_plus(K).dim
-        hm_dim = homology_minus(K).dim
+        hm_dim, hp_dim = K.homologies[0].dim, K.homologies[1].dim
     except LinearAlgebraError:
         hp_dim = hm_dim = None
     if hp_dim is not None:
@@ -495,9 +497,8 @@ def parse_knot_spec(data: dict) -> KnotComplex:
 
     K = KnotComplex(sp, load("d_plus"), load("d_minus"),
                     genus=_spec_field(data, "genus", "knot spec"), tau=tau, meta=_meta(name, None))
-    report = validate(K)
-    if not report.ok:
-        raise ModelError("invalid explicit knot model: " + "; ".join(report.violations))
+    if not K.report.ok:
+        raise ModelError("invalid explicit knot model: " + "; ".join(K.report.violations))
     return K
 
 

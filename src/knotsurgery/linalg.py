@@ -130,8 +130,9 @@ class SparseExactMap:
 
 
 def sparse_map(source: GradedSpace, target: GradedSpace, entries: Iterable[tuple]) -> SparseExactMap:
-    """Build a map from (target id, source id, coefficient) triples; ints are coerced."""
-    return SparseExactMap(source, target, tuple((t, s, Fraction(v)) for t, s, v in entries))
+    """Build a map from (target id, source id, coefficient) triples; non-Fractions are coerced."""
+    return SparseExactMap(source, target, tuple(
+        (t, s, v if type(v) is Fraction else Fraction(v)) for t, s, v in entries))
 
 
 def zero_map(source: GradedSpace, target: Optional[GradedSpace] = None) -> SparseExactMap:

@@ -82,6 +82,20 @@ def test_seifert_precondition_exit_code(capsys):
     assert "orbifold degree 0" in err
 
 
+@pytest.mark.parametrize("argv, limit", [
+    (["seifert", "--genus", "2", "--base", "1", "--pair", "1/101", "--pair", "1/103",
+      "--pair", "1/107", "--pair", "1/109"], "MAX_MULTIPLICITY_PRODUCT = 100000"),
+    (["circle-bundle", "--genus", "3000", "--euler", "1"], "MAX_GENUS = 200"),
+    (["seifert", "--genus", "3000", "--base", "1"], "MAX_GENUS = 200"),
+])
+def test_oversized_input_hits_limit_before_work(capsys, argv, limit):
+    import time
+    start = time.perf_counter()
+    code, _, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and limit in err
+
+
 @pytest.mark.parametrize("base, pathway", [("1", "cone"), ("3", "large-surgery")])
 def test_seifert_sets_up_once(capsys, monkeypatch, base, pathway):
     calls = []

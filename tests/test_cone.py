@@ -168,9 +168,6 @@ def test_large_surgery_equals_cone_and_steps_by_one():
 
 
 def test_large_surgery_reuses_levels(monkeypatch):
-    # Cached levels outlive a test for equal models, so start from empty caches.
-    cone._level_rows.cache_clear()
-    cone._model_data.cache_clear()
     calls = []
 
     def counted(K, s):
@@ -221,8 +218,41 @@ def test_surgery_rejects_invalid_model():
     from knotsurgery.linalg import space, zero_map
     sp = space([("x", 0, 0), ("y", 0, 0)])
     bad = KnotComplex(sp, zero_map(sp), zero_map(sp), genus=0, tau=0)
-    with pytest.raises(ModelError, match="invalid knot model"):
-        surgery_dim(bad, 1, 1)
+    entry_points = [lambda: surgery_dim(bad, 1, 1), lambda: large_surgery_dim(bad, 1),
+                    lambda: zero_surgery_dims(bad),
+                    lambda: build_cone_problem(bad, 1, 1).dimension()]
+    for call in entry_points:
+        for _ in range(2):  # the report is kept on the model; a second call still raises
+            with pytest.raises(ModelError, match="invalid knot model"):
+                call()
+    assert bad.levels == {}
+
+
+# --- per-model state -----------------------------------------------------------
+
+def test_level_table_lives_on_the_model():
+    K = build_staircase(3)
+    assert K.levels == {}
+    surgery_dim(K, 1, 1)
+    assert sorted(K.levels) == list(range(1 - K.genus, K.genus))
+    other = build_staircase(3)
+    assert other == K and other.levels == {}
+
+
+def test_one_differential_homologies_computed_once(monkeypatch):
+    from knotsurgery import knotcx
+    real = knotcx.homology
+    prefixes = []
+
+    def counted(sp, d, prefix="h"):
+        prefixes.append(prefix)
+        return real(sp, d, prefix=prefix)
+
+    monkeypatch.setattr(knotcx, "homology", counted)
+    K = build_staircase(-3)  # tau <= 0: zero_surgery_dims keeps the model itself
+    surgery_dim(K, 1, 1)
+    zero_surgery_dims(K)
+    assert prefixes.count("m") == 1 and prefixes.count("p") == 1
 
 
 # --- zero surgery ------------------------------------------------------------
