@@ -25,12 +25,15 @@ from itertools import combinations, product
 from math import comb
 from typing import Iterable, Optional
 
-from .cone import PreconditionError
+from .cone import PreconditionError, check_lattice_slots
 
 # Size limits, checked before any work starts.  On a 2-vCPU host the module
-# pathway takes 0.6 s at genus 200 and 8.5 s at 400, and a Seifert space on a
-# genus-2 base takes 2.9 s at prod(v_i) = 96441.  The Seifert cost grows about
-# as genus^2 * prod(v_i), which the two limits do not bound jointly.
+# pathway takes 0.6 s at genus 200 and 8.5 s at 400.  The Seifert cost grows
+# about as genus * prod(v_i), the number of lattice slots the cone walks,
+# which these two limits do not bound jointly; cone.MAX_LATTICE_SLOTS does,
+# checked on (2W + 1) * |offsets| slots (|offsets| = prod(v_i), W >= genus)
+# before each walk.  A genus-2 base with prod(v_i) = 96441 is inside all
+# three limits.
 MAX_GENUS = 200
 MAX_MULTIPLICITY_PRODUCT = 10 ** 5
 
@@ -139,13 +142,6 @@ def gamma_slice(g: int, n: int, i2: int) -> MonomialModule:
 
 # --- truncated cone over the exterior-algebra model -------------------------
 
-def _collapse_factory(offset_map: dict, p: int):
-    def s0(sigma: int) -> int:
-        off = offset_map[sigma % (2 * p)]
-        return (sigma - off) // (2 * p)
-    return s0
-
-
 def _large_applicable(g: int, p: int, u: int, offset_map: dict) -> bool:
     """Whether the direct-sum shortcut is valid for total slope u.
 
@@ -154,15 +150,18 @@ def _large_applicable(g: int, p: int, u: int, offset_map: dict) -> bool:
     shifted collapse at minus the genus or below.  For a plain circle bundle
     this reduces to u >= 2g - 1.
     """
-    s0 = _collapse_factory(offset_map, p)
+    check_lattice_slots((2 * g + 1) * len(offset_map))
+    two_p, two_u = 2 * p, 2 * u
     # violations need s0(sigma) <= g - 1 and s0(sigma - 2u) >= 1 - g
     lo = 2 * u + 2 * (1 - g) * p - (p - 1)
     hi = 2 * (g - 1) * p + (p - 1)
     parity = next(iter(offset_map.values())) % 2
-    for sigma in range(lo, hi + 1):
-        if sigma % 2 != parity or (sigma % (2 * p)) not in offset_map:
+    for sigma in range(lo + (lo - parity) % 2, hi + 1, 2):
+        off = offset_map.get(sigma % two_p)
+        if off is None or (sigma - off) // two_p > g - 1:
             continue
-        if s0(sigma) <= g - 1 and s0(sigma - 2 * u) >= 1 - g:
+        t = sigma - two_u
+        if (t - offset_map[t % two_p]) // two_p >= 1 - g:
             return False
     return True
 
@@ -172,32 +171,39 @@ def _cone_dim_exterior(g: int, p: int, u: int, offset_map: dict) -> int:
 
     Source slots carry the full exterior algebra (dimension 4^g); target
     slots do too; the image inside each retained target is the monomial
-    block given by the collapse index law.
+    block given by the collapse index law.  Slot sigma collapses to the
+    level s0(sigma) = (sigma - offset) // 2p, offset being the lattice
+    offset of sigma's residue mod 2p.
     """
     if u <= 0:
         raise PreconditionError("internal: cone expects a positive total slope")
-    s0 = _collapse_factory(offset_map, p)
     W = max(g, u // (2 * p) + 1)
+    check_lattice_slots((2 * W + 1) * len(offset_map))
     full = 4 ** g
+    src_total = (2 * W + 1) * len(offset_map) * full
+    tails = [monomial_dim(g, k) for k in range(2 * g + 2)]
+    two_p, two_u = 2 * p, 2 * u
 
-    sources = [2 * s_prime * p + off
-               for s_prime in range(-W, W + 1) for off in offset_map.values()]
-    src_total = len(sources) * full
-
-    parity = sources[0] % 2
     lo = 2 * u + 2 * (-W) * p - (p - 1)
     hi = 2 * W * p + (p - 1)
+    parity = next(iter(offset_map.values())) % 2
     tgt_count = 0
     image_total = 0
-    for sigma in range(lo, hi + 1):
-        if sigma % 2 != parity or (sigma % (2 * p)) not in offset_map:
+    for sigma in range(lo + (lo - parity) % 2, hi + 1, 2):
+        off = offset_map.get(sigma % two_p)
+        if off is None:
             continue
-        if s0(sigma) > W or s0(sigma - 2 * u) < -W:
+        s_low = (sigma - off) // two_p
+        if s_low > W:
+            continue
+        t = sigma - two_u
+        s_high = (t - offset_map[t % two_p]) // two_p
+        if s_high < -W:
             continue
         tgt_count += 1
-        k_low = min(max(g - s0(sigma), 0), 2 * g + 1)
-        k_high = min(max(g + s0(sigma - 2 * u), 0), 2 * g + 1)
-        image_total += monomial_dim(g, min(k_low, k_high))
+        # image degree min(g - s_low, g + s_high), clamped to 0..2g+1
+        k = min(g - s_low, g + s_high, 2 * g + 1)
+        image_total += tails[k] if k > 0 else full
     return src_total + tgt_count * full - 2 * image_total
 
 
@@ -248,9 +254,9 @@ def _seifert_offsets(multiplicities: list) -> dict:
     """
     p = math.prod(multiplicities)
     offsets: dict = {}
-    choices = [range(-(v - 1), v, 2) for v in multiplicities]
-    for taus in product(*choices):
-        off = sum(t * (p // v) for t, v in zip(taus, multiplicities))
+    # the terms tau_i * p/v_i, for each i
+    choices = [range(-(v - 1) * (p // v), v * (p // v), 2 * (p // v)) for v in multiplicities]
+    for off in map(sum, product(*choices)):
         key = off % (2 * p)
         if key in offsets:
             raise PreconditionError("multiplicities are not pairwise coprime")

@@ -9,6 +9,11 @@ projection routed through the canonical slot identification).  Far levels
 pair off by isomorphisms, so a finite window computes the whole thing; the
 window size is a parameter and enlarging it never changes the answer.
 
+The cone is ranked without elimination.  Source sigma reaches only the
+slots sigma and sigma + 2p, so the incidence graph is a disjoint union of
+paths, and one sweep over the sources finds the rank from the shape of each
+source's block (see ``ConeProblem.dimension``).
+
 Sign conventions are calibrated by two anchors: the right trefoil must give
 dimension 1 at slope +1 and the figure-eight 3.
 """
@@ -21,7 +26,6 @@ from typing import Optional
 
 from .knotcx import KnotComplex, ModelError, mirror
 from .linalg import (
-    Echelon,
     Homology,
     SparseExactMap,
     homology,
@@ -32,6 +36,22 @@ from .linalg import (
 
 class PreconditionError(Exception):
     """Input violates a stated hypothesis of the computation."""
+
+
+# Lattice slots a cone may walk, checked before any assembly: (2W - 1) q
+# for the knot cone at slope p/q and (2W + 1) |offsets| for the
+# exterior-algebra cone, W being the window half-width.  On a 2-vCPU host a
+# knot cone at the limit takes up to 2.2 s (figure-eight at slope 1/499999,
+# every block an edge) and the exterior cone 0.6 s (genus 2, prod v_i =
+# 96441, 482205 slots).
+MAX_LATTICE_SLOTS = 5 * 10 ** 5
+
+
+def check_lattice_slots(slots: int):
+    """Raise PreconditionError, naming the limit, when slots exceeds MAX_LATTICE_SLOTS."""
+    if slots > MAX_LATTICE_SLOTS:
+        raise PreconditionError(f"the cone needs {slots} lattice slots, over the limit "
+                                f"MAX_LATTICE_SLOTS = {MAX_LATTICE_SLOTS}")
 
 
 def bent_differential(K: KnotComplex, s: int) -> SparseExactMap:
@@ -63,11 +83,10 @@ def _projection(K: KnotComplex, s: int, side: int) -> SparseExactMap:
 
 def pi_maps(K: KnotComplex, s: int):
     """Induced projections (v to the lowering complex, h to the raising one)."""
-    bent = bent_differential(K, s)
     hA = bent_homology(K, s)
     hB_minus, hB_plus = K.homologies
-    v = induced_map_on_homology(_projection(K, s, -1), bent, K.d_minus, hA, hB_minus)
-    h = induced_map_on_homology(_projection(K, s, +1), bent, K.d_plus, hA, hB_plus)
+    v = induced_map_on_homology(_projection(K, s, -1), hA.differential, K.d_minus, hA, hB_minus)
+    h = induced_map_on_homology(_projection(K, s, +1), hA.differential, K.d_plus, hA, hB_plus)
     return v, h
 
 
@@ -104,18 +123,29 @@ class SurgeryResult:
                              data["pathway"], per)
 
 
+def _proportional(a: dict, b: dict) -> bool:
+    """Whether two nonzero rows are scalar multiples of each other (exact)."""
+    if a.keys() != b.keys():
+        return False
+    j0 = next(iter(a))
+    return all(a[j] * b[j0] == b[j] * a[j0] for j in a)
+
+
 @dataclass
 class ConeProblem:
     """Assembled finite cone: sources to one-dimensional slots.
 
-    sources: (doubled index, class count); columns: per source class, the
-    sparse vector of slot coefficients.  The incidence structure is a
-    disjoint union of paths, which is what makes the dimension independent
-    of the slot-identification scalars.
+    sources: (doubled index, class count), in lattice order; targets: the
+    retained slots; v_components / h_components: source index -> (target
+    slot, nonzero row {class index: coeff}), present only when the target
+    is retained.  Source sigma reaches the slots sigma (v) and sigma + 2p
+    (h) and nothing else, so the incidence graph is a disjoint union of
+    paths, which is what makes the dimension independent of the
+    slot-identification scalars.
     """
     sources: list = field(default_factory=list)
-    targets: list = field(default_factory=list)
-    v_components: dict = field(default_factory=dict)  # source idx -> (target idx, row coeffs)
+    targets: range = range(0)
+    v_components: dict = field(default_factory=dict)
     h_components: dict = field(default_factory=dict)
 
     def check_path_structure(self):
@@ -126,31 +156,58 @@ class ConeProblem:
         if any(n > 2 for n in incoming.values()):
             raise PreconditionError("cone incidence graph is not a union of paths")
 
-    def dimension(self, h_scale: Optional[dict] = None) -> int:
+    def dimension(self) -> int:
+        """ker + coker of the cone map, ranked by one sweep over the sources.
+
+        Each source's block [v row; h row] spans, inside its two slots,
+        nothing (no row), one slot (one row: that slot is grounded), both
+        slots (independent rows: both grounded), or a line through both
+        (proportional rows: an edge).  Edges join the slots into paths; a
+        path of k slots has rank k - 1, or k once any of its slots is
+        grounded.  So rank = |targets| - (paths with no grounded slot) =
+        edges + (paths with a grounded slot), which the sweep counts
+        without visiting untouched slots.  Each distinct row pair is
+        classified once.
+        """
         self.check_path_structure()
-        tgt_index = {t: i for i, t in enumerate(self.targets)}
-        ech = Echelon([f"t{i}" for i in range(len(self.targets))])
-        total_src = 0
-        for src, nclasses in self.sources:
-            cols = [dict() for _ in range(nclasses)]
-            total_src += nclasses
-            if src in self.v_components:
-                tgt, row = self.v_components[src]
-                if tgt in tgt_index:
-                    for j, c in row.items():
-                        cols[j][f"t{tgt_index[tgt]}"] = cols[j].get(f"t{tgt_index[tgt]}", Fraction(0)) + c
-            if src in self.h_components:
-                tgt, row = self.h_components[src]
-                scale = Fraction(1) if h_scale is None else h_scale.get(src, Fraction(1))
-                if tgt in tgt_index:
-                    for j, c in row.items():
-                        key = f"t{tgt_index[tgt]}"
-                        cols[j][key] = cols[j].get(key, Fraction(0)) + scale * c
-            for col in cols:
-                col = {k: v for k, v in col.items() if v != 0}
-                if col:
-                    ech.insert(col)
-        r = ech.rank
+        v_comp, h_comp = self.v_components, self.h_components
+        grounded = set()
+        nxt: dict = {}   # edge: v slot -> h slot
+        prev: dict = {}  # edge: h slot -> v slot
+        is_line: dict = {}  # (id of v row, id of h row) -> proportional
+        for src, (vt, v_row) in v_comp.items():
+            h = h_comp.get(src)
+            if h is None:
+                grounded.add(vt)
+                continue
+            ht, h_row = h
+            key = (id(v_row), id(h_row))
+            line = is_line.get(key)
+            if line is None:
+                line = is_line[key] = _proportional(v_row, h_row)
+            if line:
+                nxt[vt] = ht
+                prev[ht] = vt
+            else:
+                grounded.add(vt)
+                grounded.add(ht)
+        for src, (ht, _) in h_comp.items():
+            if src not in v_comp:
+                grounded.add(ht)
+        seen = set()
+        grounded_paths = 0
+        for t in grounded:
+            if t in seen:
+                continue
+            grounded_paths += 1
+            seen.add(t)
+            for link in (nxt, prev):
+                x = link.get(t)
+                while x is not None:
+                    seen.add(x)
+                    x = link.get(x)
+        r = len(nxt) + grounded_paths
+        total_src = sum(n for _, n in self.sources)
         return (total_src - r) + (len(self.targets) - r)
 
 
@@ -160,7 +217,14 @@ def _require_valid(K: KnotComplex):
 
 
 def _level_rows(K: KnotComplex, s: int):
-    """(class count, v row, h row) at level s, kept in K.levels; rows are {class index: coeff}."""
+    """(class count, v row, h row) at level s, kept in K.levels; rows are {class index: coeff}.
+
+    Levels past the genus repeat: below -genus the bent complex is d+ alone,
+    v is zero and h the identity, and above +genus the reverse.  So every
+    s <= -genus - 1 shares one entry, and every s >= genus + 1 another.
+    """
+    g = K.genus
+    s = min(max(s, -g - 1), g + 1)
     rows = K.levels.get(s)
     if rows is None:
         _require_valid(K)
@@ -172,58 +236,37 @@ def _level_rows(K: KnotComplex, s: int):
     return rows
 
 
-def _lattice_offsets(q: int) -> list:
-    """Doubled offsets of the refined index lattice for denominator q."""
-    return list(range(-(q - 1), q, 2))
-
-
-def _collapse(sigma: int, q: int) -> int:
-    """Integer level s' with |sigma - 2 s' q| <= q - 1 (doubled input)."""
-    return (sigma + (q - 1)) // (2 * q)
-
-
 def build_cone_problem(K: KnotComplex, p: int, q: int, window_margin: int = 0) -> ConeProblem:
-    """Assemble the truncated cone for slope p/q (q >= 1, gcd(|p|, q) = 1)."""
+    """Assemble the truncated cone for slope p/q (p != 0, q >= 1, gcd(|p|, q) = 1).
+
+    The sources are the doubled indices 2 s' q + offset for levels
+    1 - W <= s' <= W - 1 and offsets -(q-1), -(q-3), ..., q-1: every second
+    integer from the lowest to the highest.  Source sigma collapses to level
+    s', and its rows reach the slots sigma and sigma + 2p; the retained
+    slots are those that collapse back into the window on both sides.
+    """
+    if p == 0:
+        raise PreconditionError("slope 0: use zero_surgery_dims for the per-grading table")
     g = max(K.genus, 1)
-    u, v = p, q
     w_min = g
-    if u > 0:
-        w_min = max(w_min, (u + v - 1) // (2 * v) + 1)
+    if p > 0:
+        w_min = max(w_min, (p + q - 1) // (2 * q) + 1)
     W = w_min + max(0, window_margin)
+    check_lattice_slots((2 * W - 1) * q)
 
-    problem = ConeProblem()
-    rows: dict = {}
+    first = 2 * (1 - W) * q - (q - 1)
+    last = 2 * (W - 1) * q + (q - 1)
+    # slot t is retained when t and t - 2p both lie in the source range
+    problem = ConeProblem(targets=range(first + 2 * p, last + 1, 2))
+    targets = problem.targets
     for s_prime in range(1 - W, W):
-        rows[s_prime] = _level_rows(K, s_prime)
-
-    offsets = _lattice_offsets(v)
-    lattice = []
-    for s_prime in range(1 - W, W):
-        for off in offsets:
-            lattice.append(2 * s_prime * v + off)
-    lattice.sort()
-    for sigma in lattice:
-        dim, _, _ = rows[_collapse(sigma, v)]
-        problem.sources.append((sigma, dim))
-
-    lo = 2 * u + 2 * (1 - W) * v - (v - 1)
-    hi = 2 * (W - 1) * v + (v - 1)
-    parity = lattice[0] % 2
-    for sigma in range(lo, hi + 1):
-        if sigma % 2 != parity:
-            continue
-        if _collapse(sigma, v) > W - 1 or _collapse(sigma - 2 * u, v) < 1 - W:
-            continue
-        problem.targets.append(sigma)
-
-    target_set = set(problem.targets)
-    for sigma, _dim in problem.sources:
-        s_prime = _collapse(sigma, v)
-        _, v_row, h_row = rows[s_prime]
-        if sigma in target_set and v_row:
-            problem.v_components[sigma] = (sigma, v_row)
-        if sigma + 2 * u in target_set and h_row:
-            problem.h_components[sigma] = (sigma + 2 * u, h_row)
+        dim, v_row, h_row = _level_rows(K, s_prime)
+        for sigma in range(2 * s_prime * q - (q - 1), 2 * s_prime * q + q, 2):
+            problem.sources.append((sigma, dim))
+            if v_row and sigma in targets:
+                problem.v_components[sigma] = (sigma, v_row)
+            if h_row and sigma + 2 * p in targets:
+                problem.h_components[sigma] = (sigma + 2 * p, h_row)
     return problem
 
 
@@ -242,7 +285,10 @@ def large_surgery_dim(K: KnotComplex, n: int) -> int:
         raise PreconditionError(f"slope {n} is outside the large-surgery regime "
                                 f"(needs n >= {large_surgery_start(K)})")
     g = K.genus
-    return sum(_level_rows(K, s)[0] for s in range(g - n, g))
+    # levels below -genus all have the rows of level -genus - 1
+    beyond = max(0, n - 2 * g - 1)
+    return (sum(_level_rows(K, s)[0] for s in range(max(g - n, -g - 1), g))
+            + beyond * _level_rows(K, -g - 1)[0])
 
 
 def surgery_dim(K: KnotComplex, p: int, q: int) -> SurgeryResult:

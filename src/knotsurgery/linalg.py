@@ -256,8 +256,10 @@ class HomologyClass:
 class Homology:
     """Basis of ker(d)/im(d) with chosen chain-level representatives."""
 
-    def __init__(self, chain_space: GradedSpace, classes: list, solver: Echelon):
+    def __init__(self, chain_space: GradedSpace, differential: SparseExactMap,
+                 classes: list, solver: Echelon):
         self.chain_space = chain_space
+        self.differential = differential
         self.classes = classes
         self._solver = solver
         self.space = GradedSpace(tuple(
@@ -314,7 +316,7 @@ def homology(sp: GradedSpace, d: SparseExactMap, prefix: str = "h") -> Homology:
         norm = {r: v / lead for r, v in res.items()}
         classes.append(HomologyClass(cid, tuple(sorted(norm.items())), alex, z2))
         solver._pivots[piv] = (norm, cid)
-    return Homology(sp, classes, solver)
+    return Homology(sp, d, classes, solver)
 
 
 def induced_map_on_homology(

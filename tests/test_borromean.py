@@ -2,6 +2,7 @@
 import pytest
 from math import comb
 
+from knotsurgery import borromean
 from knotsurgery.borromean import (
     MonomialModule,
     circle_bundle_dim_formula,
@@ -162,7 +163,67 @@ def test_seifert_rejects_unreduced_pair():
     (0, 3, [(1, 2)], "base genus must be at least 1"),
     (2, 1, [(1, 0)], "multiplicity 0 must be a positive integer"),
     (2, 1, [(2, 4)], "pair 2/4 is not reduced"),
+    (15, 0, [(1, 31), (1, 61), (1, 51)], "MAX_LATTICE_SLOTS = 500000"),
 ])
 def test_seifert_entry_points_share_validation(fn, g, m, pairs, message):
     with pytest.raises(PreconditionError, match=message):
         fn(g, m, pairs)
+
+
+# --- the exterior cone against its per-slot reference -------------------------
+
+def _cone_dim_by_slots(g, p, u, offset_map):
+    """The exterior cone summed slot by slot, one monomial_dim call per slot."""
+    def s0(sigma):
+        off = offset_map[sigma % (2 * p)]
+        return (sigma - off) // (2 * p)
+    W = max(g, u // (2 * p) + 1)
+    full = 4 ** g
+    sources = [2 * s_prime * p + off
+               for s_prime in range(-W, W + 1) for off in offset_map.values()]
+    parity = sources[0] % 2
+    tgt_count = image_total = 0
+    for sigma in range(2 * u - 2 * W * p - (p - 1), 2 * W * p + p):
+        if sigma % 2 != parity or (sigma % (2 * p)) not in offset_map:
+            continue
+        if s0(sigma) > W or s0(sigma - 2 * u) < -W:
+            continue
+        tgt_count += 1
+        k_low = min(max(g - s0(sigma), 0), 2 * g + 1)
+        k_high = min(max(g + s0(sigma - 2 * u), 0), 2 * g + 1)
+        image_total += monomial_dim(g, min(k_low, k_high))
+    return len(sources) * full + tgt_count * full - 2 * image_total
+
+
+def _large_applicable_by_slots(g, p, u, offset_map):
+    def s0(sigma):
+        off = offset_map[sigma % (2 * p)]
+        return (sigma - off) // (2 * p)
+    parity = next(iter(offset_map.values())) % 2
+    for sigma in range(2 * u + 2 * (1 - g) * p - (p - 1), 2 * (g - 1) * p + p):
+        if sigma % 2 != parity or (sigma % (2 * p)) not in offset_map:
+            continue
+        if s0(sigma) <= g - 1 and s0(sigma - 2 * u) >= 1 - g:
+            return False
+    return True
+
+
+def test_exterior_cone_equals_slot_sum_on_circle_bundles():
+    for g in range(2, 7):
+        for u in range(1, 2 * g + 3):  # every Euler number, the large regime included
+            args = (g, 1, u, {0: 0})
+            assert borromean._cone_dim_exterior(*args) == _cone_dim_by_slots(*args), (g, u)
+            assert borromean._large_applicable(*args) == _large_applicable_by_slots(*args)
+
+
+@pytest.mark.parametrize("g, m, pairs", [
+    (2, 1, [(2, 7), (-1, 11), (2, 13)]),
+    (3, -3, [(1, 3), (2, 7), (6, 11), (6, 13)]),
+    (2, 1, [(-3, 5), (4, 7), (-9, 13), (8, 17)]),
+    (2, -1, [(6, 7), (-7, 11), (6, 13), (-5, 17)]),
+])
+def test_exterior_cone_equals_slot_sum_on_seifert_regressions(g, m, pairs):
+    _, p, u, offset_map = borromean._seifert_setup(g, m, pairs)
+    args = (g, p, u, offset_map)
+    assert borromean._cone_dim_exterior(*args) == _cone_dim_by_slots(*args)
+    assert borromean._large_applicable(*args) == _large_applicable_by_slots(*args)

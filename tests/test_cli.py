@@ -87,6 +87,9 @@ def test_seifert_precondition_exit_code(capsys):
       "--pair", "1/107", "--pair", "1/109"], "MAX_MULTIPLICITY_PRODUCT = 100000"),
     (["circle-bundle", "--genus", "3000", "--euler", "1"], "MAX_GENUS = 200"),
     (["seifert", "--genus", "3000", "--base", "1"], "MAX_GENUS = 200"),
+    (["surgery", "--knot", "fig8", "--slope", "1/1000000"], "MAX_LATTICE_SLOTS = 500000"),
+    (["seifert", "--genus", "15", "--base", "0", "--pair", "1/31", "--pair", "1/61",
+      "--pair", "1/51"], "MAX_LATTICE_SLOTS = 500000"),
 ])
 def test_oversized_input_hits_limit_before_work(capsys, argv, limit):
     import time

@@ -22,8 +22,9 @@ from knotsurgery.cone import (
     surgery_dim,
     zero_surgery_dims,
 )
-from knotsurgery.knotcx import build_staircase, mirror
+from knotsurgery.knotcx import SquareSpec, StaircaseSpec, assemble, build_staircase, mirror
 from knotsurgery.linalg import rank
+from cone_elimination import block_kinds, elimination_dimension
 
 
 def fig8():
@@ -176,8 +177,50 @@ def test_large_surgery_reuses_levels(monkeypatch):
 
     monkeypatch.setattr(cone, "bent_homology", counted)
     almost_lspace_scan(build_staircase(12))
-    # the cone levels -11..11 plus the large-surgery levels down to 12 - 27
-    assert sorted(calls) == list(range(-15, 12))
+    # the cone levels -11..11 plus the large-surgery levels down to -13: every
+    # level below -genus has the rows of level -genus - 1
+    assert sorted(calls) == list(range(-13, 12))
+
+
+def test_levels_past_the_genus_repeat():
+    from test_properties import random_thin_models
+    for K0 in thin_catalog() + random_thin_models(12):
+        for K in (K0, mirror(K0)):
+            g = K.genus
+            for edge, far in ((-g - 1, -g - 3), (g + 1, g + 3)):
+                rows = []
+                for s in (edge, far):
+                    v, h = pi_maps(K, s)
+                    order = {cid: i for i, cid in enumerate(v.source.ids)}
+                    rows.append([v.source.dim] + [sorted((order[src], tgt, val)
+                                                         for tgt, src, val in m.entries)
+                                                  for m in (v, h)])
+                assert rows[0] == rows[1], (K.name, far)
+
+
+def test_large_surgery_far_past_the_genus():
+    from knotsurgery.formulas import thin_surgery_formula
+    for name in ("figure-eight", "t2_7", "5_2-bar"):
+        K = get_knot(name)
+        n = 10 ** 7
+        assert large_surgery_dim(K, n) == thin_surgery_formula(K.dim, K.tau, n, 1), name
+        assert set(K.levels) <= set(range(-K.genus - 1, K.genus + 2))
+
+
+def test_pi_maps_builds_the_bent_differential_once(monkeypatch):
+    calls = []
+    real = cone.bent_differential
+
+    def counted(K, s):
+        calls.append(s)
+        return real(K, s)
+
+    monkeypatch.setattr(cone, "bent_differential", counted)
+    hA = bent_homology(fig8(), 0)
+    assert hA.differential.entries == real(fig8(), 0).entries
+    calls.clear()
+    pi_maps(fig8(), 0)
+    assert calls == [0]
 
 
 def test_large_surgery_dim_rejects_small_slope():
@@ -200,7 +243,68 @@ def test_scalar_independence_of_cone():
         base = prob.dimension()
         for src in list(prob.h_components):
             c = Fraction(rng.randrange(1, 7), rng.randrange(1, 5))
-            assert prob.dimension(h_scale={src: c}) == base
+            assert elimination_dimension(prob, {src: c}) == base
+
+
+def _square_models():
+    """Two seeded squares per level on a staircase of tau 0 or -2, genus 3."""
+    import random
+    rng = random.Random(7)
+    return [assemble(StaircaseSpec(tau), [SquareSpec(s, rng.choice((-1, 1)))
+                                          for s in range(-2, 3) for _ in range(2)],
+                     name=f"squares(tau={tau})")
+            for tau in (0, -2)]
+
+
+@pytest.mark.parametrize("family", ["catalog", "random", "squares"])
+def test_sweep_equals_elimination_on_every_block_kind(family):
+    import random
+    from fractions import Fraction
+    from test_properties import random_thin_models
+    models = {"catalog": lambda: [M for K in thin_catalog() for M in (K, mirror(K))],
+              "random": lambda: random_thin_models(12),
+              "squares": _square_models}[family]()
+    rng = random.Random(3)
+    kinds = set()
+    for K in models:
+        for p, q in ((1, 1), (-1, 1), (3, 1), (-3, 2), (1, 3), (5, 3)):
+            prob = build_cone_problem(K, p, q)
+            kinds |= block_kinds(prob)
+            scale = {src: Fraction(rng.randrange(1, 9), rng.randrange(1, 5))
+                     for src in prob.h_components}
+            assert prob.dimension() == elimination_dimension(prob, scale), (K.name, p, q)
+    assert kinds == {"zero", "v-only", "h-only", "edge", "rank 2"}
+
+
+def test_sweep_follows_long_paths():
+    # figure-eight at slope +-1/41: one level, whose v and h rows are equal, so
+    # the slots form one long path; at +1/41 its two end blocks ground it, at
+    # -1/41 every block is an edge and the path stays free
+    from knotsurgery.formulas import thin_surgery_formula
+    K = fig8()
+    for p, kinds in ((1, {"edge", "v-only", "h-only"}), (-1, {"edge"})):
+        prob = build_cone_problem(K, p, 41)
+        assert block_kinds(prob) == kinds
+        want = thin_surgery_formula(K.dim, K.tau, p, 41)
+        assert prob.dimension() == elimination_dimension(prob) == want
+
+
+def test_lattice_slot_limit():
+    cone.check_lattice_slots(cone.MAX_LATTICE_SLOTS)
+    with pytest.raises(PreconditionError, match="MAX_LATTICE_SLOTS = 500000"):
+        cone.check_lattice_slots(cone.MAX_LATTICE_SLOTS + 1)
+    # a genus-2 Seifert base at prod v_i = 96441 stays inside: (2 * 2 + 1) * 96441 slots
+    assert 5 * 96441 <= cone.MAX_LATTICE_SLOTS
+
+
+def test_cone_rejects_slope_zero():
+    with pytest.raises(PreconditionError, match="zero_surgery"):
+        build_cone_problem(fig8(), 0, 1)
+
+
+def test_dimension_has_no_scalar_parameter():
+    with pytest.raises(TypeError):
+        build_cone_problem(fig8(), 1, 1).dimension(h_scale={})
 
 
 def test_surgery_rejects_zero_slope():
