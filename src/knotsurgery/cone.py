@@ -14,6 +14,15 @@ slots sigma and sigma + 2p, so the incidence graph is a disjoint union of
 paths, and one sweep over the sources finds the rank from the shape of each
 source's block (see ``ConeProblem.dimension``).
 
+Levels are ranked on one component of the model.  The d+ and d- entries
+split a model into components, each a summand for both differentials; one,
+the survivor, carries H(d-) and H(d+), and every other one is acyclic.  So
+the v and h rows of a level come from the survivor alone, and an acyclic
+component only adds classes, with zero rows, at the levels strictly inside
+its grading span.  Those class counts depend on its shape, not on where it
+sits, so each distinct shape is ranked once per model and its profile
+added at every place it occurs.
+
 Sign conventions are calibrated by two anchors: the right trefoil must give
 dimension 1 at slope +1 and the figure-eight 3.
 """
@@ -30,6 +39,7 @@ from .linalg import (
     SparseExactMap,
     homology,
     induced_map_on_homology,
+    rank,
     sparse_map,
 )
 
@@ -148,14 +158,6 @@ class ConeProblem:
     v_components: dict = field(default_factory=dict)
     h_components: dict = field(default_factory=dict)
 
-    def check_path_structure(self):
-        incoming: dict = {}
-        for comp in (self.v_components, self.h_components):
-            for src, (tgt, _) in comp.items():
-                incoming[tgt] = incoming.get(tgt, 0) + 1
-        if any(n > 2 for n in incoming.values()):
-            raise PreconditionError("cone incidence graph is not a union of paths")
-
     def dimension(self) -> int:
         """ker + coker of the cone map, ranked by one sweep over the sources.
 
@@ -169,7 +171,6 @@ class ConeProblem:
         without visiting untouched slots.  Each distinct row pair is
         classified once.
         """
-        self.check_path_structure()
         v_comp, h_comp = self.v_components, self.h_components
         grounded = set()
         nxt: dict = {}   # edge: v slot -> h slot
@@ -216,8 +217,35 @@ def _require_valid(K: KnotComplex):
         raise ModelError("invalid knot model: " + "; ".join(K.report.violations))
 
 
+def _shape_levels(shape: KnotComplex) -> dict:
+    """Level table of an acyclic shape, filled on first use at each level inside its span.
+
+    On or below its lowest grading the shape's bent complex is d+ alone, and
+    on or above its highest d- alone, both acyclic.  Strictly between, the
+    class count is the dimension minus twice the rank of the bent
+    differential, and the v and h rows are zero because H(d-) and H(d+) are.
+    """
+    levels = shape.levels
+    if not levels:
+        top = max(g.alex for g in shape.space.generators)
+        for t in range(1, (top + 1) // 2):
+            levels[t] = (shape.dim - 2 * rank(bent_differential(shape, t)), {}, {})
+    return levels
+
+
+def _acyclic_classes(K: KnotComplex, s: int) -> int:
+    """Classes the acyclic components of K add at level s, each profile added at its shifts."""
+    return sum(shifts.get(s - t, 0) * n
+               for shape, shifts in K.split.acyclic
+               for t, (n, _, _) in _shape_levels(shape).items())
+
+
 def _level_rows(K: KnotComplex, s: int):
     """(class count, v row, h row) at level s, kept in K.levels; rows are {class index: coeff}.
+
+    The rows come from the survivor component alone: the bent homology of K
+    is the direct sum over its components, and the acyclic ones only add
+    classes with zero rows, after the survivor's classes 0..k-1.
 
     Levels past the genus repeat: below -genus the bent complex is d+ alone,
     v is zero and h the identity, and above +genus the reverse.  So every
@@ -228,9 +256,9 @@ def _level_rows(K: KnotComplex, s: int):
     rows = K.levels.get(s)
     if rows is None:
         _require_valid(K)
-        v, h = pi_maps(K, s)
+        v, h = pi_maps(K.split.survivor, s)
         order = {cid: i for i, cid in enumerate(v.source.ids)}
-        rows = K.levels[s] = (v.source.dim,
+        rows = K.levels[s] = (v.source.dim + _acyclic_classes(K, s),
                               {order[src]: val for _, src, val in v.entries},
                               {order[src]: val for _, src, val in h.entries})
     return rows

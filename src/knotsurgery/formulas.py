@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Mapping, Optional
 
 from .cone import PreconditionError
-from .knotcx import poly_from_pairs
+from .knotcx import poly_from_pairs, spec_field
 
 
 @dataclass(frozen=True)
@@ -41,10 +41,14 @@ UNKNOT_PROFILE = SutureDimProfile(tau=0, base_dim=0)
 
 
 def parse_profile(data: Mapping) -> SutureDimProfile:
-    """Companion-profile format: {"tau": int, "base_dim": int, "gamma0": optional}."""
-    prof = SutureDimProfile(int(data["tau"]), int(data["base_dim"]))
-    if "gamma0" in data and data["gamma0"] is not None:
-        if int(data["gamma0"]) != prof.gamma0:
+    """Companion-profile format: {"tau": int, "base_dim": int, "gamma0": optional int}.
+
+    Data that does not fit the schema raises a ModelError naming the field.
+    """
+    where = "companion profile"
+    prof = SutureDimProfile(spec_field(data, "tau", where), spec_field(data, "base_dim", where))
+    if data.get("gamma0") is not None:
+        if spec_field(data, "gamma0", where) != prof.gamma0:
             raise PreconditionError(
                 f"inconsistent profile: gamma0 = {data['gamma0']} but tau/base give {prof.gamma0}")
     return prof

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .linalg import (
     GradedSpace,
@@ -108,6 +108,18 @@ class KnotComplex:
     def levels(self) -> dict:
         """The cone's level table {s: (class count, v row, h row)}, filled by ``cone``."""
         return {}
+
+    @cached_property
+    def split(self) -> "Split":
+        """The survivor and acyclic shapes (see ``_split``), computed once; only for a valid model."""
+        return _split(self)
+
+    @cached_property
+    def mirrored(self) -> "KnotComplex":
+        """``mirror(self)``, built once; its own mirror is this model."""
+        M = _build_mirror(self)
+        M.__dict__["mirrored"] = self
+        return M
 
     def meta_dict(self) -> dict:
         return dict(self.meta)
@@ -300,8 +312,13 @@ def mirror(K: KnotComplex) -> KnotComplex:
 
     The transpose of the lowering differential raises the negated grading
     and vice versa, so the two surviving classes trade places and tau
-    changes sign.
+    changes sign.  The mirror is built once and kept on K, so its
+    validation and level table are shared by every caller.
     """
+    return K.mirrored
+
+
+def _build_mirror(K: KnotComplex) -> KnotComplex:
     sp = GradedSpace(tuple(Generator(g.gid, -g.alex, g.z2) for g in K.space.generators))
     def flip(m: SparseExactMap) -> SparseExactMap:
         return sparse_map(sp, sp, [(src, tgt, v) for tgt, src, v in m.entries])
@@ -312,6 +329,93 @@ def mirror(K: KnotComplex) -> KnotComplex:
         meta = _meta(f"mirror({nm})" if not nm.startswith("mirror(") else nm[7:-1], delta)
     return KnotComplex(sp, flip(K.d_plus), flip(K.d_minus),
                        genus=K.genus, tau=-K.tau, meta=meta)
+
+
+def components(K: KnotComplex) -> list:
+    """Connected components of the graph whose edges are the d+ and d- entries.
+
+    Each component spans a summand of the model for both differentials.
+    Returns one list of generators per component, in model order, the
+    components ordered by their first generator.
+    """
+    parent = {gid: gid for gid in K.space.ids}
+
+    def root(x):
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]
+        return x
+
+    for d in (K.d_plus, K.d_minus):
+        for tgt, src, _ in d.entries:
+            a, b = root(tgt), root(src)
+            if a != b:
+                parent[a] = b
+    out: dict = {}
+    for g in K.space.generators:
+        out.setdefault(root(g.gid), []).append(g)
+    return list(out.values())
+
+
+class Split(NamedTuple):
+    """A model as its survivor component plus the shapes of its acyclic components.
+
+    survivor: the summand that carries H(d-) and H(d+), with the model's
+    generator ids, genus and tau; it is the model itself when the model has
+    one component.  acyclic: ((shape, {shift: count}), ...), one entry per
+    distinct shape; ``count`` components of that shape sit ``shift`` levels
+    above it.
+    """
+    survivor: KnotComplex
+    acyclic: tuple
+
+
+def _split(K: KnotComplex) -> Split:
+    """Split a validated model into its survivor and acyclic components.
+
+    H(d-) and H(d+) are the direct sums of the components' homologies, and
+    the Euler characteristic of a component (the signed count of its
+    generators) equals that of either homology.  A valid model has one
+    class on each side, so exactly one component has nonzero Euler
+    characteristic and carries both classes, and every other component is
+    acyclic for d- and for d+.  Each acyclic component becomes a shape: its
+    doubled gradings are moved down by an even amount to start at 0 or 1,
+    so its levels stay integers, and its generators are renumbered 0, 1, ...
+    """
+    comps = components(K)
+    if len(comps) == 1:
+        return Split(K, ())
+    survivors = [i for i, comp in enumerate(comps) if sum((-1) ** g.z2 for g in comp)]
+    if len(survivors) != 1:
+        raise ModelError(f"{len(survivors)} components have nonzero Euler characteristic, "
+                         "expected exactly 1")
+    survivor = survivors[0]
+    where = {g.gid: i for i, comp in enumerate(comps) for g in comp}
+    plus = [[] for _ in comps]
+    minus = [[] for _ in comps]
+    for d, out in ((K.d_plus, plus), (K.d_minus, minus)):
+        for entry in d.entries:
+            out[where[entry[1]]].append(entry)
+
+    shapes: dict = {}  # (gradings, d+ entries, d- entries) -> (shape, {shift: count})
+    for i, comp in enumerate(comps):
+        if i == survivor:
+            continue
+        shift = min(g.alex for g in comp) // 2
+        local = {g.gid: str(j) for j, g in enumerate(comp)}
+        key = (tuple((g.alex - 2 * shift, g.z2) for g in comp),
+               tuple((local[t], local[s], v) for t, s, v in plus[i]),
+               tuple((local[t], local[s], v) for t, s, v in minus[i]))
+        entry = shapes.get(key)
+        if entry is None:
+            sp = space((str(j), alex, z2) for j, (alex, z2) in enumerate(key[0]))
+            entry = shapes[key] = (KnotComplex(sp, sparse_map(sp, sp, key[1]),
+                                               sparse_map(sp, sp, key[2]), genus=0, tau=0), {})
+        entry[1][shift] = entry[1].get(shift, 0) + 1
+    sp = GradedSpace(tuple(comps[survivor]))
+    survivor_model = KnotComplex(sp, SparseExactMap(sp, sp, tuple(plus[survivor])),
+                                 SparseExactMap(sp, sp, tuple(minus[survivor])),
+                                 genus=K.genus, tau=K.tau, meta=K.meta)
+    return Split(survivor_model, tuple(shapes.values()))
 
 
 def homology_plus(K: KnotComplex) -> Homology:
@@ -435,7 +539,7 @@ def graded_signature(K: KnotComplex):
 
 # --- knot-spec text format -------------------------------------------------
 
-def _spec_field(obj, key: str, where: str, kind=int):
+def spec_field(obj, key: str, where: str, kind=int):
     """obj[key] checked to be a ``kind``; ModelError naming the field otherwise."""
     if not isinstance(obj, dict):
         raise ModelError(f"{where} must be a JSON object, got {obj!r}")
@@ -470,23 +574,23 @@ def parse_knot_spec(data: dict) -> KnotComplex:
     """
     if not isinstance(data, dict) or ("alexander" not in data and "generators" not in data):
         raise ModelError("knot spec needs either 'alexander' or 'generators'")
-    name = None if data.get("name") is None else _spec_field(data, "name", "knot spec", str)
-    tau = _spec_field(data, "tau", "knot spec")
+    name = None if data.get("name") is None else spec_field(data, "name", "knot spec", str)
+    tau = spec_field(data, "tau", "knot spec")
     if "alexander" in data:
         delta = parse_poly_pairs(data["alexander"], "knot spec field 'alexander'")
         if not delta:
             raise ModelError("empty Alexander polynomial")
         return thin_from_alexander(delta, tau, name=name)
     gens = []
-    for i, g in enumerate(_spec_field(data, "generators", "knot spec", list)):
+    for i, g in enumerate(spec_field(data, "generators", "knot spec", list)):
         where = f"knot spec generators[{i}]"
-        gens.append((_spec_field(g, "id", where, str), 2 * _spec_field(g, "alex", where),
-                     _spec_field(g, "z2", where)))
+        gens.append((spec_field(g, "id", where, str), 2 * spec_field(g, "alex", where),
+                     spec_field(g, "z2", where)))
     sp = space(gens)
 
     def load(key: str) -> SparseExactMap:
         out = []
-        for i, e in enumerate(_spec_field(data, key, "knot spec", list) if key in data else []):
+        for i, e in enumerate(spec_field(data, key, "knot spec", list) if key in data else []):
             if not (isinstance(e, list) and len(e) in (3, 4)
                     and isinstance(e[0], str) and isinstance(e[1], str)
                     and all(map(_is_int, e[2:])) and (len(e) == 3 or e[3] != 0)):
@@ -496,7 +600,7 @@ def parse_knot_spec(data: dict) -> KnotComplex:
         return sparse_map(sp, sp, out)
 
     K = KnotComplex(sp, load("d_plus"), load("d_minus"),
-                    genus=_spec_field(data, "genus", "knot spec"), tau=tau, meta=_meta(name, None))
+                    genus=spec_field(data, "genus", "knot spec"), tau=tau, meta=_meta(name, None))
     if not K.report.ok:
         raise ModelError("invalid explicit knot model: " + "; ".join(K.report.violations))
     return K

@@ -125,32 +125,11 @@ class SparseExactMap:
             entries.extend((tgt, gid, val) for tgt, val in img.items())
         return SparseExactMap(inner.source, self.target, tuple(entries))
 
-    def is_zero(self) -> bool:
-        return not self.entries
-
 
 def sparse_map(source: GradedSpace, target: GradedSpace, entries: Iterable[tuple]) -> SparseExactMap:
     """Build a map from (target id, source id, coefficient) triples; non-Fractions are coerced."""
     return SparseExactMap(source, target, tuple(
         (t, s, v if type(v) is Fraction else Fraction(v)) for t, s, v in entries))
-
-
-def zero_map(source: GradedSpace, target: Optional[GradedSpace] = None) -> SparseExactMap:
-    return SparseExactMap(source, target if target is not None else source, ())
-
-
-def identity_map(sp: GradedSpace) -> SparseExactMap:
-    return SparseExactMap(sp, sp, tuple((gid, gid, Fraction(1)) for gid in sp.ids))
-
-
-def add_maps(a: SparseExactMap, b: SparseExactMap) -> SparseExactMap:
-    if a.source != b.source or a.target != b.target:
-        raise LinearAlgebraError("cannot add maps with different source/target")
-    acc: dict = {}
-    for tgt, src, val in a.entries + b.entries:
-        acc[(tgt, src)] = acc.get((tgt, src), Fraction(0)) + val
-    entries = tuple((t, s, v) for (t, s), v in acc.items() if v != 0)
-    return SparseExactMap(a.source, a.target, entries)
 
 
 class Echelon:

@@ -6,12 +6,15 @@ source's h row scaled by a chosen nonzero scalar, and ranks it with
 ``linalg.rank``.  Slot identifications are fixed only up to such scalars,
 so the dimension must not depend on them.  ``block_kinds`` names the shape
 of each source's block, for tests that must reach every kind.
+``check_path_structure`` asserts the shape the sweep relies on; the test
+suite applies it to every cone it ranks (see ``conftest.py``).
 """
 from knotsurgery.linalg import rank, space, sparse_map
 
 
 def elimination_dimension(prob, h_scale=None) -> int:
     """ker + coker of the assembled cone matrix; h_scale maps a source to its h scalar."""
+    check_path_structure(prob)
     h_scale = h_scale or {}
     cols = space([(f"s{sigma}_{j}", 0, 0) for sigma, n in prob.sources for j in range(n)])
     rows = space([(f"t{t}", 0, 0) for t in prob.targets])
@@ -41,3 +44,12 @@ def block_kinds(prob) -> set:
         else:
             kinds.add("v-only" if v else "h-only" if h else "zero")
     return kinds
+
+
+def check_path_structure(prob):
+    """Assert that no slot is reached by more than two rows, so the incidence graph is paths."""
+    incoming = {}
+    for comp in (prob.v_components, prob.h_components):
+        for tgt, _ in comp.values():
+            incoming[tgt] = incoming.get(tgt, 0) + 1
+    assert all(n <= 2 for n in incoming.values()), "cone incidence graph is not a union of paths"

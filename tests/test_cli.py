@@ -220,3 +220,18 @@ def test_malformed_spec_exits_cleanly(tmp_path, capsys, spec, field):
 def test_classify_rejects_malformed_delta(capsys, delta):
     code, _, err = run(capsys, "classify", "--dim", "7", "--delta", delta)
     assert code == 2 and "--delta must be a list of integer [coef, power] pairs" in err
+
+
+@pytest.mark.parametrize("profile, field", [
+    ({}, "missing field 'tau'"),
+    ({"tau": "x", "base_dim": 1}, "field 'tau' must be of type int"),
+    ({"tau": 0, "base_dim": 1, "gamma0": "z"}, "field 'gamma0' must be of type int"),
+    ([1], "companion profile must be a JSON object"),
+    ({"tau": 0.5, "base_dim": 1}, "field 'tau' must be of type int"),
+], ids=["empty", "non-integer-tau", "non-integer-gamma0", "list", "fractional-tau"])
+def test_malformed_profile_exits_cleanly(tmp_path, capsys, profile, field):
+    path = tmp_path / "profile.json"
+    path.write_text(json.dumps(profile))
+    for argv in (["whitehead", "--twists", "1"], ["splice", "--n", "3"]):
+        code, out, err = run(capsys, *argv, "--profile", str(path))
+        assert code == 2 and field in err and not out

@@ -319,7 +319,8 @@ def test_surgery_rejects_unreduced_slope():
 
 def test_surgery_rejects_invalid_model():
     from knotsurgery.knotcx import KnotComplex, ModelError
-    from knotsurgery.linalg import space, zero_map
+    from knotsurgery.linalg import space
+    from linalg_helpers import zero_map
     sp = space([("x", 0, 0), ("y", 0, 0)])
     bad = KnotComplex(sp, zero_map(sp), zero_map(sp), genus=0, tau=0)
     entry_points = [lambda: surgery_dim(bad, 1, 1), lambda: large_surgery_dim(bad, 1),
@@ -357,6 +358,24 @@ def test_one_differential_homologies_computed_once(monkeypatch):
     surgery_dim(K, 1, 1)
     zero_surgery_dims(K)
     assert prefixes.count("m") == 1 and prefixes.count("p") == 1
+
+
+def test_mirror_is_kept_on_the_model(monkeypatch):
+    from knotsurgery import knotcx
+    from knotsurgery.knotcx import thin_from_alexander
+    validated = []
+    real = knotcx.validate
+
+    def counted(K):
+        validated.append(K.tau)
+        return real(K)
+
+    monkeypatch.setattr(knotcx, "validate", counted)
+    K = thin_from_alexander([(1, 2), (-1, 1), (1, 0), (-1, -1), (1, -2)], 2, name="t2_5")
+    first = zero_surgery_dims(K)
+    assert zero_surgery_dims(K) == first
+    assert validated == [2, -2]  # K once, its mirror once
+    assert mirror(K) is mirror(K) and mirror(mirror(K)) is K
 
 
 # --- zero surgery ------------------------------------------------------------

@@ -5,24 +5,29 @@ invariant: differential identities, grading symmetry, Euler-characteristic
 consistency, surgery parity bounds, window stability, mirror symmetry of
 surgery dimensions, and scalar independence of the assembled cones.
 """
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from knotsurgery.catalog import thin_catalog
 from knotsurgery.cone import build_cone_problem, surgery_dim, zero_surgery_dims
 from knotsurgery.formulas import thin_surgery_formula
 from knotsurgery.knotcx import (
+    KnotComplex,
     SquareSpec,
     StaircaseSpec,
     assemble,
     chi_graded,
+    components,
     compute_tau,
     mirror,
     poly_norm,
     validate,
 )
+from knotsurgery.linalg import GradedSpace, sparse_map
 from cone_elimination import elimination_dimension
 
 
@@ -40,6 +45,51 @@ def random_thin_models(count: int, seed: int = 20240817) -> list:
             squares.extend([SquareSpec(s, sign), SquareSpec(-s, sign)])
         models.append(assemble(StaircaseSpec(tau), squares, name=f"random{i}"))
     return models
+
+
+def _random_invertible(n: int, rng: random.Random) -> tuple:
+    """(M, M^-1) for a random invertible n x n matrix of small rationals, as row lists."""
+    while True:
+        m = [[Fraction(rng.randrange(-3, 4), rng.randrange(1, 4)) for _ in range(n)]
+             for _ in range(n)]
+        aug = [row + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(m)]
+        for c in range(n):
+            piv = next((r for r in range(c, n) if aug[r][c]), None)
+            if piv is None:
+                break
+            aug[c], aug[piv] = aug[piv], aug[c]
+            aug[c] = [x / aug[c][c] for x in aug[c]]
+            for r in range(n):
+                if r != c and aug[r][c]:
+                    aug[r] = [x - aug[r][c] * y for x, y in zip(aug[r], aug[c])]
+        else:
+            return m, [row[n:] for row in aug]
+
+
+def scramble(K: KnotComplex, rng: random.Random) -> KnotComplex:
+    """K in a random rational basis, changed inside each component's (grading, z2) blocks.
+
+    The components stay apart, but a staircase gets non-unit coefficients
+    and two generators of a square that share a block get mixed, so neither
+    keeps its standard form.  The generators are listed in a random order,
+    so the survivor need not come first.
+    """
+    cols, inv_cols = [], []
+    for comp in components(K):
+        blocks = {}
+        for g in comp:
+            blocks.setdefault((g.alex, g.z2), []).append(g.gid)
+        for ids in blocks.values():
+            for mat, out in zip(_random_invertible(len(ids), rng), (cols, inv_cols)):
+                out.extend((ids[i], ids[j], c) for i, row in enumerate(mat)
+                           for j, c in enumerate(row) if c)
+    sp = K.space
+    p, p_inv = sparse_map(sp, sp, cols), sparse_map(sp, sp, inv_cols)
+    shuffled = GradedSpace(tuple(rng.sample(sp.generators, sp.dim)))
+    d_plus, d_minus = (sparse_map(shuffled, shuffled, p_inv.compose(d.compose(p)).entries)
+                       for d in (K.d_plus, K.d_minus))
+    meta = tuple(sorted({**K.meta_dict(), "name": f"scrambled({K.name})"}.items()))
+    return KnotComplex(shuffled, d_plus, d_minus, genus=K.genus, tau=K.tau, meta=meta)
 
 
 MODELS = random_thin_models(50) + thin_catalog()
@@ -122,3 +172,37 @@ def test_zero_surgery_support(K):
 def test_catalog_norm_equals_dimension():
     for K in thin_catalog():
         assert K.dim == poly_norm(K.delta())
+
+
+@st.composite
+def scrambled_thin_models(draw):
+    """A staircase plus squares at random levels and signs, in a random basis (see ``scramble``).
+
+    A square off level 0 comes with its mirror image at the opposite level,
+    so the graded dimensions stay symmetric.
+    """
+    tau = draw(st.integers(-3, 3))
+    squares = []
+    for s, sign in draw(st.lists(st.tuples(st.integers(0, 3), st.sampled_from((-1, 1))),
+                                 max_size=6)):
+        squares += [SquareSpec(s, sign)] + ([SquareSpec(-s, sign)] if s else [])
+    K = assemble(StaircaseSpec(tau), squares, name="hypothesis")
+    return scramble(K, random.Random(draw(st.integers(0, 2 ** 32))))
+
+
+@st.composite
+def slopes(draw):
+    q = draw(st.integers(1, 6))
+    p = draw(st.integers(-12, 12).filter(lambda p: p != 0 and math.gcd(abs(p), q) == 1))
+    return p, q
+
+
+@settings(max_examples=60, deadline=None)
+@given(scrambled_thin_models(), st.lists(slopes(), min_size=1, max_size=4))
+def test_split_models_match_the_thin_formula(K, picked):
+    assert validate(K).ok
+    survivors = [comp for comp in components(K) if sum((-1) ** g.z2 for g in comp)]
+    assert len(survivors) == 1
+    assert K.split.survivor.dim == len(survivors[0])
+    for p, q in picked:
+        assert surgery_dim(K, p, q).dimension == thin_surgery_formula(K.dim, K.tau, p, q), (p, q)
