@@ -10,19 +10,12 @@ Library layout:
   (integral, rational, zero-slope), ladders and the minimal-dimension scan.
 - ``borromean``: exterior-algebra pathway for circle bundles over surfaces
   and Seifert fibered spaces with nonzero orbifold degree.
-- ``formulas``: closed-form dimensions (thin knots, alternating family,
-  Whitehead doubles, splices) and classifiers.
+- ``formulas``: closed-form dimensions (thin knots, Whitehead doubles,
+  splices) and classifiers.
 - ``crosscheck``: agreement suites tying the pathways together.
 """
 
-from .borromean import (
-    MonomialModule,
-    circle_bundle_dim_formula,
-    circle_bundle_dim_module,
-    gamma_slice,
-    khi_borromean,
-    seifert_dim,
-)
+from .borromean import circle_bundle_dim_formula, circle_bundle_dim_module, seifert_dim
 from .catalog import get_knot, knot_names
 from .cone import (
     ConeProblem,
@@ -40,7 +33,6 @@ from .formulas import (
     SutureDimProfile,
     WhDoubleSpec,
     almost_lspace_necessary_conditions,
-    alternating_family_dim,
     nearly_fibered_classify,
     splice_dim,
     thin_surgery_formula,

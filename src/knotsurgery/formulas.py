@@ -1,10 +1,10 @@
 """Closed-form dimension formulas and classifiers.
 
-Thin-knot surgeries, the alternating family, twisted Whitehead doubles,
-splicings with twist-knot complements, the genus-one nearly-fibered lookup,
-and per-grading sanity bounds for almost-minimal knots.  Companion data
-enters as a suture dimension profile (tau, base dimension): the dimension
-at integer suture slope n is base + |n + 2 tau|.
+Thin-knot surgeries, twisted Whitehead doubles, splicings with twist-knot
+complements, the genus-one nearly-fibered lookup, and per-grading sanity
+bounds for almost-minimal knots.  Companion data enters as a suture
+dimension profile (tau, base dimension): the dimension at integer suture
+slope n is base + |n + 2 tau|.
 """
 from __future__ import annotations
 
@@ -70,18 +70,6 @@ def thin_surgery_formula(norm_delta: int, tau: int, p: int, q: int) -> int:
     if tau < 0:
         return (norm_delta - 2 * tau - 3) * q // 2 + abs(-p - q * (-2 * tau - 1))
     return (norm_delta - 1) * q // 2 + abs(p)
-
-
-def alternating_family_dim(norm_delta: int, n: int, p: int, q: int) -> int:
-    """Surgery dimension for the alternating twist family of genus n.
-
-    The family has tau equal to its genus, so this is the thin formula with
-    tau = n; the n-dependent sign inside is fixed by the torus-knot anchor
-    (slope +1 on the (2,3) torus knot gives 1).
-    """
-    if n < 0:
-        raise PreconditionError("family genus must be nonnegative")
-    return thin_surgery_formula(norm_delta, n, p, q)
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,6 @@ from typing import Iterable, NamedTuple, Optional
 from .linalg import (
     GradedSpace,
     Generator,
-    Homology,
     LinearAlgebraError,
     SparseExactMap,
     homology,
@@ -30,6 +29,13 @@ class ModelError(Exception):
 
 # Laurent polynomials are dicts power -> integer coefficient (true units).
 Poly = dict
+
+# Largest genus a knot spec may declare, checked by ``parse_knot_spec``
+# before any synthesis or validation: the polynomial degree of the thin form
+# and the "genus" field of the explicit form.  The cone's level work grows
+# about as genus^2: on a 2-vCPU host slope-1 surgery on the genus-100
+# staircase takes 0.4 s and on the genus-200 one 1.4 s.
+MAX_MODEL_GENUS = 200
 
 
 def poly_from_pairs(pairs: Iterable[tuple]) -> Poly:
@@ -418,14 +424,6 @@ def _split(K: KnotComplex) -> Split:
     return Split(survivor_model, tuple(shapes.values()))
 
 
-def homology_plus(K: KnotComplex) -> Homology:
-    return K.homologies[1]
-
-
-def homology_minus(K: KnotComplex) -> Homology:
-    return K.homologies[0]
-
-
 def compute_tau(K: KnotComplex) -> int:
     """Alexander grading of the lowering-differential survivor.
 
@@ -529,14 +527,6 @@ def validate(K: KnotComplex) -> ValidationReport:
     return report
 
 
-def graded_signature(K: KnotComplex):
-    """Isomorphism signature for thin models: per-grading dims, |chi|, tau."""
-    chi = chi_graded(K)
-    if sum(chi.values()) < 0:
-        chi = {p: -c for p, c in chi.items()}
-    return (tuple(sorted(K.space.dims_by_grading().items())), tuple(sorted(chi.items())), K.tau)
-
-
 # --- knot-spec text format -------------------------------------------------
 
 def spec_field(obj, key: str, where: str, kind=int):
@@ -563,6 +553,12 @@ def parse_poly_pairs(data, where: str) -> Poly:
     return poly_from_pairs(data)
 
 
+def _check_genus(genus: int, what: str):
+    if genus > MAX_MODEL_GENUS:
+        raise ModelError(
+            f"knot spec {what} {genus} exceeds the limit MAX_MODEL_GENUS = {MAX_MODEL_GENUS}")
+
+
 def parse_knot_spec(data: dict) -> KnotComplex:
     """Build a model from the JSON-compatible knot-spec format.
 
@@ -580,7 +576,10 @@ def parse_knot_spec(data: dict) -> KnotComplex:
         delta = parse_poly_pairs(data["alexander"], "knot spec field 'alexander'")
         if not delta:
             raise ModelError("empty Alexander polynomial")
+        _check_genus(max(abs(p) for p in delta), "Alexander polynomial degree")
         return thin_from_alexander(delta, tau, name=name)
+    genus = spec_field(data, "genus", "knot spec")
+    _check_genus(genus, "genus")
     gens = []
     for i, g in enumerate(spec_field(data, "generators", "knot spec", list)):
         where = f"knot spec generators[{i}]"
@@ -599,8 +598,8 @@ def parse_knot_spec(data: dict) -> KnotComplex:
             out.append((e[1], e[0], Fraction(*e[2:])))
         return sparse_map(sp, sp, out)
 
-    K = KnotComplex(sp, load("d_plus"), load("d_minus"),
-                    genus=spec_field(data, "genus", "knot spec"), tau=tau, meta=_meta(name, None))
+    K = KnotComplex(sp, load("d_plus"), load("d_minus"), genus=genus, tau=tau,
+                    meta=_meta(name, None))
     if not K.report.ok:
         raise ModelError("invalid explicit knot model: " + "; ".join(K.report.violations))
     return K

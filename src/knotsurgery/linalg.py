@@ -1,7 +1,8 @@
 """Exact rational linear algebra on graded spaces.
 
-Everything downstream reduces to rank / kernel / cokernel computations of
-sparse maps with Fraction coefficients.  Gradings are stored *doubled*
+Sparse maps with Fraction coefficients, their ranks, homology with chosen
+representatives (one echelon elimination of the columns of d per
+homology) and induced maps on homology.  Gradings are stored *doubled*
 (twice the Alexander grading) so half-integer gradings remain exact
 integers.
 """
@@ -115,16 +116,6 @@ class SparseExactMap:
                     out[tgt] = acc
         return out
 
-    def compose(self, inner: "SparseExactMap") -> "SparseExactMap":
-        """self after inner (self o inner)."""
-        if inner.target != self.source:
-            raise LinearAlgebraError("composition mismatch: inner target differs from outer source")
-        entries = []
-        for gid, col in inner._cols.items():
-            img = self.apply(col)
-            entries.extend((tgt, gid, val) for tgt, val in img.items())
-        return SparseExactMap(inner.source, self.target, tuple(entries))
-
 
 def sparse_map(source: GradedSpace, target: GradedSpace, entries: Iterable[tuple]) -> SparseExactMap:
     """Build a map from (target id, source id, coefficient) triples; non-Fractions are coerced."""
@@ -138,55 +129,54 @@ class Echelon:
     Stored vectors are normalized so their pivot (minimal row in a fixed
     row order) has coefficient 1; elimination therefore only touches rows
     at or below the pivot, and rows that cannot be cleared are final as
-    soon as they are reached.  Inserted vectors may carry a tag; ``reduce``
-    reports how much of each tagged vector was used, which is how cycles
-    get expressed over homology representatives modulo boundaries.
+    soon as they are reached.  ``reduce`` reports how much of each stored
+    vector it used, keyed by that vector's pivot row.
     """
 
     def __init__(self, row_order: Sequence[str]):
         self._order = {rid: i for i, rid in enumerate(row_order)}
-        self._pivots: dict = {}  # pivot row id -> (normalized vector, tag)
+        self._pivots: dict = {}  # pivot row id -> normalized vector
 
     def reduce(self, vec: Vec) -> tuple:
-        """Return (residual, usage); usage is keyed by tags of used vectors."""
+        """Return (residual, usage); usage maps each used vector's pivot row to its multiple."""
         res = dict(vec)
         residual: Vec = {}
         usage: dict = {}
         while res:
             piv = min(res, key=self._order.__getitem__)
-            hit = self._pivots.get(piv)
-            if hit is None:
+            basis_vec = self._pivots.get(piv)
+            if basis_vec is None:
                 residual[piv] = res.pop(piv)
                 continue
-            basis_vec, tag = hit
-            c = res[piv]
-            for r, v in basis_vec.items():
-                acc = res.get(r, Fraction(0)) - c * v
-                if acc == 0:
-                    res.pop(r, None)
-                else:
-                    res[r] = acc
-            if tag is not None:
-                usage[tag] = usage.get(tag, Fraction(0)) + c
+            c = usage[piv] = res[piv]
+            _sub_scaled(res, c, basis_vec)
         return residual, usage
 
-    def store_residual(self, res: Vec, tag=None) -> str:
+    def store_residual(self, res: Vec) -> str:
         """Insert an already fully reduced nonzero vector; returns its pivot."""
         piv = min(res, key=self._order.__getitem__)
         lead = res[piv]
-        self._pivots[piv] = ({r: v / lead for r, v in res.items()}, tag)
+        self._pivots[piv] = {r: v / lead for r, v in res.items()}
         return piv
 
-    def insert(self, vec: Vec, tag=None) -> Optional[str]:
+    def insert(self, vec: Vec) -> Optional[str]:
         """Reduce then insert the residual; returns its pivot row or None."""
         res, _ = self.reduce(vec)
-        if not res:
-            return None
-        return self.store_residual(res, tag)
+        return self.store_residual(res) if res else None
 
     @property
     def rank(self) -> int:
         return len(self._pivots)
+
+
+def _sub_scaled(acc: Vec, c: Fraction, vec: Vec):
+    """acc -= c * vec in place, dropping entries that cancel."""
+    for r, v in vec.items():
+        x = acc.get(r, Fraction(0)) - c * v
+        if x == 0:
+            acc.pop(r, None)
+        else:
+            acc[r] = x
 
 
 def rank(m: SparseExactMap) -> int:
@@ -194,31 +184,6 @@ def rank(m: SparseExactMap) -> int:
     for col in m._cols.values():
         ech.insert(col)
     return ech.rank
-
-
-def kernel_basis(m: SparseExactMap) -> list:
-    """Basis of ker(m) as sparse vectors over the source generators."""
-    ech = Echelon(m.target.ids)
-    exprs: dict = {}  # pivot row -> expression of the stored vector over source ids
-    kernel = []
-    for gid, col in m._cols.items():
-        res, usage = ech.reduce(col)
-        expr: Vec = {gid: Fraction(1)}
-        for piv, c in usage.items():
-            for s, v in exprs[piv].items():
-                acc = expr.get(s, Fraction(0)) - c * v
-                if acc == 0:
-                    expr.pop(s, None)
-                else:
-                    expr[s] = acc
-        if not res:
-            kernel.append(expr)
-        else:
-            piv = min(res, key=ech._order.__getitem__)
-            lead = res[piv]
-            ech._pivots[piv] = ({r: v / lead for r, v in res.items()}, piv)
-            exprs[piv] = {s: v / lead for s, v in expr.items()}
-    return kernel
 
 
 @dataclass(frozen=True)
@@ -235,12 +200,12 @@ class HomologyClass:
 class Homology:
     """Basis of ker(d)/im(d) with chosen chain-level representatives."""
 
-    def __init__(self, chain_space: GradedSpace, differential: SparseExactMap,
-                 classes: list, solver: Echelon):
-        self.chain_space = chain_space
+    def __init__(self, differential: SparseExactMap, classes: list, solver: Echelon,
+                 class_of: dict):
         self.differential = differential
         self.classes = classes
-        self._solver = solver
+        self._solver = solver  # the boundaries, then the class representatives
+        self._class_of = class_of  # pivot row of each representative -> class id
         self.space = GradedSpace(tuple(
             Generator(c.cid, c.alex if c.alex is not None else 0,
                       c.z2 if c.z2 is not None else 0)
@@ -256,7 +221,8 @@ class Homology:
         res, usage = self._solver.reduce(vec)
         if res:
             raise LinearAlgebraError("vector is not in ker(d) + im(d); cannot express its class")
-        return {cid: c for cid, c in usage.items() if c != 0}
+        class_of = self._class_of
+        return {class_of[piv]: c for piv, c in usage.items() if piv in class_of}
 
 
 def _homogeneous_grading(sp: GradedSpace, vec: Vec):
@@ -267,11 +233,14 @@ def _homogeneous_grading(sp: GradedSpace, vec: Vec):
 
 
 def homology(sp: GradedSpace, d: SparseExactMap, prefix: str = "h") -> Homology:
-    """Homology of (sp, d) with representatives.
+    """Homology of (sp, d) with representatives, from one elimination of the columns of d.
 
-    Requires d to be an endomorphism of sp with d o d = 0; the failure
-    message names a witness generator.  A grading-homogeneous differential
-    yields grading-homogeneous classes.
+    Columns that stay independent are the boundaries; each column that
+    clears gives a cycle through the chains of the boundaries it used.  The
+    cycles independent modulo the boundaries and earlier classes are the
+    classes.  Requires d to be an endomorphism of sp with d o d = 0; the
+    failure message names a witness generator.  A grading-homogeneous
+    differential yields grading-homogeneous classes.
     """
     if d.source != sp or d.target != sp:
         raise LinearAlgebraError("differential is not an endomorphism of the given space")
@@ -281,44 +250,45 @@ def homology(sp: GradedSpace, d: SparseExactMap, prefix: str = "h") -> Homology:
             raise LinearAlgebraError(f"not a differential: d(d({gid})) != 0")
 
     solver = Echelon(sp.ids)
-    for col in cols.values():
-        solver.insert(col)  # boundaries, untagged
+    chains: dict = {}  # pivot row of a stored boundary -> chain whose boundary it is
+    cycles = []
+    for gid, col in cols.items():
+        res, usage = solver.reduce(col)
+        chain: Vec = {gid: Fraction(1)}
+        for piv, c in usage.items():
+            _sub_scaled(chain, c, chains[piv])
+        if res:
+            piv = solver.store_residual(res)
+            chains[piv] = {s: v / res[piv] for s, v in chain.items()}
+        else:
+            cycles.append(chain)
     classes = []
-    for vec in kernel_basis(d):
-        res, _ = solver.reduce(vec)
+    class_of: dict = {}
+    for z in cycles:
+        res, _ = solver.reduce(z)
         if not res:
             continue
         cid = f"{prefix}{len(classes)}"
         alex, z2 = _homogeneous_grading(sp, res)
-        piv = min(res, key=solver._order.__getitem__)
-        lead = res[piv]
-        norm = {r: v / lead for r, v in res.items()}
-        classes.append(HomologyClass(cid, tuple(sorted(norm.items())), alex, z2))
-        solver._pivots[piv] = (norm, cid)
-    return Homology(sp, d, classes, solver)
+        piv = solver.store_residual(res)
+        classes.append(HomologyClass(cid, tuple(sorted(solver._pivots[piv].items())), alex, z2))
+        class_of[piv] = cid
+    return Homology(d, classes, solver, class_of)
 
 
-def induced_map_on_homology(
-    f: SparseExactMap,
-    dsrc: SparseExactMap,
-    dtgt: SparseExactMap,
-    hsrc: Optional[Homology] = None,
-    htgt: Optional[Homology] = None,
-) -> SparseExactMap:
-    """Map induced by the chain map f on homology bases.
+def induced_map_on_homology(f: SparseExactMap, dsrc: SparseExactMap, dtgt: SparseExactMap,
+                            hsrc: Homology, htgt: Homology) -> SparseExactMap:
+    """Map induced by the chain map f from hsrc = H(dsrc) to htgt = H(dtgt).
 
-    Checks f o dsrc = dtgt o f exactly, then maps representatives and
-    re-expresses them modulo boundaries.
+    Checks f(dsrc(x)) = dtgt(f(x)) exactly on every source generator x, then
+    maps representatives and re-expresses them modulo boundaries.
     """
-    lhs = f.compose(dsrc)._cols
-    rhs = dtgt.compose(f)._cols
+    if not (dsrc.source == dsrc.target == f.source and dtgt.source == dtgt.target == f.target):
+        raise LinearAlgebraError("f does not map the source complex's space to the target's")
+    fcols, dcols = f._cols, dsrc._cols
     for gid in f.source.ids:
-        if lhs[gid] != rhs[gid]:
+        if f.apply(dcols[gid]) != dtgt.apply(fcols[gid]):
             raise LinearAlgebraError(f"not a chain map: (f o d - d o f)({gid}) != 0")
-    if hsrc is None:
-        hsrc = homology(f.source, dsrc)
-    if htgt is None:
-        htgt = homology(f.target, dtgt)
     entries = []
     for cls in hsrc.classes:
         img = f.apply(cls.rep_vec())

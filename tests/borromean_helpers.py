@@ -1,0 +1,100 @@
+"""Explicit monomial modules of the exterior algebra, used as oracles for ``borromean``.
+
+``MonomialModule`` lists its monomials, so its dimension checks the closed
+count ``borromean.monomial_dim``.  The graded slices of the sutured space
+and the knot-homology dimensions of the g-fold Borromean sum are built
+from it.
+"""
+from dataclasses import dataclass
+from itertools import combinations
+from math import comb
+
+from knotsurgery.cone import PreconditionError
+
+
+@dataclass(frozen=True)
+class MonomialModule:
+    """Span of a set of exterior monomials in 2g generators."""
+    g: int
+    monomials: frozenset  # of frozensets of indices in 1..2g
+
+    def __post_init__(self):
+        for m in self.monomials:
+            if not all(1 <= i <= 2 * self.g for i in m):
+                raise PreconditionError("monomial index out of range")
+
+    @classmethod
+    def degree_at_least(cls, g: int, k: int) -> "MonomialModule":
+        """The submodule spanned by all monomials of degree >= k."""
+        if k <= 0:
+            k = 0
+        gens = range(1, 2 * g + 1)
+        monos = [frozenset(c) for d in range(k, 2 * g + 1) for c in combinations(gens, d)]
+        return cls(g, frozenset(monos))
+
+    @property
+    def dim(self) -> int:
+        return len(self.monomials)
+
+    def is_submodule(self) -> bool:
+        """Closed under multiplication by every degree-one generator."""
+        for m in self.monomials:
+            for i in range(1, 2 * self.g + 1):
+                if i not in m and frozenset(m | {i}) not in self.monomials:
+                    return False
+        return True
+
+
+@dataclass(frozen=True)
+class GammaSlice:
+    """A labeled graded piece of the sutured space at integer slope n."""
+    n: int
+    i2: int  # doubled grading
+    value: MonomialModule
+
+    @property
+    def dim(self) -> int:
+        return self.value.dim
+
+
+def gamma_slice_table(g: int, n: int) -> tuple:
+    """All nonzero graded slices at slope n >= 2g, labeled by doubled grading."""
+    out = []
+    bound = n - 1 + 2 * g
+    for i2 in range(-bound, bound + 1):
+        if (i2 - (n - 1)) % 2 != 0:
+            continue
+        mod = gamma_slice(g, n, i2)
+        if mod.dim:
+            out.append(GammaSlice(n, i2, mod))
+    return tuple(out)
+
+
+def khi_borromean(g: int, i: int) -> int:
+    """Knot-homology dimension of the g-fold connected sum at grading i."""
+    if abs(i) > g:
+        raise PreconditionError(f"grading {i} exceeds genus {g}")
+    return comb(2 * g, g + i)
+
+
+def gamma_slice(g: int, n: int, i2: int) -> MonomialModule:
+    """Graded slice of the sutured space at integer suture slope n >= 2g.
+
+    ``i2`` is the doubled grading.  Within the middle band the slice is the
+    whole exterior algebra; on the boundary band of width 2g it is the
+    monomial module of degree at least |i| + g - (n-1)/2; beyond that it
+    vanishes (empty module).
+    """
+    if g < 1:
+        raise PreconditionError("genus must be at least 1")
+    if n < 2 * g:
+        raise PreconditionError(f"suture slope {n} below the supported range (need n >= {2 * g})")
+    if (i2 - (n - 1)) % 2 != 0:
+        raise PreconditionError(f"doubled grading {i2} has the wrong parity for slope {n}")
+    band2 = n - 1 - 2 * g  # doubled inner-band radius
+    if abs(i2) <= band2:
+        return MonomialModule.degree_at_least(g, 0)
+    k = (abs(i2) + 2 * g - (n - 1)) // 2
+    if k > 2 * g:
+        return MonomialModule(g, frozenset())
+    return MonomialModule.degree_at_least(g, k)

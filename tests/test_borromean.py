@@ -4,17 +4,15 @@ from math import comb
 
 from knotsurgery import borromean
 from knotsurgery.borromean import (
-    MonomialModule,
     circle_bundle_dim_formula,
     circle_bundle_dim_module,
-    gamma_slice,
-    khi_borromean,
     monomial_dim,
     seifert_dim,
     seifert_dim_large,
     seifert_dim_windowed,
 )
 from knotsurgery.cone import PreconditionError
+from borromean_helpers import MonomialModule, gamma_slice, gamma_slice_table, khi_borromean
 
 
 def test_monomial_module_dims_binomial_identity():
@@ -48,7 +46,6 @@ def test_gamma_slice_full_band():
 
 
 def test_gamma_slice_table_totals():
-    from knotsurgery.borromean import gamma_slice_table
     # slice dims are symmetric, peak at the full algebra, and total n * 4^g
     for g, n in ((1, 2), (1, 3), (2, 4), (2, 5)):
         dims = [sl.dim for sl in gamma_slice_table(g, n)]

@@ -7,7 +7,12 @@ from knotsurgery import borromean
 from knotsurgery.catalog import get_knot
 from knotsurgery.cli import main
 from knotsurgery.cone import SurgeryResult
-from knotsurgery.knotcx import knot_spec_dict
+from knotsurgery.knotcx import (
+    MAX_MODEL_GENUS,
+    knot_spec_dict,
+    parse_knot_spec,
+    staircase_polynomial,
+)
 
 
 def run(capsys, *argv):
@@ -188,6 +193,38 @@ def test_spec_file_rejects_asymmetric(tmp_path, capsys):
     path.write_text(json.dumps({"name": "bad", "alexander": [[1, 1], [1, 0]], "tau": 0}))
     code, _, err = run(capsys, "surgery", "--spec", str(path), "--slope", "1")
     assert code == 2 and "not symmetric" in err
+
+
+def _genus_400_staircase():
+    return {"name": "g400", "tau": 400,
+            "alexander": [[c, p] for p, c in staircase_polynomial(400).items()]}
+
+
+def _explicit_spec_with_genus(genus):
+    spec = knot_spec_dict(get_knot("trefoil-right"))
+    spec["genus"] = genus
+    return spec
+
+
+@pytest.mark.parametrize("spec, limit", [
+    (_genus_400_staircase(), "degree 400 exceeds the limit MAX_MODEL_GENUS = 200"),
+    (_explicit_spec_with_genus(201), "genus 201 exceeds the limit MAX_MODEL_GENUS = 200"),
+], ids=["thin", "explicit"])
+def test_spec_genus_hits_limit_before_work(tmp_path, capsys, spec, limit):
+    import time
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(spec))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "surgery", "--spec", str(path), "--slope", "1")
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and limit in err and not out
+
+
+def test_spec_genus_at_the_limit_is_accepted():
+    g = MAX_MODEL_GENUS
+    K = parse_knot_spec({"alexander": [[c, p] for p, c in staircase_polynomial(g).items()],
+                         "tau": g})
+    assert K.genus == g and parse_knot_spec(knot_spec_dict(K)).genus == g
 
 
 def test_missing_spec_file(capsys):

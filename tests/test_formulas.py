@@ -7,7 +7,6 @@ from knotsurgery.formulas import (
     SutureDimProfile,
     WhDoubleSpec,
     almost_lspace_necessary_conditions,
-    alternating_family_dim,
     nearly_fibered_classify,
     parse_profile,
     splice_dim,
@@ -44,9 +43,10 @@ def test_thin_formula_rejects_bad_slopes():
 
 
 def test_alternating_family():
-    assert alternating_family_dim(3, 1, 1, 1) == 1      # (2,3) torus knot anchor
-    assert alternating_family_dim(7, 3, 1, 1) == 9      # (7 + 6 - 3)/2 + |1 - 5|
-    assert alternating_family_dim(5, 2, 7, 1) == 7      # large slope gives p
+    # the alternating twist family of genus n has tau = n
+    assert thin_surgery_formula(3, 1, 1, 1) == 1      # (2,3) torus knot anchor
+    assert thin_surgery_formula(7, 3, 1, 1) == 9      # (7 + 6 - 3)/2 + |1 - 5|
+    assert thin_surgery_formula(5, 2, 7, 1) == 7      # large slope gives p
 
 
 def test_whitehead_double_twist_values():

@@ -11,9 +11,6 @@ from knotsurgery.knotcx import (
     build_staircase,
     chi_graded,
     compute_tau,
-    graded_signature,
-    homology_minus,
-    homology_plus,
     knot_spec_dict,
     mirror,
     parse_knot_spec,
@@ -22,6 +19,7 @@ from knotsurgery.knotcx import (
     thin_from_alexander,
     validate,
 )
+from knot_helpers import graded_signature
 from linalg_helpers import is_zero, zero_map
 
 
@@ -43,9 +41,8 @@ def test_staircase_negative_two():
     # Five generators at gradings 2,1,0,-1,-2; lowering homology survives at -2.
     K = build_staircase(-2)
     assert sorted(g.alex // 2 for g in K.space.generators) == [-2, -1, 0, 1, 2]
-    hm = homology_minus(K)
+    hm, hp = K.homologies
     assert hm.dim == 1 and hm.classes[0].alex // 2 == -2
-    hp = homology_plus(K)
     assert hp.dim == 1 and hp.classes[0].alex // 2 == 2
 
 

@@ -14,12 +14,11 @@ from knotsurgery.linalg import (
     SparseExactMap,
     homology,
     induced_map_on_homology,
-    kernel_basis,
     rank,
     sparse_map,
     space,
 )
-from linalg_helpers import add_maps, identity_map, zero_map
+from linalg_helpers import add_maps, compose, identity_map, kernel_basis, zero_map
 
 
 def test_rank_zero_map():
@@ -125,8 +124,9 @@ def test_homology_dim_independent_of_generator_order():
 
 def test_induced_map_identity():
     sp, dp, _ = _figure_eight_space_and_diffs()
-    ind = induced_map_on_homology(identity_map(sp), dp, dp)
-    assert rank(ind) == homology(sp, dp).dim
+    hp = homology(sp, dp)
+    ind = induced_map_on_homology(identity_map(sp), dp, dp, hp, hp)
+    assert rank(ind) == hp.dim
 
 
 def test_induced_map_bent_projections_figure_eight():
@@ -136,14 +136,15 @@ def test_induced_map_bent_projections_figure_eight():
     # high side (gradings >= 2, only c) kills it (rank 0).
     sp, dp, dm = _figure_eight_space_and_diffs()
     bent = sparse_map(sp, sp, [("b", "a", 1), ("d", "c", -1)])
+    hbent = homology(sp, bent)
 
     keep_low = sparse_map(sp, sp, [(g, g, 1) for g in ["a", "b", "d", "e"] + ["c"]
                                    if sp.generator(g).alex <= 2])
-    v = induced_map_on_homology(keep_low, bent, dm)
+    v = induced_map_on_homology(keep_low, bent, dm, hbent, homology(sp, dm))
     assert rank(v) == 1
 
     keep_high = sparse_map(sp, sp, [(g, g, 1) for g in sp.ids if sp.generator(g).alex >= 2])
-    h = induced_map_on_homology(keep_high, bent, dp)
+    h = induced_map_on_homology(keep_high, bent, dp, hbent, homology(sp, dp))
     assert rank(h) == 0
 
 
@@ -152,7 +153,16 @@ def test_induced_map_rejects_non_chain_map():
     d = sparse_map(sp, sp, [("b", "a", 1)])
     f = sparse_map(sp, sp, [("a", "b", 1)])
     with pytest.raises(LinearAlgebraError, match="not a chain map"):
-        induced_map_on_homology(f, d, zero_map(sp))
+        induced_map_on_homology(f, d, zero_map(sp), homology(sp, d), homology(sp, zero_map(sp)))
+
+
+def test_induced_map_rejects_mismatched_spaces():
+    x = space([("a", 0, 0)])
+    y = space([("b", 0, 0)])
+    f = sparse_map(x, y, [("b", "a", 1)])
+    hx, hy = homology(x, zero_map(x)), homology(y, zero_map(y))
+    with pytest.raises(LinearAlgebraError, match="does not map"):
+        induced_map_on_homology(f, zero_map(y), zero_map(y), hx, hy)
 
 
 def test_quasi_isomorphism_induces_full_rank():
@@ -164,7 +174,7 @@ def test_quasi_isomorphism_induces_full_rank():
     dx = sparse_map(x, x, [("b", "a", 1)])
     dy = zero_map(y)
     f = sparse_map(x, y, [("c'", "c", 1)])
-    ind = induced_map_on_homology(f, dx, dy)
+    ind = induced_map_on_homology(f, dx, dy, homology(x, dx), homology(y, dy))
     assert rank(ind) == 1
     assert ind.source.dim == 1 and ind.target.dim == 1
 
@@ -178,10 +188,11 @@ def test_express_tracks_boundaries():
 
 
 def test_echelon_reduce_usage():
+    # usage is keyed by the pivot row of each stored vector it used
     ech = Echelon(["r0", "r1", "r2"])
-    ech.insert({"r0": Fraction(1), "r1": Fraction(1)}, tag="u")
+    assert ech.insert({"r0": Fraction(1), "r1": Fraction(1)}) == "r0"
     res, usage = ech.reduce({"r0": Fraction(2), "r1": Fraction(2)})
-    assert res == {} and usage == {"u": Fraction(2)}
+    assert res == {} and usage == {"r0": Fraction(2)}
 
 
 # --- the column index against a plain scan of the entries --------------------
@@ -217,7 +228,7 @@ def test_indexed_map_matches_entry_scan_random():
         vec = {gid: Fraction(rng.randrange(-2, 3)) for gid in a.ids}
         vec = {k: v for k, v in vec.items() if v != 0}
         assert f.apply(vec) == _scan_apply(f, vec)
-        gf = g.compose(f)
+        gf = compose(g, f)
         assert gf.source == a and gf.target == c
         want = {(t, s): v for s in a.ids for t, v in _scan_apply(g, _scan_column(f, s)).items()}
         assert {(t, s): v for t, s, v in gf.entries} == want

@@ -5,6 +5,7 @@ invariant: differential identities, grading symmetry, Euler-characteristic
 consistency, surgery parity bounds, window stability, mirror symmetry of
 surgery dimensions, and scalar independence of the assembled cones.
 """
+import json
 import math
 import random
 from fractions import Fraction
@@ -23,12 +24,15 @@ from knotsurgery.knotcx import (
     chi_graded,
     components,
     compute_tau,
+    knot_spec_dict,
     mirror,
+    parse_knot_spec,
     poly_norm,
     validate,
 )
 from knotsurgery.linalg import GradedSpace, sparse_map
 from cone_elimination import elimination_dimension
+from linalg_helpers import compose
 
 
 def random_thin_models(count: int, seed: int = 20240817) -> list:
@@ -86,7 +90,7 @@ def scramble(K: KnotComplex, rng: random.Random) -> KnotComplex:
     sp = K.space
     p, p_inv = sparse_map(sp, sp, cols), sparse_map(sp, sp, inv_cols)
     shuffled = GradedSpace(tuple(rng.sample(sp.generators, sp.dim)))
-    d_plus, d_minus = (sparse_map(shuffled, shuffled, p_inv.compose(d.compose(p)).entries)
+    d_plus, d_minus = (sparse_map(shuffled, shuffled, compose(p_inv, compose(d, p)).entries)
                        for d in (K.d_plus, K.d_minus))
     meta = tuple(sorted({**K.meta_dict(), "name": f"scrambled({K.name})"}.items()))
     return KnotComplex(shuffled, d_plus, d_minus, genus=K.genus, tau=K.tau, meta=meta)
@@ -206,3 +210,14 @@ def test_split_models_match_the_thin_formula(K, picked):
     assert K.split.survivor.dim == len(survivors[0])
     for p, q in picked:
         assert surgery_dim(K, p, q).dimension == thin_surgery_formula(K.dim, K.tau, p, q), (p, q)
+
+
+@settings(max_examples=60, deadline=None)
+@given(scrambled_thin_models())
+def test_knot_spec_round_trip(K):
+    """The explicit knot-spec format keeps a model exactly, non-unit rational coefficients too."""
+    for M in (K, mirror(K)):
+        back = parse_knot_spec(json.loads(json.dumps(knot_spec_dict(M))))
+        assert back.space == M.space
+        assert back.d_plus == M.d_plus and back.d_minus == M.d_minus
+        assert (back.genus, back.tau) == (M.genus, M.tau)
