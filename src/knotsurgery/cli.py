@@ -48,10 +48,15 @@ def _parse_slope(text: str):
     return p, q
 
 
+def _read_json(path: str):
+    """The JSON document in a file; ``main`` turns an unreadable file into exit code 1."""
+    with open(path, encoding="utf-8") as fh:
+        return json.load(fh)
+
+
 def _load_knot(args):
     if getattr(args, "spec", None):
-        with open(args.spec) as fh:
-            return parse_knot_spec(json.load(fh))
+        return parse_knot_spec(_read_json(args.spec))
     if getattr(args, "knot", None):
         return catalog.get_knot(args.knot)
     raise cone.PreconditionError("no knot given: use --knot NAME or --spec FILE")
@@ -59,8 +64,7 @@ def _load_knot(args):
 
 def _load_profile(args) -> formulas.SutureDimProfile:
     if getattr(args, "profile", None):
-        with open(args.profile) as fh:
-            return formulas.parse_profile(json.load(fh))
+        return formulas.parse_profile(_read_json(args.profile))
     if args.companion_tau is None or args.companion_base is None:
         raise cone.PreconditionError(
             "no companion profile: use --profile FILE or --companion-tau/--companion-base")
@@ -342,7 +346,7 @@ def main(argv=None) -> int:
     except (cone.PreconditionError, ModelError, LinearAlgebraError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
-    except FileNotFoundError as exc:
+    except (OSError, UnicodeDecodeError) as exc:  # from _read_json
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except json.JSONDecodeError as exc:

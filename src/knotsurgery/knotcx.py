@@ -15,9 +15,9 @@ from typing import Iterable, NamedTuple, Optional
 from .linalg import (
     GradedSpace,
     Generator,
-    LinearAlgebraError,
     SparseExactMap,
     homology,
+    rank,
     sparse_map,
     space,
 )
@@ -117,7 +117,7 @@ class KnotComplex:
 
     @cached_property
     def split(self) -> "Split":
-        """The survivor and acyclic shapes (see ``_split``), computed once; only for a valid model."""
+        """The survivor and acyclic shapes (see ``_split``), computed once."""
         return _split(self)
 
     @cached_property
@@ -376,14 +376,14 @@ class Split(NamedTuple):
 
 
 def _split(K: KnotComplex) -> Split:
-    """Split a validated model into its survivor and acyclic components.
+    """Split a model into its survivor and the shapes of its other components.
 
     H(d-) and H(d+) are the direct sums of the components' homologies, and
     the Euler characteristic of a component (the signed count of its
     generators) equals that of either homology.  A valid model has one
-    class on each side, so exactly one component has nonzero Euler
-    characteristic and carries both classes, and every other component is
-    acyclic for d- and for d+.  Each acyclic component becomes a shape: its
+    class on each side, so exactly one component, the survivor, has nonzero
+    Euler characteristic; ModelError if a model of several has none or more.
+    Each other one (``validate`` checks it is acyclic) becomes a shape: its
     doubled gradings are moved down by an even amount to start at 0 or 1,
     so its levels stay integers, and its generators are renumbered 0, 1, ...
     """
@@ -444,7 +444,6 @@ def compute_tau(K: KnotComplex) -> int:
 @dataclass
 class ValidationReport:
     violations: list = field(default_factory=list)
-    torsion_order_one: Optional[bool] = None
 
     @property
     def ok(self) -> bool:
@@ -452,7 +451,7 @@ class ValidationReport:
 
 
 def validate(K: KnotComplex) -> ValidationReport:
-    """Check every structural invariant; collects violations, never raises."""
+    """Check every invariant, H(d-) and H(d+) on the split; collects violations, never raises."""
     report = ValidationReport()
     sp = K.space
 
@@ -508,22 +507,23 @@ def validate(K: KnotComplex) -> ValidationReport:
         if chi != delta and neg != delta:
             report.violations.append("graded Euler characteristic does not match the attached polynomial")
 
-    try:
-        hm_dim, hp_dim = K.homologies[0].dim, K.homologies[1].dim
-    except LinearAlgebraError:
-        hp_dim = hm_dim = None
-    if hp_dim is not None:
-        report.torsion_order_one = (hp_dim == 1)
+    if report.violations:
+        return report
+    try:  # the first homology fault ends the report
+        survivor, acyclic = K.split
+        hm_dim, hp_dim = (h.dim for h in survivor.homologies)
+        for shape, shifts in acyclic:
+            n = sum(shifts.values())
+            hm_dim += n * (shape.dim - 2 * rank(shape.d_minus))
+            hp_dim += n * (shape.dim - 2 * rank(shape.d_plus))
         if hp_dim != 1 or hm_dim != 1:
-            report.violations.append(
-                f"one-differential homology dims ({hp_dim}, {hm_dim}) differ from the ambient value 1")
-        else:
-            try:
-                t = compute_tau(K)
-                if t != K.tau:
-                    report.violations.append(f"recorded tau {K.tau} differs from survivor grading {t}")
-            except ModelError as exc:
-                report.violations.append(str(exc))
+            raise ModelError(f"one-differential homology dims ({hp_dim}, {hm_dim}) "
+                             "differ from the ambient value 1")
+        t = compute_tau(survivor)
+        if t != K.tau:
+            report.violations.append(f"recorded tau {K.tau} differs from survivor grading {t}")
+    except ModelError as exc:
+        report.violations.append(str(exc))
     return report
 
 

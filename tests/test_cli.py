@@ -13,6 +13,7 @@ from knotsurgery.knotcx import (
     parse_knot_spec,
     staircase_polynomial,
 )
+from knot_helpers import TWO_SURVIVORS_SPEC
 
 
 def run(capsys, *argv):
@@ -230,6 +231,30 @@ def test_spec_genus_at_the_limit_is_accepted():
 def test_missing_spec_file(capsys):
     code, _, err = run(capsys, "surgery", "--spec", "/nonexistent.json", "--slope", "1")
     assert code == 1
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["surgery", "--slope", "1"], "--spec"),
+    (["whitehead", "--twists", "1"], "--profile"),
+], ids=["spec", "profile"])
+@pytest.mark.parametrize("kind", ["directory", "binary"])
+def test_unreadable_input_file_exits_cleanly(tmp_path, capsys, argv, flag, kind):
+    path = tmp_path
+    if kind == "binary":
+        path = tmp_path / "input.json"
+        path.write_bytes(bytes(range(256)))
+    code, out, err = run(capsys, *argv, flag, str(path))
+    assert code == 1 and err.startswith("error: ") and not out
+    assert ("Is a directory" if kind == "directory" else "can't decode") in err
+
+
+def test_spec_with_two_survivors_exits_naming_the_split(tmp_path, capsys):
+    path = tmp_path / "two.json"
+    path.write_text(json.dumps(TWO_SURVIVORS_SPEC))
+    code, out, err = run(capsys, "surgery", "--spec", str(path), "--slope", "1")
+    assert code == 2 and not out
+    assert err == ("error: invalid explicit knot model: 2 components have nonzero "
+                   "Euler characteristic, expected exactly 1\n")
 
 
 def _explicit_spec_without_z2():

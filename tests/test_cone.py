@@ -345,6 +345,8 @@ def test_level_table_lives_on_the_model():
 
 
 def test_one_differential_homologies_computed_once(monkeypatch):
+    # tau <= 0, so zero_surgery_dims keeps the model itself.  With squares,
+    # validation and the levels share the survivor's H(d-) and H(d+).
     from knotsurgery import knotcx
     real = knotcx.homology
     prefixes = []
@@ -354,10 +356,13 @@ def test_one_differential_homologies_computed_once(monkeypatch):
         return real(sp, d, prefix=prefix)
 
     monkeypatch.setattr(knotcx, "homology", counted)
-    K = build_staircase(-3)  # tau <= 0: zero_surgery_dims keeps the model itself
-    surgery_dim(K, 1, 1)
-    zero_surgery_dims(K)
-    assert prefixes.count("m") == 1 and prefixes.count("p") == 1
+    for K in (build_staircase(-3),
+              assemble(StaircaseSpec(-2), [SquareSpec(-1, 1), SquareSpec(0, -1), SquareSpec(1, 1)],
+                       name="squares")):
+        prefixes.clear()
+        surgery_dim(K, 1, 1)
+        zero_surgery_dims(K)
+        assert prefixes.count("m") == 1 and prefixes.count("p") == 1, K.name
 
 
 def test_mirror_is_kept_on_the_model(monkeypatch):

@@ -3,6 +3,7 @@ import pytest
 
 from knotsurgery.catalog import build_twist_knot, get_knot, knot_names, thin_catalog
 from knotsurgery.knotcx import (
+    KnotComplex,
     ModelError,
     SquareSpec,
     StaircaseSpec,
@@ -19,8 +20,9 @@ from knotsurgery.knotcx import (
     thin_from_alexander,
     validate,
 )
-from knot_helpers import graded_signature
-from linalg_helpers import is_zero, zero_map
+from knotsurgery.linalg import space, sparse_map
+from knot_helpers import TWO_SURVIVORS_SPEC, graded_signature
+from linalg_helpers import homology_two_pass, is_zero, zero_map
 
 
 def test_staircase_zero_is_single_generator():
@@ -129,8 +131,6 @@ def test_compute_tau_catalog_values():
 
 
 def test_compute_tau_rejects_fat_homology():
-    from knotsurgery.knotcx import KnotComplex
-    from knotsurgery.linalg import space
     sp = space([("x", 0, 0), ("y", 0, 0)])
     K = KnotComplex(sp, zero_map(sp), zero_map(sp), genus=0, tau=0)
     with pytest.raises(ModelError, match="not an S"):
@@ -141,15 +141,12 @@ def test_validate_catalog_all_pass():
     for K in thin_catalog():
         report = validate(K)
         assert report.ok, (K.name, report.violations)
-        assert report.torsion_order_one is True
         assert compute_tau(K) == K.tau
         assert K.dim == poly_norm(K.delta())
 
 
 def test_validate_flags_bad_shift():
     K = get_knot("trefoil-right")
-    from knotsurgery.knotcx import KnotComplex
-    from knotsurgery.linalg import sparse_map
     # inject a d+ arrow that jumps two gradings
     bad = sparse_map(K.space, K.space, [("a3", "a1", 1)])
     K2 = KnotComplex(K.space, bad, K.d_minus, genus=K.genus, tau=K.tau, meta=K.meta)
@@ -157,18 +154,48 @@ def test_validate_flags_bad_shift():
     assert any("shifts grading" in v for v in report.violations)
 
 
+def _explicit(gens, d_plus, d_minus, genus=1, tau=1):
+    """Model from (id, grading, z2) triples and (source, target) unit arrows, not validated."""
+    sp = space((gid, 2 * alex, z2) for gid, alex, z2 in gens)
+    return KnotComplex(sp, sparse_map(sp, sp, [(t, s, 1) for s, t in d_plus]),
+                       sparse_map(sp, sp, [(t, s, 1) for s, t in d_minus]), genus=genus, tau=tau)
+
+
+STAIRCASE_ONE = ([("a1", -1, 0), ("a2", 0, 1), ("a3", 1, 0)], [("a2", "a3")], [("a2", "a1")])
+
+
 def test_validate_flags_extra_generator():
-    # a staircase plus one isolated generator: the raising homology becomes
-    # two-dimensional, so both the chi check and the homology check trip.
-    spec = {
-        "generators": [{"id": "a1", "alex": -1, "z2": 0}, {"id": "a2", "alex": 0, "z2": 1},
-                       {"id": "a3", "alex": 1, "z2": 0}, {"id": "extra", "alex": 0, "z2": 0}],
-        "d_plus": [["a2", "a3", 1]],
-        "d_minus": [["a2", "a1", 1]],
-        "genus": 1, "tau": 1,
-    }
-    with pytest.raises(ModelError, match="invalid explicit knot model"):
-        parse_knot_spec(spec)
+    # staircase(1) plus an isolated generator: two components with nonzero
+    # Euler characteristic, which the split reports before any homology.
+    message = "2 components have nonzero Euler characteristic, expected exactly 1"
+    with pytest.raises(ModelError, match=f"invalid explicit knot model: {message}$"):
+        parse_knot_spec(TWO_SURVIVORS_SPEC)
+    gens, dp, dm = STAIRCASE_ONE
+    K = _explicit(gens + [("extra", 0, 0)], dp, dm)  # the same model
+    assert validate(K).violations == [message]
+    with pytest.raises(ModelError, match="not an S\\^3-knot model: homology dims are d-:2, d\\+:2"):
+        compute_tau(K)
+
+
+def test_validate_counts_homology_of_zero_euler_components():
+    # staircase(1) plus x -> y under d+ and u -> w under d-: both extra
+    # components have Euler characteristic 0 but carry two classes each,
+    # x, y for d- and u, w for d+.
+    gens, dp, dm = STAIRCASE_ONE
+    K = _explicit(gens + [("x", 0, 0), ("y", 1, 1), ("u", 0, 0), ("w", -1, 1)],
+                  dp + [("x", "y")], dm + [("u", "w")])
+    assert len(K.split.acyclic) == 2
+    assert validate(K).violations == [
+        "one-differential homology dims (3, 3) differ from the ambient value 1"]
+    assert homology_two_pass(K.space, K.d_minus).dim == 3
+    assert homology_two_pass(K.space, K.d_plus).dim == 3
+
+
+def test_validate_stops_at_a_structural_fault():
+    # d+ jumps two gradings; the homology checks would also fail (H(d-) has
+    # both generators), but a structural fault ends the report.
+    K = _explicit([("x", -1, 0), ("y", 1, 1)], [("x", "y")], [])
+    assert validate(K).violations == ["d+ shifts grading of x by 2.0, expected 1"]
 
 
 def test_parse_thin_spec_round_trip():

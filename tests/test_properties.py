@@ -103,7 +103,6 @@ MODELS = random_thin_models(50) + thin_catalog()
 def test_structural_invariants(K):
     report = validate(K)
     assert report.ok, report.violations
-    assert report.torsion_order_one is True
     # total differential squares to zero on every generator
     for gid in K.space.ids:
         once = {}
