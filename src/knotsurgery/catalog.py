@@ -6,19 +6,7 @@ polynomial -t*T + (2t+1) - t*T^-1 and tau = 1 for t < 0, else 0.
 """
 from __future__ import annotations
 
-from .knotcx import KnotComplex, ModelError, poly_from_pairs, staircase_polynomial, thin_from_alexander
-
-
-def twist_knot_delta(t: int) -> dict:
-    return poly_from_pairs([(-t, 1), (2 * t + 1, 0), (-t, -1)])
-
-
-def twist_knot_tau(t: int) -> int:
-    return 1 if t < 0 else 0
-
-
-def build_twist_knot(t: int) -> KnotComplex:
-    return thin_from_alexander(twist_knot_delta(t), twist_knot_tau(t), name=f"twist({t})")
+from .knotcx import KnotComplex, ModelError, staircase_polynomial, thin_from_alexander
 
 
 # name -> (Alexander polynomial as a dict or [coef, power] pairs, tau).
@@ -34,7 +22,7 @@ for _n in range(2, 6):
     _ENTRIES[f"t2_{2 * _n + 1}"] = (staircase_polynomial(_n), _n)
     _ENTRIES[f"t2_{2 * _n + 1}-mirror"] = (staircase_polynomial(_n), -_n)
 for _t in range(-3, 4):
-    _ENTRIES[f"twist({_t})"] = (twist_knot_delta(_t), twist_knot_tau(_t))
+    _ENTRIES[f"twist({_t})"] = ([(-_t, 1), (2 * _t + 1, 0), (-_t, -1)], 1 if _t < 0 else 0)
 
 _ALIASES = {
     "trefoil": "trefoil-right",

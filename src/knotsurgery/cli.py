@@ -48,10 +48,19 @@ def _parse_slope(text: str):
     return p, q
 
 
+class InputFileError(Exception):
+    """A --spec or --profile file that is not UTF-8 JSON; the message names the file."""
+
+
 def _read_json(path: str):
     """The JSON document in a file; ``main`` turns an unreadable file into exit code 1."""
     with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except UnicodeDecodeError as exc:
+            raise InputFileError(f"{path}: {exc}") from None
+        except json.JSONDecodeError as exc:
+            raise InputFileError(f"{path}: invalid JSON input: {exc}") from None
 
 
 def _load_knot(args):
@@ -63,15 +72,19 @@ def _load_knot(args):
 
 
 def _load_profile(args) -> formulas.SutureDimProfile:
-    if getattr(args, "profile", None):
-        return formulas.parse_profile(_read_json(args.profile))
-    if args.companion_tau is None or args.companion_base is None:
+    """The companion profile from --profile or the two companion flags, checked against --gamma0."""
+    if args.profile:
+        data = _read_json(args.profile)
+    elif args.companion_tau is None or args.companion_base is None:
         raise cone.PreconditionError(
             "no companion profile: use --profile FILE or --companion-tau/--companion-base")
-    data = {"tau": args.companion_tau, "base_dim": args.companion_base}
-    if getattr(args, "gamma0", None) is not None:
-        data["gamma0"] = args.gamma0
-    return formulas.parse_profile(data)
+    else:
+        data = {"tau": args.companion_tau, "base_dim": args.companion_base}
+    prof = formulas.parse_profile(data)
+    if args.gamma0 is not None and args.gamma0 != prof.gamma0:
+        raise cone.PreconditionError(
+            f"inconsistent profile: gamma0 = {args.gamma0} but tau/base give {prof.gamma0}")
+    return prof
 
 
 def _emit(args, payload: dict, table_rows: list, headers: list) -> None:
@@ -211,7 +224,7 @@ def cmd_whitehead(args) -> int:
 
 def cmd_splice(args) -> int:
     prof = _load_profile(args)
-    dim = formulas.splice_dim(args.n, prof, gamma0=args.gamma0)
+    dim = formulas.splice_dim(args.n, prof)
     payload = {"command": "splice", "n": args.n,
                "companion": {"tau": prof.tau, "base_dim": prof.base_dim},
                "dim": dim}
@@ -346,7 +359,7 @@ def main(argv=None) -> int:
     except (cone.PreconditionError, ModelError, LinearAlgebraError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
-    except (OSError, UnicodeDecodeError) as exc:  # from _read_json
+    except (OSError, InputFileError) as exc:  # from _read_json
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except json.JSONDecodeError as exc:

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-from .knotcx import KnotComplex, ModelError, mirror
+from .knotcx import KnotComplex, ModelError
 from .linalg import (
     Homology,
     SparseExactMap,
@@ -41,6 +41,7 @@ from .linalg import (
     induced_map_on_homology,
     rank,
     sparse_map,
+    sub_scaled,
 )
 
 
@@ -337,17 +338,15 @@ def surgery_dim(K: KnotComplex, p: int, q: int) -> SurgeryResult:
 
 
 def zero_surgery_dims(K: KnotComplex, span: Optional[int] = None) -> dict:
-    """Per-grading dimensions of the zero-surgery invariant.
+    """Per-grading dimensions of the zero-surgery invariant, read from K's own level table.
 
-    Returns {grading: dim}; the grading-0 slot is None ("undetermined")
-    when tau = 0, where the slot identification scalar is not pinned down.
-    Models with tau > 0 are replaced by their mirror (dimensions agree, the
-    table is re-indexed by s -> -s).
+    Returns {grading: dim} for |grading| <= span (default genus - 1).  Slot s
+    is ker + coker of the row v + c h of level s into one dimension, c being
+    the slot identification scalar; PreconditionError if that depends on c.
+    The grading-0 slot is None ("undetermined") when tau = 0, where c is not
+    pinned down.  The table of mirror(K) is this one re-indexed by s -> -s.
     """
     _require_valid(K)
-    if K.tau > 0:
-        inner = zero_surgery_dims(mirror(K), span=span)
-        return {-s: d for s, d in sorted(inner.items())}
     g = K.genus
     top = (g - 1) if span is None else span
     out: dict = {}
@@ -359,12 +358,7 @@ def zero_surgery_dims(K: KnotComplex, span: Optional[int] = None) -> dict:
         dims = set()
         for c in (Fraction(1), Fraction(2)):
             row = dict(v_row)
-            for j, val in h_row.items():
-                acc = row.get(j, Fraction(0)) + c * val
-                if acc == 0:
-                    row.pop(j, None)
-                else:
-                    row[j] = acc
+            sub_scaled(row, -c, h_row)  # row = v + c h
             r = 1 if row else 0
             dims.add((n - r) + (1 - r))
         if len(dims) != 1:

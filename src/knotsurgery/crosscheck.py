@@ -127,10 +127,10 @@ def suite_whitehead_loop() -> SuiteResult:
             bad.append(f"double t={t}: tau {tau} != step value {(1 if t < 0 else 0)}")
     for t in range(-3, 4):
         cases += 1
-        built = catalog.build_twist_knot(t)
+        K = catalog.get_knot(f"twist({t})")
         res = formulas.whitehead_double_pm1(formulas.WhDoubleSpec(t, formulas.UNKNOT_PROFILE))
-        plus = cone.surgery_dim(built, 1, 1).dimension
-        minus = cone.surgery_dim(built, -1, 1).dimension
+        plus = cone.surgery_dim(K, 1, 1).dimension
+        minus = cone.surgery_dim(K, -1, 1).dimension
         if (res.dim_plus_one, res.dim_minus_one) != (plus, minus):
             bad.append(f"twist({t}): formula ({res.dim_plus_one}, {res.dim_minus_one}) "
                        f"!= cone ({plus}, {minus})")

@@ -172,13 +172,7 @@ def build_staircase(l: int, name: Optional[str] = None) -> KnotComplex:
     differential has one surviving class at grading l and the raising one at
     grading -l.
     """
-    frag = staircase_fragment(l, prefix="a")
-    sp = space(frag["generators"])
-    dp = sparse_map(sp, sp, frag["d_plus"])
-    dm = sparse_map(sp, sp, frag["d_minus"])
-    delta = staircase_polynomial(l)
-    return KnotComplex(sp, dp, dm, genus=abs(l), tau=l,
-                       meta=_meta(name or f"staircase({l})", delta))
+    return assemble(StaircaseSpec(l), (), name=name or f"staircase({l})")
 
 
 def staircase_fragment(l: int, prefix: str = "a") -> dict:
@@ -223,8 +217,7 @@ def build_square(s: int, sign: int, prefix: str = "q") -> dict:
 
 
 def assemble(staircase: StaircaseSpec, squares: Iterable[SquareSpec],
-             name: Optional[str] = None, delta: Optional[Poly] = None,
-             genus: Optional[int] = None) -> KnotComplex:
+             name: Optional[str] = None, delta: Optional[Poly] = None) -> KnotComplex:
     """Direct sum of one staircase and any number of squares."""
     squares = list(squares)
     frag = staircase_fragment(staircase.l)
@@ -238,8 +231,6 @@ def assemble(staircase: StaircaseSpec, squares: Iterable[SquareSpec],
         dminus.extend(f["d_minus"])
     sp = space(gens)
     g = max([abs(staircase.l)] + [abs(sq.s) + 1 for sq in squares])
-    if genus is not None and genus != g:
-        raise ModelError(f"assembled genus {g} conflicts with requested genus {genus}")
     if delta is None:
         delta = staircase_polynomial(staircase.l)
         for sq in squares:
@@ -329,6 +320,8 @@ def _build_mirror(K: KnotComplex) -> KnotComplex:
     def flip(m: SparseExactMap) -> SparseExactMap:
         return sparse_map(sp, sp, [(src, tgt, v) for tgt, src, v in m.entries])
     delta = K.delta()
+    if delta is not None:
+        delta = {-e: c for e, c in delta.items()}
     meta = _meta(None, delta)
     nm = K.meta_dict().get("name")
     if nm is not None:
@@ -475,17 +468,9 @@ def validate(K: KnotComplex) -> ValidationReport:
                 report.violations.append(f"{label} does not flip the Z/2 grading on {src}")
                 break
 
-    for gid in sp.ids:
-        v = K.d_plus.apply(K.d_minus.column(gid))
+    for gid in sp.ids:  # apply stores no zeros, so comparing the dicts is exact
         w = K.d_minus.apply(K.d_plus.column(gid))
-        total = dict(v)
-        for r, c in w.items():
-            acc = total.get(r, Fraction(0)) + c
-            if acc == 0:
-                total.pop(r, None)
-            else:
-                total[r] = acc
-        if total:
+        if K.d_plus.apply(K.d_minus.column(gid)) != {r: -c for r, c in w.items()}:
             report.violations.append(f"d+d- + d-d+ != 0 (witness {gid})")
             break
 

@@ -149,7 +149,7 @@ class Echelon:
                 residual[piv] = res.pop(piv)
                 continue
             c = usage[piv] = res[piv]
-            _sub_scaled(res, c, basis_vec)
+            sub_scaled(res, c, basis_vec)
         return residual, usage
 
     def store_residual(self, res: Vec) -> str:
@@ -169,7 +169,7 @@ class Echelon:
         return len(self._pivots)
 
 
-def _sub_scaled(acc: Vec, c: Fraction, vec: Vec):
+def sub_scaled(acc: Vec, c: Fraction, vec: Vec):
     """acc -= c * vec in place, dropping entries that cancel."""
     for r, v in vec.items():
         x = acc.get(r, Fraction(0)) - c * v
@@ -256,7 +256,7 @@ def homology(sp: GradedSpace, d: SparseExactMap, prefix: str = "h") -> Homology:
         res, usage = solver.reduce(col)
         chain: Vec = {gid: Fraction(1)}
         for piv, c in usage.items():
-            _sub_scaled(chain, c, chains[piv])
+            sub_scaled(chain, c, chains[piv])
         if res:
             piv = solver.store_residual(res)
             chains[piv] = {s: v / res[piv] for s, v in chain.items()}

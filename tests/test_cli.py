@@ -135,6 +135,18 @@ def test_splice(capsys):
     assert json.loads(out)["dim"] == 13
 
 
+@pytest.mark.parametrize("argv", [["whitehead", "--twists", "1"], ["splice", "--n", "3"]],
+                         ids=["whitehead", "splice"])
+@pytest.mark.parametrize("gamma0, code", [("3", 0), ("99", 2)], ids=["consistent", "inconsistent"])
+def test_gamma0_is_checked_against_a_profile_file(tmp_path, capsys, argv, gamma0, code):
+    path = tmp_path / "profile.json"
+    path.write_text(json.dumps({"tau": 1, "base_dim": 1}))  # gamma0 = 1 + |0 + 2| = 3
+    got, out, err = run(capsys, *argv, "--profile", str(path), "--gamma0", gamma0)
+    assert got == code
+    if code:
+        assert err == "error: inconsistent profile: gamma0 = 99 but tau/base give 3\n" and not out
+
+
 def test_classify(capsys):
     code, out, _ = run(capsys, "classify", "--dim", "7", "--delta", "[[2,1],[-3,0],[2,-1]]")
     assert code == 0
@@ -237,15 +249,20 @@ def test_missing_spec_file(capsys):
     (["surgery", "--slope", "1"], "--spec"),
     (["whitehead", "--twists", "1"], "--profile"),
 ], ids=["spec", "profile"])
-@pytest.mark.parametrize("kind", ["directory", "binary"])
+@pytest.mark.parametrize("kind", ["directory", "binary", "invalid-json"])
 def test_unreadable_input_file_exits_cleanly(tmp_path, capsys, argv, flag, kind):
     path = tmp_path
     if kind == "binary":
         path = tmp_path / "input.json"
         path.write_bytes(bytes(range(256)))
+    elif kind == "invalid-json":
+        path = tmp_path / "input.json"
+        path.write_text('{"tau": ')
     code, out, err = run(capsys, *argv, flag, str(path))
     assert code == 1 and err.startswith("error: ") and not out
-    assert ("Is a directory" if kind == "directory" else "can't decode") in err
+    assert str(path) in err
+    assert {"directory": "Is a directory", "binary": f"{path}: 'utf-8' codec can't decode",
+            "invalid-json": f"{path}: invalid JSON input: Expecting value"}[kind] in err
 
 
 def test_spec_with_two_survivors_exits_naming_the_split(tmp_path, capsys):

@@ -345,7 +345,7 @@ def test_level_table_lives_on_the_model():
 
 
 def test_one_differential_homologies_computed_once(monkeypatch):
-    # tau <= 0, so zero_surgery_dims keeps the model itself.  With squares,
+    # zero_surgery_dims reads the model's own levels.  With squares,
     # validation and the levels share the survivor's H(d-) and H(d+).
     from knotsurgery import knotcx
     real = knotcx.homology
@@ -379,7 +379,7 @@ def test_mirror_is_kept_on_the_model(monkeypatch):
     K = thin_from_alexander([(1, 2), (-1, 1), (1, 0), (-1, -1), (1, -2)], 2, name="t2_5")
     first = zero_surgery_dims(K)
     assert zero_surgery_dims(K) == first
-    assert validated == [2, -2]  # K once, its mirror once
+    assert validated == [2]
     assert mirror(K) is mirror(K) and mirror(mirror(K)) is K
 
 
@@ -413,11 +413,62 @@ def test_zero_surgery_vanishes_beyond_genus():
 
 
 def test_zero_surgery_mirrors_positive_tau():
-    # tau > 0 inputs route through the mirror; table dimensions must agree
+    # a tau > 0 model and its mirror give the same slot dimensions
     t25 = get_knot("t2_5")
     direct = zero_surgery_dims(mirror_t25())
     routed = zero_surgery_dims(t25)
     assert sorted(routed.values()) == sorted(direct.values())
+
+
+def _asymmetric_square_models():
+    """Two seeded squares per level on staircases of both signs: chi is not symmetric."""
+    import random
+    rng = random.Random(11)
+    return [assemble(StaircaseSpec(1), [SquareSpec(1, 1), SquareSpec(-1, -1)], name="asym")] + [
+        assemble(StaircaseSpec(tau), [SquareSpec(s, rng.choice((-1, 1)))
+                                      for s in range(-2, 3) for _ in range(2)],
+                 name=f"asym-squares(tau={tau})")
+        for tau in (2, -2, 1)]
+
+
+@pytest.mark.parametrize("family", ["catalog", "random", "asymmetric", "scrambled"])
+def test_zero_surgery_matches_the_mirror_route(family):
+    # Oracle: the mirror's table re-indexed by s -> -s, the route tau > 0
+    # models once took.  Every model is also checked as its own mirror, so
+    # both signs of tau are read from the model itself.
+    import random
+    from test_properties import random_thin_models, scramble
+    rng = random.Random(5)
+    models = {"catalog": thin_catalog,
+              "random": lambda: random_thin_models(40),
+              "asymmetric": _asymmetric_square_models,
+              "scrambled": lambda: [scramble(K, rng) for K in thin_catalog() + random_thin_models(12)
+                                    + _asymmetric_square_models()]}[family]()
+    taus = set()
+    for K0 in models:
+        for K in (K0, mirror(K0)):
+            taus.add((K.tau > 0) - (K.tau < 0))
+            for span in (None, K.genus + 1):
+                oracle = {-s: d for s, d in zero_surgery_dims(mirror(K), span=span).items()}
+                assert zero_surgery_dims(K, span=span) == oracle, (K.name, span)
+    assert taus == ({-1, 1} if family == "asymmetric" else {-1, 0, 1})
+
+
+def test_zero_surgery_builds_no_mirror(monkeypatch):
+    from knotsurgery import knotcx
+    from knotsurgery.knotcx import thin_from_alexander
+    calls = []
+    for name in ("validate", "_build_mirror"):
+        def counted(K, real=getattr(knotcx, name), name=name):
+            calls.append((name, K.tau))
+            return real(K)
+        monkeypatch.setattr(knotcx, name, counted)
+    for K in (thin_from_alexander([(1, 2), (-1, 1), (1, 0), (-1, -1), (1, -2)], 2),
+              _asymmetric_square_models()[1]):
+        calls.clear()
+        zero_surgery_dims(K)
+        zero_surgery_dims(K, span=K.genus + 1)
+        assert calls == [("validate", 2)] and "mirrored" not in K.__dict__, K.name
 
 
 def test_zero_surgery_trefoil():

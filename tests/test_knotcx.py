@@ -1,7 +1,7 @@
 """Knot models: staircases, squares, thin synthesis, mirror, tau, validation."""
 import pytest
 
-from knotsurgery.catalog import build_twist_knot, get_knot, knot_names, thin_catalog
+from knotsurgery.catalog import get_knot, knot_names, thin_catalog
 from knotsurgery.knotcx import (
     KnotComplex,
     ModelError,
@@ -124,6 +124,17 @@ def test_mirror_involution_exact():
     assert M.tau == K.tau
 
 
+def test_mirror_reflects_the_attached_polynomial():
+    # An asymmetric chi: squares of opposite signs at -1 and +1.  The mirror
+    # negates every grading, so it carries the reflected polynomial.
+    K = assemble(StaircaseSpec(1), [SquareSpec(1, 1), SquareSpec(-1, -1)])
+    M = mirror(K)
+    assert M.delta() == {-e: c for e, c in K.delta().items()} != K.delta()
+    assert validate(M).ok and chi_graded(M) == M.delta()
+    for K in thin_catalog():  # symmetric polynomials: the meta is unchanged
+        assert mirror(K).delta() == K.delta()
+
+
 def test_compute_tau_catalog_values():
     assert compute_tau(get_knot("trefoil-right")) == 1
     assert compute_tau(get_knot("figure-eight")) == 0
@@ -191,6 +202,13 @@ def test_validate_counts_homology_of_zero_euler_components():
     assert homology_two_pass(K.space, K.d_plus).dim == 3
 
 
+def test_validate_flags_commuting_square():
+    # a square whose four unit arrows commute: d+d-(a) = d-d+(a) = d
+    K = _explicit([("a", 0, 0), ("b", -1, 1), ("c", 1, 1), ("d", 0, 0)],
+                  [("a", "c"), ("b", "d")], [("a", "b"), ("c", "d")])
+    assert validate(K).violations == ["d+d- + d-d+ != 0 (witness a)"]
+
+
 def test_validate_stops_at_a_structural_fault():
     # d+ jumps two gradings; the homology checks would also fail (H(d-) has
     # both generators), but a structural fault ends the report.
@@ -216,10 +234,10 @@ def test_thin_idempotent_on_readback():
 
 def test_twist_knot_family():
     # t = -1 is the right trefoil, t = 1 the figure-eight, t = -2 the 5_2 mirror
-    assert graded_signature(build_twist_knot(-1)) == graded_signature(get_knot("trefoil-right"))
-    assert graded_signature(build_twist_knot(1)) == graded_signature(get_knot("figure-eight"))
-    assert graded_signature(build_twist_knot(-2)) == graded_signature(get_knot("5_2-bar"))
-    assert build_twist_knot(0).dim == 1
+    assert graded_signature(get_knot("twist(-1)")) == graded_signature(get_knot("trefoil-right"))
+    assert graded_signature(get_knot("twist(1)")) == graded_signature(get_knot("figure-eight"))
+    assert graded_signature(get_knot("twist(-2)")) == graded_signature(get_knot("5_2-bar"))
+    assert get_knot("twist(0)").dim == 1
 
 
 def test_poly_str_rendering():
