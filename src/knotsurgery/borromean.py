@@ -19,20 +19,21 @@ against the unfibered/circle-bundle values; treat it as experimental.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import accumulate, combinations, product
 from math import comb
 from typing import Iterable, Optional
 
 from .cone import PreconditionError, check_lattice_slots
 
-# Size limits, checked before any work starts.  On a 2-vCPU host the module
-# pathway takes 0.6 s at genus 200 and 8.5 s at 400.  The Seifert cost grows
-# about as genus * prod(v_i), the number of lattice slots the cone walks,
-# which these two limits do not bound jointly; cone.MAX_LATTICE_SLOTS does,
-# checked on (2W + 1) * |offsets| slots (|offsets| = prod(v_i), W >= genus)
-# before each walk.  A genus-2 base with prod(v_i) = 96441 is inside all
-# three limits.
+# Size limits, checked before any work starts.  The exterior cone sums each
+# residue class at once, so its cost grows about as genus + prod(v_i): on a
+# 2-vCPU host the module pathway takes 2 ms at genus 200 and a genus-2 base
+# with prod(v_i) = 96441 takes 0.08 s, most of it building the offsets.
+# cone.MAX_LATTICE_SLOTS still bounds the window, checked on
+# (2W + 1) * |offsets| slots (|offsets| = prod(v_i), W >= genus) before each
+# cone; that base is inside all three limits.
 MAX_GENUS = 200
 MAX_MULTIPLICITY_PRODUCT = 10 ** 5
 
@@ -53,28 +54,35 @@ def monomial_dim(g: int, k: int) -> int:
 
 # --- truncated cone over the exterior-algebra model -------------------------
 
+def _residue_classes(p: int, u: int, offset_map: dict, lo: int, hi: int):
+    """(first, last, c) for each residue class of lattice slots in lo..hi.
+
+    The slots of the class of offset off are sigma = off + 2p s: sigma
+    collapses to the low level s, and sigma - 2u to the high level s + c,
+    where c = (off - 2u - off') / 2p is constant on the class, off' being
+    the offset of the residue of off - 2u.  The class meets lo..hi at
+    first <= s <= last.
+    """
+    two_p, two_u = 2 * p, 2 * u
+    for off in offset_map.values():
+        t = off - two_u
+        yield -((off - lo) // two_p), (hi - off) // two_p, (t - offset_map[t % two_p]) // two_p
+
+
 def _large_applicable(g: int, p: int, u: int, offset_map: dict) -> bool:
     """Whether the direct-sum shortcut is valid for total slope u.
 
     True when no lattice slot lands strictly between the projection bands,
     i.e. every slot has its low collapse at the genus or beyond, or its
     shifted collapse at minus the genus or below.  For a plain circle bundle
-    this reduces to u >= 2g - 1.
+    this reduces to u >= 2g - 1.  Each residue class is checked at once.
     """
     check_lattice_slots((2 * g + 1) * len(offset_map))
-    two_p, two_u = 2 * p, 2 * u
-    # violations need s0(sigma) <= g - 1 and s0(sigma - 2u) >= 1 - g
     lo = 2 * u + 2 * (1 - g) * p - (p - 1)
     hi = 2 * (g - 1) * p + (p - 1)
-    parity = next(iter(offset_map.values())) % 2
-    for sigma in range(lo + (lo - parity) % 2, hi + 1, 2):
-        off = offset_map.get(sigma % two_p)
-        if off is None or (sigma - off) // two_p > g - 1:
-            continue
-        t = sigma - two_u
-        if (t - offset_map[t % two_p]) // two_p >= 1 - g:
-            return False
-    return True
+    # a violation is a slot with s_low <= g - 1 and s_high = s_low + c >= 1 - g
+    return all(max(first, 1 - g - c) > min(last, g - 1)
+               for first, last, c in _residue_classes(p, u, offset_map, lo, hi))
 
 
 def _cone_dim_exterior(g: int, p: int, u: int, offset_map: dict) -> int:
@@ -84,7 +92,10 @@ def _cone_dim_exterior(g: int, p: int, u: int, offset_map: dict) -> int:
     slots do too; the image inside each retained target is the monomial
     block given by the collapse index law.  Slot sigma collapses to the
     level s0(sigma) = (sigma - offset) // 2p, offset being the lattice
-    offset of sigma's residue mod 2p.
+    offset of sigma's residue mod 2p.  On one residue class the image
+    degree min(g - s_low, g + s_high) runs through consecutive integers, up
+    and then down, so each class adds two runs of the tail sums, read off
+    one prefix-sum table.
     """
     if u <= 0:
         raise PreconditionError("internal: cone expects a positive total slope")
@@ -92,29 +103,35 @@ def _cone_dim_exterior(g: int, p: int, u: int, offset_map: dict) -> int:
     check_lattice_slots((2 * W + 1) * len(offset_map))
     full = 4 ** g
     src_total = (2 * W + 1) * len(offset_map) * full
-    tails = [monomial_dim(g, k) for k in range(2 * g + 2)]
-    two_p, two_u = 2 * p, 2 * u
+    # tails[k] = monomial_dim(g, k) for k = 0..2g+1; prefix[j] = tails[0] + ... + tails[j-1]
+    top = 2 * g + 1
+    tails = [0] * (top + 1)
+    for k in range(2 * g, -1, -1):
+        tails[k] = tails[k + 1] + comb(2 * g, k)
+    prefix = [0, *accumulate(tails)]
+
+    def run(k0: int, k1: int) -> int:
+        """Image sizes at degrees k0..k1: full below 0, tails[k] up to 2g + 1, 0 past it."""
+        total = full * max(0, min(k1, -1) - k0 + 1)
+        a, b = max(k0, 0), min(k1, top)
+        return total + (prefix[b + 1] - prefix[a] if a <= b else 0)
 
     lo = 2 * u + 2 * (-W) * p - (p - 1)
     hi = 2 * W * p + (p - 1)
-    parity = next(iter(offset_map.values())) % 2
     tgt_count = 0
     image_total = 0
-    for sigma in range(lo + (lo - parity) % 2, hi + 1, 2):
-        off = offset_map.get(sigma % two_p)
-        if off is None:
+    # classes sharing (first, last, c) add the same image sizes; there are few such triples
+    for (first, last, c), n in Counter(_residue_classes(p, u, offset_map, lo, hi)).items():
+        a, b = max(first, -W - c), min(last, W)  # retained: s_low <= W, s_high >= -W
+        if a > b:
             continue
-        s_low = (sigma - off) // two_p
-        if s_low > W:
-            continue
-        t = sigma - two_u
-        s_high = (t - offset_map[t % two_p]) // two_p
-        if s_high < -W:
-            continue
-        tgt_count += 1
-        # image degree min(g - s_low, g + s_high), clamped to 0..2g+1
-        k = min(g - s_low, g + s_high, 2 * g + 1)
-        image_total += tails[k] if k > 0 else full
+        tgt_count += n * (b - a + 1)
+        # the high side g + c + s is the smaller up to s = floor(-c / 2), the low side g - s after
+        turn = min(b, -c // 2)
+        if a <= turn:
+            image_total += n * run(g + c + a, g + c + turn)
+        if max(a, turn + 1) <= b:
+            image_total += n * run(g - b, g - max(a, turn + 1))
     return src_total + tgt_count * full - 2 * image_total
 
 

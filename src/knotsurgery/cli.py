@@ -81,9 +81,7 @@ def _load_profile(args) -> formulas.SutureDimProfile:
     else:
         data = {"tau": args.companion_tau, "base_dim": args.companion_base}
     prof = formulas.parse_profile(data)
-    if args.gamma0 is not None and args.gamma0 != prof.gamma0:
-        raise cone.PreconditionError(
-            f"inconsistent profile: gamma0 = {args.gamma0} but tau/base give {prof.gamma0}")
+    prof.check_gamma0(args.gamma0)
     return prof
 
 
@@ -103,6 +101,9 @@ def _pathway_values(K, p: int, q: int) -> dict:
     """Every applicable pathway's value for slope p/q, side by side."""
     from .knotcx import poly_norm
     values = {"cone": cone.build_cone_problem(K, p, q).dimension()}
+    by_levels = cone.levels_dim(K, p, q)
+    if by_levels is not None:
+        values["levels"] = by_levels
     if q == 1 and p >= cone.large_surgery_start(K):
         values["large-surgery"] = cone.large_surgery_dim(K, p)
     delta = K.delta()
@@ -132,13 +133,15 @@ def cmd_surgery(args) -> int:
                             "agree": agree})
             rows.append([K.name, f"{p}/{q}",
                          values["cone"],
+                         values.get("levels", "-"),
                          values.get("closed-form", "-"),
                          values.get("large-surgery", "-"),
                          values.get("ladder", "-"),
                          agree])
         payload = {"command": "surgery", "compare": True, "results": records}
         _emit(args, payload, rows,
-              ["knot", "slope", "cone", "closed-form", "large-surgery", "ladder", "agree"])
+              ["knot", "slope", "cone", "levels", "closed-form", "large-surgery", "ladder",
+               "agree"])
         return EXIT_OK if ok else EXIT_MISMATCH
     results = []
     for p, q in slopes:

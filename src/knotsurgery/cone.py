@@ -9,6 +9,14 @@ projection routed through the canonical slot identification).  Far levels
 pair off by isomorphisms, so a finite window computes the whole thing; the
 window size is a parameter and enlarging it never changes the answer.
 
+Every nonzero slope is first read off three terms of the level table
+(``K.slope_terms``): the rank formula of the rational mapping cone (Ni-Wu,
+after Ozsvath-Szabo) needs only the rows of the levels strictly inside the
+genus, so its cost depends on neither p nor q.  It covers the tables whose
+levels read H..H, then 0..0 or E/G with the G consecutive, then V..V (see
+``_slope_terms``); any other table falls back to the materialised cone,
+which stays as the oracle the tests and ``crosscheck`` rank against.
+
 The cone is ranked without elimination.  Source sigma reaches only the
 slots sigma and sigma + 2p, so the incidence graph is a disjoint union of
 paths, and one sweep over the sources finds the rank from the shape of each
@@ -49,12 +57,12 @@ class PreconditionError(Exception):
     """Input violates a stated hypothesis of the computation."""
 
 
-# Lattice slots a cone may walk, checked before any assembly: (2W - 1) q
-# for the knot cone at slope p/q and (2W + 1) |offsets| for the
+# Lattice slots a cone may span, checked before any assembly: (2W - 1) q
+# for the materialised knot cone at slope p/q and (2W + 1) |offsets| for the
 # exterior-algebra cone, W being the window half-width.  On a 2-vCPU host a
 # knot cone at the limit takes up to 2.2 s (figure-eight at slope 1/499999,
-# every block an edge) and the exterior cone 0.6 s (genus 2, prod v_i =
-# 96441, 482205 slots).
+# every block an edge).  ``surgery_dim`` reads a covered level table without
+# a cone, so the limit binds it only on the fallback.
 MAX_LATTICE_SLOTS = 5 * 10 ** 5
 
 
@@ -107,7 +115,7 @@ class SurgeryResult:
     p: int
     q: int
     dimension: int
-    pathway: str  # cone | large-surgery
+    pathway: str  # levels | cone
     per_grading: Optional[tuple] = None  # ((grading, dim or None), ...) for slope 0
 
     @property
@@ -320,11 +328,59 @@ def large_surgery_dim(K: KnotComplex, n: int) -> int:
             + beyond * _level_rows(K, -g - 1)[0])
 
 
+def _slope_terms(K: KnotComplex) -> Optional[tuple]:
+    """(z, m, sigma) of K's level table, or None when the closed form does not cover it.
+
+    Each level s = 1 - g..g - 1 (the levels the cone reads at W = g) is
+    classed by its rows: 0 (none), V (v only), H (h only), E (both,
+    proportional) or G (both, independent).  The levels past them need no
+    reading: at s >= g the bent differential is d- alone, one class with v
+    nonzero and h zero, and s <= -g is the mirror case.  z counts the 0
+    levels, m the G levels, and sigma is the sum of b(s) - 1 over the class
+    counts b(s).  The closed form holds for a word H..H, then 0..0 or a mix
+    of E and G whose G levels are consecutive, then V..V; it fails on some
+    tables with G levels apart, so every other word returns None.
+    """
+    g = max(K.genus, 1)
+    kinds, sigma = [], 0
+    for s in range(1 - g, g):
+        n, v_row, h_row = _level_rows(K, s)
+        sigma += n - 1
+        if v_row and h_row:
+            kinds.append("E" if _proportional(v_row, h_row) else "G")
+        else:
+            kinds.append("V" if v_row else "H" if h_row else "0")
+    word = "".join(kinds)
+    z, m = word.count("0"), word.count("G")
+    middle = set(word.lstrip("H").rstrip("V"))
+    if middle <= {"0"} or (middle <= {"E", "G"} and "G" * m in word):
+        return z, m, sigma
+    return None
+
+
+def levels_dim(K: KnotComplex, p: int, q: int) -> Optional[int]:
+    """Dimension at slope p/q (p != 0) from K.slope_terms, or None when they do not apply.
+
+    With (z, m, sigma) = K.slope_terms:
+    p > 0: p + 2 max(0, z q - p) + q sigma;
+    p < 0: |p| + 2 max(0, m q - |p|) + q (sigma + 2 z - 2 m).
+    For p > 0 this is the nu form, z = max(0, 2 nu - 1).
+    """
+    terms = K.slope_terms
+    if terms is None:
+        return None
+    z, m, sigma = terms
+    if p > 0:
+        return p + 2 * max(0, z * q - p) + q * sigma
+    return -p + 2 * max(0, m * q + p) + q * (sigma + 2 * z - 2 * m)
+
+
 def surgery_dim(K: KnotComplex, p: int, q: int) -> SurgeryResult:
     """Dimension of the surgery invariant at slope p/q on an S^3-knot model.
 
-    Integral slopes in the large-surgery regime use the direct sum; every
-    other slope assembles the mapping cone.
+    Read off the level table by ``levels_dim`` (pathway "levels") whenever
+    the table has the covered shape, whatever the slope; otherwise the
+    mapping cone is assembled and ranked (pathway "cone").
     """
     if p == 0:
         raise PreconditionError("slope 0: use zero_surgery_dims for the per-grading table")
@@ -332,9 +388,10 @@ def surgery_dim(K: KnotComplex, p: int, q: int) -> SurgeryResult:
         raise PreconditionError("slope denominator must be a positive integer")
     if math.gcd(abs(p), q) != 1:
         raise PreconditionError(f"slope {p}/{q} is not reduced")
-    if q == 1 and p >= large_surgery_start(K):
-        return SurgeryResult(K.name, p, q, large_surgery_dim(K, p), "large-surgery")
-    return SurgeryResult(K.name, p, q, build_cone_problem(K, p, q).dimension(), "cone")
+    dim = levels_dim(K, p, q)
+    if dim is None:
+        return SurgeryResult(K.name, p, q, build_cone_problem(K, p, q).dimension(), "cone")
+    return SurgeryResult(K.name, p, q, dim, "levels")
 
 
 def zero_surgery_dims(K: KnotComplex, span: Optional[int] = None) -> dict:

@@ -32,15 +32,25 @@ class SuiteResult:
 
 
 def suite_thin_vs_cone() -> SuiteResult:
-    """Mapping cone == closed thin formula == (when applicable) genus-one ladder."""
+    """Ranked cone == surgery_dim == closed thin formula == (when applicable) genus-one ladder.
+
+    The ranked value is the materialised cone, or the large-surgery direct
+    sum in its regime; ``surgery_dim`` reads the level table.
+    """
     cases = 0
     bad = []
     for K in catalog.thin_catalog():
         norm = poly_norm(K.delta())
         for p, q in SLOPE_GRID:
             cases += 1
-            by_cone = cone.surgery_dim(K, p, q).dimension
+            if q == 1 and p >= cone.large_surgery_start(K):
+                by_cone = cone.large_surgery_dim(K, p)
+            else:
+                by_cone = cone.build_cone_problem(K, p, q).dimension()
+            by_levels = cone.surgery_dim(K, p, q).dimension
             by_formula = formulas.thin_surgery_formula(norm, K.tau, p, q)
+            if by_levels != by_cone:
+                bad.append(f"{K.name} at {p}/{q}: surgery_dim {by_levels} != cone {by_cone}")
             if by_cone != by_formula:
                 bad.append(f"{K.name} at {p}/{q}: cone {by_cone} != formula {by_formula}")
             if K.genus == 1 and q == 1 and p >= 1:

@@ -33,6 +33,12 @@ class SutureDimProfile:
     def gamma0(self) -> int:
         return self.dim_gamma(0)
 
+    def check_gamma0(self, gamma0: Optional[int]) -> None:
+        """PreconditionError unless gamma0 is None or equals this profile's gamma0."""
+        if gamma0 is not None and gamma0 != self.gamma0:
+            raise PreconditionError(
+                f"inconsistent profile: gamma0 = {gamma0} but tau/base give {self.gamma0}")
+
     def mirror(self) -> "SutureDimProfile":
         return SutureDimProfile(-self.tau, self.base_dim)
 
@@ -48,9 +54,7 @@ def parse_profile(data: Mapping) -> SutureDimProfile:
     where = "companion profile"
     prof = SutureDimProfile(spec_field(data, "tau", where), spec_field(data, "base_dim", where))
     if data.get("gamma0") is not None:
-        if spec_field(data, "gamma0", where) != prof.gamma0:
-            raise PreconditionError(
-                f"inconsistent profile: gamma0 = {data['gamma0']} but tau/base give {prof.gamma0}")
+        prof.check_gamma0(spec_field(data, "gamma0", where))
     return prof
 
 
@@ -114,14 +118,11 @@ def whitehead_double_negative_clasp(spec: WhDoubleSpec) -> WhDoubleResult:
                           tau=-pos.tau, top_grading_dim=pos.top_grading_dim)
 
 
-def splice_dim(n: int, companion: SutureDimProfile, gamma0: Optional[int] = None) -> int:
+def splice_dim(n: int, companion: SutureDimProfile) -> int:
     """Splice of a twist-knot complement with a nontrivial companion complement."""
     if n == 0:
         raise PreconditionError("twist parameter n must be nonzero")
-    g0 = companion.gamma0 if gamma0 is None else int(gamma0)
-    if g0 != companion.gamma0:
-        raise PreconditionError(
-            f"inconsistent profile: gamma0 = {g0} but tau/base give {companion.gamma0}")
+    g0 = companion.gamma0
     if g0 == 0:
         raise PreconditionError("companion must be a nontrivial knot (gamma0 >= 1)")
     if companion.tau <= 0:

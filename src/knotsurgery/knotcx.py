@@ -116,6 +116,12 @@ class KnotComplex:
         return {}
 
     @cached_property
+    def slope_terms(self) -> Optional[tuple]:
+        """The level table's closed-form terms (z, m, sigma) or None (see ``cone._slope_terms``)."""
+        from .cone import _slope_terms
+        return _slope_terms(self)
+
+    @cached_property
     def split(self) -> "Split":
         """The survivor and acyclic shapes (see ``_split``), computed once."""
         return _split(self)

@@ -224,3 +224,27 @@ def test_exterior_cone_equals_slot_sum_on_seifert_regressions(g, m, pairs):
     args = (g, p, u, offset_map)
     assert borromean._cone_dim_exterior(*args) == _cone_dim_by_slots(*args)
     assert borromean._large_applicable(*args) == _large_applicable_by_slots(*args)
+
+
+def test_exterior_cone_equals_slot_sum_on_random_seifert_inputs():
+    import math
+    import random
+    rng = random.Random(29)
+    checked = large = 0
+    while checked < 120:
+        g = rng.randint(1, 4)
+        pairs = []
+        for v in rng.sample((2, 3, 5, 7), rng.randint(0, 3)):
+            r = rng.choice([r for r in range(-2 * v, 2 * v + 1) if math.gcd(abs(r), v) == 1])
+            pairs.append((r, v))
+        try:
+            _, p, u, offset_map = borromean._seifert_setup(g, rng.randint(-2 * g - 2, 2 * g + 2), pairs)
+        except PreconditionError:  # orbifold degree 0
+            continue
+        checked += 1
+        args = (g, p, u, offset_map)
+        assert borromean._cone_dim_exterior(*args) == _cone_dim_by_slots(*args), (g, pairs)
+        applicable = borromean._large_applicable(*args)
+        assert applicable == _large_applicable_by_slots(*args), (g, pairs)
+        large += applicable
+    assert 0 < large < checked

@@ -56,10 +56,11 @@ def test_surgery_compare_pathways(capsys):
     payload = json.loads(out)
     by_slope = {r["slope"]: r for r in payload["results"]}
     assert by_slope["1/1"]["values"]["cone"] == 3
+    assert by_slope["1/1"]["values"]["levels"] == 3
     assert by_slope["1/1"]["values"]["closed-form"] == 3
     assert by_slope["1/1"]["values"]["ladder"] == 3
     assert by_slope["1/1"]["values"]["large-surgery"] == 3
-    assert by_slope["1/2"]["values"] == {"cone": 5, "closed-form": 5}
+    assert by_slope["1/2"]["values"] == {"cone": 5, "levels": 5, "closed-form": 5}
     assert all(r["agree"] for r in payload["results"])
 
 
@@ -93,7 +94,8 @@ def test_seifert_precondition_exit_code(capsys):
       "--pair", "1/107", "--pair", "1/109"], "MAX_MULTIPLICITY_PRODUCT = 100000"),
     (["circle-bundle", "--genus", "3000", "--euler", "1"], "MAX_GENUS = 200"),
     (["seifert", "--genus", "3000", "--base", "1"], "MAX_GENUS = 200"),
-    (["surgery", "--knot", "fig8", "--slope", "1/1000000"], "MAX_LATTICE_SLOTS = 500000"),
+    (["surgery", "--knot", "fig8", "--slope", "1/1000000", "--compare"],
+     "MAX_LATTICE_SLOTS = 500000"),
     (["seifert", "--genus", "15", "--base", "0", "--pair", "1/31", "--pair", "1/61",
       "--pair", "1/51"], "MAX_LATTICE_SLOTS = 500000"),
 ])
@@ -103,6 +105,16 @@ def test_oversized_input_hits_limit_before_work(capsys, argv, limit):
     code, _, err = run(capsys, *argv)
     assert time.perf_counter() - start < 1.0
     assert code == 2 and limit in err
+
+
+def test_large_denominator_is_read_off_the_levels(capsys):
+    # the cone at this slope would be over MAX_LATTICE_SLOTS; the level table is not
+    import time
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "surgery", "--knot", "fig8", "--slope", "1/1000000", "--json")
+    assert time.perf_counter() - start < 1.0
+    rec = json.loads(out)["results"][0]
+    assert code == 0 and (rec["dim"], rec["pathway"]) == (2000001, "levels")
 
 
 @pytest.mark.parametrize("base, pathway", [("1", "cone"), ("3", "large-surgery")])

@@ -18,6 +18,7 @@ from knotsurgery.cone import (
     genus_one_positive_ladder,
     large_surgery_dim,
     large_surgery_start,
+    levels_dim,
     pi_maps,
     surgery_dim,
     zero_surgery_dims,
@@ -115,7 +116,7 @@ def test_anchor_figure_eight_plus_one():
 def test_figure_eight_half_slope():
     # independent closed-form oracle: (5 - 1) * 2 / 2 + 1 = 5
     res = surgery_dim(fig8(), 1, 2)
-    assert res.dimension == 5 and res.pathway == "cone"
+    assert res.dimension == 5 and res.pathway == "levels"
 
 
 def test_5_2_bar_plus_one():
@@ -176,9 +177,12 @@ def test_large_surgery_reuses_levels(monkeypatch):
         return bent_homology(K, s)
 
     monkeypatch.setattr(cone, "bent_homology", counted)
-    almost_lspace_scan(build_staircase(12))
-    # the cone levels -11..11 plus the large-surgery levels down to -13: every
-    # level below -genus has the rows of level -genus - 1
+    K = build_staircase(12)
+    almost_lspace_scan(K)
+    for n in range(large_surgery_start(K), 2 * K.genus + 4):
+        large_surgery_dim(K, n)
+    # the scan reads the levels -11..11 and the large-surgery sums add -12 and
+    # -13: every level below -genus has the rows of level -genus - 1
     assert sorted(calls) == list(range(-13, 12))
 
 
@@ -510,3 +514,119 @@ def test_staircase_family_slope_table():
     for l in (1, 2, 3):
         K = build_staircase(l)
         assert surgery_dim(K, 1, 1).dimension == 4 * l - 3
+
+
+# --- slopes read off the level table -------------------------------------------
+
+def _generated_models(family):
+    """Each model of a family together with its mirror."""
+    import random
+    from test_properties import random_thin_models, scramble
+    rng = random.Random(13)
+    base = {"catalog": thin_catalog,
+            "random": lambda: random_thin_models(16),
+            "squares": lambda: _square_models() + _asymmetric_square_models(),
+            "scrambled": lambda: [scramble(K, rng) for K in thin_catalog()[:8]
+                                  + random_thin_models(6) + _square_models()]}[family]()
+    return [M for K in base for M in (K, mirror(K))]
+
+
+@pytest.mark.parametrize("family", ["catalog", "random", "squares", "scrambled"])
+def test_levels_match_the_cone(family):
+    import math
+    import random
+    rng = random.Random(17)
+    for K in _generated_models(family):
+        z, m, _ = K.slope_terms  # every generated table has the covered shape
+        g = max(K.genus, 1)
+        for q in (1, 2, 3, 7, 50):
+            # both signs around the breakpoints z q and m q, the large regime and past it
+            ps = {1, 2, z * q - 1, z * q, z * q + 1, m * q - 1, m * q, m * q + 1,
+                  (2 * g - 1) * q + 1, 4 * g * q + 3, rng.randint(1, 4 * g * q + 3)}
+            for p in (sign * p for p in ps if p > 0 and math.gcd(p, q) == 1 for sign in (1, -1)):
+                assert levels_dim(K, p, q) == build_cone_problem(K, p, q).dimension(), \
+                    (K.name, p, q)
+        # the levels the terms skip have the rows they assume
+        if K.genus:
+            n, v_row, h_row = cone._level_rows(K, K.genus)
+            assert n == 1 and v_row and not h_row, K.name
+            n, v_row, h_row = cone._level_rows(K, -K.genus)
+            assert n == 1 and h_row and not v_row, K.name
+
+
+def test_slope_terms_computed_once_from_the_inner_levels(monkeypatch):
+    from knotsurgery.knotcx import thin_from_alexander
+    calls = []
+    real = cone._slope_terms
+
+    def counted(K):
+        calls.append(K.name)
+        return real(K)
+
+    monkeypatch.setattr(cone, "_slope_terms", counted)
+    for K in (build_staircase(5, name="s5"), build_staircase(-4, name="s-4"), _square_models()[1],
+              thin_from_alexander([(1, 2), (-1, 1), (1, 0), (-1, -1), (1, -2)], 2, name="t2_5")):
+        calls.clear()
+        for q in (1, 2, 49):
+            for p in (1, -1, 3, -3, 4 * K.genus * q + 3, -(4 * K.genus * q + 3)):
+                assert surgery_dim(K, p, q).pathway == "levels"
+        almost_lspace_scan(K)
+        assert calls == [K.name]
+        assert sorted(K.levels) == list(range(1 - K.genus, K.genus)), K.name
+
+
+_ROWS = {"0": (1, {}, {}), "V": (1, {0: 1}, {}), "H": (1, {}, {0: 1}),
+         "E": (2, {0: 1, 1: 2}, {0: -3, 1: -6}), "G": (2, {0: 1}, {0: 1, 1: 1})}
+
+
+def _table_model(word):
+    """A staircase whose levels 1 - g..g - 1 carry the rows named by ``word``."""
+    from fractions import Fraction
+    g = (len(word) + 1) // 2
+    K = build_staircase(g)
+    K.levels.update({s: (_ROWS[k][0],) + tuple({i: Fraction(c) for i, c in row.items()}
+                                                for row in _ROWS[k][1:])
+                     for s, k in zip(range(1 - g, g), word)})
+    return K
+
+
+def _raw_levels_dim(word, p, q):
+    """The closed form applied to the terms of ``word`` whatever its shape."""
+    K = _table_model(word)
+    K.__dict__["slope_terms"] = (word.count("0"), word.count("G"),
+                                 sum(_ROWS[k][0] - 1 for k in word))
+    return levels_dim(K, p, q)
+
+
+def _small_slopes():
+    import math
+    return [(p, q) for q in (1, 2, 3) for p in range(-13, 14) if p and math.gcd(abs(p), q) == 1]
+
+
+def test_every_synthetic_table_of_the_covered_shape_matches_the_cone():
+    from itertools import product
+    words = ["".join(w) for w in product("0VHEG", repeat=3)]
+    words += ["H000V", "HEGGV", "HGGEV", "EGGEE", "HH0VV", "GGGGG"]
+    covered = 0
+    for word in words:
+        K = _table_model(word)
+        if K.slope_terms is None:
+            continue
+        covered += 1
+        for p, q in _small_slopes():
+            assert levels_dim(K, p, q) == build_cone_problem(K, p, q).dimension(), (word, p, q)
+    assert covered == 31 + 6  # 31 of the 125 three-level words, and the six longer ones
+
+
+@pytest.mark.parametrize("word", ["GEG", "GVG", "HGEGV", "V0H", "0E0", "HVH", "0GV0"])
+def test_off_shape_tables_fall_back_to_the_cone(word):
+    # the closed form would be wrong here; surgery_dim ranks the cone instead
+    K = _table_model(word)
+    assert K.slope_terms is None
+    wrong = 0
+    for p, q in _small_slopes():
+        res = surgery_dim(K, p, q)
+        want = build_cone_problem(K, p, q).dimension()
+        assert (res.dimension, res.pathway) == (want, "cone"), (p, q)
+        wrong += _raw_levels_dim(word, p, q) != want
+    assert wrong

@@ -88,8 +88,8 @@ def test_whitehead_negative_clasp_mirror_relation():
 
 def test_splice_values():
     assert splice_dim(3, SutureDimProfile(tau=0, base_dim=2)) == 13
-    assert splice_dim(1, SutureDimProfile(tau=1, base_dim=0), gamma0=2) == 5
-    assert splice_dim(-1, SutureDimProfile(tau=1, base_dim=0), gamma0=2) == 3
+    assert splice_dim(1, SutureDimProfile(tau=1, base_dim=0)) == 5
+    assert splice_dim(-1, SutureDimProfile(tau=1, base_dim=0)) == 3
 
 
 def test_splice_rejects_bad_input():
@@ -97,8 +97,17 @@ def test_splice_rejects_bad_input():
         splice_dim(0, SutureDimProfile(tau=0, base_dim=2))
     with pytest.raises(PreconditionError, match="nontrivial"):
         splice_dim(1, UNKNOT_PROFILE)
-    with pytest.raises(PreconditionError, match="inconsistent"):
-        splice_dim(1, SutureDimProfile(tau=1, base_dim=0), gamma0=5)
+    with pytest.raises(TypeError):
+        splice_dim(1, SutureDimProfile(tau=1, base_dim=0), gamma0=2)
+
+
+def test_gamma0_check_is_shared():
+    prof = SutureDimProfile(tau=1, base_dim=0)
+    prof.check_gamma0(None)
+    prof.check_gamma0(2)
+    with pytest.raises(PreconditionError,
+                       match="^inconsistent profile: gamma0 = 5 but tau/base give 2$"):
+        prof.check_gamma0(5)
 
 
 def test_splice_affine_in_n_on_each_branch():

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from knotsurgery.catalog import thin_catalog
-from knotsurgery.cone import build_cone_problem, surgery_dim, zero_surgery_dims
+from knotsurgery.cone import build_cone_problem, levels_dim, surgery_dim, zero_surgery_dims
 from knotsurgery.formulas import thin_surgery_formula
 from knotsurgery.knotcx import (
     KnotComplex,
@@ -209,6 +209,19 @@ def test_split_models_match_the_thin_formula(K, picked):
     assert K.split.survivor.dim == len(survivors[0])
     for p, q in picked:
         assert surgery_dim(K, p, q).dimension == thin_surgery_formula(K.dim, K.tau, p, q), (p, q)
+
+
+@settings(max_examples=40, deadline=None)
+@given(scrambled_thin_models(), st.booleans(), st.data())
+def test_levels_match_the_cone_on_scrambled_models(K, mirrored, data):
+    """The closed form read off the level table equals the ranked cone, at q up to 50."""
+    K = mirror(K) if mirrored else K
+    q = data.draw(st.integers(1, 50))
+    bound = 4 * max(K.genus, 1) * q + 3
+    p = data.draw(st.integers(1, bound)) * data.draw(st.sampled_from((-1, 1)))
+    d = math.gcd(abs(p), q)
+    p, q = p // d, q // d
+    assert levels_dim(K, p, q) == build_cone_problem(K, p, q).dimension(), (p, q)
 
 
 @settings(max_examples=60, deadline=None)
