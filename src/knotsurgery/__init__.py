@@ -4,10 +4,12 @@ Library layout:
 
 - ``linalg``: exact rational linear algebra on graded spaces.
 - ``knotcx``: finite knot models (two anticommuting differentials), thin
-  synthesis from an Alexander polynomial and tau, validation, mirrors.
+  synthesis from an Alexander polynomial and tau, validation, mirrors, and
+  the decomposition of a valid model into a staircase and squares.
 - ``catalog``: built-in small-knot models by name.
-- ``cone``: bent complexes and the mapping-cone surgery dimensions
-  (integral, rational, zero-slope), ladders and the minimal-dimension scan.
+- ``cone``: nonzero-slope dimensions from the decomposition; bent
+  complexes for the zero-surgery table and the mapping-cone oracles
+  (integral, rational); ladders and the minimal-dimension scan.
 - ``borromean``: exterior-algebra pathway for circle bundles over surfaces
   and Seifert fibered spaces with nonzero orbifold degree.
 - ``formulas``: closed-form dimensions (thin knots, Whitehead doubles,
@@ -46,6 +48,7 @@ from .knotcx import (
     build_square,
     build_staircase,
     compute_tau,
+    decompose,
     mirror,
     parse_knot_spec,
     thin_from_alexander,

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -24,6 +25,12 @@ EXIT_MISMATCH = 3
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # Read "-1/2" as a value, like "-1": slopes and fibre pairs may be
+        # negative fractions, and a malformed one ("-1/2/3") reaches _parse_slope.
+        self._negative_number_matcher = re.compile(r"^-\d[-\d/]*$|^-\d*\.\d+$")
+
     def error(self, message):
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
@@ -98,9 +105,13 @@ def _emit(args, payload: dict, table_rows: list, headers: list) -> None:
 
 
 def _pathway_values(K, p: int, q: int) -> dict:
-    """Every applicable pathway's value for slope p/q, side by side."""
+    """Every applicable pathway's value for slope p/q, side by side.
+
+    ``surgery_dim`` goes first, so its slope checks guard every oracle.
+    """
     from .knotcx import poly_norm
-    values = {"cone": cone.build_cone_problem(K, p, q).dimension()}
+    values = {"decomposition": cone.surgery_dim(K, p, q).dimension,
+              "cone": cone.build_cone_problem(K, p, q).dimension()}
     by_levels = cone.levels_dim(K, p, q)
     if by_levels is not None:
         values["levels"] = by_levels
@@ -132,6 +143,7 @@ def cmd_surgery(args) -> int:
             records.append({"knot": K.name, "slope": f"{p}/{q}", "values": values,
                             "agree": agree})
             rows.append([K.name, f"{p}/{q}",
+                         values["decomposition"],
                          values["cone"],
                          values.get("levels", "-"),
                          values.get("closed-form", "-"),
@@ -140,8 +152,8 @@ def cmd_surgery(args) -> int:
                          agree])
         payload = {"command": "surgery", "compare": True, "results": records}
         _emit(args, payload, rows,
-              ["knot", "slope", "cone", "levels", "closed-form", "large-surgery", "ladder",
-               "agree"])
+              ["knot", "slope", "decomposition", "cone", "levels", "closed-form",
+               "large-surgery", "ladder", "agree"])
         return EXIT_OK if ok else EXIT_MISMATCH
     results = []
     for p, q in slopes:

@@ -9,13 +9,18 @@ projection routed through the canonical slot identification).  Far levels
 pair off by isomorphisms, so a finite window computes the whole thing; the
 window size is a parameter and enlarging it never changes the answer.
 
-Every nonzero slope is first read off three terms of the level table
-(``K.slope_terms``): the rank formula of the rational mapping cone (Ni-Wu,
-after Ozsvath-Szabo) needs only the rows of the levels strictly inside the
-genus, so its cost depends on neither p nor q.  It covers the tables whose
-levels read H..H, then 0..0 or E/G with the G consecutive, then V..V (see
-``_slope_terms``); any other table falls back to the materialised cone,
-which stays as the oracle the tests and ``crosscheck`` rank against.
+Every nonzero slope is answered from the model's decomposition
+(``knotcx.decompose``): a valid model is a staircase of tau plus k squares,
+so the rank formula of the rational mapping cone (Ni-Wu, after
+Ozsvath-Szabo) has the terms z = max(0, 2 tau - 1), m = max(0, -2 tau - 1)
+and sigma = 2k + 2m, which is ``formulas.thin_surgery_formula`` at the
+model's dimension 2 |tau| + 1 + 4k.  A square adds two classes, with no
+rows, at each level strictly inside its gradings: one level, or two for a
+square at a half-integer grading, which therefore counts twice in k.  No
+level is read.  The level table and the materialised cone stay as independent
+oracles for ``--compare``, ``crosscheck`` and the tests: ``levels_dim``
+reads the same three terms off the bent homologies (``K.slope_terms``),
+and ``build_cone_problem`` ranks the cone itself.
 
 The cone is ranked without elimination.  Source sigma reaches only the
 slots sigma and sigma + 2p, so the incidence graph is a disjoint union of
@@ -36,12 +41,12 @@ dimension 1 at slope +1 and the figure-eight 3.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-from .knotcx import KnotComplex, ModelError
+from .formulas import thin_surgery_formula
+from .knotcx import KnotComplex, PreconditionError, decompose, require_valid
 from .linalg import (
     Homology,
     SparseExactMap,
@@ -53,16 +58,12 @@ from .linalg import (
 )
 
 
-class PreconditionError(Exception):
-    """Input violates a stated hypothesis of the computation."""
-
-
 # Lattice slots a cone may span, checked before any assembly: (2W - 1) q
 # for the materialised knot cone at slope p/q and (2W + 1) |offsets| for the
 # exterior-algebra cone, W being the window half-width.  On a 2-vCPU host a
 # knot cone at the limit takes up to 2.2 s (figure-eight at slope 1/499999,
-# every block an edge).  ``surgery_dim`` reads a covered level table without
-# a cone, so the limit binds it only on the fallback.
+# every block an edge).  ``surgery_dim`` builds no cone, so the limit binds
+# only ``--compare``, the oracles and the exterior-algebra cone.
 MAX_LATTICE_SLOTS = 5 * 10 ** 5
 
 
@@ -115,7 +116,7 @@ class SurgeryResult:
     p: int
     q: int
     dimension: int
-    pathway: str  # levels | cone
+    pathway: str  # decomposition | cone (the slope-0 table)
     per_grading: Optional[tuple] = None  # ((grading, dim or None), ...) for slope 0
 
     @property
@@ -221,11 +222,6 @@ class ConeProblem:
         return (total_src - r) + (len(self.targets) - r)
 
 
-def _require_valid(K: KnotComplex):
-    if not K.report.ok:
-        raise ModelError("invalid knot model: " + "; ".join(K.report.violations))
-
-
 def _shape_levels(shape: KnotComplex) -> dict:
     """Level table of an acyclic shape, filled on first use at each level inside its span.
 
@@ -264,7 +260,7 @@ def _level_rows(K: KnotComplex, s: int):
     s = min(max(s, -g - 1), g + 1)
     rows = K.levels.get(s)
     if rows is None:
-        _require_valid(K)
+        require_valid(K)
         v, h = pi_maps(K.split.survivor, s)
         order = {cid: i for i, cid in enumerate(v.source.ids)}
         rows = K.levels[s] = (v.source.dim + _acyclic_classes(K, s),
@@ -317,7 +313,7 @@ def large_surgery_dim(K: KnotComplex, n: int) -> int:
 
     Equals the cone dimension at integral slope n >= large_surgery_start(K).
     """
-    _require_valid(K)
+    require_valid(K)
     if n < large_surgery_start(K):
         raise PreconditionError(f"slope {n} is outside the large-surgery regime "
                                 f"(needs n >= {large_surgery_start(K)})")
@@ -378,20 +374,17 @@ def levels_dim(K: KnotComplex, p: int, q: int) -> Optional[int]:
 def surgery_dim(K: KnotComplex, p: int, q: int) -> SurgeryResult:
     """Dimension of the surgery invariant at slope p/q on an S^3-knot model.
 
-    Read off the level table by ``levels_dim`` (pathway "levels") whenever
-    the table has the covered shape, whatever the slope; otherwise the
-    mapping cone is assembled and ranked (pathway "cone").
+    Answered from ``decompose(K)`` by the thin formula, whatever the slope
+    (pathway "decomposition"); see the module docstring.  The formula checks
+    the slope: q >= 1 and gcd(|p|, q) = 1.
     """
     if p == 0:
         raise PreconditionError("slope 0: use zero_surgery_dims for the per-grading table")
-    if q < 1:
-        raise PreconditionError("slope denominator must be a positive integer")
-    if math.gcd(abs(p), q) != 1:
-        raise PreconditionError(f"slope {p}/{q} is not reduced")
-    dim = levels_dim(K, p, q)
-    if dim is None:
-        return SurgeryResult(K.name, p, q, build_cone_problem(K, p, q).dimension(), "cone")
-    return SurgeryResult(K.name, p, q, dim, "levels")
+    tau, squares = decompose(K)
+    # a square at a half-integer grading adds its two classes at two levels
+    k = sum(n * (1 if isinstance(s, int) else 2) for (s, _), n in squares.items())
+    dim = thin_surgery_formula(2 * abs(tau) + 1 + 4 * k, tau, p, q)
+    return SurgeryResult(K.name, p, q, dim, "decomposition")
 
 
 def zero_surgery_dims(K: KnotComplex, span: Optional[int] = None) -> dict:
@@ -403,7 +396,7 @@ def zero_surgery_dims(K: KnotComplex, span: Optional[int] = None) -> dict:
     The grading-0 slot is None ("undetermined") when tau = 0, where c is not
     pinned down.  The table of mirror(K) is this one re-indexed by s -> -s.
     """
-    _require_valid(K)
+    require_valid(K)
     g = K.genus
     top = (g - 1) if span is None else span
     out: dict = {}

@@ -12,8 +12,7 @@ import math
 from dataclasses import dataclass
 from typing import Mapping, Optional
 
-from .cone import PreconditionError
-from .knotcx import poly_from_pairs, spec_field
+from .knotcx import PreconditionError, poly_from_pairs, spec_field
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,9 @@
 A model is a graded space with two anticommuting differentials, one raising
 the Alexander grading and one lowering it.  Thin models (one staircase plus
 squares) are synthesized from a symmetric Alexander polynomial and a tau
-invariant; arbitrary models can be supplied explicitly.
+invariant; arbitrary models can be supplied explicitly.  Every model that
+passes ``validate`` is isomorphic to one staircase plus squares, which
+``decompose`` reads off the ranks of d+ d-.
 """
 from __future__ import annotations
 
@@ -13,6 +15,7 @@ from functools import cached_property
 from typing import Iterable, NamedTuple, Optional
 
 from .linalg import (
+    Echelon,
     GradedSpace,
     Generator,
     SparseExactMap,
@@ -27,14 +30,19 @@ class ModelError(Exception):
     """A knot model violates its structural contract or cannot be built."""
 
 
+class PreconditionError(Exception):
+    """Input violates a stated hypothesis of the computation."""
+
+
 # Laurent polynomials are dicts power -> integer coefficient (true units).
 Poly = dict
 
 # Largest genus a knot spec may declare, checked by ``parse_knot_spec``
 # before any synthesis or validation: the polynomial degree of the thin form
-# and the "genus" field of the explicit form.  The cone's level work grows
-# about as genus^2: on a 2-vCPU host slope-1 surgery on the genus-100
-# staircase takes 0.4 s and on the genus-200 one 1.4 s.
+# and the "genus" field of the explicit form.  A surgery answer costs one
+# validation and one decomposition: on a 2-vCPU host under 0.02 s for the
+# genus-200 staircase.  The level table that ``--compare`` reads grows about
+# as genus^2: 0.9 s at genus 100 and 3.6 s at genus 200.
 MAX_MODEL_GENUS = 200
 
 
@@ -120,6 +128,11 @@ class KnotComplex:
         """The level table's closed-form terms (z, m, sigma) or None (see ``cone._slope_terms``)."""
         from .cone import _slope_terms
         return _slope_terms(self)
+
+    @cached_property
+    def decomposition(self) -> "Decomposition":
+        """The staircase and squares of the model (see ``decompose``), computed once."""
+        return _decompose(self)
 
     @cached_property
     def split(self) -> "Split":
@@ -516,6 +529,61 @@ def validate(K: KnotComplex) -> ValidationReport:
     except ModelError as exc:
         report.violations.append(str(exc))
     return report
+
+
+def require_valid(K: KnotComplex):
+    """ModelError listing the violations unless K passes ``validate`` (its kept report)."""
+    if not K.report.ok:
+        raise ModelError("invalid knot model: " + "; ".join(K.report.violations))
+
+
+class Decomposition(NamedTuple):
+    """A valid model up to isomorphism: tau of its staircase and its squares {(s, sign): count}."""
+    tau: int
+    squares: dict
+
+
+def decompose(K: KnotComplex) -> Decomposition:
+    """The staircase and squares that a valid model is isomorphic to, computed once and kept on K.
+
+    A model is a graded module over the exterior algebra on d+ and d-, which
+    is self-injective, so a square (the free module, ``build_square``)
+    splits off wherever d+ d- is nonzero; what is left has d+ d- = 0 and is
+    a sum of zigzag strings (Auslander, Reiten and Smalo, *Representation
+    Theory of Artin Algebras*, 1995, X.2).  A valid model has one class in
+    each of H(d-) and H(d+), so it holds exactly one string, of odd length:
+    the staircase of tau.  So ``assemble(StaircaseSpec(tau), squares)`` is
+    isomorphic to K by a change of basis that keeps both gradings.
+
+    The squares whose top generator sits in the (grading, z2) block of
+    doubled grading 2s are counted by the rank of d+ d- on that block, with
+    sign +1 for z2 = 1 as in ``build_square``; s is a Fraction at a
+    half-integer grading, which ``validate`` admits.  ModelError if K is
+    invalid, or (an internal error, impossible by the above) if K.dim is
+    not 2 |tau| + 1 + 4 k for its k squares.
+    """
+    return K.decomposition
+
+
+def _decompose(K: KnotComplex) -> Decomposition:
+    require_valid(K)
+    blocks: dict = {}
+    for g in K.space.generators:
+        blocks.setdefault((g.alex, g.z2), []).append(g.gid)
+    squares = {}
+    for (alex, z2), ids in blocks.items():
+        images = [im for im in (K.d_plus.apply(K.d_minus.column(gid)) for gid in ids) if im]
+        if images:  # d+ d- keeps both gradings, so the images lie in the block
+            solver = Echelon(ids)
+            for im in images:
+                solver.insert(im)
+            s = alex // 2 if alex % 2 == 0 else Fraction(alex, 2)
+            squares[(s, 1 if z2 else -1)] = solver.rank
+    expected = 2 * abs(K.tau) + 1 + 4 * sum(squares.values())
+    if K.dim != expected:
+        raise ModelError(f"internal: model dimension {K.dim} differs from 2|tau| + 1 + 4k = "
+                         f"{expected} for tau {K.tau} and its squares")
+    return Decomposition(K.tau, squares)
 
 
 # --- knot-spec text format -------------------------------------------------

@@ -1,5 +1,6 @@
 """Models and model comparisons that only the tests use."""
-from knotsurgery.knotcx import KnotComplex, chi_graded
+from knotsurgery.knotcx import KnotComplex, build_square, build_staircase, chi_graded
+from knotsurgery.linalg import space, sparse_map
 
 
 def graded_signature(K: KnotComplex):
@@ -20,3 +21,22 @@ TWO_SURVIVORS_SPEC = {
     "d_minus": [["a2", "a1", 1]],
     "genus": 1, "tau": 1,
 }
+
+
+def half_level_squares_model() -> KnotComplex:
+    """staircase(2) plus squares centred at gradings 1/2 and -1/2, sign -1.
+
+    ``validate`` admits it: it carries no polynomial, so nothing asks for
+    integer gradings.
+    """
+    base = build_staircase(2)
+    gens = [(g.gid, g.alex, g.z2) for g in base.space.generators]
+    d_plus, d_minus = list(base.d_plus.entries), list(base.d_minus.entries)
+    for shift, prefix in ((1, "x"), (-1, "y")):
+        frag = build_square(0, -1, prefix=prefix)  # moved half a level (doubled gradings)
+        gens += [(gid, alex + shift, z2) for gid, alex, z2 in frag["generators"]]
+        d_plus += frag["d_plus"]
+        d_minus += frag["d_minus"]
+    sp = space(gens)
+    return KnotComplex(sp, sparse_map(sp, sp, d_plus), sparse_map(sp, sp, d_minus),
+                       genus=2, tau=2, meta=(("name", "half-level squares"),))

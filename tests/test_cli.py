@@ -55,13 +55,59 @@ def test_surgery_compare_pathways(capsys):
     assert code == 0
     payload = json.loads(out)
     by_slope = {r["slope"]: r for r in payload["results"]}
+    assert by_slope["1/1"]["values"]["decomposition"] == 3
     assert by_slope["1/1"]["values"]["cone"] == 3
     assert by_slope["1/1"]["values"]["levels"] == 3
     assert by_slope["1/1"]["values"]["closed-form"] == 3
     assert by_slope["1/1"]["values"]["ladder"] == 3
     assert by_slope["1/1"]["values"]["large-surgery"] == 3
-    assert by_slope["1/2"]["values"] == {"cone": 5, "levels": 5, "closed-form": 5}
+    assert by_slope["1/2"]["values"] == {"decomposition": 5, "cone": 5, "levels": 5,
+                                         "closed-form": 5}
     assert all(r["agree"] for r in payload["results"])
+
+
+def test_surgery_compare_table_shows_the_decomposition(capsys):
+    code, out, _ = run(capsys, "surgery", "--knot", "t2_7", "--slope", "7/3", "--compare")
+    header, row = out.splitlines()
+    assert code == 0
+    assert header.split() == ["knot", "slope", "decomposition", "cone", "levels", "closed-form",
+                              "large-surgery", "ladder", "agree"]
+    assert row.split() == ["t2_7", "7/3", "23", "23", "23", "23", "-", "-", "True"]
+
+
+@pytest.mark.parametrize("compare", [[], ["--compare"]], ids=["plain", "compare"])
+def test_surgery_rejects_an_unreduced_slope(tmp_path, capsys, compare):
+    path = tmp_path / "knot.json"
+    path.write_text(json.dumps(knot_spec_dict(get_knot("5_2-bar"))))
+    code, out, err = run(capsys, "surgery", "--spec", str(path), "--slope", "2/4", *compare)
+    assert code == 2 and not out
+    assert err == "error: slope 2/4 is not reduced\n"
+
+
+@pytest.mark.parametrize("spelling", [["--slope", "-1/2"], ["--slope=-1/2"]],
+                         ids=["separate", "joined"])
+def test_surgery_accepts_a_negative_fractional_slope(capsys, spelling):
+    code, out, err = run(capsys, "surgery", "--knot", "fig8", *spelling, "--json")
+    assert code == 0 and not err
+    rec = json.loads(out)["results"][0]
+    # closed form with tau = 0: (5 - 1) * 2 / 2 + |-1| = 5
+    assert (rec["slope"], rec["dim"], rec["pathway"]) == ("-1/2", 5, "decomposition")
+
+
+def test_malformed_negative_slope_is_a_slope_error(capsys):
+    code, out, err = run(capsys, "surgery", "--knot", "fig8", "--slope", "-1/2/3")
+    assert code == 2 and not out
+    assert err == "error: slope '-1/2/3' is not of the form p or p/q\n"
+
+
+@pytest.mark.parametrize("spelling", [["--pair", "-1/3"], ["--pair=-1/3"]],
+                         ids=["separate", "joined"])
+def test_seifert_accepts_a_negative_fractional_pair(capsys, spelling):
+    code, out, err = run(capsys, "seifert", "--genus", "2", "--base", "1", *spelling, "--json")
+    assert code == 0 and not err
+    payload = json.loads(out)
+    assert payload["pairs"] == [[-1, 3]] and payload["degree"] == "2/3"
+    assert payload["dim"] == borromean.seifert_dim(2, 1, [(-1, 3)])
 
 
 def test_zero_surgery_undetermined_slot(capsys):
@@ -107,14 +153,14 @@ def test_oversized_input_hits_limit_before_work(capsys, argv, limit):
     assert code == 2 and limit in err
 
 
-def test_large_denominator_is_read_off_the_levels(capsys):
-    # the cone at this slope would be over MAX_LATTICE_SLOTS; the level table is not
+def test_large_denominator_is_answered_without_a_cone(capsys):
+    # the cone at this slope would be over MAX_LATTICE_SLOTS; the decomposition is not
     import time
     start = time.perf_counter()
     code, out, _ = run(capsys, "surgery", "--knot", "fig8", "--slope", "1/1000000", "--json")
     assert time.perf_counter() - start < 1.0
     rec = json.loads(out)["results"][0]
-    assert code == 0 and (rec["dim"], rec["pathway"]) == (2000001, "levels")
+    assert code == 0 and (rec["dim"], rec["pathway"]) == (2000001, "decomposition")
 
 
 @pytest.mark.parametrize("base, pathway", [("1", "cone"), ("3", "large-surgery")])

@@ -116,7 +116,7 @@ def test_anchor_figure_eight_plus_one():
 def test_figure_eight_half_slope():
     # independent closed-form oracle: (5 - 1) * 2 / 2 + 1 = 5
     res = surgery_dim(fig8(), 1, 2)
-    assert res.dimension == 5 and res.pathway == "levels"
+    assert res.dimension == 5 and res.pathway == "decomposition"
 
 
 def test_5_2_bar_plus_one():
@@ -179,10 +179,11 @@ def test_large_surgery_reuses_levels(monkeypatch):
     monkeypatch.setattr(cone, "bent_homology", counted)
     K = build_staircase(12)
     almost_lspace_scan(K)
+    assert calls == []  # the scan reads the decomposition, no level
     for n in range(large_surgery_start(K), 2 * K.genus + 4):
         large_surgery_dim(K, n)
-    # the scan reads the levels -11..11 and the large-surgery sums add -12 and
-    # -13: every level below -genus has the rows of level -genus - 1
+    # the large-surgery sums read the levels -13..11, each once: every level
+    # below -genus has the rows of level -genus - 1
     assert sorted(calls) == list(range(-13, 12))
 
 
@@ -343,6 +344,8 @@ def test_level_table_lives_on_the_model():
     K = build_staircase(3)
     assert K.levels == {}
     surgery_dim(K, 1, 1)
+    assert K.levels == {}  # the answer reads the decomposition, no level
+    levels_dim(K, 1, 1)
     assert sorted(K.levels) == list(range(1 - K.genus, K.genus))
     other = build_staircase(3)
     assert other == K and other.levels == {}
@@ -509,6 +512,13 @@ def test_scan_neither():
     assert almost_lspace_scan(get_knot("twist(2)")).verdict == "neither"
 
 
+def test_half_level_squares_match_the_cone():
+    from knot_helpers import half_level_squares_model
+    K = half_level_squares_model()
+    for p, q in _small_slopes():
+        assert surgery_dim(K, p, q).dimension == build_cone_problem(K, p, q).dimension(), (p, q)
+
+
 def test_staircase_family_slope_table():
     # tau = l > 0 staircases at slope +1: (2l + 1 + 2l - 3)/2 + |1 - (2l - 1)| = 4l - 3
     for l in (1, 2, 3):
@@ -569,8 +579,7 @@ def test_slope_terms_computed_once_from_the_inner_levels(monkeypatch):
         calls.clear()
         for q in (1, 2, 49):
             for p in (1, -1, 3, -3, 4 * K.genus * q + 3, -(4 * K.genus * q + 3)):
-                assert surgery_dim(K, p, q).pathway == "levels"
-        almost_lspace_scan(K)
+                assert levels_dim(K, p, q) == surgery_dim(K, p, q).dimension, (K.name, p, q)
         assert calls == [K.name]
         assert sorted(K.levels) == list(range(1 - K.genus, K.genus)), K.name
 
@@ -620,13 +629,15 @@ def test_every_synthetic_table_of_the_covered_shape_matches_the_cone():
 
 @pytest.mark.parametrize("word", ["GEG", "GVG", "HGEGV", "V0H", "0E0", "HVH", "0GV0"])
 def test_off_shape_tables_fall_back_to_the_cone(word):
-    # the closed form would be wrong here; surgery_dim ranks the cone instead
+    # The closed form would be wrong on these tables, so levels_dim declines
+    # them and only the ranked cone reads them.  surgery_dim reads the
+    # decomposition, so the injected table does not change its answer.
     K = _table_model(word)
     assert K.slope_terms is None
+    clean = build_staircase(K.tau)
     wrong = 0
     for p, q in _small_slopes():
-        res = surgery_dim(K, p, q)
-        want = build_cone_problem(K, p, q).dimension()
-        assert (res.dimension, res.pathway) == (want, "cone"), (p, q)
-        wrong += _raw_levels_dim(word, p, q) != want
+        assert levels_dim(K, p, q) is None
+        assert surgery_dim(K, p, q) == surgery_dim(clean, p, q), (p, q)
+        wrong += _raw_levels_dim(word, p, q) != build_cone_problem(K, p, q).dimension()
     assert wrong

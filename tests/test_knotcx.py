@@ -1,4 +1,6 @@
-"""Knot models: staircases, squares, thin synthesis, mirror, tau, validation."""
+"""Knot models: staircases, squares, thin synthesis, mirror, tau, validation, decomposition."""
+from collections import Counter
+
 import pytest
 
 from knotsurgery.catalog import get_knot, knot_names, thin_catalog
@@ -7,21 +9,24 @@ from knotsurgery.knotcx import (
     ModelError,
     SquareSpec,
     StaircaseSpec,
+    ValidationReport,
     assemble,
     build_square,
     build_staircase,
     chi_graded,
     compute_tau,
+    decompose,
     knot_spec_dict,
     mirror,
     parse_knot_spec,
     poly_from_pairs,
     poly_norm,
+    thin_decomposition,
     thin_from_alexander,
     validate,
 )
 from knotsurgery.linalg import space, sparse_map
-from knot_helpers import TWO_SURVIVORS_SPEC, graded_signature
+from knot_helpers import TWO_SURVIVORS_SPEC, graded_signature, half_level_squares_model
 from linalg_helpers import homology_two_pass, is_zero, zero_map
 
 
@@ -270,3 +275,41 @@ def test_model_hash_is_cached_and_not_pickled():
     assert K == thin_from_alexander(delta, tau, name="5_2-bar") and K != mirror(K)
     K2 = pickle.loads(pickle.dumps(K))
     assert K2 == K and hash(K2) == field_hash
+
+
+# --- decomposition -----------------------------------------------------------
+
+def test_decompose_reads_back_the_catalog_squares():
+    # each catalog model is assembled from thin_decomposition's squares; its
+    # mirror has them at the negated levels with the same signs
+    for K in thin_catalog():
+        _, squares = thin_decomposition(K.delta(), K.tau)
+        want = Counter((sq.s, sq.sign) for sq in squares)
+        assert decompose(K) == (K.tau, dict(want)), K.name
+        assert decompose(mirror(K)) == (-K.tau, {(-s, sign): n for (s, sign), n in want.items()})
+
+
+def test_decompose_is_kept_on_the_model():
+    K = assemble(StaircaseSpec(-2), [SquareSpec(1, 1), SquareSpec(-1, 1), SquareSpec(0, -1),
+                                     SquareSpec(0, -1)])
+    assert "decomposition" not in K.__dict__
+    assert decompose(K) is decompose(K) is K.decomposition
+    assert decompose(K).squares == {(1, 1): 1, (-1, 1): 1, (0, -1): 2}
+
+
+def test_decompose_counts_squares_at_half_integer_gradings():
+    from fractions import Fraction
+    K = half_level_squares_model()
+    assert validate(K).ok
+    assert decompose(K) == (2, {(Fraction(1, 2), -1): 1, (Fraction(-1, 2), -1): 1})
+
+
+def test_decompose_rejects_an_invalid_model_and_checks_the_dimension():
+    sp = space([("x", 0, 0), ("y", 0, 0)])
+    K = KnotComplex(sp, zero_map(sp), zero_map(sp), genus=0, tau=0)
+    with pytest.raises(ModelError, match="invalid knot model"):
+        decompose(K)
+    # with the report forced clean, 2 generators and no square contradict tau 0
+    K.__dict__["report"] = ValidationReport()
+    with pytest.raises(ModelError, match=r"dimension 2 differs from 2\|tau\| \+ 1 \+ 4k = 1"):
+        decompose(K)

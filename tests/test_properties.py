@@ -8,13 +8,20 @@ surgery dimensions, and scalar independence of the assembled cones.
 import json
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from knotsurgery.catalog import thin_catalog
-from knotsurgery.cone import build_cone_problem, levels_dim, surgery_dim, zero_surgery_dims
+from knotsurgery.cone import (
+    almost_lspace_scan,
+    build_cone_problem,
+    levels_dim,
+    surgery_dim,
+    zero_surgery_dims,
+)
 from knotsurgery.formulas import thin_surgery_formula
 from knotsurgery.knotcx import (
     KnotComplex,
@@ -24,6 +31,7 @@ from knotsurgery.knotcx import (
     chi_graded,
     components,
     compute_tau,
+    decompose,
     knot_spec_dict,
     mirror,
     parse_knot_spec,
@@ -70,16 +78,18 @@ def _random_invertible(n: int, rng: random.Random) -> tuple:
             return m, [row[n:] for row in aug]
 
 
-def scramble(K: KnotComplex, rng: random.Random) -> KnotComplex:
+def scramble(K: KnotComplex, rng: random.Random, whole_space: bool = False) -> KnotComplex:
     """K in a random rational basis, changed inside each component's (grading, z2) blocks.
 
     The components stay apart, but a staircase gets non-unit coefficients
     and two generators of a square that share a block get mixed, so neither
-    keeps its standard form.  The generators are listed in a random order,
-    so the survivor need not come first.
+    keeps its standard form.  With ``whole_space`` the blocks are those of
+    the whole space, so generators of different components that share a
+    block get mixed too, which merges those components.  The generators are
+    listed in a random order, so the survivor need not come first.
     """
     cols, inv_cols = [], []
-    for comp in components(K):
+    for comp in [K.space.generators] if whole_space else components(K):
         blocks = {}
         for g in comp:
             blocks.setdefault((g.alex, g.z2), []).append(g.gid)
@@ -222,6 +232,36 @@ def test_levels_match_the_cone_on_scrambled_models(K, mirrored, data):
     d = math.gcd(abs(p), q)
     p, q = p // d, q // d
     assert levels_dim(K, p, q) == build_cone_problem(K, p, q).dimension(), (p, q)
+
+
+@st.composite
+def whole_space_models(draw):
+    """(tau, squares, K): K is ``assemble(StaircaseSpec(tau), squares)`` in a whole-space basis.
+
+    Up to six squares of both signs, in mirror pairs off level 0, at levels
+    -2..2, so every model stays small enough to rank its cone quickly.
+    """
+    tau = draw(st.integers(-3, 3))
+    squares = []
+    for s, sign in draw(st.lists(st.tuples(st.integers(0, 2), st.sampled_from((-1, 1))),
+                                 max_size=3)):
+        squares += [SquareSpec(s, sign)] + ([SquareSpec(-s, sign)] if s else [])
+    K = assemble(StaircaseSpec(tau), squares, name="hypothesis")
+    return tau, squares, scramble(K, random.Random(draw(st.integers(0, 2 ** 32))), whole_space=True)
+
+
+BASIS_SLOPES = ((1, 1), (-1, 1), (3, 2), (-2, 3))
+
+
+@settings(max_examples=40, deadline=None)
+@given(whole_space_models())
+def test_answers_do_not_depend_on_the_basis(model):
+    """decompose, surgery_dim and the scan see through a change of basis of the whole space."""
+    tau, squares, K = model
+    assert decompose(K) == (tau, dict(Counter((sq.s, sq.sign) for sq in squares)))
+    for p, q in BASIS_SLOPES:
+        assert surgery_dim(K, p, q).dimension == build_cone_problem(K, p, q).dimension(), (p, q)
+    assert almost_lspace_scan(K) == almost_lspace_scan(assemble(StaircaseSpec(tau), squares))
 
 
 @settings(max_examples=60, deadline=None)

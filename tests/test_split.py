@@ -89,5 +89,5 @@ def test_acyclic_shapes_are_kept_once():
     # 22 squares of two signs: two shapes, each ranked once, at its one inner level
     assert len(K.split.acyclic) == 2
     assert sum(sum(shifts.values()) for _, shifts in K.split.acyclic) == 22
-    cone.surgery_dim(K, 1, 1)
+    cone.levels_dim(K, 1, 1)
     assert all(list(shape.levels) == [1] for shape, _ in K.split.acyclic)
