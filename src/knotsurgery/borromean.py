@@ -19,21 +19,26 @@ against the unfibered/circle-bundle values; treat it as experimental.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from collections import Counter
 from fractions import Fraction
-from itertools import accumulate, combinations, product
+from itertools import accumulate, combinations
 from math import comb
 from typing import Iterable, Optional
 
 from .cone import PreconditionError, check_lattice_slots
 
-# Size limits, checked before any work starts.  The exterior cone sums each
-# residue class at once, so its cost grows about as genus + prod(v_i): on a
-# 2-vCPU host the module pathway takes 2 ms at genus 200 and a genus-2 base
-# with prod(v_i) = 96441 takes 0.08 s, most of it building the offsets.
-# cone.MAX_LATTICE_SLOTS still bounds the window, checked on
-# (2W + 1) * |offsets| slots (|offsets| = prod(v_i), W >= genus) before each
-# cone; that base is inside all three limits.
+# Size limits, checked before any work starts.  The residue classes are
+# counted per fibre, meeting two halves of balanced product, and the exterior
+# cone sums each class key at once, so the cost grows about as genus +
+# sqrt(prod(v_i)) * n^2 * log(prod(v_i)) for n fibres: on a 2-vCPU host the
+# module pathway takes 2 ms at genus 200 and a genus-2 base with
+# prod(v_i) = 96441 takes under 1 ms.  cone.MAX_LATTICE_SLOTS still bounds
+# the window, on (2W + 1) * prod(v_i) slots: with W = genus for the
+# large-regime test, before anything is counted, and with the cone's W >= genus
+# before each cone.  The count decides whether seifert_dim needs its cone, so
+# a large slope past the cone's limit still answers.  That base is inside all
+# three limits.
 MAX_GENUS = 200
 MAX_MULTIPLICITY_PRODUCT = 10 ** 5
 
@@ -53,56 +58,49 @@ def monomial_dim(g: int, k: int) -> int:
 
 
 # --- truncated cone over the exterior-algebra model -------------------------
+#
+# The lattice slots are sigma = off + 2p s, one residue class per offset off
+# (see _residue_class_counts).  sigma collapses to the low level s, and
+# sigma - 2u to the high level s + c, c being constant on the class.  In the
+# window |levels| <= W the class meets first <= s <= last, where first =
+# -W - e and last = W + gamma with e = floor((off - 2u + p - 1) / 2p) and
+# gamma = floor((p - 1 - off) / 2p).  So classes are keyed by (e, gamma, c),
+# and one count of the keys serves every window.
 
-def _residue_classes(p: int, u: int, offset_map: dict, lo: int, hi: int):
-    """(first, last, c) for each residue class of lattice slots in lo..hi.
-
-    The slots of the class of offset off are sigma = off + 2p s: sigma
-    collapses to the low level s, and sigma - 2u to the high level s + c,
-    where c = (off - 2u - off') / 2p is constant on the class, off' being
-    the offset of the residue of off - 2u.  The class meets lo..hi at
-    first <= s <= last.
-    """
-    two_p, two_u = 2 * p, 2 * u
-    for off in offset_map.values():
-        t = off - two_u
-        yield -((off - lo) // two_p), (hi - off) // two_p, (t - offset_map[t % two_p]) // two_p
+def _window(g: int, p: int, u: int) -> int:
+    """Half-width W of the cone's window: at least the genus, and past the slope."""
+    return max(g, u // (2 * p) + 1)
 
 
-def _large_applicable(g: int, p: int, u: int, offset_map: dict) -> bool:
-    """Whether the direct-sum shortcut is valid for total slope u.
+def _large_applicable(g: int, classes) -> bool:
+    """Whether the direct-sum shortcut is valid, from the class keys (e, gamma, c).
 
     True when no lattice slot lands strictly between the projection bands,
     i.e. every slot has its low collapse at the genus or beyond, or its
     shifted collapse at minus the genus or below.  For a plain circle bundle
-    this reduces to u >= 2g - 1.  Each residue class is checked at once.
+    this reduces to u >= 2g - 1.  With W = g - 1 a class has a violating
+    slot, s_low <= W and s_low + c >= -W, iff -W - min(e, c) <= W + min(gamma, 0).
     """
-    check_lattice_slots((2 * g + 1) * len(offset_map))
-    lo = 2 * u + 2 * (1 - g) * p - (p - 1)
-    hi = 2 * (g - 1) * p + (p - 1)
-    # a violation is a slot with s_low <= g - 1 and s_high = s_low + c >= 1 - g
-    return all(max(first, 1 - g - c) > min(last, g - 1)
-               for first, last, c in _residue_classes(p, u, offset_map, lo, hi))
+    return all(min(e, c) + min(gamma, 0) < 2 - 2 * g for e, gamma, c in classes)
 
 
-def _cone_dim_exterior(g: int, p: int, u: int, offset_map: dict) -> int:
+def _cone_dim_exterior(g: int, p: int, u: int, classes) -> int:
     """ker + coker of the truncated cone with all-vanishing differentials.
 
     Source slots carry the full exterior algebra (dimension 4^g); target
     slots do too; the image inside each retained target is the monomial
-    block given by the collapse index law.  Slot sigma collapses to the
-    level s0(sigma) = (sigma - offset) // 2p, offset being the lattice
-    offset of sigma's residue mod 2p.  On one residue class the image
-    degree min(g - s_low, g + s_high) runs through consecutive integers, up
-    and then down, so each class adds two runs of the tail sums, read off
-    one prefix-sum table.
+    block given by the collapse index law.  ``classes`` maps each key
+    (e, gamma, c) to its number of residue classes, p in all.  On one class
+    the image degree min(g - s_low, g + s_high) runs through consecutive
+    integers, up and then down, so each key adds two runs of the tail sums,
+    read off one prefix-sum table.
     """
     if u <= 0:
         raise PreconditionError("internal: cone expects a positive total slope")
-    W = max(g, u // (2 * p) + 1)
-    check_lattice_slots((2 * W + 1) * len(offset_map))
+    W = _window(g, p, u)
+    check_lattice_slots((2 * W + 1) * p)
     full = 4 ** g
-    src_total = (2 * W + 1) * len(offset_map) * full
+    src_total = (2 * W + 1) * p * full
     # tails[k] = monomial_dim(g, k) for k = 0..2g+1; prefix[j] = tails[0] + ... + tails[j-1]
     top = 2 * g + 1
     tails = [0] * (top + 1)
@@ -116,13 +114,11 @@ def _cone_dim_exterior(g: int, p: int, u: int, offset_map: dict) -> int:
         a, b = max(k0, 0), min(k1, top)
         return total + (prefix[b + 1] - prefix[a] if a <= b else 0)
 
-    lo = 2 * u + 2 * (-W) * p - (p - 1)
-    hi = 2 * W * p + (p - 1)
     tgt_count = 0
     image_total = 0
-    # classes sharing (first, last, c) add the same image sizes; there are few such triples
-    for (first, last, c), n in Counter(_residue_classes(p, u, offset_map, lo, hi)).items():
-        a, b = max(first, -W - c), min(last, W)  # retained: s_low <= W, s_high >= -W
+    for (e, gamma, c), n in classes.items():
+        # retained: s_low <= W and s_high >= -W, inside first..last
+        a, b = -W - min(e, c), W + min(gamma, 0)
         if a > b:
             continue
         tgt_count += n * (b - a + 1)
@@ -150,7 +146,8 @@ def circle_bundle_dim_module(g: int, m: int) -> int:
     mm = abs(m)  # the bundle and its orientation reverse have equal dimensions
     if mm >= 2 * g - 1:
         return (4 ** g) * mm
-    return _cone_dim_exterior(g, 1, mm, {0: 0})
+    # one residue class: the offset 0, with e = c = -mm and gamma = 0
+    return _cone_dim_exterior(g, 1, mm, {(-mm, 0, -mm): 1})
 
 
 def circle_bundle_dim_formula(g: int, m: int) -> int:
@@ -173,34 +170,79 @@ def circle_bundle_dim_formula(g: int, m: int) -> int:
             + 4 * sum(comb(2 * g, i) for j in range(1, g - l + 1) for i in range(j)))
 
 
-def _seifert_offsets(multiplicities: list) -> dict:
-    """Residue map for the refined lattice of a multi-core connected sum.
+def _fibre_terms(p: int, u: int, v: int) -> dict:
+    """A fibre's offset terms tau * p/v, by kappa: {-1: range, 0: range}.
 
-    Each doubled offset is sum(tau_i * p/v_i) with tau_i running over the
-    doubled lens gradings |tau_i| <= v_i - 1 of the right parity; pairwise
-    coprime multiplicities make the residues mod 2p distinct.
+    tau runs over the doubled lens gradings |tau| <= v - 1 of the right
+    parity.  With q = p/v and rho = u q^-1 mod v, shifting by -2u moves the
+    term tau q to (tau - 2 rho) q, which stays in range for tau >= 2 rho - v + 1
+    (kappa = 0) and wraps by +2v, one step of 2p, below that (kappa = -1).
     """
-    p = math.prod(multiplicities)
-    offsets: dict = {}
-    # the terms tau_i * p/v_i, for each i
-    choices = [range(-(v - 1) * (p // v), v * (p // v), 2 * (p // v)) for v in multiplicities]
-    for off in map(sum, product(*choices)):
-        key = off % (2 * p)
-        if key in offsets:
-            raise PreconditionError("multiplicities are not pairwise coprime")
-        offsets[key] = off
-    if not offsets:
-        offsets[0] = 0
-    return offsets
+    q = p // v
+    cut = (2 * (u * pow(q, -1, v) % v) - v + 1) * q
+    return {-1: range(-(v - 1) * q, cut, 2 * q), 0: range(cut, v * q, 2 * q)}
+
+
+def _half_sums(p: int, u: int, fibres: list) -> dict:
+    """kappa-sum -> sorted offset sums over one half of the fibres; a lone fibre keeps its ranges."""
+    if len(fibres) == 1:
+        return _fibre_terms(p, u, fibres[0])
+    sums = {0: [0]}
+    for v in fibres:
+        grown: dict = {}
+        for k, offs in sums.items():
+            for kappa, terms in _fibre_terms(p, u, v).items():
+                grown.setdefault(k + kappa, []).extend(o + t for o in offs for t in terms)
+        sums = grown
+    return {k: sorted(offs) for k, offs in sums.items()}
+
+
+def _residue_class_counts(p: int, u: int, multiplicities: list) -> Counter:
+    """Count the residue classes of the refined lattice by their key (e, gamma, c).
+
+    Each offset is off = sum_i tau_i p/v_i (pairwise coprime multiplicities
+    make the p offsets distinct mod 2p), and its class shift is
+    c = sum_i kappa_i - M with M = (u - sum_i rho_i p/v_i) / p.  The fibres
+    are split into two halves of balanced product; the offsets of the
+    smaller half are bisected against the sorted sums of the larger at the
+    points where e or gamma changes, so the cost is about sqrt(prod v_i)
+    rather than prod v_i.
+    """
+    fibres = sorted((v for v in multiplicities if v > 1), reverse=True)
+    halves, products = ([], []), [1, 1]
+    for v in fibres:
+        i = int(products[1] < products[0])
+        halves[i].append(v)
+        products[i] *= v
+    small, large = sorted((_half_sums(p, u, half) for half in halves),
+                          key=lambda sums: sum(map(len, sums.values())))
+    shift = (u - sum(u * pow(p // v, -1, v) % v * (p // v) for v in fibres)) // p
+    two_p = 2 * p
+    extent = sum((v - 1) * (p // v) for v in fibres)  # |off| <= extent
+    # e steps up at off = 2u - p + 1 (mod 2p), gamma down at off = p (mod 2p)
+    cuts = sorted({*range(1 - extent + (2 * u - p + extent) % two_p, extent + 1, two_p),
+                   *range(1 - extent + (p - 1 + extent) % two_p, extent + 1, two_p)})
+    cells = [((x - 2 * u + p - 1) // two_p, (p - 1 - x) // two_p) for x in (-extent, *cuts)]
+    counts: Counter = Counter()
+    for ks, s_offs in small.items():
+        for kl, l_offs in large.items():
+            # below[j] = number of pairs with off < cuts[j]
+            below = [0, *(sum(bisect_left(l_offs, x - a) for a in s_offs) for x in cuts),
+                     len(s_offs) * len(l_offs)]
+            c = ks + kl - shift
+            for (e, gamma), lo, hi in zip(cells, below, below[1:]):
+                if hi > lo:
+                    counts[e, gamma, c] += hi - lo
+    return counts
 
 
 def _seifert_setup(g: int, m: int, pairs: Iterable[tuple]) -> tuple:
-    """Validate Seifert invariants; return (degree, p, u, offset_map).
+    """Validate Seifert invariants; return (degree, p, u, multiplicities).
 
     ``degree`` is the orbifold degree m + sum(r_i/v_i) as given.  The rest
     describes the space oriented so the degree is positive (orientation
     reversal flips every invariant and keeps dimensions): p = prod(v_i) and
-    u = |degree| * p is the total slope numerator.
+    u = |degree| * p is the total slope numerator.  Nothing is counted here.
     """
     pairs = [(int(r), int(v)) for r, v in pairs]
     if g < 1:
@@ -223,8 +265,7 @@ def _seifert_setup(g: int, m: int, pairs: Iterable[tuple]) -> tuple:
     u = m * p + sum((p // v) * r for r, v in pairs)
     if u == 0:
         raise PreconditionError("orbifold degree 0 unsupported (no zero-slope formula here)")
-    offset_map = _seifert_offsets(multiplicities) if multiplicities else {0: 0}
-    return Fraction(u, p), p, abs(u), offset_map
+    return Fraction(u, p), p, abs(u), multiplicities
 
 
 def seifert_dim(g: int, m: int, pairs: Iterable[tuple]) -> int:
@@ -239,21 +280,25 @@ def seifert_dim(g: int, m: int, pairs: Iterable[tuple]) -> int:
 
 
 def _seifert_evaluate(g: int, m: int, pairs: Iterable[tuple]) -> tuple:
-    """(degree, dim, pathway) from one setup: the large-slope shortcut, else the cone."""
-    degree, p, u, offset_map = _seifert_setup(g, m, pairs)
-    if _large_applicable(g, p, u, offset_map):
+    """(degree, dim, pathway) from one setup and one count: the large-slope shortcut, else the cone."""
+    degree, p, u, multiplicities = _seifert_setup(g, m, pairs)
+    check_lattice_slots((2 * g + 1) * p)  # the large-regime test's slots, before counting
+    classes = _residue_class_counts(p, u, multiplicities)
+    if _large_applicable(g, classes):
         # large-slope regime: direct sum of u full slots
         return degree, u * (4 ** g), "large-surgery"
-    return degree, _cone_dim_exterior(g, p, u, offset_map), "cone"
+    return degree, _cone_dim_exterior(g, p, u, classes), "cone"
 
 
 def seifert_dim_large(g: int, m: int, pairs: Iterable[tuple]) -> Optional[int]:
     """Large-slope shortcut value, or None when outside that regime."""
-    _, p, u, offset_map = _seifert_setup(g, m, pairs)
-    return u * (4 ** g) if _large_applicable(g, p, u, offset_map) else None
+    _, p, u, multiplicities = _seifert_setup(g, m, pairs)
+    check_lattice_slots((2 * g + 1) * p)
+    return u * (4 ** g) if _large_applicable(g, _residue_class_counts(p, u, multiplicities)) else None
 
 
 def seifert_dim_windowed(g: int, m: int, pairs: Iterable[tuple]) -> int:
     """Force the truncated-cone evaluation even in the large regime."""
-    _, p, u, offset_map = _seifert_setup(g, m, pairs)
-    return _cone_dim_exterior(g, p, u, offset_map)
+    _, p, u, multiplicities = _seifert_setup(g, m, pairs)
+    check_lattice_slots((2 * _window(g, p, u) + 1) * p)
+    return _cone_dim_exterior(g, p, u, _residue_class_counts(p, u, multiplicities))

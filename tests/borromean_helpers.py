@@ -1,12 +1,15 @@
-"""Explicit monomial modules of the exterior algebra, used as oracles for ``borromean``.
+"""Explicit oracles for ``borromean``: monomial modules and the listed Seifert lattice.
 
 ``MonomialModule`` lists its monomials, so its dimension checks the closed
 count ``borromean.monomial_dim``.  The graded slices of the sutured space
 and the knot-homology dimensions of the g-fold Borromean sum are built
-from it.
+from it.  ``seifert_offsets`` lists all prod(v_i) lattice offsets and
+``residue_classes`` walks them one by one, so together they check the
+per-fibre count ``borromean._residue_class_counts``.
 """
+import math
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, product
 from math import comb
 
 from knotsurgery.cone import PreconditionError
@@ -98,3 +101,37 @@ def gamma_slice(g: int, n: int, i2: int) -> MonomialModule:
     if k > 2 * g:
         return MonomialModule(g, frozenset())
     return MonomialModule.degree_at_least(g, k)
+
+
+def seifert_offsets(multiplicities: list) -> dict:
+    """Residue map for the refined lattice of a multi-core connected sum.
+
+    Each doubled offset is sum(tau_i * p/v_i) with tau_i running over the
+    doubled lens gradings |tau_i| <= v_i - 1 of the right parity; pairwise
+    coprime multiplicities make the residues mod 2p distinct.
+    """
+    p = math.prod(multiplicities)
+    offsets: dict = {}
+    # the terms tau_i * p/v_i, for each i
+    choices = [range(-(v - 1) * (p // v), v * (p // v), 2 * (p // v)) for v in multiplicities]
+    for off in map(sum, product(*choices)):
+        key = off % (2 * p)
+        if key in offsets:
+            raise PreconditionError("multiplicities are not pairwise coprime")
+        offsets[key] = off
+    return offsets
+
+
+def residue_classes(p: int, u: int, offset_map: dict, lo: int, hi: int):
+    """(first, last, c) for each residue class of lattice slots in lo..hi.
+
+    The slots of the class of offset off are sigma = off + 2p s: sigma
+    collapses to the low level s, and sigma - 2u to the high level s + c,
+    where c = (off - 2u - off') / 2p is constant on the class, off' being
+    the offset of the residue of off - 2u.  The class meets lo..hi at
+    first <= s <= last.
+    """
+    two_p, two_u = 2 * p, 2 * u
+    for off in offset_map.values():
+        t = off - two_u
+        yield -((off - lo) // two_p), (hi - off) // two_p, (t - offset_map[t % two_p]) // two_p

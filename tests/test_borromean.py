@@ -1,6 +1,10 @@
 """Exterior-algebra pathway: graded slices, circle bundles, Seifert spaces."""
-import pytest
+import math
+from collections import Counter
 from math import comb
+
+import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 from knotsurgery import borromean
 from knotsurgery.borromean import (
@@ -12,7 +16,14 @@ from knotsurgery.borromean import (
     seifert_dim_windowed,
 )
 from knotsurgery.cone import PreconditionError
-from borromean_helpers import MonomialModule, gamma_slice, gamma_slice_table, khi_borromean
+from borromean_helpers import (
+    MonomialModule,
+    gamma_slice,
+    gamma_slice_table,
+    khi_borromean,
+    residue_classes,
+    seifert_offsets,
+)
 
 
 def test_monomial_module_dims_binomial_identity():
@@ -167,6 +178,23 @@ def test_seifert_entry_points_share_validation(fn, g, m, pairs, message):
         fn(g, m, pairs)
 
 
+def test_large_slope_past_the_cone_limit_still_answers():
+    # the shortcut needs no cone, so only the forced cone hits MAX_LATTICE_SLOTS
+    assert seifert_dim(2, 10 ** 6, []) == seifert_dim_large(2, 10 ** 6, []) == 16 * 10 ** 6
+    with pytest.raises(PreconditionError, match="MAX_LATTICE_SLOTS = 500000"):
+        seifert_dim_windowed(2, 10 ** 6, [])
+
+
+@pytest.mark.parametrize("fn", [seifert_dim, seifert_dim_large, seifert_dim_windowed])
+def test_seifert_slot_limit_is_checked_before_counting(fn, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("residue classes counted before the slot limit was checked")
+
+    monkeypatch.setattr(borromean, "_residue_class_counts", refuse)
+    with pytest.raises(PreconditionError, match="MAX_LATTICE_SLOTS = 500000"):
+        fn(15, 0, [(1, 31), (1, 61), (1, 51)])
+
+
 # --- the exterior cone against its per-slot reference -------------------------
 
 def _cone_dim_by_slots(g, p, u, offset_map):
@@ -205,12 +233,18 @@ def _large_applicable_by_slots(g, p, u, offset_map):
     return True
 
 
+def _seifert_args(g, m, pairs):
+    """The private arguments of one Seifert input: (classes, offset_map, p, u)."""
+    _, p, u, multiplicities = borromean._seifert_setup(g, m, pairs)
+    return borromean._residue_class_counts(p, u, multiplicities), seifert_offsets(multiplicities), p, u
+
+
 def test_exterior_cone_equals_slot_sum_on_circle_bundles():
     for g in range(2, 7):
         for u in range(1, 2 * g + 3):  # every Euler number, the large regime included
-            args = (g, 1, u, {0: 0})
-            assert borromean._cone_dim_exterior(*args) == _cone_dim_by_slots(*args), (g, u)
-            assert borromean._large_applicable(*args) == _large_applicable_by_slots(*args)
+            classes = borromean._residue_class_counts(1, u, [])
+            assert borromean._cone_dim_exterior(g, 1, u, classes) == _cone_dim_by_slots(g, 1, u, {0: 0}), (g, u)
+            assert borromean._large_applicable(g, classes) == _large_applicable_by_slots(g, 1, u, {0: 0})
 
 
 @pytest.mark.parametrize("g, m, pairs", [
@@ -220,14 +254,12 @@ def test_exterior_cone_equals_slot_sum_on_circle_bundles():
     (2, -1, [(6, 7), (-7, 11), (6, 13), (-5, 17)]),
 ])
 def test_exterior_cone_equals_slot_sum_on_seifert_regressions(g, m, pairs):
-    _, p, u, offset_map = borromean._seifert_setup(g, m, pairs)
-    args = (g, p, u, offset_map)
-    assert borromean._cone_dim_exterior(*args) == _cone_dim_by_slots(*args)
-    assert borromean._large_applicable(*args) == _large_applicable_by_slots(*args)
+    classes, offset_map, p, u = _seifert_args(g, m, pairs)
+    assert borromean._cone_dim_exterior(g, p, u, classes) == _cone_dim_by_slots(g, p, u, offset_map)
+    assert borromean._large_applicable(g, classes) == _large_applicable_by_slots(g, p, u, offset_map)
 
 
 def test_exterior_cone_equals_slot_sum_on_random_seifert_inputs():
-    import math
     import random
     rng = random.Random(29)
     checked = large = 0
@@ -238,13 +270,72 @@ def test_exterior_cone_equals_slot_sum_on_random_seifert_inputs():
             r = rng.choice([r for r in range(-2 * v, 2 * v + 1) if math.gcd(abs(r), v) == 1])
             pairs.append((r, v))
         try:
-            _, p, u, offset_map = borromean._seifert_setup(g, rng.randint(-2 * g - 2, 2 * g + 2), pairs)
+            classes, offset_map, p, u = _seifert_args(g, rng.randint(-2 * g - 2, 2 * g + 2), pairs)
         except PreconditionError:  # orbifold degree 0
             continue
         checked += 1
-        args = (g, p, u, offset_map)
-        assert borromean._cone_dim_exterior(*args) == _cone_dim_by_slots(*args), (g, pairs)
-        applicable = borromean._large_applicable(*args)
-        assert applicable == _large_applicable_by_slots(*args), (g, pairs)
+        assert borromean._cone_dim_exterior(g, p, u, classes) == _cone_dim_by_slots(g, p, u, offset_map), (g, pairs)
+        applicable = borromean._large_applicable(g, classes)
+        assert applicable == _large_applicable_by_slots(g, p, u, offset_map), (g, pairs)
         large += applicable
     assert 0 < large < checked
+
+
+# --- the per-fibre class count against the listed lattice, on generated inputs ----
+
+SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17)
+LARGE_PRIMES = tuple(n for n in range(1000, 10 ** 4)
+                     if all(n % d for d in range(2, math.isqrt(n) + 1)))
+
+
+@st.composite
+def seifert_inputs(draw, max_product):
+    """(g, m, pairs): 0-5 fibres from the primes <= 17 and v = 1, or one large prime fibre.
+
+    Small primes that would take prod v_i past ``max_product`` are dropped.
+    """
+    g = draw(st.integers(1, 4))
+    if draw(st.integers(0, 4)) == 0:
+        multiplicities = [draw(st.sampled_from([v for v in LARGE_PRIMES if v <= max_product]))]
+    else:
+        multiplicities = []
+        for v in draw(st.lists(st.sampled_from(SMALL_PRIMES), max_size=5, unique=True)):
+            if math.prod(multiplicities) * v <= max_product:
+                multiplicities.append(v)
+    multiplicities += [1] * draw(st.integers(0, 5 - len(multiplicities)))
+    pairs = [(draw(st.integers(-2 * v, 2 * v).filter(lambda r, v=v: v == 1 or r % v)), v)
+             for v in draw(st.permutations(multiplicities))]
+    return g, draw(st.integers(-2 * g - 3, 2 * g + 3)), pairs
+
+
+@settings(max_examples=150, deadline=None)
+@given(seifert_inputs(max_product=borromean.MAX_MULTIPLICITY_PRODUCT))
+@example((2, 3, [(1, 2)]))  # large regime
+@example((2, 0, [(-1, 7), (-10, 11), (12, 13)]))  # cone
+def test_class_count_equals_the_listed_lattice(args):
+    try:
+        classes, offset_map, p, u = _seifert_args(*args)
+    except PreconditionError:  # orbifold degree 0
+        assume(False)
+    g = args[0]
+    for W in (g - 1, borromean._window(g, p, u)):
+        lo, hi = 2 * u - 2 * W * p - (p - 1), 2 * W * p + (p - 1)
+        keyed = Counter({(-W - e, W + gamma, c): n for (e, gamma, c), n in classes.items()})
+        assert keyed == Counter(residue_classes(p, u, offset_map, lo, hi)), W
+
+
+@settings(max_examples=60, deadline=None)
+@given(seifert_inputs(max_product=3000))
+@example((2, 3, [(1, 2)]))
+@example((2, 0, [(-1, 7), (-10, 11), (12, 13)]))
+def test_seifert_dim_equals_the_slot_sums(args):
+    try:
+        classes, offset_map, p, u = _seifert_args(*args)
+    except PreconditionError:
+        assume(False)
+    g = args[0]
+    large = _large_applicable_by_slots(g, p, u, offset_map)
+    assert borromean._large_applicable(g, classes) == large
+    want = u * 4 ** g if large else _cone_dim_by_slots(g, p, u, offset_map)
+    assert seifert_dim(*args) == want
+    assert seifert_dim_windowed(*args) == _cone_dim_by_slots(g, p, u, offset_map)

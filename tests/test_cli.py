@@ -163,19 +163,51 @@ def test_large_denominator_is_answered_without_a_cone(capsys):
     assert code == 0 and (rec["dim"], rec["pathway"]) == (2000001, "decomposition")
 
 
+@pytest.fixture
+def seifert_calls(monkeypatch):
+    """Per Seifert stage, one entry a call: the setup's arguments, the count's result,
+    and the classes that the large-regime test and the cone read."""
+    calls = {"setup": [], "count": [], "large": [], "cone": []}
+
+    def record(name, key, entry):
+        original = getattr(borromean, name)
+
+        def wrapper(*args):
+            result = original(*args)
+            calls[key].append(entry(args, result))
+            return result
+        monkeypatch.setattr(borromean, name, wrapper)
+
+    record("_seifert_setup", "setup", lambda args, _: args)
+    record("_residue_class_counts", "count", lambda _, classes: classes)
+    record("_large_applicable", "large", lambda args, _: args[1])
+    record("_cone_dim_exterior", "cone", lambda args, _: args[3])
+    return calls
+
+
+def _assert_one_shared_count(calls, pathway):
+    assert len(calls["setup"]) == len(calls["count"]) == 1
+    # the large-regime test and the cone read the one count
+    shared = calls["large"] + calls["cone"]
+    assert len(shared) == (2 if pathway == "cone" else 1)
+    assert all(classes is calls["count"][0] for classes in shared)
+
+
 @pytest.mark.parametrize("base, pathway", [("1", "cone"), ("3", "large-surgery")])
-def test_seifert_sets_up_once(capsys, monkeypatch, base, pathway):
-    calls = []
-    setup = borromean._seifert_setup
-
-    def counted(*args):
-        calls.append(args)
-        return setup(*args)
-
-    monkeypatch.setattr(borromean, "_seifert_setup", counted)
+def test_seifert_sets_up_once(capsys, seifert_calls, base, pathway):
     code, out, _ = run(capsys, "seifert", "--genus", "2", "--base", base, "--pair", "1/2", "--json")
     assert code == 0 and json.loads(out)["pathway"] == pathway
-    assert len(calls) == 1
+    _assert_one_shared_count(seifert_calls, pathway)
+    for calls in seifert_calls.values():
+        calls.clear()
+    assert borromean.seifert_dim(2, int(base), [(1, 2)]) == json.loads(out)["dim"]
+    _assert_one_shared_count(seifert_calls, pathway)
+
+
+def test_circle_bundle_counts_no_seifert_classes(capsys, seifert_calls):
+    code, _, _ = run(capsys, "circle-bundle", "--genus", "3", "--euler", "2", "--json")
+    assert code == 0 and len(seifert_calls["cone"]) == 1
+    assert seifert_calls["setup"] == seifert_calls["count"] == []
 
 
 def test_whitehead_json(capsys):
