@@ -7,9 +7,9 @@ Library layout:
   synthesis from an Alexander polynomial and tau, validation, mirrors, and
   the decomposition of a valid model into a staircase and squares.
 - ``catalog``: built-in small-knot models by name.
-- ``cone``: nonzero-slope dimensions from the decomposition; bent
-  complexes for the zero-surgery table and the mapping-cone oracles
-  (integral, rational); ladders and the minimal-dimension scan.
+- ``cone``: nonzero-slope dimensions and the zero-surgery table from the
+  decomposition; bent complexes for the level-table and mapping-cone
+  oracles (integral, rational); ladders and the minimal-dimension scan.
 - ``borromean``: exterior-algebra pathway for circle bundles over surfaces
   and Seifert fibered spaces with nonzero orbifold degree.
 - ``formulas``: closed-form dimensions (thin knots, Whitehead doubles,

@@ -22,7 +22,7 @@ import math
 from bisect import bisect_left
 from collections import Counter
 from fractions import Fraction
-from itertools import accumulate, combinations
+from itertools import accumulate
 from math import comb
 from typing import Iterable, Optional
 
@@ -253,10 +253,19 @@ def _seifert_setup(g: int, m: int, pairs: Iterable[tuple]) -> tuple:
             raise PreconditionError(f"multiplicity {v} must be a positive integer")
         if v > 1 and math.gcd(abs(r), v) != 1:
             raise PreconditionError(f"pair {r}/{v} is not reduced")
-    for (r1, v1), (r2, v2) in combinations(pairs, 2):
-        if math.gcd(v1, v2) != 1:
-            raise PreconditionError(
-                f"gcd({v1}, {v2}) > 1: multiplicities must satisfy gcd(v_i, v_j) = 1 for i != j")
+    # The first clashing pair in input order has the first v that shares a
+    # factor with the product of the v after it; one pass from the end finds it.
+    first, later = None, 1
+    for i in range(len(pairs) - 1, -1, -1):
+        v = pairs[i][1]
+        if math.gcd(v, later) != 1:
+            first = i
+        later *= v
+    if first is not None:
+        v1 = pairs[first][1]
+        v2 = next(v for _, v in pairs[first + 1:] if math.gcd(v1, v) != 1)
+        raise PreconditionError(
+            f"gcd({v1}, {v2}) > 1: multiplicities must satisfy gcd(v_i, v_j) = 1 for i != j")
     multiplicities = [v for _, v in pairs]
     p = math.prod(multiplicities)
     if p > MAX_MULTIPLICITY_PRODUCT:

@@ -160,7 +160,7 @@ def cmd_surgery(args) -> int:
         if p == 0:
             table = cone.zero_surgery_dims(K)
             results.append(cone.SurgeryResult(K.name, 0, 1, sum(d or 0 for d in table.values()),
-                                              "cone", tuple(sorted(table.items()))))
+                                              "decomposition", tuple(sorted(table.items()))))
         else:
             results.append(cone.surgery_dim(K, p, q))
     payload = {"command": "surgery", "results": [r.to_json_dict() for r in results]}

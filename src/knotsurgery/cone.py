@@ -15,26 +15,18 @@ so the rank formula of the rational mapping cone (Ni-Wu, after
 Ozsvath-Szabo) has the terms z = max(0, 2 tau - 1), m = max(0, -2 tau - 1)
 and sigma = 2k + 2m, which is ``formulas.thin_surgery_formula`` at the
 model's dimension 2 |tau| + 1 + 4k.  A square adds two classes, with no
-rows, at each level strictly inside its gradings: one level, or two for a
-square at a half-integer grading, which therefore counts twice in k.  No
-level is read.  The level table and the materialised cone stay as independent
-oracles for ``--compare``, ``crosscheck`` and the tests: ``levels_dim``
-reads the same three terms off the bent homologies (``K.slope_terms``),
-and ``build_cone_problem`` ranks the cone itself.
+rows, at the one level strictly inside its gradings.  The zero-surgery
+table is read off the same decomposition.  No level is read.  The level
+table and the materialised cone stay as independent oracles for
+``--compare``, ``crosscheck`` and the tests: ``levels_dim`` reads the same
+three terms off the bent homologies (``K.slope_terms``),
+``zero_surgery_levels`` reads the zero-surgery slots off them, and
+``build_cone_problem`` ranks the cone itself.
 
 The cone is ranked without elimination.  Source sigma reaches only the
 slots sigma and sigma + 2p, so the incidence graph is a disjoint union of
 paths, and one sweep over the sources finds the rank from the shape of each
 source's block (see ``ConeProblem.dimension``).
-
-Levels are ranked on one component of the model.  The d+ and d- entries
-split a model into components, each a summand for both differentials; one,
-the survivor, carries H(d-) and H(d+), and every other one is acyclic.  So
-the v and h rows of a level come from the survivor alone, and an acyclic
-component only adds classes, with zero rows, at the levels strictly inside
-its grading span.  Those class counts depend on its shape, not on where it
-sits, so each distinct shape is ranked once per model and its profile
-added at every place it occurs.
 
 Sign conventions are calibrated by two anchors: the right trefoil must give
 dimension 1 at slope +1 and the figure-eight 3.
@@ -52,7 +44,6 @@ from .linalg import (
     SparseExactMap,
     homology,
     induced_map_on_homology,
-    rank,
     sparse_map,
     sub_scaled,
 )
@@ -116,7 +107,7 @@ class SurgeryResult:
     p: int
     q: int
     dimension: int
-    pathway: str  # decomposition | cone (the slope-0 table)
+    pathway: str  # decomposition
     per_grading: Optional[tuple] = None  # ((grading, dim or None), ...) for slope 0
 
     @property
@@ -222,35 +213,8 @@ class ConeProblem:
         return (total_src - r) + (len(self.targets) - r)
 
 
-def _shape_levels(shape: KnotComplex) -> dict:
-    """Level table of an acyclic shape, filled on first use at each level inside its span.
-
-    On or below its lowest grading the shape's bent complex is d+ alone, and
-    on or above its highest d- alone, both acyclic.  Strictly between, the
-    class count is the dimension minus twice the rank of the bent
-    differential, and the v and h rows are zero because H(d-) and H(d+) are.
-    """
-    levels = shape.levels
-    if not levels:
-        top = max(g.alex for g in shape.space.generators)
-        for t in range(1, (top + 1) // 2):
-            levels[t] = (shape.dim - 2 * rank(bent_differential(shape, t)), {}, {})
-    return levels
-
-
-def _acyclic_classes(K: KnotComplex, s: int) -> int:
-    """Classes the acyclic components of K add at level s, each profile added at its shifts."""
-    return sum(shifts.get(s - t, 0) * n
-               for shape, shifts in K.split.acyclic
-               for t, (n, _, _) in _shape_levels(shape).items())
-
-
 def _level_rows(K: KnotComplex, s: int):
     """(class count, v row, h row) at level s, kept in K.levels; rows are {class index: coeff}.
-
-    The rows come from the survivor component alone: the bent homology of K
-    is the direct sum over its components, and the acyclic ones only add
-    classes with zero rows, after the survivor's classes 0..k-1.
 
     Levels past the genus repeat: below -genus the bent complex is d+ alone,
     v is zero and h the identity, and above +genus the reverse.  So every
@@ -261,9 +225,9 @@ def _level_rows(K: KnotComplex, s: int):
     rows = K.levels.get(s)
     if rows is None:
         require_valid(K)
-        v, h = pi_maps(K.split.survivor, s)
+        v, h = pi_maps(K, s)
         order = {cid: i for i, cid in enumerate(v.source.ids)}
-        rows = K.levels[s] = (v.source.dim + _acyclic_classes(K, s),
+        rows = K.levels[s] = (v.source.dim,
                               {order[src]: val for _, src, val in v.entries},
                               {order[src]: val for _, src, val in h.entries})
     return rows
@@ -381,20 +345,36 @@ def surgery_dim(K: KnotComplex, p: int, q: int) -> SurgeryResult:
     if p == 0:
         raise PreconditionError("slope 0: use zero_surgery_dims for the per-grading table")
     tau, squares = decompose(K)
-    # a square at a half-integer grading adds its two classes at two levels
-    k = sum(n * (1 if isinstance(s, int) else 2) for (s, _), n in squares.items())
-    dim = thin_surgery_formula(2 * abs(tau) + 1 + 4 * k, tau, p, q)
+    dim = thin_surgery_formula(2 * abs(tau) + 1 + 4 * sum(squares.values()), tau, p, q)
     return SurgeryResult(K.name, p, q, dim, "decomposition")
 
 
 def zero_surgery_dims(K: KnotComplex, span: Optional[int] = None) -> dict:
-    """Per-grading dimensions of the zero-surgery invariant, read from K's own level table.
+    """Per-grading dimensions of the zero-surgery invariant, read off ``decompose(K)``.
 
     Returns {grading: dim} for |grading| <= span (default genus - 1).  Slot s
-    is ker + coker of the row v + c h of level s into one dimension, c being
-    the slot identification scalar; PreconditionError if that depends on c.
-    The grading-0 slot is None ("undetermined") when tau = 0, where c is not
-    pinned down.  The table of mirror(K) is this one re-indexed by s -> -s.
+    has dimension 2 [|s| < |tau|] + 2 (squares centred at s): the staircase
+    adds 2 at each level strictly inside it (one class and no row for
+    tau > 0, three classes and two independent rows for tau < 0), and a
+    square adds its two classes, with no rows, at its centre.  The grading-0
+    slot is None ("undetermined") when tau = 0, where the slot
+    identification scalar is not pinned down.  The table of mirror(K) is
+    this one re-indexed by s -> -s.  ``zero_surgery_levels`` is the oracle.
+    """
+    tau, squares = decompose(K)
+    top = (K.genus - 1) if span is None else span
+    return {s: None if s == 0 and tau == 0
+            else 2 * (abs(s) < abs(tau)) + 2 * (squares.get((s, 1), 0) + squares.get((s, -1), 0))
+            for s in range(-top, top + 1)}
+
+
+def zero_surgery_levels(K: KnotComplex, span: Optional[int] = None) -> dict:
+    """``zero_surgery_dims`` read from K's own level table: the oracle of the closed form.
+
+    Slot s is ker + coker of the row v + c h of level s into one dimension,
+    c being the slot identification scalar; PreconditionError if that
+    depends on c.  The grading-0 slot is None ("undetermined") when tau = 0,
+    where c is not pinned down.
     """
     require_valid(K)
     g = K.genus

@@ -20,7 +20,6 @@ from .linalg import (
     Generator,
     SparseExactMap,
     homology,
-    rank,
     sparse_map,
     space,
 )
@@ -133,11 +132,6 @@ class KnotComplex:
     def decomposition(self) -> "Decomposition":
         """The staircase and squares of the model (see ``decompose``), computed once."""
         return _decompose(self)
-
-    @cached_property
-    def split(self) -> "Split":
-        """The survivor and acyclic shapes (see ``_split``), computed once."""
-        return _split(self)
 
     @cached_property
     def mirrored(self) -> "KnotComplex":
@@ -349,93 +343,6 @@ def _build_mirror(K: KnotComplex) -> KnotComplex:
                        genus=K.genus, tau=-K.tau, meta=meta)
 
 
-def components(K: KnotComplex) -> list:
-    """Connected components of the graph whose edges are the d+ and d- entries.
-
-    Each component spans a summand of the model for both differentials.
-    Returns one list of generators per component, in model order, the
-    components ordered by their first generator.
-    """
-    parent = {gid: gid for gid in K.space.ids}
-
-    def root(x):
-        while parent[x] != x:
-            parent[x] = x = parent[parent[x]]
-        return x
-
-    for d in (K.d_plus, K.d_minus):
-        for tgt, src, _ in d.entries:
-            a, b = root(tgt), root(src)
-            if a != b:
-                parent[a] = b
-    out: dict = {}
-    for g in K.space.generators:
-        out.setdefault(root(g.gid), []).append(g)
-    return list(out.values())
-
-
-class Split(NamedTuple):
-    """A model as its survivor component plus the shapes of its acyclic components.
-
-    survivor: the summand that carries H(d-) and H(d+), with the model's
-    generator ids, genus and tau; it is the model itself when the model has
-    one component.  acyclic: ((shape, {shift: count}), ...), one entry per
-    distinct shape; ``count`` components of that shape sit ``shift`` levels
-    above it.
-    """
-    survivor: KnotComplex
-    acyclic: tuple
-
-
-def _split(K: KnotComplex) -> Split:
-    """Split a model into its survivor and the shapes of its other components.
-
-    H(d-) and H(d+) are the direct sums of the components' homologies, and
-    the Euler characteristic of a component (the signed count of its
-    generators) equals that of either homology.  A valid model has one
-    class on each side, so exactly one component, the survivor, has nonzero
-    Euler characteristic; ModelError if a model of several has none or more.
-    Each other one (``validate`` checks it is acyclic) becomes a shape: its
-    doubled gradings are moved down by an even amount to start at 0 or 1,
-    so its levels stay integers, and its generators are renumbered 0, 1, ...
-    """
-    comps = components(K)
-    if len(comps) == 1:
-        return Split(K, ())
-    survivors = [i for i, comp in enumerate(comps) if sum((-1) ** g.z2 for g in comp)]
-    if len(survivors) != 1:
-        raise ModelError(f"{len(survivors)} components have nonzero Euler characteristic, "
-                         "expected exactly 1")
-    survivor = survivors[0]
-    where = {g.gid: i for i, comp in enumerate(comps) for g in comp}
-    plus = [[] for _ in comps]
-    minus = [[] for _ in comps]
-    for d, out in ((K.d_plus, plus), (K.d_minus, minus)):
-        for entry in d.entries:
-            out[where[entry[1]]].append(entry)
-
-    shapes: dict = {}  # (gradings, d+ entries, d- entries) -> (shape, {shift: count})
-    for i, comp in enumerate(comps):
-        if i == survivor:
-            continue
-        shift = min(g.alex for g in comp) // 2
-        local = {g.gid: str(j) for j, g in enumerate(comp)}
-        key = (tuple((g.alex - 2 * shift, g.z2) for g in comp),
-               tuple((local[t], local[s], v) for t, s, v in plus[i]),
-               tuple((local[t], local[s], v) for t, s, v in minus[i]))
-        entry = shapes.get(key)
-        if entry is None:
-            sp = space((str(j), alex, z2) for j, (alex, z2) in enumerate(key[0]))
-            entry = shapes[key] = (KnotComplex(sp, sparse_map(sp, sp, key[1]),
-                                               sparse_map(sp, sp, key[2]), genus=0, tau=0), {})
-        entry[1][shift] = entry[1].get(shift, 0) + 1
-    sp = GradedSpace(tuple(comps[survivor]))
-    survivor_model = KnotComplex(sp, SparseExactMap(sp, sp, tuple(plus[survivor])),
-                                 SparseExactMap(sp, sp, tuple(minus[survivor])),
-                                 genus=K.genus, tau=K.tau, meta=K.meta)
-    return Split(survivor_model, tuple(shapes.values()))
-
-
 def compute_tau(K: KnotComplex) -> int:
     """Alexander grading of the lowering-differential survivor.
 
@@ -463,7 +370,14 @@ class ValidationReport:
 
 
 def validate(K: KnotComplex) -> ValidationReport:
-    """Check every invariant, H(d-) and H(d+) on the split; collects violations, never raises."""
+    """Check every invariant; collects violations, never raises.
+
+    The structural checks come first, and any fault there ends the report.
+    Then dim H(d-) and dim H(d+) are read from per-block ranks: at each
+    (grading, z2) block, the block dimension minus the rank of d out of it
+    minus the rank of d into it.  Both must be 1, and tau is the grading of
+    the one block where H(d-) lives.  No homology is computed.
+    """
     report = ValidationReport()
     sp = K.space
 
@@ -504,8 +418,11 @@ def validate(K: KnotComplex) -> ValidationReport:
     if K.genus > 0 and dims.get(2 * K.genus, 0) < 1:
         report.violations.append(f"no generator at the top grading {K.genus}")
 
+    half = next((g.gid for g in sp.generators if g.alex % 2), None)
     delta = K.delta()
-    if delta is not None:
+    if half is not None:  # chi_graded's text for the same fault
+        report.violations.append(f"generator {half!r} sits at a half-integer grading")
+    elif delta is not None:
         chi = chi_graded(K)
         neg = {p: -c for p, c in chi.items()}
         if chi != delta and neg != delta:
@@ -513,22 +430,49 @@ def validate(K: KnotComplex) -> ValidationReport:
 
     if report.violations:
         return report
-    try:  # the first homology fault ends the report
-        survivor, acyclic = K.split
-        hm_dim, hp_dim = (h.dim for h in survivor.homologies)
-        for shape, shifts in acyclic:
-            n = sum(shifts.values())
-            hm_dim += n * (shape.dim - 2 * rank(shape.d_minus))
-            hp_dim += n * (shape.dim - 2 * rank(shape.d_plus))
-        if hp_dim != 1 or hm_dim != 1:
-            raise ModelError(f"one-differential homology dims ({hp_dim}, {hm_dim}) "
-                             "differ from the ambient value 1")
-        t = compute_tau(survivor)
-        if t != K.tau:
-            report.violations.append(f"recorded tau {K.tau} differs from survivor grading {t}")
-    except ModelError as exc:
-        report.violations.append(str(exc))
+    blocks = _blocks(K)
+    homology_blocks = []  # for d- then d+: {block: dim H(d) there}, nonzero ones only
+    for d, shift in ((K.d_minus, -2), (K.d_plus, 2)):
+        out = _block_ranks(blocks, d.column, shift)
+        homology_blocks.append({
+            (a, z): n for (a, z), ids in blocks.items()
+            if (n := len(ids) - out.get((a, z), 0) - out.get((a - shift, 1 - z), 0))})
+    hm_dim, hp_dim = (sum(h.values()) for h in homology_blocks)
+    if hp_dim != 1 or hm_dim != 1:
+        report.violations.append(f"one-differential homology dims ({hp_dim}, {hm_dim}) "
+                                 "differ from the ambient value 1")
+        return report
+    (alex_m, _), (alex_p, _) = (next(iter(h)) for h in homology_blocks)
+    if alex_m != -alex_p:
+        report.violations.append("survivor classes are not at opposite integer gradings")
+    elif alex_m // 2 != K.tau:
+        report.violations.append(f"recorded tau {K.tau} differs from survivor grading {alex_m // 2}")
     return report
+
+
+def _blocks(K: KnotComplex) -> dict:
+    """{(doubled grading, z2): generator ids of that block, in model order}."""
+    blocks: dict = {}
+    for g in K.space.generators:
+        blocks.setdefault((g.alex, g.z2), []).append(g.gid)
+    return blocks
+
+
+def _block_ranks(blocks: dict, image, shift: int) -> dict:
+    """{block: rank of the images of its generators}, blocks of rank 0 left out.
+
+    ``image(gid)`` is the image of one generator under a map that sends the
+    block (a, z2) into the block (a + shift, z2 + shift / 2 mod 2).
+    """
+    ranks = {}
+    for (alex, z2), ids in blocks.items():
+        images = [im for im in map(image, ids) if im]
+        if images:
+            solver = Echelon(blocks[(alex + shift, (z2 + shift // 2) % 2)])
+            for im in images:
+                solver.insert(im)
+            ranks[(alex, z2)] = solver.rank
+    return ranks
 
 
 def require_valid(K: KnotComplex):
@@ -557,8 +501,7 @@ def decompose(K: KnotComplex) -> Decomposition:
 
     The squares whose top generator sits in the (grading, z2) block of
     doubled grading 2s are counted by the rank of d+ d- on that block, with
-    sign +1 for z2 = 1 as in ``build_square``; s is a Fraction at a
-    half-integer grading, which ``validate`` admits.  ModelError if K is
+    sign +1 for z2 = 1 as in ``build_square``.  ModelError if K is
     invalid, or (an internal error, impossible by the above) if K.dim is
     not 2 |tau| + 1 + 4 k for its k squares.
     """
@@ -567,18 +510,9 @@ def decompose(K: KnotComplex) -> Decomposition:
 
 def _decompose(K: KnotComplex) -> Decomposition:
     require_valid(K)
-    blocks: dict = {}
-    for g in K.space.generators:
-        blocks.setdefault((g.alex, g.z2), []).append(g.gid)
-    squares = {}
-    for (alex, z2), ids in blocks.items():
-        images = [im for im in (K.d_plus.apply(K.d_minus.column(gid)) for gid in ids) if im]
-        if images:  # d+ d- keeps both gradings, so the images lie in the block
-            solver = Echelon(ids)
-            for im in images:
-                solver.insert(im)
-            s = alex // 2 if alex % 2 == 0 else Fraction(alex, 2)
-            squares[(s, 1 if z2 else -1)] = solver.rank
+    # d+ d- keeps both gradings, so each block's images lie in the block
+    ranks = _block_ranks(_blocks(K), lambda gid: K.d_plus.apply(K.d_minus.column(gid)), 0)
+    squares = {(alex // 2, 1 if z2 else -1): n for (alex, z2), n in ranks.items()}
     expected = 2 * abs(K.tau) + 1 + 4 * sum(squares.values())
     if K.dim != expected:
         raise ModelError(f"internal: model dimension {K.dim} differs from 2|tau| + 1 + 4k = "

@@ -1,5 +1,15 @@
 """Models and model comparisons that only the tests use."""
-from knotsurgery.knotcx import KnotComplex, build_square, build_staircase, chi_graded
+import random
+
+from knotsurgery.knotcx import (
+    KnotComplex,
+    SquareSpec,
+    StaircaseSpec,
+    assemble,
+    build_square,
+    build_staircase,
+    chi_graded,
+)
 from knotsurgery.linalg import space, sparse_map
 
 
@@ -11,9 +21,9 @@ def graded_signature(K: KnotComplex):
     return (tuple(sorted(K.space.dims_by_grading().items())), tuple(sorted(chi.items())), K.tau)
 
 
-# Explicit knot spec of staircase(1) plus an isolated generator at grading 0:
-# two components with nonzero Euler characteristic, so H(d-) and H(d+) are
-# two-dimensional.  It carries no polynomial, so the chi check never runs.
+# Explicit knot spec of staircase(1) plus an isolated generator at grading 0,
+# so H(d-) and H(d+) are two-dimensional.  It carries no polynomial, so the
+# chi check never runs.
 TWO_SURVIVORS_SPEC = {
     "generators": [{"id": "a1", "alex": -1, "z2": 0}, {"id": "a2", "alex": 0, "z2": 1},
                    {"id": "a3", "alex": 1, "z2": 0}, {"id": "extra", "alex": 0, "z2": 0}],
@@ -26,8 +36,8 @@ TWO_SURVIVORS_SPEC = {
 def half_level_squares_model() -> KnotComplex:
     """staircase(2) plus squares centred at gradings 1/2 and -1/2, sign -1.
 
-    ``validate`` admits it: it carries no polynomial, so nothing asks for
-    integer gradings.
+    It carries no polynomial, so only ``validate``'s own grading check
+    rejects it.
     """
     base = build_staircase(2)
     gens = [(g.gid, g.alex, g.z2) for g in base.space.generators]
@@ -40,3 +50,36 @@ def half_level_squares_model() -> KnotComplex:
     sp = space(gens)
     return KnotComplex(sp, sparse_map(sp, sp, d_plus), sparse_map(sp, sp, d_minus),
                        genus=2, tau=2, meta=(("name", "half-level squares"),))
+
+
+def squares_model(g: int, tau: int, seed: int) -> KnotComplex:
+    """staircase(tau) plus two squares of seeded sign at every level strictly inside the genus."""
+    rng = random.Random(seed)
+    return assemble(StaircaseSpec(tau), [SquareSpec(s, rng.choice((-1, 1)))
+                                         for s in range(1 - g, g) for _ in range(2)],
+                    name=f"squares(g={g}, tau={tau})")
+
+
+def components(K: KnotComplex) -> list:
+    """Connected components of the graph whose edges are the d+ and d- entries.
+
+    Each component spans a summand of the model for both differentials.
+    Returns one list of generators per component, in model order, the
+    components ordered by their first generator.
+    """
+    parent = {gid: gid for gid in K.space.ids}
+
+    def root(x):
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]
+        return x
+
+    for d in (K.d_plus, K.d_minus):
+        for tgt, src, _ in d.entries:
+            a, b = root(tgt), root(src)
+            if a != b:
+                parent[a] = b
+    out: dict = {}
+    for g in K.space.generators:
+        out.setdefault(root(g.gid), []).append(g)
+    return list(out.values())

@@ -1,5 +1,7 @@
 """Exterior-algebra pathway: graded slices, circle bundles, Seifert spaces."""
 import math
+import re
+import time
 from collections import Counter
 from math import comb
 
@@ -159,6 +161,20 @@ def test_seifert_rejects_zero_degree():
 def test_seifert_rejects_common_factor():
     with pytest.raises(PreconditionError, match="gcd"):
         seifert_dim(2, 1, [(1, 2), (1, 4)])
+
+
+def test_seifert_coprimality_check_is_linear():
+    # v = 1 pairs never raise prod v_i, so nothing but the check's own cost
+    # bounds their number; one pass over the pairs answers 40000 of them
+    start = time.perf_counter()
+    assert seifert_dim(2, 1, [(1, 1)] * 40000) == circle_bundle_dim_module(2, 40001)
+    assert time.perf_counter() - start < 1
+    # the text names the first clashing pair in input order, as a scan of all pairs would
+    message = "gcd(3, 3) > 1: multiplicities must satisfy gcd(v_i, v_j) = 1 for i != j"
+    clash = [(1, 3), (1, 5), (1, 5), (1, 3)]
+    for pairs in (clash, [(1, 1)] * 40000 + clash):
+        with pytest.raises(PreconditionError, match=re.escape(message)):
+            seifert_dim(2, 1, pairs)
 
 
 def test_seifert_rejects_unreduced_pair():

@@ -116,6 +116,14 @@ def test_zero_surgery_undetermined_slot(capsys):
     assert "undetermined (tau=0)" in out
 
 
+def test_slope_zero_names_the_decomposition(capsys):
+    code, out, _ = run(capsys, "surgery", "--knot", "t2_5", "--slope", "0", "--json")
+    assert code == 0
+    rec = json.loads(out)["results"][0]
+    assert (rec["dim"], rec["pathway"], rec["per_grading"]) == (6, "decomposition",
+                                                                {"-1": 2, "0": 2, "1": 2})
+
+
 def test_scan_text(capsys):
     code, out, _ = run(capsys, "scan", "--knot", "trefoil-left")
     assert code == 0
@@ -355,13 +363,13 @@ def test_unreadable_input_file_exits_cleanly(tmp_path, capsys, argv, flag, kind)
             "invalid-json": f"{path}: invalid JSON input: Expecting value"}[kind] in err
 
 
-def test_spec_with_two_survivors_exits_naming_the_split(tmp_path, capsys):
+def test_spec_with_two_survivors_exits_naming_the_homology_dims(tmp_path, capsys):
     path = tmp_path / "two.json"
     path.write_text(json.dumps(TWO_SURVIVORS_SPEC))
     code, out, err = run(capsys, "surgery", "--spec", str(path), "--slope", "1")
     assert code == 2 and not out
-    assert err == ("error: invalid explicit knot model: 2 components have nonzero "
-                   "Euler characteristic, expected exactly 1\n")
+    assert err == ("error: invalid explicit knot model: one-differential homology dims "
+                   "(2, 2) differ from the ambient value 1\n")
 
 
 def _explicit_spec_without_z2():

@@ -22,6 +22,7 @@ from knotsurgery.cone import (
     pi_maps,
     surgery_dim,
     zero_surgery_dims,
+    zero_surgery_levels,
 )
 from knotsurgery.knotcx import SquareSpec, StaircaseSpec, assemble, build_staircase, mirror
 from knotsurgery.linalg import rank
@@ -329,7 +330,7 @@ def test_surgery_rejects_invalid_model():
     sp = space([("x", 0, 0), ("y", 0, 0)])
     bad = KnotComplex(sp, zero_map(sp), zero_map(sp), genus=0, tau=0)
     entry_points = [lambda: surgery_dim(bad, 1, 1), lambda: large_surgery_dim(bad, 1),
-                    lambda: zero_surgery_dims(bad),
+                    lambda: zero_surgery_dims(bad), lambda: zero_surgery_levels(bad),
                     lambda: build_cone_problem(bad, 1, 1).dimension()]
     for call in entry_points:
         for _ in range(2):  # the report is kept on the model; a second call still raises
@@ -352,8 +353,9 @@ def test_level_table_lives_on_the_model():
 
 
 def test_one_differential_homologies_computed_once(monkeypatch):
-    # zero_surgery_dims reads the model's own levels.  With squares,
-    # validation and the levels share the survivor's H(d-) and H(d+).
+    # validation reads per-block ranks and both answers read the
+    # decomposition, so no homology is computed; the level-table oracle
+    # computes H(d-) and H(d+) once per model.
     from knotsurgery import knotcx
     real = knotcx.homology
     prefixes = []
@@ -363,12 +365,16 @@ def test_one_differential_homologies_computed_once(monkeypatch):
         return real(sp, d, prefix=prefix)
 
     monkeypatch.setattr(knotcx, "homology", counted)
+    monkeypatch.setattr(cone, "homology", counted)
     for K in (build_staircase(-3),
               assemble(StaircaseSpec(-2), [SquareSpec(-1, 1), SquareSpec(0, -1), SquareSpec(1, 1)],
                        name="squares")):
         prefixes.clear()
         surgery_dim(K, 1, 1)
         zero_surgery_dims(K)
+        assert prefixes == [], K.name
+        zero_surgery_levels(K)
+        zero_surgery_levels(K, span=K.genus + 1)
         assert prefixes.count("m") == 1 and prefixes.count("p") == 1, K.name
 
 
@@ -456,8 +462,10 @@ def test_zero_surgery_matches_the_mirror_route(family):
         for K in (K0, mirror(K0)):
             taus.add((K.tau > 0) - (K.tau < 0))
             for span in (None, K.genus + 1):
+                table = zero_surgery_dims(K, span=span)
                 oracle = {-s: d for s, d in zero_surgery_dims(mirror(K), span=span).items()}
-                assert zero_surgery_dims(K, span=span) == oracle, (K.name, span)
+                assert table == oracle, (K.name, span)
+                assert table == zero_surgery_levels(K, span=span), (K.name, span)
     assert taus == ({-1, 1} if family == "asymmetric" else {-1, 0, 1})
 
 
@@ -513,10 +521,15 @@ def test_scan_neither():
 
 
 def test_half_level_squares_match_the_cone():
+    # validate rejects a generator at a half-integer grading, so both the
+    # answer and the ranked cone refuse the model
+    from knotsurgery.knotcx import ModelError
     from knot_helpers import half_level_squares_model
     K = half_level_squares_model()
-    for p, q in _small_slopes():
-        assert surgery_dim(K, p, q).dimension == build_cone_problem(K, p, q).dimension(), (p, q)
+    for call in (lambda: surgery_dim(K, 1, 1), lambda: build_cone_problem(K, 1, 1).dimension(),
+                 lambda: zero_surgery_dims(K), lambda: zero_surgery_levels(K)):
+        with pytest.raises(ModelError, match="'xa' sits at a half-integer grading"):
+            call()
 
 
 def test_staircase_family_slope_table():

@@ -14,8 +14,8 @@ from knotsurgery.catalog import thin_catalog
 from knotsurgery.cone import _projection, bent_differential
 from knotsurgery.knotcx import mirror
 from knotsurgery.linalg import LinearAlgebraError, homology, space, sparse_map
+from knot_helpers import squares_model
 from linalg_helpers import compose, homology_two_pass
-from test_split import _squares_model
 
 
 def _elementary(sp, i, j, c):
@@ -82,7 +82,7 @@ def test_random_differentials_match_the_two_pass_oracle():
 
 def _models():
     catalog = [M for K in thin_catalog() for M in (K, mirror(K))]
-    return catalog + [_squares_model(g, tau, seed) for seed, (g, tau) in
+    return catalog + [squares_model(g, tau, seed) for seed, (g, tau) in
                       enumerate(((2, 1), (3, -2), (4, 0), (4, 3)))]
 
 

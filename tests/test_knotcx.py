@@ -1,4 +1,5 @@
 """Knot models: staircases, squares, thin synthesis, mirror, tau, validation, decomposition."""
+import re
 from collections import Counter
 
 import pytest
@@ -181,10 +182,9 @@ STAIRCASE_ONE = ([("a1", -1, 0), ("a2", 0, 1), ("a3", 1, 0)], [("a2", "a3")], [(
 
 
 def test_validate_flags_extra_generator():
-    # staircase(1) plus an isolated generator: two components with nonzero
-    # Euler characteristic, which the split reports before any homology.
-    message = "2 components have nonzero Euler characteristic, expected exactly 1"
-    with pytest.raises(ModelError, match=f"invalid explicit knot model: {message}$"):
+    # staircase(1) plus an isolated generator: both homologies gain a class
+    message = "one-differential homology dims (2, 2) differ from the ambient value 1"
+    with pytest.raises(ModelError, match=re.escape(f"invalid explicit knot model: {message}")):
         parse_knot_spec(TWO_SURVIVORS_SPEC)
     gens, dp, dm = STAIRCASE_ONE
     K = _explicit(gens + [("extra", 0, 0)], dp, dm)  # the same model
@@ -200,7 +200,6 @@ def test_validate_counts_homology_of_zero_euler_components():
     gens, dp, dm = STAIRCASE_ONE
     K = _explicit(gens + [("x", 0, 0), ("y", 1, 1), ("u", 0, 0), ("w", -1, 1)],
                   dp + [("x", "y")], dm + [("u", "w")])
-    assert len(K.split.acyclic) == 2
     assert validate(K).violations == [
         "one-differential homology dims (3, 3) differ from the ambient value 1"]
     assert homology_two_pass(K.space, K.d_minus).dim == 3
@@ -298,10 +297,12 @@ def test_decompose_is_kept_on_the_model():
 
 
 def test_decompose_counts_squares_at_half_integer_gradings():
-    from fractions import Fraction
+    # no spec format can place a generator there, and validate rejects one
     K = half_level_squares_model()
-    assert validate(K).ok
-    assert decompose(K) == (2, {(Fraction(1, 2), -1): 1, (Fraction(-1, 2), -1): 1})
+    message = "generator 'xa' sits at a half-integer grading"
+    assert validate(K).violations == [message]
+    with pytest.raises(ModelError, match=f"invalid knot model: {message}$"):
+        decompose(K)
 
 
 def test_decompose_rejects_an_invalid_model_and_checks_the_dimension():

@@ -12,7 +12,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from knotsurgery.catalog import thin_catalog
 from knotsurgery.cone import (
@@ -21,6 +21,7 @@ from knotsurgery.cone import (
     levels_dim,
     surgery_dim,
     zero_surgery_dims,
+    zero_surgery_levels,
 )
 from knotsurgery.formulas import thin_surgery_formula
 from knotsurgery.knotcx import (
@@ -29,7 +30,6 @@ from knotsurgery.knotcx import (
     StaircaseSpec,
     assemble,
     chi_graded,
-    components,
     compute_tau,
     decompose,
     knot_spec_dict,
@@ -38,9 +38,10 @@ from knotsurgery.knotcx import (
     poly_norm,
     validate,
 )
-from knotsurgery.linalg import GradedSpace, sparse_map
+from knotsurgery.linalg import GradedSpace, space, sparse_map
 from cone_elimination import elimination_dimension
-from linalg_helpers import compose
+from knot_helpers import components
+from linalg_helpers import compose, homology_two_pass
 
 
 def random_thin_models(count: int, seed: int = 20240817) -> list:
@@ -187,6 +188,11 @@ def test_catalog_norm_equals_dimension():
         assert K.dim == poly_norm(K.delta())
 
 
+def _paired_squares(picked) -> list:
+    """A square at (s, sign) for each pick, and its mirror image at -s when s != 0."""
+    return [SquareSpec(t, sign) for s, sign in picked for t in ((s, -s) if s else (0,))]
+
+
 @st.composite
 def scrambled_thin_models(draw):
     """A staircase plus squares at random levels and signs, in a random basis (see ``scramble``).
@@ -195,10 +201,8 @@ def scrambled_thin_models(draw):
     so the graded dimensions stay symmetric.
     """
     tau = draw(st.integers(-3, 3))
-    squares = []
-    for s, sign in draw(st.lists(st.tuples(st.integers(0, 3), st.sampled_from((-1, 1))),
-                                 max_size=6)):
-        squares += [SquareSpec(s, sign)] + ([SquareSpec(-s, sign)] if s else [])
+    squares = _paired_squares(draw(st.lists(
+        st.tuples(st.integers(0, 3), st.sampled_from((-1, 1))), max_size=6)))
     K = assemble(StaircaseSpec(tau), squares, name="hypothesis")
     return scramble(K, random.Random(draw(st.integers(0, 2 ** 32))))
 
@@ -214,9 +218,7 @@ def slopes(draw):
 @given(scrambled_thin_models(), st.lists(slopes(), min_size=1, max_size=4))
 def test_split_models_match_the_thin_formula(K, picked):
     assert validate(K).ok
-    survivors = [comp for comp in components(K) if sum((-1) ** g.z2 for g in comp)]
-    assert len(survivors) == 1
-    assert K.split.survivor.dim == len(survivors[0])
+    assert sum(1 for comp in components(K) if sum((-1) ** g.z2 for g in comp)) == 1
     for p, q in picked:
         assert surgery_dim(K, p, q).dimension == thin_surgery_formula(K.dim, K.tau, p, q), (p, q)
 
@@ -242,10 +244,8 @@ def whole_space_models(draw):
     -2..2, so every model stays small enough to rank its cone quickly.
     """
     tau = draw(st.integers(-3, 3))
-    squares = []
-    for s, sign in draw(st.lists(st.tuples(st.integers(0, 2), st.sampled_from((-1, 1))),
-                                 max_size=3)):
-        squares += [SquareSpec(s, sign)] + ([SquareSpec(-s, sign)] if s else [])
+    squares = _paired_squares(draw(st.lists(
+        st.tuples(st.integers(0, 2), st.sampled_from((-1, 1))), max_size=3)))
     K = assemble(StaircaseSpec(tau), squares, name="hypothesis")
     return tau, squares, scramble(K, random.Random(draw(st.integers(0, 2 ** 32))), whole_space=True)
 
@@ -256,12 +256,66 @@ BASIS_SLOPES = ((1, 1), (-1, 1), (3, 2), (-2, 3))
 @settings(max_examples=40, deadline=None)
 @given(whole_space_models())
 def test_answers_do_not_depend_on_the_basis(model):
-    """decompose, surgery_dim and the scan see through a change of basis of the whole space."""
+    """decompose, surgery_dim, the zero-surgery table and the scan see through a change of basis."""
     tau, squares, K = model
     assert decompose(K) == (tau, dict(Counter((sq.s, sq.sign) for sq in squares)))
     for p, q in BASIS_SLOPES:
         assert surgery_dim(K, p, q).dimension == build_cone_problem(K, p, q).dimension(), (p, q)
+    for span in (None, K.genus + 1):
+        assert zero_surgery_dims(K, span=span) == zero_surgery_levels(K, span=span), span
     assert almost_lspace_scan(K) == almost_lspace_scan(assemble(StaircaseSpec(tau), squares))
+
+
+def _broken(K: KnotComplex, how: str, grading: int) -> KnotComplex:
+    """K as it is ("none"), or with one fault: a free generator, a zero-Euler pair, a shifted tau.
+
+    A pair is x -> y one grading up under d+ (or x -> y one grading down
+    under d-), from ``grading``, together with its mirror image, so the
+    graded dimensions stay symmetric; the genus grows to cover it.
+    """
+    if how == "none":
+        return K
+    if how == "tau":
+        return KnotComplex(K.space, K.d_plus, K.d_minus, genus=K.genus, tau=K.tau + (grading or 1))
+    gens = [(g.gid, g.alex, g.z2) for g in K.space.generators]
+    d_plus, d_minus = list(K.d_plus.entries), list(K.d_minus.entries)
+    genus = K.genus
+    if how == "free":
+        gens.append(("free", 0, 0))
+    else:
+        step, arrows = (1, d_plus) if how == "plus-pair" else (-1, d_minus)
+        for name, a in (("x", grading), ("w", -grading - step)):
+            gens += [(f"{name}0", 2 * a, 0), (f"{name}1", 2 * (a + step), 1)]
+            arrows.append((f"{name}1", f"{name}0", 1))
+        genus = max(genus, abs(grading), abs(grading + step))
+    sp = space(gens)
+    return KnotComplex(sp, sparse_map(sp, sp, d_plus), sparse_map(sp, sp, d_minus),
+                       genus=genus, tau=K.tau)
+
+
+@settings(max_examples=60, deadline=None)
+@example(-2, [(1, 1)], "none", 0, 1)
+@example(1, [], "free", 0, 2)
+@example(2, [(0, -1)], "plus-pair", 1, 3)
+@example(-1, [(1, -1)], "minus-pair", -2, 4)
+@example(0, [(2, 1)], "tau", -1, 5)
+@given(st.integers(-3, 3),
+       st.lists(st.tuples(st.integers(0, 2), st.sampled_from((-1, 1))), max_size=3),
+       st.sampled_from(("none", "free", "plus-pair", "minus-pair", "tau")),
+       st.integers(-3, 3), st.integers(0, 2 ** 32))
+def test_validate_agrees_with_the_homology_oracle(tau, picked, how, grading, seed):
+    """validate(K).ok exactly when H(d-) and H(d+) are 1-dimensional and tau is recorded right.
+
+    Each model is a staircase plus squares, possibly broken (see ``_broken``),
+    in a whole-space basis, so the fault is mixed into the blocks it shares.
+    """
+    K = _broken(assemble(StaircaseSpec(tau), _paired_squares(picked)), how, grading)
+    K = scramble(K, random.Random(seed), whole_space=True)
+    hm = homology_two_pass(K.space, K.d_minus)
+    hp = homology_two_pass(K.space, K.d_plus)
+    holds = hm.dim == 1 and hp.dim == 1 and compute_tau(K) == K.tau
+    assert validate(K).ok == holds, (how, validate(K).violations)
+    assert holds == (how == "none")
 
 
 @settings(max_examples=60, deadline=None)

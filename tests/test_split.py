@@ -1,11 +1,13 @@
-"""split-vs-full: the level table from the survivor component against the whole model.
+"""The decomposition's split of a model into a staircase and squares, against the whole model.
 
-``cone._level_rows`` ranks each level on the survivor component and adds
-one class profile per acyclic shape.  The oracle here is the level table of
-the whole model: ``pi_maps`` on K itself, with K's own H(d-) and H(d+).
-Rows are taken over different class bases, so the comparison is of what
-the cone depends on: class counts, which rows vanish, whether v and h are
-proportional, and the cone dimension.
+``knotcx.decompose`` splits a valid model, up to isomorphism, into the
+staircase of tau and its squares, and ``surgery_dim`` and
+``zero_surgery_dims`` answer from that split alone.  The oracle here is the
+level table of the model as given: ``pi_maps`` on K itself, with K's own
+H(d-) and H(d+).  The split is rebuilt with ``assemble``.  Rows are taken
+over different class bases, so the comparison is of what the cone depends
+on: class counts, which rows vanish, whether v and h are proportional, and
+the cone dimension.
 """
 import math
 import random
@@ -14,33 +16,18 @@ import pytest
 
 from knotsurgery import cone
 from knotsurgery.catalog import thin_catalog
-from knotsurgery.cone import build_cone_problem, pi_maps
-from knotsurgery.knotcx import KnotComplex, SquareSpec, StaircaseSpec, assemble, components, mirror
+from knotsurgery.cone import build_cone_problem, surgery_dim, zero_surgery_dims, zero_surgery_levels
+from knotsurgery.knotcx import SquareSpec, StaircaseSpec, assemble, decompose, mirror
+from knot_helpers import squares_model
 from test_properties import random_thin_models, scramble
 
 SLOPES = [(p, q) for q in range(1, 8) for p in range(-9, 10) if p and math.gcd(abs(p), q) == 1]
 
 
-def full_level_rows(K, s):
-    """(class count, v row, h row) at level s from the whole model."""
-    v, h = pi_maps(K, s)
-    order = {cid: i for i, cid in enumerate(v.source.ids)}
-    return (v.source.dim, {order[src]: val for _, src, val in v.entries},
-            {order[src]: val for _, src, val in h.entries})
-
-
-def _squares_model(g, tau, seed):
-    """Two squares of seeded sign at every level strictly inside the genus."""
-    rng = random.Random(seed)
-    return assemble(StaircaseSpec(tau), [SquareSpec(s, rng.choice((-1, 1)))
-                                         for s in range(1 - g, g) for _ in range(2)],
-                    name=f"squares(g={g}, tau={tau})")
-
-
 def _models():
     catalog = [M for K in thin_catalog() for M in (K, mirror(K))]
     randoms = random_thin_models(16, seed=5)
-    squares = [_squares_model(4, tau, seed) for seed, tau in enumerate((-2, 0, 1))]
+    squares = [squares_model(4, tau, seed) for seed, tau in enumerate((-2, 0, 1))]
     rng = random.Random(17)
     scrambled = [scramble(K, rng) for K in randoms[:8] + squares + catalog[::5]]
     return catalog + randoms + squares + scrambled
@@ -55,39 +42,35 @@ def _kind(v_row, h_row):
     return "v-only" if v_row else "h-only" if h_row else "zero"
 
 
+def _rebuilt(K):
+    tau, squares = decompose(K)
+    return assemble(StaircaseSpec(tau), [SquareSpec(s, sign) for (s, sign), n in squares.items()
+                                         for _ in range(n)])
+
+
 @pytest.mark.parametrize("K", MODELS, ids=lambda K: K.name)
 def test_split_levels_match_the_full_model(K):
+    """assemble(decompose(K)) has K's level table, zero-surgery table and cone dimensions."""
     assert K.report.ok, K.report.violations
+    split = _rebuilt(K)
     g = K.genus
-    full = {s: full_level_rows(K, s) for s in range(-g - 1, g + 2)}
-    for s, (n, v_row, h_row) in full.items():
-        got = cone._level_rows(K, s)
+    assert split.genus == g
+    for s in range(-g - 1, g + 2):
+        n, v_row, h_row = cone._level_rows(K, s)
+        got = cone._level_rows(split, s)
         assert got[0] == n, (K.name, s)
         assert _kind(got[1], got[2]) == _kind(v_row, h_row), (K.name, s)
-    # the same cone assembled from the full-model table: an equal model with
-    # its level table filled in advance
-    oracle = KnotComplex(K.space, K.d_plus, K.d_minus, genus=K.genus, tau=K.tau, meta=K.meta)
-    oracle.levels.update(full)
+    for span in (None, g + 1):
+        assert zero_surgery_dims(K, span=span) == zero_surgery_levels(K, span=span), (K.name, span)
     for p, q in SLOPES:
-        assert (build_cone_problem(K, p, q).dimension()
-                == build_cone_problem(oracle, p, q).dimension()), (K.name, p, q)
+        dim = build_cone_problem(K, p, q).dimension()
+        assert surgery_dim(K, p, q).dimension == dim, (K.name, p, q)
+        assert build_cone_problem(split, p, q).dimension() == dim, (K.name, p, q)
 
 
 def test_the_families_split():
-    """Each model has one survivor; most families have acyclic components, staircases none."""
+    """Each model splits into the staircase of its tau and its squares; most families have squares."""
     for K in MODELS:
-        comps = components(K)
-        assert sum(1 for c in comps if sum((-1) ** g.z2 for g in c)) == 1, K.name
-        assert len(comps) == 1 + sum(sum(shifts.values()) for _, shifts in K.split.acyclic)
-        if len(comps) == 1:  # its own survivor: no sub-model, no second H(d-), H(d+)
-            assert K.split.survivor is K and K.split.acyclic == ()
-    assert sum(1 for K in MODELS if K.split.acyclic) >= 20
-
-
-def test_acyclic_shapes_are_kept_once():
-    K = _squares_model(6, 1, seed=2)
-    # 22 squares of two signs: two shapes, each ranked once, at its one inner level
-    assert len(K.split.acyclic) == 2
-    assert sum(sum(shifts.values()) for _, shifts in K.split.acyclic) == 22
-    cone.levels_dim(K, 1, 1)
-    assert all(list(shape.levels) == [1] for shape, _ in K.split.acyclic)
+        tau, squares = decompose(K)
+        assert tau == K.tau and K.dim == 2 * abs(tau) + 1 + 4 * sum(squares.values()), K.name
+    assert sum(1 for K in MODELS if decompose(K).squares) >= 20
