@@ -269,7 +269,11 @@ def _seifert_setup(g: int, m: int, pairs: Iterable[tuple]) -> tuple:
     multiplicities = [v for _, v in pairs]
     p = math.prod(multiplicities)
     if p > MAX_MULTIPLICITY_PRODUCT:
-        raise PreconditionError(f"prod v_i = {p} exceeds the limit "
+        try:
+            shown = f"prod v_i = {p}"
+        except ValueError:  # more digits than Python converts to a string
+            shown = f"prod v_i, a {p.bit_length()}-bit number,"
+        raise PreconditionError(f"{shown} exceeds the limit "
                                 f"MAX_MULTIPLICITY_PRODUCT = {MAX_MULTIPLICITY_PRODUCT}")
     u = m * p + sum((p // v) * r for r, v in pairs)
     if u == 0:

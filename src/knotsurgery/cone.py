@@ -33,9 +33,8 @@ dimension 1 at slope +1 and the figure-eight 3.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .formulas import thin_surgery_formula
 from .knotcx import KnotComplex, PreconditionError, decompose, require_valid
@@ -101,8 +100,7 @@ def pi_maps(K: KnotComplex, s: int):
     return v, h
 
 
-@dataclass(frozen=True)
-class SurgeryResult:
+class SurgeryResult(NamedTuple):
     knot: str
     p: int
     q: int
@@ -142,7 +140,6 @@ def _proportional(a: dict, b: dict) -> bool:
     return all(a[j] * b[j0] == b[j] * a[j0] for j in a)
 
 
-@dataclass
 class ConeProblem:
     """Assembled finite cone: sources to one-dimensional slots.
 
@@ -154,10 +151,12 @@ class ConeProblem:
     paths, which is what makes the dimension independent of the
     slot-identification scalars.
     """
-    sources: list = field(default_factory=list)
-    targets: range = range(0)
-    v_components: dict = field(default_factory=dict)
-    h_components: dict = field(default_factory=dict)
+
+    def __init__(self, targets: range = range(0)):
+        self.sources = []
+        self.targets = targets
+        self.v_components = {}
+        self.h_components = {}
 
     def dimension(self) -> int:
         """ker + coker of the cone map, ranked by one sweep over the sources.
@@ -407,8 +406,7 @@ def genus_one_positive_ladder(K: KnotComplex, m: int) -> int:
     return surgery_dim(K, 1, 1).dimension + (m - 1)
 
 
-@dataclass(frozen=True)
-class ScanResult:
+class ScanResult(NamedTuple):
     verdict: str  # lspace | almost | neither
     witness: Optional[int]
     dims: tuple  # ((n, dim), ...)

@@ -6,7 +6,7 @@ run when anything disagrees.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import borromean, catalog, cone, formulas
 from .knotcx import mirror, poly_norm
@@ -16,8 +16,7 @@ SLOPE_GRID = [(1, 1), (-1, 1), (2, 1), (-2, 1), (3, 1), (-3, 1), (5, 1), (-5, 1)
               (7, 3), (-7, 3)]
 
 
-@dataclass
-class SuiteResult:
+class SuiteResult(NamedTuple):
     name: str
     cases: int
     mismatches: list

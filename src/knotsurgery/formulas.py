@@ -9,21 +9,25 @@ slope n is base + |n + 2 tau|.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Mapping, Optional
+from typing import Mapping, NamedTuple, Optional
 
 from .knotcx import PreconditionError, poly_from_pairs, spec_field
 
 
-@dataclass(frozen=True)
-class SutureDimProfile:
-    """Suture dimensions of a knot complement, pinned by tau and one value."""
-    tau: int
-    base_dim: int  # dimension at suture slope -2*tau, the minimum of the profile
+class SutureDimProfile(NamedTuple("SutureDimProfile", [("tau", int), ("base_dim", int)])):
+    """Suture dimensions of a knot complement, pinned by tau and one value.
 
-    def __post_init__(self):
-        if self.base_dim < 0:
+    base_dim is the dimension at suture slope -2*tau, the minimum of the profile.
+    """
+
+    def __new__(cls, tau: int, base_dim: int):
+        if base_dim < 0:
             raise PreconditionError("base dimension must be nonnegative")
+        return super().__new__(cls, tau, base_dim)
+
+    @classmethod
+    def _make(cls, iterable):  # so that _replace runs the checks too
+        return cls(*iterable)
 
     def dim_gamma(self, n: int) -> int:
         return self.base_dim + abs(n + 2 * self.tau)
@@ -75,14 +79,12 @@ def thin_surgery_formula(norm_delta: int, tau: int, p: int, q: int) -> int:
     return (norm_delta - 1) * q // 2 + abs(p)
 
 
-@dataclass(frozen=True)
-class WhDoubleSpec:
+class WhDoubleSpec(NamedTuple):
     t: int  # twist parameter
     companion: SutureDimProfile
 
 
-@dataclass(frozen=True)
-class WhDoubleResult:
+class WhDoubleResult(NamedTuple):
     dim_plus_one: int
     dim_minus_one: int
     tau: int               # tau of the double
@@ -157,8 +159,7 @@ def nearly_fibered_classify(dim_khi_total: int, delta) -> tuple:
         f"(dim, polynomial) = ({dim_khi_total}, {sorted(delta.items())})")
 
 
-@dataclass(frozen=True)
-class ConditionReport:
+class ConditionReport(NamedTuple):
     ok: bool
     violations: tuple
 

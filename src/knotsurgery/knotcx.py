@@ -9,7 +9,6 @@ passes ``validate`` is isomorphic to one staircase plus squares, which
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, NamedTuple, Optional
@@ -84,19 +83,16 @@ def staircase_polynomial(tau: int) -> Poly:
     return {i: (-1) ** (abs(tau) - i) for i in range(-abs(tau), abs(tau) + 1)}
 
 
-@dataclass(frozen=True)
-class StaircaseSpec:
+class StaircaseSpec(NamedTuple):
     l: int
 
 
-@dataclass(frozen=True)
-class SquareSpec:
+class SquareSpec(NamedTuple):
     s: int      # center grading (true units)
     sign: int   # contribution sign in the Alexander polynomial decomposition
 
 
-@dataclass(frozen=True)
-class KnotComplex:
+class _ModelFields(NamedTuple):
     space: GradedSpace
     d_plus: SparseExactMap
     d_minus: SparseExactMap
@@ -104,8 +100,11 @@ class KnotComplex:
     tau: int
     meta: tuple = ()  # sorted (key, value) pairs: name, delta, ...
 
-    # Derived state, computed on first use and kept on the model (not fields,
-    # so equality and hashing see only the definition above).
+
+class KnotComplex(_ModelFields):
+    # Derived state, computed on first use and kept in the instance __dict__
+    # that this subclass adds (not fields, so equality and hashing see only
+    # the fields above).
     @cached_property
     def homologies(self) -> tuple:
         """(H(d-), H(d+)) with representatives."""
@@ -360,9 +359,9 @@ def compute_tau(K: KnotComplex) -> int:
     return alex_m // 2
 
 
-@dataclass
 class ValidationReport:
-    violations: list = field(default_factory=list)
+    def __init__(self):
+        self.violations = []
 
     @property
     def ok(self) -> bool:

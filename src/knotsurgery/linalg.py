@@ -8,10 +8,9 @@ integers.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 # Sparse vector keyed by generator id.  Zero coefficients are never stored.
 Vec = dict
@@ -21,28 +20,32 @@ class LinearAlgebraError(Exception):
     """Malformed space or map data, or a failed structural precondition."""
 
 
-@dataclass(frozen=True)
-class Generator:
+class Generator(NamedTuple):
     gid: str
     alex: int  # twice the Alexander grading
     z2: int    # homological Z/2 grading
 
 
-@dataclass(frozen=True)
-class GradedSpace:
-    generators: tuple[Generator, ...]
+class GradedSpace(NamedTuple("GradedSpace", [("generators", tuple)])):
+    """A tuple of generators with distinct ids, indexed by id at construction."""
 
-    def __post_init__(self):
+    def __new__(cls, generators: tuple):
+        self = super().__new__(cls, generators)
         index: dict = {}
-        for g in self.generators:
+        for g in generators:
             if g.gid in index:
                 raise LinearAlgebraError(f"duplicate generator id {g.gid!r}")
             if g.z2 not in (0, 1):
                 raise LinearAlgebraError(f"generator {g.gid!r} has z2 grading {g.z2}, expected 0 or 1")
             index[g.gid] = g
         # Derived once; not fields, so equality and hashing see only the generators.
-        object.__setattr__(self, "_index", index)
-        object.__setattr__(self, "_ids", tuple(index))
+        self._index = index
+        self._ids = tuple(index)
+        return self
+
+    @classmethod
+    def _make(cls, iterable):  # so that _replace runs the checks too
+        return cls(*iterable)
 
     @property
     def dim(self) -> int:
@@ -71,17 +74,15 @@ def space(gens: Iterable[tuple]) -> GradedSpace:
     return GradedSpace(tuple(Generator(gid, int(alex), int(z2)) for gid, alex, z2 in gens))
 
 
-@dataclass(frozen=True)
-class SparseExactMap:
-    source: GradedSpace
-    target: GradedSpace
-    entries: tuple  # of (target id, source id, Fraction)
+class SparseExactMap(NamedTuple("SparseExactMap", [
+        ("source", GradedSpace), ("target", GradedSpace), ("entries", tuple)])):
+    """Entries are (target id, source id, Fraction) triples, checked at construction."""
 
-    def __post_init__(self):
-        src_ids = self.source._index
-        tgt_ids = self.target._index
+    def __new__(cls, source: GradedSpace, target: GradedSpace, entries: tuple):
+        src_ids = source._index
+        tgt_ids = target._index
         seen = set()
-        for tgt, src, val in self.entries:
+        for tgt, src, val in entries:
             if src not in src_ids:
                 raise LinearAlgebraError(f"entry references unknown source generator {src!r}")
             if tgt not in tgt_ids:
@@ -91,6 +92,11 @@ class SparseExactMap:
             if val == 0:
                 raise LinearAlgebraError(f"explicit zero entry at (target={tgt!r}, source={src!r})")
             seen.add((tgt, src))
+        return super().__new__(cls, source, target, entries)
+
+    @classmethod
+    def _make(cls, iterable):  # so that _replace runs the checks too
+        return cls(*iterable)
 
     @cached_property
     def _cols(self) -> dict:
@@ -109,7 +115,8 @@ class SparseExactMap:
         cols = self._cols
         for src, c in vec.items():
             for tgt, val in cols.get(src, {}).items():
-                acc = out.get(tgt, Fraction(0)) + c * val
+                acc = out.get(tgt)
+                acc = c * val if acc is None else acc + c * val
                 if acc == 0:
                     out.pop(tgt, None)
                 else:
@@ -172,7 +179,8 @@ class Echelon:
 def sub_scaled(acc: Vec, c: Fraction, vec: Vec):
     """acc -= c * vec in place, dropping entries that cancel."""
     for r, v in vec.items():
-        x = acc.get(r, Fraction(0)) - c * v
+        x = acc.get(r)
+        x = -c * v if x is None else x - c * v
         if x == 0:
             acc.pop(r, None)
         else:
@@ -186,8 +194,7 @@ def rank(m: SparseExactMap) -> int:
     return ech.rank
 
 
-@dataclass(frozen=True)
-class HomologyClass:
+class HomologyClass(NamedTuple):
     cid: str
     rep: tuple  # sparse representative as ((gid, Fraction), ...) pairs
     alex: Optional[int]  # doubled grading when the representative is homogeneous

@@ -161,6 +161,25 @@ def test_oversized_input_hits_limit_before_work(capsys, argv, limit):
     assert code == 2 and limit in err
 
 
+def _first_primes(n: int) -> list:
+    primes = []
+    k = 2
+    while len(primes) < n:
+        if all(k % p for p in primes if p * p <= k):
+            primes.append(k)
+        k += 1
+    return primes
+
+
+def test_multiplicity_product_too_long_to_print_exits_2(capsys):
+    # the product of the first 1500 primes has more digits than str(int) allows
+    pairs = [f"--pair=1/{p}" for p in _first_primes(1500)]
+    code, _, err = run(capsys, "seifert", "--genus", "2", "--base", "1", *pairs)
+    assert code == 2
+    assert err.startswith("error: prod v_i, a ") and err.endswith(
+        "-bit number, exceeds the limit MAX_MULTIPLICITY_PRODUCT = 100000\n")
+
+
 def test_large_denominator_is_answered_without_a_cone(capsys):
     # the cone at this slope would be over MAX_LATTICE_SLOTS; the decomposition is not
     import time

@@ -1,9 +1,15 @@
-"""Every name a library module imports is used in that module.
+"""Every name a library module imports is used in that module, and no module imports ``dataclasses``.
 
 Read with the standard ``ast`` module, so nothing is imported or run.  The
-package ``__init__`` is left out: its imports are the public API.
+package ``__init__`` is left out of the unused-import check: its imports
+are the public API.  ``dataclasses`` (and the ``inspect`` module it loads)
+would add about a third to the library's import time, which every CLI call
+pays; one check runs the import in a fresh interpreter to confirm neither
+is loaded.
 """
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -36,3 +42,34 @@ def test_the_check_finds_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def imported_modules(source: str) -> set:
+    """Top-level names of every module that ``source`` imports."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.split(".")[0])
+    return names
+
+
+def test_the_check_finds_a_dataclasses_import():
+    source = "import dataclasses.x as y\nfrom dataclasses import field\nfrom . import cone\n"
+    assert imported_modules(source) == {"dataclasses"}
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_dataclasses_import(path):
+    assert "dataclasses" not in imported_modules(path.read_text())
+
+
+def test_importing_the_package_and_cli_loads_neither_dataclasses_nor_inspect():
+    probe = ("import sys\n"
+             "before = set(sys.modules)\n"
+             "import knotsurgery, knotsurgery.cli\n"
+             "print(' '.join(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before))))\n")
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          cwd=SRC.parent, check=True)
+    assert done.stdout.strip() == ""

@@ -1,0 +1,102 @@
+"""Value semantics of the library's spec, result and model types.
+
+They are ``typing.NamedTuple``s (or small classes for the mutable ones):
+equal and hashed as the tuple of their fields, with read-only fields.
+"""
+from fractions import Fraction
+
+import pytest
+
+from knotsurgery.cone import ConeProblem, ScanResult, SurgeryResult
+from knotsurgery.crosscheck import SuiteResult
+from knotsurgery.formulas import (
+    UNKNOT_PROFILE,
+    ConditionReport,
+    SutureDimProfile,
+    WhDoubleResult,
+    WhDoubleSpec,
+)
+from knotsurgery.knotcx import (
+    PreconditionError,
+    SquareSpec,
+    StaircaseSpec,
+    ValidationReport,
+    build_staircase,
+    validate,
+)
+from knotsurgery.linalg import Generator, HomologyClass, LinearAlgebraError, space, sparse_map
+
+SP = space([("a", 0, 0), ("b", 2, 1)])
+
+VALUES = [
+    (Generator("a", -2, 1), ("gid", "alex", "z2")),
+    (SP, ("generators",)),
+    (sparse_map(SP, SP, [("b", "a", 2)]), ("source", "target", "entries")),
+    (HomologyClass("h0", (("a", Fraction(1)),), 0, 0), ("cid", "rep", "alex", "z2")),
+    (StaircaseSpec(2), ("l",)),
+    (SquareSpec(0, -1), ("s", "sign")),
+    (build_staircase(1), ("space", "d_plus", "d_minus", "genus", "tau", "meta")),
+    (SurgeryResult("fig8", 1, 1, 3, "decomposition"),
+     ("knot", "p", "q", "dimension", "pathway", "per_grading")),
+    (ScanResult("lspace", 1, ((1, 1),)), ("verdict", "witness", "dims")),
+    (SutureDimProfile(1, 2), ("tau", "base_dim")),
+    (WhDoubleSpec(3, UNKNOT_PROFILE), ("t", "companion")),
+    (WhDoubleResult(1, 1, 0, 1), ("dim_plus_one", "dim_minus_one", "tau", "top_grading_dim")),
+    (ConditionReport(True, ()), ("ok", "violations")),
+    (SuiteResult("symmetries", 2, ()), ("name", "cases", "mismatches")),
+]
+
+
+@pytest.mark.parametrize("value, names", VALUES, ids=lambda v: type(v).__name__)
+def test_equal_and_hashed_as_the_field_tuple(value, names):
+    fields = tuple(getattr(value, name) for name in names)
+    assert value == fields and hash(value) == hash(fields)
+
+
+@pytest.mark.parametrize("value, names", VALUES, ids=lambda v: type(v).__name__)
+def test_fields_are_read_only(value, names):
+    for name in names:
+        with pytest.raises(AttributeError):
+            setattr(value, name, None)
+
+
+def test_derived_model_state_is_outside_equality():
+    K = build_staircase(2)
+    assert K.report.ok and K.decomposition == (2, {})
+    assert K == build_staircase(2) and hash(K) == hash(build_staircase(2))
+
+
+def test_a_negative_base_dimension_is_rejected():
+    with pytest.raises(PreconditionError, match="base dimension must be nonnegative"):
+        SutureDimProfile(0, -1)
+
+
+def test_replace_runs_the_construction_checks():
+    with pytest.raises(PreconditionError, match="base dimension must be nonnegative"):
+        SutureDimProfile(0, 1)._replace(base_dim=-1)
+    with pytest.raises(LinearAlgebraError, match="duplicate generator id 'a'"):
+        SP._replace(generators=SP.generators + SP.generators[:1])
+    d = sparse_map(SP, SP, [("b", "a", 2)])
+    with pytest.raises(LinearAlgebraError, match="explicit zero entry"):
+        d._replace(entries=(("b", "a", Fraction(0)),))
+    assert SP._replace(generators=SP.generators[:1]).ids == ("a",)
+    assert d._replace(entries=())._cols == {"a": {}, "b": {}}
+
+
+def test_mutable_containers_share_no_defaults():
+    r1, r2 = ValidationReport(), ValidationReport()
+    r1.violations.append("x")
+    assert r2.violations == [] and validate(build_staircase(1)).violations == []
+    c1, c2 = ConeProblem(), ConeProblem()
+    c1.sources.append((0, 1))
+    c1.v_components[0] = (0, {0: Fraction(1)})
+    c1.h_components[0] = (2, {0: Fraction(1)})
+    assert (c2.sources, c2.v_components, c2.h_components, c2.targets) == ([], {}, {}, range(0))
+
+
+def test_reprs_are_unchanged():
+    assert repr(Generator("a1", -2, 1)) == "Generator(gid='a1', alex=-2, z2=1)"
+    assert repr(SquareSpec(0, -1)) == "SquareSpec(s=0, sign=-1)"
+    assert repr(SurgeryResult("x", 0, 1, 6, "decomposition", ((0, 2), (1, None)))) == (
+        "SurgeryResult(knot='x', p=0, q=1, dimension=6, pathway='decomposition', "
+        "per_grading=((0, 2), (1, None)))")
