@@ -15,7 +15,7 @@ import sys
 from fractions import Fraction
 
 from . import borromean, catalog, cone, crosscheck, formulas
-from .knotcx import ModelError, chi_graded, parse_knot_spec, parse_poly_pairs, poly_str
+from .knotcx import ModelError, chi_graded, parse_knot_spec, parse_poly_pairs, poly_norm, poly_str
 from .linalg import LinearAlgebraError
 
 EXIT_OK = 0
@@ -109,12 +109,8 @@ def _pathway_values(K, p: int, q: int) -> dict:
 
     ``surgery_dim`` goes first, so its slope checks guard every oracle.
     """
-    from .knotcx import poly_norm
     values = {"decomposition": cone.surgery_dim(K, p, q).dimension,
               "cone": cone.build_cone_problem(K, p, q).dimension()}
-    by_levels = cone.levels_dim(K, p, q)
-    if by_levels is not None:
-        values["levels"] = by_levels
     if q == 1 and p >= cone.large_surgery_start(K):
         values["large-surgery"] = cone.large_surgery_dim(K, p)
     delta = K.delta()
@@ -145,15 +141,14 @@ def cmd_surgery(args) -> int:
             rows.append([K.name, f"{p}/{q}",
                          values["decomposition"],
                          values["cone"],
-                         values.get("levels", "-"),
                          values.get("closed-form", "-"),
                          values.get("large-surgery", "-"),
                          values.get("ladder", "-"),
                          agree])
         payload = {"command": "surgery", "compare": True, "results": records}
         _emit(args, payload, rows,
-              ["knot", "slope", "decomposition", "cone", "levels", "closed-form",
-               "large-surgery", "ladder", "agree"])
+              ["knot", "slope", "decomposition", "cone", "closed-form", "large-surgery",
+               "ladder", "agree"])
         return EXIT_OK if ok else EXIT_MISMATCH
     results = []
     for p, q in slopes:

@@ -17,11 +17,11 @@ and sigma = 2k + 2m, which is ``formulas.thin_surgery_formula`` at the
 model's dimension 2 |tau| + 1 + 4k.  A square adds two classes, with no
 rows, at the one level strictly inside its gradings.  The zero-surgery
 table is read off the same decomposition.  No level is read.  The level
-table and the materialised cone stay as independent oracles for
-``--compare``, ``crosscheck`` and the tests: ``levels_dim`` reads the same
-three terms off the bent homologies (``K.slope_terms``),
-``zero_surgery_levels`` reads the zero-surgery slots off them, and
-``build_cone_problem`` ranks the cone itself.
+table of the model as given feeds the independent oracles of
+``--compare``, ``crosscheck`` and the tests: ``build_cone_problem`` ranks
+the cone itself, ``large_surgery_dim`` sums the bent homologies of the
+large-surgery regime and ``zero_surgery_levels`` reads the zero-surgery
+slots off them.
 
 The cone is ranked without elimination.  Source sigma reaches only the
 slots sigma and sigma + 2p, so the incidence graph is a disjoint union of
@@ -287,53 +287,6 @@ def large_surgery_dim(K: KnotComplex, n: int) -> int:
             + beyond * _level_rows(K, -g - 1)[0])
 
 
-def _slope_terms(K: KnotComplex) -> Optional[tuple]:
-    """(z, m, sigma) of K's level table, or None when the closed form does not cover it.
-
-    Each level s = 1 - g..g - 1 (the levels the cone reads at W = g) is
-    classed by its rows: 0 (none), V (v only), H (h only), E (both,
-    proportional) or G (both, independent).  The levels past them need no
-    reading: at s >= g the bent differential is d- alone, one class with v
-    nonzero and h zero, and s <= -g is the mirror case.  z counts the 0
-    levels, m the G levels, and sigma is the sum of b(s) - 1 over the class
-    counts b(s).  The closed form holds for a word H..H, then 0..0 or a mix
-    of E and G whose G levels are consecutive, then V..V; it fails on some
-    tables with G levels apart, so every other word returns None.
-    """
-    g = max(K.genus, 1)
-    kinds, sigma = [], 0
-    for s in range(1 - g, g):
-        n, v_row, h_row = _level_rows(K, s)
-        sigma += n - 1
-        if v_row and h_row:
-            kinds.append("E" if _proportional(v_row, h_row) else "G")
-        else:
-            kinds.append("V" if v_row else "H" if h_row else "0")
-    word = "".join(kinds)
-    z, m = word.count("0"), word.count("G")
-    middle = set(word.lstrip("H").rstrip("V"))
-    if middle <= {"0"} or (middle <= {"E", "G"} and "G" * m in word):
-        return z, m, sigma
-    return None
-
-
-def levels_dim(K: KnotComplex, p: int, q: int) -> Optional[int]:
-    """Dimension at slope p/q (p != 0) from K.slope_terms, or None when they do not apply.
-
-    With (z, m, sigma) = K.slope_terms:
-    p > 0: p + 2 max(0, z q - p) + q sigma;
-    p < 0: |p| + 2 max(0, m q - |p|) + q (sigma + 2 z - 2 m).
-    For p > 0 this is the nu form, z = max(0, 2 nu - 1).
-    """
-    terms = K.slope_terms
-    if terms is None:
-        return None
-    z, m, sigma = terms
-    if p > 0:
-        return p + 2 * max(0, z * q - p) + q * sigma
-    return -p + 2 * max(0, m * q + p) + q * (sigma + 2 * z - 2 * m)
-
-
 def surgery_dim(K: KnotComplex, p: int, q: int) -> SurgeryResult:
     """Dimension of the surgery invariant at slope p/q on an S^3-knot model.
 
@@ -343,9 +296,8 @@ def surgery_dim(K: KnotComplex, p: int, q: int) -> SurgeryResult:
     """
     if p == 0:
         raise PreconditionError("slope 0: use zero_surgery_dims for the per-grading table")
-    tau, squares = decompose(K)
-    dim = thin_surgery_formula(2 * abs(tau) + 1 + 4 * sum(squares.values()), tau, p, q)
-    return SurgeryResult(K.name, p, q, dim, "decomposition")
+    tau, _ = decompose(K)
+    return SurgeryResult(K.name, p, q, thin_surgery_formula(K.dim, tau, p, q), "decomposition")
 
 
 def zero_surgery_dims(K: KnotComplex, span: Optional[int] = None) -> dict:

@@ -31,12 +31,13 @@ class SuiteResult(NamedTuple):
 
 
 def suite_thin_vs_cone() -> SuiteResult:
-    """Ranked cone == level table == surgery_dim == closed thin formula == genus-one ladder.
+    """Ranked cone == surgery_dim == closed thin formula == genus-one ladder.
 
     The ranked value is the materialised cone, or the large-surgery direct
-    sum in its regime; ``levels_dim`` reads the level table and
-    ``surgery_dim`` the model's decomposition; the ladder applies at genus
-    one and positive integral slopes.
+    sum in its regime, both read off the model's level table;
+    ``surgery_dim`` reads the model's decomposition and the formula its
+    Alexander polynomial; the ladder applies at genus one and positive
+    integral slopes.
     """
     cases = 0
     bad = []
@@ -48,11 +49,8 @@ def suite_thin_vs_cone() -> SuiteResult:
                 by_cone = cone.large_surgery_dim(K, p)
             else:
                 by_cone = cone.build_cone_problem(K, p, q).dimension()
-            by_levels = cone.levels_dim(K, p, q)
             by_surgery = cone.surgery_dim(K, p, q).dimension
             by_formula = formulas.thin_surgery_formula(norm, K.tau, p, q)
-            if by_levels != by_cone:
-                bad.append(f"{K.name} at {p}/{q}: levels {by_levels} != cone {by_cone}")
             if by_surgery != by_cone:
                 bad.append(f"{K.name} at {p}/{q}: surgery_dim {by_surgery} != cone {by_cone}")
             if by_cone != by_formula:

@@ -122,12 +122,6 @@ class KnotComplex(_ModelFields):
         return {}
 
     @cached_property
-    def slope_terms(self) -> Optional[tuple]:
-        """The level table's closed-form terms (z, m, sigma) or None (see ``cone._slope_terms``)."""
-        from .cone import _slope_terms
-        return _slope_terms(self)
-
-    @cached_property
     def decomposition(self) -> "Decomposition":
         """The staircase and squares of the model (see ``decompose``), computed once."""
         return _decompose(self)
@@ -310,10 +304,7 @@ def thin_from_alexander(delta, tau: int, name: Optional[str] = None) -> KnotComp
     stair, squares = thin_decomposition(delta, tau)
     at_one = sum(delta.values())
     normalized = delta if at_one == 1 else {p: -c for p, c in delta.items()}
-    K = assemble(stair, squares, name=name, delta=normalized)
-    if K.dim != poly_norm(normalized):
-        raise ModelError("not a thin complex: dimension does not match the coefficient norm")
-    return K
+    return assemble(stair, squares, name=name, delta=normalized)
 
 
 def mirror(K: KnotComplex) -> KnotComplex:

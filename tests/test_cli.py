@@ -55,14 +55,9 @@ def test_surgery_compare_pathways(capsys):
     assert code == 0
     payload = json.loads(out)
     by_slope = {r["slope"]: r for r in payload["results"]}
-    assert by_slope["1/1"]["values"]["decomposition"] == 3
-    assert by_slope["1/1"]["values"]["cone"] == 3
-    assert by_slope["1/1"]["values"]["levels"] == 3
-    assert by_slope["1/1"]["values"]["closed-form"] == 3
-    assert by_slope["1/1"]["values"]["ladder"] == 3
-    assert by_slope["1/1"]["values"]["large-surgery"] == 3
-    assert by_slope["1/2"]["values"] == {"decomposition": 5, "cone": 5, "levels": 5,
-                                         "closed-form": 5}
+    assert by_slope["1/1"]["values"] == {"decomposition": 3, "cone": 3, "closed-form": 3,
+                                         "large-surgery": 3, "ladder": 3}
+    assert by_slope["1/2"]["values"] == {"decomposition": 5, "cone": 5, "closed-form": 5}
     assert all(r["agree"] for r in payload["results"])
 
 
@@ -70,9 +65,9 @@ def test_surgery_compare_table_shows_the_decomposition(capsys):
     code, out, _ = run(capsys, "surgery", "--knot", "t2_7", "--slope", "7/3", "--compare")
     header, row = out.splitlines()
     assert code == 0
-    assert header.split() == ["knot", "slope", "decomposition", "cone", "levels", "closed-form",
+    assert header.split() == ["knot", "slope", "decomposition", "cone", "closed-form",
                               "large-surgery", "ladder", "agree"]
-    assert row.split() == ["t2_7", "7/3", "23", "23", "23", "23", "-", "-", "True"]
+    assert row.split() == ["t2_7", "7/3", "23", "23", "23", "-", "-", "True"]
 
 
 @pytest.mark.parametrize("compare", [[], ["--compare"]], ids=["plain", "compare"])

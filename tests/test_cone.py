@@ -18,7 +18,6 @@ from knotsurgery.cone import (
     genus_one_positive_ladder,
     large_surgery_dim,
     large_surgery_start,
-    levels_dim,
     pi_maps,
     surgery_dim,
     zero_surgery_dims,
@@ -346,7 +345,7 @@ def test_level_table_lives_on_the_model():
     assert K.levels == {}
     surgery_dim(K, 1, 1)
     assert K.levels == {}  # the answer reads the decomposition, no level
-    levels_dim(K, 1, 1)
+    build_cone_problem(K, 1, 1).dimension()
     assert sorted(K.levels) == list(range(1 - K.genus, K.genus))
     other = build_staircase(3)
     assert other == K and other.levels == {}
@@ -539,7 +538,7 @@ def test_staircase_family_slope_table():
         assert surgery_dim(K, 1, 1).dimension == 4 * l - 3
 
 
-# --- slopes read off the level table -------------------------------------------
+# --- the answer against the ranked cone ---------------------------------------
 
 def _generated_models(family):
     """Each model of a family together with its mirror."""
@@ -560,41 +559,22 @@ def test_levels_match_the_cone(family):
     import random
     rng = random.Random(17)
     for K in _generated_models(family):
-        z, m, _ = K.slope_terms  # every generated table has the covered shape
+        # the slope terms of the rank formula (see cone's docstring)
+        z, m = max(0, 2 * K.tau - 1), max(0, -2 * K.tau - 1)
         g = max(K.genus, 1)
         for q in (1, 2, 3, 7, 50):
             # both signs around the breakpoints z q and m q, the large regime and past it
             ps = {1, 2, z * q - 1, z * q, z * q + 1, m * q - 1, m * q, m * q + 1,
                   (2 * g - 1) * q + 1, 4 * g * q + 3, rng.randint(1, 4 * g * q + 3)}
             for p in (sign * p for p in ps if p > 0 and math.gcd(p, q) == 1 for sign in (1, -1)):
-                assert levels_dim(K, p, q) == build_cone_problem(K, p, q).dimension(), \
+                assert surgery_dim(K, p, q).dimension == build_cone_problem(K, p, q).dimension(), \
                     (K.name, p, q)
-        # the levels the terms skip have the rows they assume
+        # the levels at +-genus, past the level word, have one class and one row each
         if K.genus:
             n, v_row, h_row = cone._level_rows(K, K.genus)
             assert n == 1 and v_row and not h_row, K.name
             n, v_row, h_row = cone._level_rows(K, -K.genus)
             assert n == 1 and h_row and not v_row, K.name
-
-
-def test_slope_terms_computed_once_from_the_inner_levels(monkeypatch):
-    from knotsurgery.knotcx import thin_from_alexander
-    calls = []
-    real = cone._slope_terms
-
-    def counted(K):
-        calls.append(K.name)
-        return real(K)
-
-    monkeypatch.setattr(cone, "_slope_terms", counted)
-    for K in (build_staircase(5, name="s5"), build_staircase(-4, name="s-4"), _square_models()[1],
-              thin_from_alexander([(1, 2), (-1, 1), (1, 0), (-1, -1), (1, -2)], 2, name="t2_5")):
-        calls.clear()
-        for q in (1, 2, 49):
-            for p in (1, -1, 3, -3, 4 * K.genus * q + 3, -(4 * K.genus * q + 3)):
-                assert levels_dim(K, p, q) == surgery_dim(K, p, q).dimension, (K.name, p, q)
-        assert calls == [K.name]
-        assert sorted(K.levels) == list(range(1 - K.genus, K.genus)), K.name
 
 
 _ROWS = {"0": (1, {}, {}), "V": (1, {0: 1}, {}), "H": (1, {}, {0: 1}),
@@ -612,45 +592,17 @@ def _table_model(word):
     return K
 
 
-def _raw_levels_dim(word, p, q):
-    """The closed form applied to the terms of ``word`` whatever its shape."""
-    K = _table_model(word)
-    K.__dict__["slope_terms"] = (word.count("0"), word.count("G"),
-                                 sum(_ROWS[k][0] - 1 for k in word))
-    return levels_dim(K, p, q)
-
-
 def _small_slopes():
     import math
     return [(p, q) for q in (1, 2, 3) for p in range(-13, 14) if p and math.gcd(abs(p), q) == 1]
 
 
-def test_every_synthetic_table_of_the_covered_shape_matches_the_cone():
-    from itertools import product
-    words = ["".join(w) for w in product("0VHEG", repeat=3)]
-    words += ["H000V", "HEGGV", "HGGEV", "EGGEE", "HH0VV", "GGGGG"]
-    covered = 0
-    for word in words:
-        K = _table_model(word)
-        if K.slope_terms is None:
-            continue
-        covered += 1
-        for p, q in _small_slopes():
-            assert levels_dim(K, p, q) == build_cone_problem(K, p, q).dimension(), (word, p, q)
-    assert covered == 31 + 6  # 31 of the 125 three-level words, and the six longer ones
-
-
 @pytest.mark.parametrize("word", ["GEG", "GVG", "HGEGV", "V0H", "0E0", "HVH", "0GV0"])
 def test_off_shape_tables_fall_back_to_the_cone(word):
-    # The closed form would be wrong on these tables, so levels_dim declines
-    # them and only the ranked cone reads them.  surgery_dim reads the
-    # decomposition, so the injected table does not change its answer.
+    # No valid model has these level words, and surgery_dim reads the
+    # decomposition, so a table injected into the model does not change
+    # its answer.
     K = _table_model(word)
-    assert K.slope_terms is None
     clean = build_staircase(K.tau)
-    wrong = 0
     for p, q in _small_slopes():
-        assert levels_dim(K, p, q) is None
         assert surgery_dim(K, p, q) == surgery_dim(clean, p, q), (p, q)
-        wrong += _raw_levels_dim(word, p, q) != build_cone_problem(K, p, q).dimension()
-    assert wrong

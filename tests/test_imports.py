@@ -5,9 +5,11 @@ package ``__init__`` is left out of the unused-import check: its imports
 are the public API.  ``dataclasses`` (and the ``inspect`` module it loads)
 would add about a third to the library's import time, which every CLI call
 pays; one check runs the import in a fresh interpreter to confirm neither
-is loaded.
+is loaded.  The imports between the package's modules, those inside
+functions included, form no cycle.
 """
 import ast
+import graphlib
 import subprocess
 import sys
 from pathlib import Path
@@ -73,3 +75,33 @@ def test_importing_the_package_and_cli_loads_neither_dataclasses_nor_inspect():
     done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                           cwd=SRC.parent, check=True)
     assert done.stdout.strip() == ""
+
+
+def package_imports(source: str) -> set:
+    """Modules of this package that ``source`` imports, at any depth (inside functions too)."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            names.update([node.module] if node.module else (a.name for a in node.names))
+    return names
+
+
+def import_cycle(graph: dict) -> list:
+    """One cycle of ``graph`` ({module: imported modules}) as a path, or [] when it has none."""
+    try:
+        graphlib.TopologicalSorter(graph).prepare()
+    except graphlib.CycleError as exc:
+        return exc.args[1]
+    return []
+
+
+def test_the_check_finds_an_import_cycle():
+    source = "from . import cone, linalg\ndef f():\n    from .knotcx import x\n"
+    assert package_imports(source) == {"cone", "linalg", "knotcx"}
+    assert len(import_cycle({"a": {"b"}, "b": {"c"}, "c": {"a"}, "d": {"a"}})) == 4
+    assert import_cycle({"a": {"b", "c"}, "b": {"c"}, "c": set()}) == []
+
+
+def test_the_package_import_graph_has_no_cycle():
+    graph = {p.stem: package_imports(p.read_text()) for p in MODULES}
+    assert import_cycle(graph) == []

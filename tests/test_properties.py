@@ -18,7 +18,6 @@ from knotsurgery.catalog import thin_catalog
 from knotsurgery.cone import (
     almost_lspace_scan,
     build_cone_problem,
-    levels_dim,
     surgery_dim,
     zero_surgery_dims,
     zero_surgery_levels,
@@ -226,14 +225,14 @@ def test_split_models_match_the_thin_formula(K, picked):
 @settings(max_examples=40, deadline=None)
 @given(scrambled_thin_models(), st.booleans(), st.data())
 def test_levels_match_the_cone_on_scrambled_models(K, mirrored, data):
-    """The closed form read off the level table equals the ranked cone, at q up to 50."""
+    """The answer from the decomposition equals the ranked cone, at q up to 50."""
     K = mirror(K) if mirrored else K
     q = data.draw(st.integers(1, 50))
     bound = 4 * max(K.genus, 1) * q + 3
     p = data.draw(st.integers(1, bound)) * data.draw(st.sampled_from((-1, 1)))
     d = math.gcd(abs(p), q)
     p, q = p // d, q // d
-    assert levels_dim(K, p, q) == build_cone_problem(K, p, q).dimension(), (p, q)
+    assert surgery_dim(K, p, q).dimension == build_cone_problem(K, p, q).dimension(), (p, q)
 
 
 @st.composite

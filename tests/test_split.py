@@ -37,9 +37,10 @@ MODELS = _models()
 
 
 def _kind(v_row, h_row):
+    """E (both rows, proportional), G (both, independent), V (v only), H (h only) or 0 (none)."""
     if v_row and h_row:
-        return "edge" if cone._proportional(v_row, h_row) else "rank 2"
-    return "v-only" if v_row else "h-only" if h_row else "zero"
+        return "E" if cone._proportional(v_row, h_row) else "G"
+    return "V" if v_row else "H" if h_row else "0"
 
 
 def _rebuilt(K):
@@ -66,6 +67,20 @@ def test_split_levels_match_the_full_model(K):
         dim = build_cone_problem(K, p, q).dimension()
         assert surgery_dim(K, p, q).dimension == dim, (K.name, p, q)
         assert build_cone_problem(split, p, q).dimension() == dim, (K.name, p, q)
+
+
+@pytest.mark.parametrize("K", MODELS, ids=lambda K: K.name)
+def test_level_word_is_fixed_by_tau(K):
+    """The row kinds at levels 1 - g..g - 1 read H^(g - t) X V^(g - t), t = max(|tau|, 1).
+
+    X is E when tau = 0, 0^(2 tau - 1) when tau > 0 and G^(2 |tau| - 1)
+    when tau < 0 (Ni-Wu's z and m count the 0 and G levels).
+    """
+    g, tau = max(K.genus, 1), K.tau
+    t = max(abs(tau), 1)
+    middle = "E" if tau == 0 else ("0" if tau > 0 else "G") * (2 * abs(tau) - 1)
+    word = "".join(_kind(*cone._level_rows(K, s)[1:]) for s in range(1 - g, g))
+    assert word == "H" * (g - t) + middle + "V" * (g - t), K.name
 
 
 def test_the_families_split():
