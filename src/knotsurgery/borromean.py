@@ -292,26 +292,26 @@ def seifert_dim(g: int, m: int, pairs: Iterable[tuple]) -> int:
     return _seifert_evaluate(g, m, pairs)[1]
 
 
-def _seifert_evaluate(g: int, m: int, pairs: Iterable[tuple]) -> tuple:
-    """(degree, dim, pathway) from one setup and one count: the large-slope shortcut, else the cone."""
+def _seifert_evaluate(g: int, m: int, pairs: Iterable[tuple], shortcut: bool = True,
+                      cone: bool = True) -> tuple:
+    """(degree, dim, pathway) from one setup and one count: the large-slope shortcut
+    when it applies, else the cone.  ``shortcut=False`` forces the cone; with
+    ``cone=False`` dim is None outside the large regime."""
     degree, p, u, multiplicities = _seifert_setup(g, m, pairs)
-    check_lattice_slots((2 * g + 1) * p)  # the large-regime test's slots, before counting
+    # the slots of the large-regime test, or of the forced cone, checked before counting
+    check_lattice_slots((2 * (g if shortcut else _window(g, p, u)) + 1) * p)
     classes = _residue_class_counts(p, u, multiplicities)
-    if _large_applicable(g, classes):
+    if shortcut and _large_applicable(g, classes):
         # large-slope regime: direct sum of u full slots
         return degree, u * (4 ** g), "large-surgery"
-    return degree, _cone_dim_exterior(g, p, u, classes), "cone"
+    return degree, _cone_dim_exterior(g, p, u, classes) if cone else None, "cone"
 
 
 def seifert_dim_large(g: int, m: int, pairs: Iterable[tuple]) -> Optional[int]:
     """Large-slope shortcut value, or None when outside that regime."""
-    _, p, u, multiplicities = _seifert_setup(g, m, pairs)
-    check_lattice_slots((2 * g + 1) * p)
-    return u * (4 ** g) if _large_applicable(g, _residue_class_counts(p, u, multiplicities)) else None
+    return _seifert_evaluate(g, m, pairs, cone=False)[1]
 
 
 def seifert_dim_windowed(g: int, m: int, pairs: Iterable[tuple]) -> int:
     """Force the truncated-cone evaluation even in the large regime."""
-    _, p, u, multiplicities = _seifert_setup(g, m, pairs)
-    check_lattice_slots((2 * _window(g, p, u) + 1) * p)
-    return _cone_dim_exterior(g, p, u, _residue_class_counts(p, u, multiplicities))
+    return _seifert_evaluate(g, m, pairs, shortcut=False)[1]

@@ -33,7 +33,6 @@ dimension 1 at slope +1 and the figure-eight 3.
 """
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import NamedTuple, Optional
 
 from .formulas import thin_surgery_formula
@@ -87,8 +86,7 @@ def _projection(K: KnotComplex, s: int, side: int) -> SparseExactMap:
     s2 = 2 * s
     keep = [g.gid for g in K.space.generators
             if (g.alex <= s2 if side < 0 else g.alex >= s2)]
-    one = Fraction(1)
-    return sparse_map(K.space, K.space, [(g, g, one) for g in keep])
+    return sparse_map(K.space, K.space, [(g, g, 1) for g in keep])
 
 
 def pi_maps(K: KnotComplex, s: int):
@@ -337,7 +335,7 @@ def zero_surgery_levels(K: KnotComplex, span: Optional[int] = None) -> dict:
             continue
         n, v_row, h_row = _level_rows(K, s)
         dims = set()
-        for c in (Fraction(1), Fraction(2)):
+        for c in (1, 2):
             row = dict(v_row)
             sub_scaled(row, -c, h_row)  # row = v + c h
             r = 1 if row else 0
@@ -350,12 +348,16 @@ def zero_surgery_levels(K: KnotComplex, span: Optional[int] = None) -> dict:
 
 
 def genus_one_positive_ladder(K: KnotComplex, m: int) -> int:
-    """Positive integral surgeries on a genus-one model grow by one per step."""
+    """Positive integral surgeries on a genus-one model grow by one per step.
+
+    Anchored on the level table: slope 1 = 2 genus - 1 is in the
+    large-surgery regime, so the first rung is the bent homology at level 0.
+    """
     if K.genus != 1:
         raise PreconditionError(f"ladder requires genus 1, got genus {K.genus}")
     if m < 1:
         raise PreconditionError("ladder requires a positive integral slope")
-    return surgery_dim(K, 1, 1).dimension + (m - 1)
+    return large_surgery_dim(K, 1) + (m - 1)
 
 
 class ScanResult(NamedTuple):

@@ -36,8 +36,10 @@ def suite_thin_vs_cone() -> SuiteResult:
     The ranked value is the materialised cone, or the large-surgery direct
     sum in its regime, both read off the model's level table;
     ``surgery_dim`` reads the model's decomposition and the formula its
-    Alexander polynomial; the ladder applies at genus one and positive
-    integral slopes.
+    Alexander polynomial.  On catalog models both of those derive from the
+    same polynomial (through ``thin_decomposition``), so the independent
+    legs are the cone and the ladder, which is anchored on level 0 of the
+    table and applies at genus one and positive integral slopes.
     """
     cases = 0
     bad = []

@@ -9,7 +9,6 @@ passes ``validate`` is isomorphic to one staircase plus squares, which
 """
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, NamedTuple, Optional
 
@@ -19,6 +18,7 @@ from .linalg import (
     Generator,
     SparseExactMap,
     homology,
+    quotient,
     sparse_map,
     space,
 )
@@ -42,6 +42,17 @@ Poly = dict
 # genus-200 staircase.  The level table that ``--compare`` reads grows about
 # as genus^2: 0.9 s at genus 100 and 3.6 s at genus 200.
 MAX_MODEL_GENUS = 200
+
+# Largest model dimension a thin knot spec may ask for, checked by
+# ``parse_knot_spec`` before any synthesis: the coefficient norm of the
+# Alexander polynomial, which a thin model's dimension equals.  The degree
+# limit alone lets [[c, 1], [1 - 2c, 0], [c, -1]] ask for 4c - 1 generators.
+# On a 2-vCPU host the slowest thin spec measured at this limit (squares
+# spread over every level to genus 200) answers ``surgery`` in 0.27 s, and
+# the cost is linear in the dimension; its ``--compare`` reads 400 levels of
+# the 10^4-generator model and takes about 70 s.  Generator and entry limits
+# for the explicit form wait for the integer validation of ROADMAP item 1.
+MAX_MODEL_DIM = 10 ** 4
 
 
 def poly_from_pairs(pairs: Iterable[tuple]) -> Poly:
@@ -162,10 +173,9 @@ def chi_graded(K: KnotComplex) -> Poly:
     """Graded Euler characteristic: signed generator count per true grading."""
     out: Poly = {}
     for g in K.space.generators:
-        p = Fraction(g.alex, 2)
-        if p.denominator != 1:
+        if g.alex % 2:
             raise ModelError(f"generator {g.gid!r} sits at a half-integer grading")
-        key = int(p)
+        key = g.alex // 2
         out[key] = out.get(key, 0) + (-1) ** g.z2
     return {p: c for p, c in out.items() if c}
 
@@ -560,6 +570,9 @@ def parse_knot_spec(data: dict) -> KnotComplex:
         if not delta:
             raise ModelError("empty Alexander polynomial")
         _check_genus(max(abs(p) for p in delta), "Alexander polynomial degree")
+        if (norm := poly_norm(delta)) > MAX_MODEL_DIM:
+            raise ModelError(f"knot spec coefficient norm {norm} (the model dimension) "
+                             f"exceeds the limit MAX_MODEL_DIM = {MAX_MODEL_DIM}")
         return thin_from_alexander(delta, tau, name=name)
     genus = spec_field(data, "genus", "knot spec")
     _check_genus(genus, "genus")
@@ -578,7 +591,7 @@ def parse_knot_spec(data: dict) -> KnotComplex:
                     and all(map(_is_int, e[2:])) and (len(e) == 3 or e[3] != 0)):
                 raise ModelError(f"knot spec {key}[{i}] must be [source, target, numerator, "
                                  f"denominator?] with integer coefficients, got {e!r}")
-            out.append((e[1], e[0], Fraction(*e[2:])))
+            out.append((e[1], e[0], quotient(*e[2:]) if len(e) == 4 else e[2]))
         return sparse_map(sp, sp, out)
 
     K = KnotComplex(sp, load("d_plus"), load("d_minus"), genus=genus, tau=tau,

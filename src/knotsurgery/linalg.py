@@ -1,10 +1,13 @@
 """Exact rational linear algebra on graded spaces.
 
-Sparse maps with Fraction coefficients, their ranks, homology with chosen
-representatives (one echelon elimination of the columns of d per
-homology) and induced maps on homology.  Gradings are stored *doubled*
-(twice the Alexander grading) so half-integer gradings remain exact
-integers.
+Sparse maps with exact rational coefficients, their ranks, homology with
+chosen representatives (one echelon elimination of the columns of d per
+homology) and induced maps on homology.  A coefficient is an ``int`` when
+it is integral and a ``Fraction`` otherwise, never a float: the one
+division, ``quotient``, builds a ``Fraction`` only when it leaves a
+remainder, so a model with integral entries and unit pivots is eliminated
+in ints alone.  Gradings are stored *doubled* (twice the Alexander grading)
+so half-integer gradings remain exact integers.
 """
 from __future__ import annotations
 
@@ -76,7 +79,11 @@ def space(gens: Iterable[tuple]) -> GradedSpace:
 
 class SparseExactMap(NamedTuple("SparseExactMap", [
         ("source", GradedSpace), ("target", GradedSpace), ("entries", tuple)])):
-    """Entries are (target id, source id, Fraction) triples, checked at construction."""
+    """Entries are (target id, source id, coefficient) triples, checked at construction.
+
+    A coefficient is a nonzero ``int``, or a ``Fraction`` when it is not
+    integral (``sparse_map`` normalises to this).
+    """
 
     def __new__(cls, source: GradedSpace, target: GradedSpace, entries: tuple):
         src_ids = source._index
@@ -124,10 +131,26 @@ class SparseExactMap(NamedTuple("SparseExactMap", [
         return out
 
 
+def _exact(v):
+    """v as an exact coefficient: an int when integral, else a Fraction."""
+    if type(v) is not Fraction:
+        v = Fraction(v)
+    return v.numerator if v.denominator == 1 else v
+
+
 def sparse_map(source: GradedSpace, target: GradedSpace, entries: Iterable[tuple]) -> SparseExactMap:
-    """Build a map from (target id, source id, coefficient) triples; non-Fractions are coerced."""
+    """Build a map from (target id, source id, coefficient) triples, coefficients made exact."""
     return SparseExactMap(source, target, tuple(
-        (t, s, v if type(v) is Fraction else Fraction(v)) for t, s, v in entries))
+        (t, s, v if type(v) is int else _exact(v)) for t, s, v in entries))
+
+
+def quotient(a, b):
+    """Exact a / b: an int when b divides a, else a Fraction; never a float."""
+    if isinstance(a, int) and isinstance(b, int):
+        q, r = divmod(a, b)
+        return q if r == 0 else Fraction(a, b)
+    q = a / b  # a Fraction operand makes this a Fraction
+    return q.numerator if q.denominator == 1 else q
 
 
 class Echelon:
@@ -163,7 +186,7 @@ class Echelon:
         """Insert an already fully reduced nonzero vector; returns its pivot."""
         piv = min(res, key=self._order.__getitem__)
         lead = res[piv]
-        self._pivots[piv] = {r: v / lead for r, v in res.items()}
+        self._pivots[piv] = {r: quotient(v, lead) for r, v in res.items()}
         return piv
 
     def insert(self, vec: Vec) -> Optional[str]:
@@ -176,7 +199,7 @@ class Echelon:
         return len(self._pivots)
 
 
-def sub_scaled(acc: Vec, c: Fraction, vec: Vec):
+def sub_scaled(acc: Vec, c, vec: Vec):
     """acc -= c * vec in place, dropping entries that cancel."""
     for r, v in vec.items():
         x = acc.get(r)
@@ -196,7 +219,7 @@ def rank(m: SparseExactMap) -> int:
 
 class HomologyClass(NamedTuple):
     cid: str
-    rep: tuple  # sparse representative as ((gid, Fraction), ...) pairs
+    rep: tuple  # sparse representative as ((gid, coefficient), ...) pairs, int where integral
     alex: Optional[int]  # doubled grading when the representative is homogeneous
     z2: Optional[int]
 
@@ -261,12 +284,13 @@ def homology(sp: GradedSpace, d: SparseExactMap, prefix: str = "h") -> Homology:
     cycles = []
     for gid, col in cols.items():
         res, usage = solver.reduce(col)
-        chain: Vec = {gid: Fraction(1)}
+        chain: Vec = {gid: 1}
         for piv, c in usage.items():
             sub_scaled(chain, c, chains[piv])
         if res:
             piv = solver.store_residual(res)
-            chains[piv] = {s: v / res[piv] for s, v in chain.items()}
+            lead = res[piv]
+            chains[piv] = {s: quotient(v, lead) for s, v in chain.items()}
         else:
             cycles.append(chain)
     classes = []

@@ -8,7 +8,10 @@ from knotsurgery.catalog import get_knot
 from knotsurgery.cli import main
 from knotsurgery.cone import SurgeryResult
 from knotsurgery.knotcx import (
+    MAX_MODEL_DIM,
     MAX_MODEL_GENUS,
+    ModelError,
+    decompose,
     knot_spec_dict,
     parse_knot_spec,
     staircase_polynomial,
@@ -331,10 +334,17 @@ def _explicit_spec_with_genus(genus):
     return spec
 
 
+def _squares_at_zero(c):
+    """Thin spec of staircase(1) plus c - 1 squares at grading 0: coefficient norm 4c - 1."""
+    return {"alexander": [[c, 1], [1 - 2 * c, 0], [c, -1]], "tau": 1}
+
+
 @pytest.mark.parametrize("spec, limit", [
     (_genus_400_staircase(), "degree 400 exceeds the limit MAX_MODEL_GENUS = 200"),
     (_explicit_spec_with_genus(201), "genus 201 exceeds the limit MAX_MODEL_GENUS = 200"),
-], ids=["thin", "explicit"])
+    (_squares_at_zero(10 ** 6),
+     "coefficient norm 3999999 (the model dimension) exceeds the limit MAX_MODEL_DIM = 10000"),
+], ids=["thin", "explicit", "thin-norm"])
 def test_spec_genus_hits_limit_before_work(tmp_path, capsys, spec, limit):
     import time
     path = tmp_path / "big.json"
@@ -350,6 +360,14 @@ def test_spec_genus_at_the_limit_is_accepted():
     K = parse_knot_spec({"alexander": [[c, p] for p, c in staircase_polynomial(g).items()],
                          "tau": g})
     assert K.genus == g and parse_knot_spec(knot_spec_dict(K)).genus == g
+
+
+def test_spec_norm_at_the_limit_is_accepted():
+    c = (MAX_MODEL_DIM + 1) // 4
+    K = parse_knot_spec(_squares_at_zero(c))
+    assert K.dim == 4 * c - 1 <= MAX_MODEL_DIM and decompose(K).squares == {(0, 1): c - 1}
+    with pytest.raises(ModelError, match="MAX_MODEL_DIM"):
+        parse_knot_spec(_squares_at_zero(c + 1))
 
 
 def test_missing_spec_file(capsys):
