@@ -33,7 +33,7 @@ dimension 1 at slope +1 and the figure-eight 3.
 """
 from __future__ import annotations
 
-from typing import NamedTuple, Optional
+from typing import NamedTuple, Optional, Sequence
 
 from .formulas import thin_surgery_formula
 from .knotcx import KnotComplex, PreconditionError, decompose, require_valid
@@ -54,6 +54,17 @@ from .linalg import (
 # every block an edge).  ``surgery_dim`` builds no cone, so the limit binds
 # only ``--compare``, the oracles and the exterior-algebra cone.
 MAX_LATTICE_SLOTS = 5 * 10 ** 5
+
+
+# Level-table cells a call may fill, checked before it computes its first
+# new level: (levels not yet in K.levels) x K.dim.  A level costs a bent
+# homology and two induced maps on the whole model: 9-50 us per generator
+# on a 2-vCPU host.  ``--compare`` at slope 1 on a 9959-generator model of
+# genus 10 (189221 cells) takes 3.8 s there.  Every level of
+# staircase(200), the largest genus a spec may declare, is 403 x 401 =
+# 161603 cells.  ``surgery_dim`` and ``zero_surgery_dims`` read no level,
+# so the limit binds only ``--compare`` and the oracles.
+MAX_LEVEL_CELLS = 2 * 10 ** 5
 
 
 def check_lattice_slots(slots: int):
@@ -210,15 +221,30 @@ class ConeProblem:
         return (total_src - r) + (len(self.targets) - r)
 
 
-def _level_rows(K: KnotComplex, s: int):
-    """(class count, v row, h row) at level s, kept in K.levels; rows are {class index: coeff}.
+def _level_key(K: KnotComplex, s: int) -> int:
+    """The entry of K.levels that level s reads.
 
     Levels past the genus repeat: below -genus the bent complex is d+ alone,
     v is zero and h the identity, and above +genus the reverse.  So every
     s <= -genus - 1 shares one entry, and every s >= genus + 1 another.
     """
-    g = K.genus
-    s = min(max(s, -g - 1), g + 1)
+    return min(max(s, -K.genus - 1), K.genus + 1)
+
+
+def _check_level_cells(K: KnotComplex, levels: Sequence[int]):
+    """PreconditionError, naming the limit, when filling these levels would pass MAX_LEVEL_CELLS."""
+    if min(len(levels), 2 * K.genus + 3) * K.dim <= MAX_LEVEL_CELLS:
+        return  # within the limit even if every entry of the table is new
+    new = {_level_key(K, s) for s in levels} - K.levels.keys()
+    if (cells := len(new) * K.dim) > MAX_LEVEL_CELLS:
+        raise PreconditionError(
+            f"the level table needs {len(new)} levels of a {K.dim}-generator model, {cells} "
+            f"cells, over the limit MAX_LEVEL_CELLS = {MAX_LEVEL_CELLS}")
+
+
+def _level_rows(K: KnotComplex, s: int):
+    """(class count, v row, h row) at level s, kept in K.levels; rows are {class index: coeff}."""
+    s = _level_key(K, s)
     rows = K.levels.get(s)
     if rows is None:
         require_valid(K)
@@ -247,6 +273,7 @@ def build_cone_problem(K: KnotComplex, p: int, q: int, window_margin: int = 0) -
         w_min = max(w_min, (p + q - 1) // (2 * q) + 1)
     W = w_min + max(0, window_margin)
     check_lattice_slots((2 * W - 1) * q)
+    _check_level_cells(K, range(1 - W, W))
 
     first = 2 * (1 - W) * q - (q - 1)
     last = 2 * (W - 1) * q + (q - 1)
@@ -281,8 +308,9 @@ def large_surgery_dim(K: KnotComplex, n: int) -> int:
     g = K.genus
     # levels below -genus all have the rows of level -genus - 1
     beyond = max(0, n - 2 * g - 1)
-    return (sum(_level_rows(K, s)[0] for s in range(max(g - n, -g - 1), g))
-            + beyond * _level_rows(K, -g - 1)[0])
+    levels = range(max(g - n, -g - 1), g)
+    _check_level_cells(K, [*levels, -g - 1])
+    return sum(_level_rows(K, s)[0] for s in levels) + beyond * _level_rows(K, -g - 1)[0]
 
 
 def surgery_dim(K: KnotComplex, p: int, q: int) -> SurgeryResult:
@@ -328,6 +356,7 @@ def zero_surgery_levels(K: KnotComplex, span: Optional[int] = None) -> dict:
     require_valid(K)
     g = K.genus
     top = (g - 1) if span is None else span
+    _check_level_cells(K, [s for s in range(-top, top + 1) if s or K.tau])
     out: dict = {}
     for s in range(-top, top + 1):
         if s == 0 and K.tau == 0:

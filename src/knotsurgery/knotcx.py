@@ -10,10 +10,10 @@ passes ``validate`` is isomorphic to one staircase plus squares, which
 from __future__ import annotations
 
 from functools import cached_property
+from math import gcd, lcm
 from typing import Iterable, NamedTuple, Optional
 
 from .linalg import (
-    Echelon,
     GradedSpace,
     Generator,
     SparseExactMap,
@@ -40,19 +40,32 @@ Poly = dict
 # and the "genus" field of the explicit form.  A surgery answer costs one
 # validation and one decomposition: on a 2-vCPU host under 0.02 s for the
 # genus-200 staircase.  The level table that ``--compare`` reads grows about
-# as genus^2: 0.9 s at genus 100 and 3.6 s at genus 200.
+# as genus^2: 0.4 s at genus 100 and 1.8 s at genus 200, within
+# ``cone.MAX_LEVEL_CELLS``.
 MAX_MODEL_GENUS = 200
 
-# Largest model dimension a thin knot spec may ask for, checked by
+# Largest model dimension a knot spec may ask for, checked by
 # ``parse_knot_spec`` before any synthesis: the coefficient norm of the
-# Alexander polynomial, which a thin model's dimension equals.  The degree
-# limit alone lets [[c, 1], [1 - 2c, 0], [c, -1]] ask for 4c - 1 generators.
-# On a 2-vCPU host the slowest thin spec measured at this limit (squares
-# spread over every level to genus 200) answers ``surgery`` in 0.27 s, and
-# the cost is linear in the dimension; its ``--compare`` reads 400 levels of
-# the 10^4-generator model and takes about 70 s.  Generator and entry limits
-# for the explicit form wait for the integer validation of ROADMAP item 1.
+# Alexander polynomial, which a thin model's dimension equals, and the
+# generator count of the explicit form.  The degree limit alone lets
+# [[c, 1], [1 - 2c, 0], [c, -1]] ask for 4c - 1 generators.  On a 2-vCPU
+# host the slowest thin spec measured at this limit (squares spread over
+# every level to genus 200) answers ``surgery`` in 0.27 s, and the cost is
+# linear in the dimension; ``--compare`` on it hits ``cone.MAX_LEVEL_CELLS``.
 MAX_MODEL_DIM = 10 ** 4
+
+# Largest explicit spec, checked by ``parse_knot_spec`` before any map is
+# built: the d+ and d- entries together, and the bits of each map's
+# integers in ``validate``'s pass (the LCM of the map's denominators, and
+# every entry scaled by it).  Dense rational input is what costs: ranking a
+# dense block takes about (block size)^3 operations on integers that grow
+# to about (block size) x (entry bits).  On a 2-vCPU host the slowest input
+# measured at both limits, one dense full-rank 70 x 70 block of 64-bit
+# entries, validates in 2.6 s; a random dense map that fails a structural
+# check is never ranked, and takes 0.1 s.  A model given in the thin form
+# is bounded by MAX_MODEL_DIM alone.
+MAX_SPEC_ENTRIES = 5000
+MAX_SPEC_BITS = 64
 
 
 def poly_from_pairs(pairs: Iterable[tuple]) -> Poly:
@@ -363,6 +376,8 @@ def compute_tau(K: KnotComplex) -> int:
 class ValidationReport:
     def __init__(self):
         self.violations = []
+        # {(s, sign): count} of the squares (see ``decompose``), set by a clean ``validate``
+        self.squares = None
 
     @property
     def ok(self) -> bool:
@@ -372,68 +387,69 @@ class ValidationReport:
 def validate(K: KnotComplex) -> ValidationReport:
     """Check every invariant; collects violations, never raises.
 
-    The structural checks come first, and any fault there ends the report.
-    Then dim H(d-) and dim H(d+) are read from per-block ranks: at each
-    (grading, z2) block, the block dimension minus the rank of d out of it
-    minus the rank of d into it.  Both must be 1, and tau is the grading of
-    the one block where H(d-) lives.  No homology is computed.
+    One pass over the generators, block by block (see ``_one_pass``), forms
+    d+ d+, d- d-, d+ d- and d- d+ once per generator, in integers, and ranks
+    the blocks unless a check has failed.  The structural checks report in
+    a fixed order: d+^2, d-^2, the grading shifts, anticommutation,
+    symmetric graded dimensions, the genus bounds and the Euler
+    characteristic; any fault there ends the report.  dim H(d-) and dim
+    H(d+) are read from the block ranks: at each (grading, z2) block, the
+    block dimension minus the rank of d out of it minus the rank of d into
+    it.  Both must be 1, and tau is the grading of the one block where
+    H(d-) lives.  No homology is computed.  A clean report keeps the square
+    counts that ``decompose`` reads.
     """
     report = ValidationReport()
     sp = K.space
-
-    def check_square(d: SparseExactMap, label: str):
-        for gid in sp.ids:
-            if d.apply(d.column(gid)):
-                report.violations.append(f"{label}^2 != 0 (witness {gid})")
-                return
-
-    check_square(K.d_plus, "d+")
-    check_square(K.d_minus, "d-")
-
+    shifts = []
     for d, label, sgn in ((K.d_plus, "d+", 1), (K.d_minus, "d-", -1)):
         for tgt, src, _ in d.entries:
             gs, gt = sp.generator(src), sp.generator(tgt)
             if gt.alex - gs.alex != 2 * sgn:
-                report.violations.append(
+                shifts.append(
                     f"{label} shifts grading of {src} by {(gt.alex - gs.alex) / 2}, expected {sgn}")
                 break
             if gt.z2 == gs.z2:
-                report.violations.append(f"{label} does not flip the Z/2 grading on {src}")
+                shifts.append(f"{label} does not flip the Z/2 grading on {src}")
                 break
 
-    for gid in sp.ids:  # apply stores no zeros, so comparing the dicts is exact
-        w = K.d_minus.apply(K.d_plus.column(gid))
-        if K.d_plus.apply(K.d_minus.column(gid)) != {r: -c for r, c in w.items()}:
-            report.violations.append(f"d+d- + d-d+ != 0 (witness {gid})")
-            break
-
     dims = sp.dims_by_grading()
+    rest = []  # the checks reported after anticommutation
     for a, n in dims.items():
         if dims.get(-a, 0) != n:
-            report.violations.append(f"grading dims asymmetric: {n} at {a / 2} vs {dims.get(-a, 0)} at {-a / 2}")
+            rest.append(f"grading dims asymmetric: {n} at {a / 2} vs {dims.get(-a, 0)} at {-a / 2}")
             break
     top = max((abs(a) for a in dims), default=0)
     if top > 2 * K.genus:
-        report.violations.append(f"generator beyond genus: |grading| {top / 2} > genus {K.genus}")
+        rest.append(f"generator beyond genus: |grading| {top / 2} > genus {K.genus}")
     if K.genus > 0 and dims.get(2 * K.genus, 0) < 1:
-        report.violations.append(f"no generator at the top grading {K.genus}")
+        rest.append(f"no generator at the top grading {K.genus}")
 
     half = next((g.gid for g in sp.generators if g.alex % 2), None)
     delta = K.delta()
     if half is not None:  # chi_graded's text for the same fault
-        report.violations.append(f"generator {half!r} sits at a half-integer grading")
+        rest.append(f"generator {half!r} sits at a half-integer grading")
     elif delta is not None:
         chi = chi_graded(K)
         neg = {p: -c for p, c in chi.items()}
         if chi != delta and neg != delta:
-            report.violations.append("graded Euler characteristic does not match the attached polynomial")
+            rest.append("graded Euler characteristic does not match the attached polynomial")
+
+    blocks = _blocks(K)
+    bad, ranks = _one_pass(K, blocks, rank=not (shifts or rest))
+    first = [next(gid for gid in sp.ids if gid in ids) if ids else None for ids in bad]
+    for label, gid in zip(("d+", "d-"), first):
+        if gid is not None:
+            report.violations.append(f"{label}^2 != 0 (witness {gid})")
+    report.violations += shifts
+    if first[2] is not None:
+        report.violations.append(f"d+d- + d-d+ != 0 (witness {first[2]})")
+    report.violations += rest
 
     if report.violations:
         return report
-    blocks = _blocks(K)
     homology_blocks = []  # for d- then d+: {block: dim H(d) there}, nonzero ones only
-    for d, shift in ((K.d_minus, -2), (K.d_plus, 2)):
-        out = _block_ranks(blocks, d.column, shift)
+    for out, shift in ((ranks[0], -2), (ranks[1], 2)):
         homology_blocks.append({
             (a, z): n for (a, z), ids in blocks.items()
             if (n := len(ids) - out.get((a, z), 0) - out.get((a - shift, 1 - z), 0))})
@@ -447,6 +463,8 @@ def validate(K: KnotComplex) -> ValidationReport:
         report.violations.append("survivor classes are not at opposite integer gradings")
     elif alex_m // 2 != K.tau:
         report.violations.append(f"recorded tau {K.tau} differs from survivor grading {alex_m // 2}")
+    else:
+        report.squares = _square_counts(ranks[2])
     return report
 
 
@@ -458,21 +476,104 @@ def _blocks(K: KnotComplex) -> dict:
     return blocks
 
 
-def _block_ranks(blocks: dict, image, shift: int) -> dict:
-    """{block: rank of the images of its generators}, blocks of rank 0 left out.
+def _integer_columns(d: SparseExactMap) -> dict:
+    """The columns {source id: {target id: int}} of d scaled by the LCM of its entry denominators.
 
-    ``image(gid)`` is the image of one generator under a map that sends the
-    block (a, z2) into the block (a + shift, z2 + shift / 2 mod 2).
+    A nonzero scale changes no zero test and no rank.  A map with integral
+    entries keeps its own columns, which nothing here changes.
     """
-    ranks = {}
-    for (alex, z2), ids in blocks.items():
-        images = [im for im in map(image, ids) if im]
-        if images:
-            solver = Echelon(blocks[(alex + shift, (z2 + shift // 2) % 2)])
-            for im in images:
-                solver.insert(im)
-            ranks[(alex, z2)] = solver.rank
-    return ranks
+    scale = lcm(*(v.denominator for _, _, v in d.entries if type(v) is not int))
+    if scale == 1:
+        return d._cols
+    return {src: {tgt: v.numerator * (scale // v.denominator) for tgt, v in col.items()}
+            for src, col in d._cols.items()}
+
+
+def _apply(cols: dict, vec: dict) -> dict:
+    """The image of the integer vector vec under the map with integer columns cols."""
+    out: dict = {}
+    for src, c in vec.items():
+        for tgt, v in cols[src].items():
+            if x := out.get(tgt, 0) + c * v:
+                out[tgt] = x
+            else:
+                del out[tgt]
+    return out
+
+
+def _rank(vectors: list) -> int:
+    """Rank of nonzero integer vectors, by fraction-free elimination.
+
+    Each vector is pivoted on its least key and divided by the gcd of its
+    entries at every step, which keeps the coefficients small.  The vectors
+    given are left unchanged.
+    """
+    pivots: dict = {}
+    for vec in vectors:
+        while vec:
+            if (g := gcd(*vec.values())) != 1:
+                vec = {r: v // g for r, v in vec.items()}
+            piv = min(vec)
+            basis = pivots.get(piv)
+            if basis is None:
+                pivots[piv] = vec
+                break
+            # vec * a - basis * c clears the pivot; a and c share no factor
+            g = gcd(basis[piv], vec[piv])
+            a, c = basis[piv] // g, vec[piv] // g
+            out = {r: v * a for r, v in vec.items()}
+            for r, v in basis.items():
+                if x := out.get(r, 0) - v * c:
+                    out[r] = x
+                else:
+                    del out[r]
+            vec = out
+    return len(pivots)
+
+
+def _one_pass(K: KnotComplex, blocks: dict, rank: bool = True) -> tuple:
+    """The generators where d+ d+, d- d- and d+ d- + d- d+ are nonzero, and the block ranks.
+
+    Each map is taken as integer columns (``_integer_columns``), and the four
+    compositions are formed once per generator, block by block.  Unless
+    ``rank`` is false, each block's images under d-, d+ and d+ d- are ranked
+    as soon as the block is done, and dropped; once a composition has shown
+    a fault, no block is ranked, since a model at fault has no use for its
+    ranks and a dense one may take long to rank.  Returns (three sets of
+    generator ids, ({block: rank of d- out of it}, {block: rank of d+ out
+    of it}, {block: rank of d+ d- on it})), blocks of rank 0 left out.
+    """
+    P, M = _integer_columns(K.d_plus), _integer_columns(K.d_minus)
+    bad = plus_square, minus_square, anticommute = set(), set(), set()
+    ranks = ({}, {}, {})
+    apply = _apply
+    for block, ids in blocks.items():
+        images = minus, plus, squares = [], [], []
+        for gid in ids:
+            p, m = P[gid], M[gid]
+            if apply(P, p):
+                plus_square.add(gid)
+            if apply(M, m):
+                minus_square.add(gid)
+            pm, mp = apply(P, m), apply(M, p)
+            if (pm or mp) and (len(pm) != len(mp) or any(mp.get(r) != -c for r, c in pm.items())):
+                anticommute.add(gid)
+            if m:
+                minus.append(m)
+            if p:
+                plus.append(p)
+            if pm:
+                squares.append(pm)
+        if rank and not any(bad):
+            for out, vectors in zip(ranks, images):
+                if vectors:
+                    out[block] = 1 if len(vectors) == 1 else _rank(vectors)
+    return bad, ranks
+
+
+def _square_counts(ranks: dict) -> dict:
+    """{(s, sign): count} from the ranks of d+ d- on the blocks of doubled grading 2s."""
+    return {(alex // 2, 1 if z2 else -1): n for (alex, z2), n in ranks.items()}
 
 
 def require_valid(K: KnotComplex):
@@ -501,18 +602,21 @@ def decompose(K: KnotComplex) -> Decomposition:
 
     The squares whose top generator sits in the (grading, z2) block of
     doubled grading 2s are counted by the rank of d+ d- on that block, with
-    sign +1 for z2 = 1 as in ``build_square``.  ModelError if K is
-    invalid, or (an internal error, impossible by the above) if K.dim is
-    not 2 |tau| + 1 + 4 k for its k squares.
+    sign +1 for z2 = 1 as in ``build_square``.  ``validate`` ranks these in
+    its pass over the generators, and its clean report keeps the counts, so
+    no composition is formed again here; a report without them (one made
+    outside ``validate``) makes this rank the blocks itself.  ModelError if
+    K is invalid, or (an internal error, impossible by the above) if K.dim
+    is not 2 |tau| + 1 + 4 k for its k squares.
     """
     return K.decomposition
 
 
 def _decompose(K: KnotComplex) -> Decomposition:
     require_valid(K)
-    # d+ d- keeps both gradings, so each block's images lie in the block
-    ranks = _block_ranks(_blocks(K), lambda gid: K.d_plus.apply(K.d_minus.column(gid)), 0)
-    squares = {(alex // 2, 1 if z2 else -1): n for (alex, z2), n in ranks.items()}
+    squares = K.report.squares
+    if squares is None:
+        squares = _square_counts(_one_pass(K, _blocks(K))[1][2])
     expected = 2 * abs(K.tau) + 1 + 4 * sum(squares.values())
     if K.dim != expected:
         raise ModelError(f"internal: model dimension {K.dim} differs from 2|tau| + 1 + 4k = "
@@ -552,6 +656,19 @@ def _check_genus(genus: int, what: str):
             f"knot spec {what} {genus} exceeds the limit MAX_MODEL_GENUS = {MAX_MODEL_GENUS}")
 
 
+def _check_scaled_bits(key: str, values: list):
+    """ModelError unless a map's scale and scaled entries (see ``_integer_columns``) fit MAX_SPEC_BITS."""
+    scale = 1
+    for v in values:
+        if type(v) is not int and (scale := lcm(scale, v.denominator)).bit_length() > MAX_SPEC_BITS:
+            raise ModelError(f"knot spec {key}: the LCM of its denominators exceeds "
+                             f"the limit MAX_SPEC_BITS = {MAX_SPEC_BITS} bits")
+    bits = max(((v * scale).numerator.bit_length() for v in values), default=0)
+    if bits > MAX_SPEC_BITS:
+        raise ModelError(f"knot spec {key}: an entry scaled by the LCM of its denominators "
+                         f"has {bits} bits, over the limit MAX_SPEC_BITS = {MAX_SPEC_BITS}")
+
+
 def parse_knot_spec(data: dict) -> KnotComplex:
     """Build a model from the JSON-compatible knot-spec format.
 
@@ -559,7 +676,9 @@ def parse_knot_spec(data: dict) -> KnotComplex:
     Explicit form: {"generators": [{"id", "alex", "z2"}, ...],
                     "d_plus": [[src, tgt, num, den], ...], "d_minus": [...],
                     "genus", "tau"}; "alex" is the true integer grading.
-    Data that does not fit the schema raises a ModelError naming the field.
+    Data that does not fit the schema raises a ModelError naming the field,
+    and a spec over MAX_MODEL_GENUS, MAX_MODEL_DIM, MAX_SPEC_ENTRIES or
+    MAX_SPEC_BITS one naming the limit, before any model or map is built.
     """
     if not isinstance(data, dict) or ("alexander" not in data and "generators" not in data):
         raise ModelError("knot spec needs either 'alexander' or 'generators'")
@@ -576,25 +695,36 @@ def parse_knot_spec(data: dict) -> KnotComplex:
         return thin_from_alexander(delta, tau, name=name)
     genus = spec_field(data, "genus", "knot spec")
     _check_genus(genus, "genus")
+    generators = spec_field(data, "generators", "knot spec", list)
+    if len(generators) > MAX_MODEL_DIM:
+        raise ModelError(f"knot spec has {len(generators)} generators, "
+                         f"over the limit MAX_MODEL_DIM = {MAX_MODEL_DIM}")
+    arrows = {key: spec_field(data, key, "knot spec", list) if key in data else []
+              for key in ("d_plus", "d_minus")}
+    if (count := sum(map(len, arrows.values()))) > MAX_SPEC_ENTRIES:
+        raise ModelError(f"knot spec has {count} d_plus and d_minus entries, "
+                         f"over the limit MAX_SPEC_ENTRIES = {MAX_SPEC_ENTRIES}")
     gens = []
-    for i, g in enumerate(spec_field(data, "generators", "knot spec", list)):
+    for i, g in enumerate(generators):
         where = f"knot spec generators[{i}]"
         gens.append((spec_field(g, "id", where, str), 2 * spec_field(g, "alex", where),
                      spec_field(g, "z2", where)))
     sp = space(gens)
 
-    def load(key: str) -> SparseExactMap:
-        out = []
-        for i, e in enumerate(spec_field(data, key, "knot spec", list) if key in data else []):
+    entries = {}
+    for key, items in arrows.items():
+        out = entries[key] = []
+        for i, e in enumerate(items):
             if not (isinstance(e, list) and len(e) in (3, 4)
                     and isinstance(e[0], str) and isinstance(e[1], str)
                     and all(map(_is_int, e[2:])) and (len(e) == 3 or e[3] != 0)):
                 raise ModelError(f"knot spec {key}[{i}] must be [source, target, numerator, "
                                  f"denominator?] with integer coefficients, got {e!r}")
             out.append((e[1], e[0], quotient(*e[2:]) if len(e) == 4 else e[2]))
-        return sparse_map(sp, sp, out)
+        _check_scaled_bits(key, [v for _, _, v in out])
 
-    K = KnotComplex(sp, load("d_plus"), load("d_minus"), genus=genus, tau=tau,
+    K = KnotComplex(sp, sparse_map(sp, sp, entries["d_plus"]),
+                    sparse_map(sp, sp, entries["d_minus"]), genus=genus, tau=tau,
                     meta=_meta(name, None))
     if not K.report.ok:
         raise ModelError("invalid explicit knot model: " + "; ".join(K.report.violations))

@@ -11,9 +11,13 @@ from knotsurgery.knotcx import (
     MAX_MODEL_DIM,
     MAX_MODEL_GENUS,
     ModelError,
+    SquareSpec,
+    StaircaseSpec,
+    assemble,
     decompose,
     knot_spec_dict,
     parse_knot_spec,
+    poly_to_pairs,
     staircase_polynomial,
 )
 from knot_helpers import TWO_SURVIVORS_SPEC
@@ -368,6 +372,66 @@ def test_spec_norm_at_the_limit_is_accepted():
     assert K.dim == 4 * c - 1 <= MAX_MODEL_DIM and decompose(K).squares == {(0, 1): c - 1}
     with pytest.raises(ModelError, match="MAX_MODEL_DIM"):
         parse_knot_spec(_squares_at_zero(c + 1))
+
+
+def _explicit_squares(count):
+    """Explicit spec of staircase(0) plus count squares at grading 0: 4 count + 1 generators and
+    4 count entries, all units."""
+    return knot_spec_dict(assemble(StaircaseSpec(0), [SquareSpec(0, -1)] * count))
+
+
+def _explicit_with_coefficients(values):
+    """``_explicit_squares(3)`` with both d_plus entries of square i scaled to the i-th
+    [numerator, denominator] value, which keeps the model valid."""
+    spec = _explicit_squares(3)
+    for i, value in enumerate(values):
+        for entry in spec["d_plus"][2 * i:2 * i + 2]:
+            entry[2:] = value
+    return spec
+
+
+@pytest.mark.parametrize("spec, limit", [
+    (_explicit_squares(2500), "knot spec has 10001 generators, over the limit MAX_MODEL_DIM = 10000"),
+    (_explicit_squares(1251),
+     "knot spec has 5004 d_plus and d_minus entries, over the limit MAX_SPEC_ENTRIES = 5000"),
+    (_explicit_with_coefficients([[2 ** 64, 1]]), "knot spec d_plus: an entry scaled by the LCM "
+     "of its denominators has 65 bits, over the limit MAX_SPEC_BITS = 64"),
+    (_explicit_with_coefficients([[1, 2 ** 40], [1, 3 ** 30]]), "knot spec d_plus: the LCM of "
+     "its denominators exceeds the limit MAX_SPEC_BITS = 64 bits"),
+], ids=["generators", "entries", "entry-bits", "scale-bits"])
+def test_explicit_spec_hits_limit_before_work(tmp_path, capsys, spec, limit):
+    import time
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(spec))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "surgery", "--spec", str(path), "--slope", "1")
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and limit in err and not out
+
+
+def test_explicit_spec_at_the_limits_is_accepted():
+    K = parse_knot_spec(_explicit_squares(1250))
+    assert K.dim == 5001 and decompose(K) == (0, {(0, -1): 1250})
+    # 2^63 has 64 bits; 1/2^32 and 3^20/(3^20 + 1) scale by their LCM 2^32 (3^20 + 1), of 63
+    # bits, to 3^20 + 1 and 2^32 3^20, of 32 and 64 bits
+    for values in ([[2 ** 63, 1]], [[1, 2 ** 32], [3 ** 20, 3 ** 20 + 1]]):
+        spec = _explicit_with_coefficients(values)
+        assert decompose(parse_knot_spec(spec)) == (0, {(0, -1): 3})
+
+
+def test_compare_hits_the_level_table_limit(tmp_path, capsys):
+    # staircase(1) plus 50 squares at every level inside genus 20: 7803 generators
+    squares = [SquareSpec(s, (-1) ** abs(s)) for s in range(-19, 20) for _ in range(50)]
+    K = assemble(StaircaseSpec(1), squares)
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps({"alexander": [list(pair) for pair in poly_to_pairs(K.delta())],
+                                "tau": 1}))
+    code, _, err = run(capsys, "surgery", "--spec", str(path), "--slope", "1")
+    assert code == 0 and not err
+    code, out, err = run(capsys, "surgery", "--spec", str(path), "--slope", "1", "--compare")
+    assert code == 2 and not out
+    assert err == ("error: the level table needs 39 levels of a 7803-generator model, 304317 "
+                   "cells, over the limit MAX_LEVEL_CELLS = 200000\n")
 
 
 def test_missing_spec_file(capsys):

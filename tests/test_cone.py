@@ -298,6 +298,34 @@ def test_lattice_slot_limit():
     cone.check_lattice_slots(cone.MAX_LATTICE_SLOTS)
     with pytest.raises(PreconditionError, match="MAX_LATTICE_SLOTS = 500000"):
         cone.check_lattice_slots(cone.MAX_LATTICE_SLOTS + 1)
+
+
+def _wide_model(g: int, per_level: int):
+    """staircase(1) plus per_level squares at each level strictly inside genus g."""
+    return assemble(StaircaseSpec(1), [SquareSpec(s, (-1) ** abs(s))
+                                       for s in range(1 - g, g) for _ in range(per_level)])
+
+
+def test_level_cell_limit_refuses_before_the_first_level():
+    K = _wide_model(20, 50)  # 7803 generators; each oracle reads 39 or 40 levels
+    limit = r"levels of a 7803-generator model, 3\d{5} cells, over the limit MAX_LEVEL_CELLS = 200000"
+    for oracle in (lambda: build_cone_problem(K, 1, 1), lambda: large_surgery_dim(K, 39),
+                   lambda: zero_surgery_levels(K)):
+        with pytest.raises(PreconditionError, match=limit):
+            oracle()
+        assert K.levels == {}
+    from knotsurgery.formulas import thin_surgery_formula
+    assert surgery_dim(K, 1, 1).dimension == thin_surgery_formula(K.dim, 1, 1, 1)
+
+
+def test_level_cell_limit_counts_only_new_levels():
+    # every level of staircase(200), the largest genus a spec may declare, fits
+    cone._check_level_cells(build_staircase(200), range(-300, 301))
+    K = _wide_model(2, 2500)  # 30003 generators; levels -3..3 are the table's 7 entries
+    with pytest.raises(PreconditionError, match="7 levels of a 30003-generator model"):
+        cone._check_level_cells(K, range(-5, 6))
+    K.levels.update({s: None for s in range(-3, 3)})  # as if filled: one entry is left
+    cone._check_level_cells(K, range(-5, 6))
     # a genus-2 Seifert base at prod v_i = 96441 stays inside: (2 * 2 + 1) * 96441 slots
     assert 5 * 96441 <= cone.MAX_LATTICE_SLOTS
 

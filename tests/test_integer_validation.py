@@ -1,0 +1,179 @@
+"""The integer pass of ``knotcx.validate`` and ``decompose`` against the rational oracle.
+
+Every model here is checked twice: by ``validate`` and ``decompose``, which
+form the four compositions once per generator in integers, and by
+``validation_oracle``, the ``Fraction`` path they replaced.  The violation
+lists must be equal, in order, and a valid model's decompositions must be
+equal.  The models are thin models, per-component and whole-space
+scrambles of them with denominators up to 10^6, and broken variants.
+"""
+import random
+from collections import Counter
+from fractions import Fraction
+
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from knotsurgery import knotcx
+from knotsurgery.catalog import get_knot, thin_catalog
+from knotsurgery.knotcx import (
+    KnotComplex,
+    StaircaseSpec,
+    assemble,
+    decompose,
+    mirror,
+    validate,
+)
+from knotsurgery.linalg import space, sparse_map
+from knot_helpers import half_level_squares_model
+from test_properties import _broken, _paired_squares, random_thin_models, scramble
+from validation_oracle import decompose_rational, validate_rational
+
+
+def assert_agrees(K: KnotComplex):
+    violations = validate(K).violations
+    assert violations == validate_rational(K), K.name
+    if not violations:
+        assert decompose(K) == decompose_rational(K), K.name
+
+
+def _faulty(K: KnotComplex, how: str, grading: int, tag: str) -> KnotComplex:
+    """K with one more summand that breaks it, starting at ``grading``; its ids start with ``tag``.
+
+    "plus-square" and "minus-square" are chains x0 -> x1 -> x2 under d+ (up)
+    or d- (down), so that differential does not square to zero;
+    "commuting" is a square whose four arrows commute; "one-sided" is a
+    -> c under d+ and c -> d under d-, so d- d+ is nonzero on a while d+ d-
+    is zero there; "two-step" is a d+ arrow that jumps two gradings.  The
+    genus grows to cover the new generators.
+    """
+    plus, minus = [], []  # the new arrows, as (target, source)
+    if how in ("plus-square", "minus-square"):
+        step, arrows = (1, plus) if how == "plus-square" else (-1, minus)
+        added = [(f"x{i}", grading + i * step, i % 2) for i in range(3)]
+        arrows += [("x1", "x0"), ("x2", "x1")]
+    elif how == "commuting":
+        added = [("a", grading, 0), ("b", grading - 1, 1), ("c", grading + 1, 1), ("d", grading, 0)]
+        plus += [("c", "a"), ("d", "b")]
+        minus += [("b", "a"), ("d", "c")]
+    elif how == "one-sided":
+        added = [("a", grading, 0), ("c", grading + 1, 1), ("d", grading, 0)]
+        plus.append(("c", "a"))
+        minus.append(("d", "c"))
+    else:  # two-step
+        added = [("t0", grading, 0), ("t1", grading + 2, 1)]
+        plus.append(("t1", "t0"))
+    gens = [(g.gid, g.alex, g.z2) for g in K.space.generators]
+    gens += [(tag + gid, 2 * a, z) for gid, a, z in added]
+    d_plus, d_minus = (list(d.entries) + [(tag + t, tag + s, 1) for t, s in new]
+                       for d, new in ((K.d_plus, plus), (K.d_minus, minus)))
+    genus = max([K.genus] + [abs(a) for _, a, _ in added])
+    sp = space(gens)
+    return KnotComplex(sp, sparse_map(sp, sp, d_plus), sparse_map(sp, sp, d_minus),
+                       genus=genus, tau=K.tau)
+
+
+FAULTS = ("plus-square", "minus-square", "commuting", "one-sided", "two-step")
+OLD_FAULTS = ("free", "plus-pair", "minus-pair", "tau")  # test_properties._broken, one at most
+
+
+@pytest.mark.parametrize("K", random_thin_models(50) + thin_catalog(), ids=lambda K: K.name)
+def test_thin_models_agree_with_the_oracle(K):
+    rng = random.Random(K.name)
+    for M in (K, mirror(K), scramble(K, rng, max_denominator=10 ** 6),
+              scramble(K, rng, whole_space=True, max_denominator=10 ** 6)):
+        assert_agrees(M)
+
+
+def test_half_integer_gradings_agree_with_the_oracle():
+    assert_agrees(half_level_squares_model())
+
+
+@settings(max_examples=80, deadline=None)
+@example(1, [(1, 1)], None, [], 0, "whole", 10 ** 6, 1)
+@example(-2, [(0, -1)], None, ["plus-square", "two-step"], -1, "whole", 10 ** 6, 2)
+@example(0, [(2, 1)], None, ["minus-square", "one-sided"], 1, "component", 10 ** 6, 3)
+@example(2, [], None, ["commuting"], 0, "whole", 10 ** 6, 4)
+@example(-1, [(1, -1)], "tau", ["two-step"], -1, "component", 10 ** 6, 5)
+@example(1, [(0, 1)], "free", [], 0, "whole", 10 ** 6, 6)
+@given(st.integers(-3, 3),
+       st.lists(st.tuples(st.integers(0, 2), st.sampled_from((-1, 1))), max_size=3),
+       st.sampled_from((None,) + OLD_FAULTS), st.lists(st.sampled_from(FAULTS), max_size=2, unique=True),
+       st.integers(-3, 3), st.sampled_from(("none", "component", "whole")),
+       st.sampled_from((1, 3, 10 ** 6)), st.integers(0, 2 ** 32))
+def test_generated_models_agree_with_the_oracle(tau, picked, old, faults, grading, basis,
+                                                max_denominator, seed):
+    """Violation lists, in order, and decompositions equal the rational path's.
+
+    Up to three faults, each in its own summand, are put together, so that
+    the order of the violations is tested too.
+    """
+    K = assemble(StaircaseSpec(tau), _paired_squares(picked))
+    if old is not None:
+        K = _broken(K, old, grading)
+    for i, how in enumerate(faults):
+        K = _faulty(K, how, grading, f"f{i}")
+    if basis != "none":
+        K = scramble(K, random.Random(seed), whole_space=basis == "whole",
+                     max_denominator=max_denominator)
+    assert_agrees(K)
+    assert validate(K).ok == (old is None and not faults)
+
+
+def _entry_types(d) -> list:
+    return [(t, s, v, type(v)) for t, s, v in d.entries]
+
+
+def _counted_pass(monkeypatch):
+    """Records every composition the pass forms as (outer map, inner map, generator).
+
+    The maps are "+" and "-", read off the integer columns that
+    ``_integer_columns`` returned for d+ and for d- (in that order).
+    """
+    columns, formed = [], []
+    integer_columns, apply = knotcx._integer_columns, knotcx._apply
+
+    def spy_columns(d):
+        columns.append(integer_columns(d))
+        return columns[-1]
+
+    def spy_apply(cols, vec):
+        P, M = columns[-2:]
+        inner = next((label, gid) for label, own in (("+", P), ("-", M))
+                     for gid, col in own.items() if col is vec)
+        formed.append(("+" if cols is P else "-",) + inner)
+        return apply(cols, vec)
+
+    monkeypatch.setattr(knotcx, "_integer_columns", spy_columns)
+    monkeypatch.setattr(knotcx, "_apply", spy_apply)
+    return formed
+
+
+@pytest.mark.parametrize("rational", [False, True], ids=["integral", "rational"])
+def test_validate_forms_each_composition_once_and_decompose_none(monkeypatch, rational):
+    K = assemble(StaircaseSpec(2), _paired_squares([(0, 1), (1, -1)]))
+    if rational:
+        K = scramble(K, random.Random(5), whole_space=True, max_denominator=10 ** 6)
+    formed = _counted_pass(monkeypatch)
+    assert K.report.ok
+    want = Counter((outer, inner, gid) for outer in "+-" for inner in "+-" for gid in K.space.ids)
+    assert Counter(formed) == want
+    formed.clear()
+    assert decompose(K).squares == {(0, 1): 1, (1, -1): 1, (-1, -1): 1}
+    assert formed == []
+
+
+def test_scaling_leaves_the_maps_untouched():
+    K = scramble(get_knot("figure-eight"), random.Random(3), whole_space=True,
+                 max_denominator=10 ** 6)
+    before = [_entry_types(d) for d in (K.d_plus, K.d_minus)]
+    columns = [{src: dict(col) for src, col in d._cols.items()} for d in (K.d_plus, K.d_minus)]
+    assert any(type(v) is Fraction for d in (K.d_plus, K.d_minus) for _, _, v in d.entries)
+    assert validate(K).ok and decompose(K) == (0, {(0, -1): 1})
+    assert [_entry_types(d) for d in (K.d_plus, K.d_minus)] == before
+    assert [d._cols for d in (K.d_plus, K.d_minus)] == columns
+    for d in (K.d_plus, K.d_minus):
+        assert all(type(v) is (int if v.denominator == 1 else Fraction) for _, _, v in d.entries)
+    # integral entries keep their own columns
+    T = get_knot("t2_7")
+    assert knotcx._integer_columns(T.d_plus) is T.d_plus._cols

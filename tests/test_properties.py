@@ -59,10 +59,14 @@ def random_thin_models(count: int, seed: int = 20240817) -> list:
     return models
 
 
-def _random_invertible(n: int, rng: random.Random) -> tuple:
-    """(M, M^-1) for a random invertible n x n matrix of small rationals, as row lists."""
+def _random_invertible(n: int, rng: random.Random, max_denominator: int = 3) -> tuple:
+    """(M, M^-1) for a random invertible n x n matrix of rationals, as row lists.
+
+    Numerators are in -3..3 and denominators in 1..max_denominator.
+    """
     while True:
-        m = [[Fraction(rng.randrange(-3, 4), rng.randrange(1, 4)) for _ in range(n)]
+        m = [[Fraction(rng.randrange(-3, 4), rng.randrange(1, max_denominator + 1))
+              for _ in range(n)]
              for _ in range(n)]
         aug = [row + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(m)]
         for c in range(n):
@@ -78,7 +82,8 @@ def _random_invertible(n: int, rng: random.Random) -> tuple:
             return m, [row[n:] for row in aug]
 
 
-def scramble(K: KnotComplex, rng: random.Random, whole_space: bool = False) -> KnotComplex:
+def scramble(K: KnotComplex, rng: random.Random, whole_space: bool = False,
+             max_denominator: int = 3) -> KnotComplex:
     """K in a random rational basis, changed inside each component's (grading, z2) blocks.
 
     The components stay apart, but a staircase gets non-unit coefficients
@@ -86,7 +91,8 @@ def scramble(K: KnotComplex, rng: random.Random, whole_space: bool = False) -> K
     keeps its standard form.  With ``whole_space`` the blocks are those of
     the whole space, so generators of different components that share a
     block get mixed too, which merges those components.  The generators are
-    listed in a random order, so the survivor need not come first.
+    listed in a random order, so the survivor need not come first.  The
+    basis change has denominators up to ``max_denominator``.
     """
     cols, inv_cols = [], []
     for comp in [K.space.generators] if whole_space else components(K):
@@ -94,7 +100,8 @@ def scramble(K: KnotComplex, rng: random.Random, whole_space: bool = False) -> K
         for g in comp:
             blocks.setdefault((g.alex, g.z2), []).append(g.gid)
         for ids in blocks.values():
-            for mat, out in zip(_random_invertible(len(ids), rng), (cols, inv_cols)):
+            for mat, out in zip(_random_invertible(len(ids), rng, max_denominator),
+                                (cols, inv_cols)):
                 out.extend((ids[i], ids[j], c) for i, row in enumerate(mat)
                            for j, c in enumerate(row) if c)
     sp = K.space
