@@ -66,7 +66,7 @@ def _read_json(path: str):
             return json.load(fh)
         except UnicodeDecodeError as exc:
             raise InputFileError(f"{path}: {exc}") from None
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # malformed JSON, or an integer past int's digit limit
             raise InputFileError(f"{path}: invalid JSON input: {exc}") from None
 
 

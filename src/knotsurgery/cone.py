@@ -26,7 +26,7 @@ slots off them.
 The cone is ranked without elimination.  Source sigma reaches only the
 slots sigma and sigma + 2p, so the incidence graph is a disjoint union of
 paths, and one sweep over the sources finds the rank from the shape of each
-source's block (see ``ConeProblem.dimension``).
+source's block, its level's rows (see ``ConeProblem.dimension``).
 
 Sign conventions are calibrated by two anchors: the right trefoil must give
 dimension 1 at slope +1 and the figure-eight 3.
@@ -35,7 +35,7 @@ from __future__ import annotations
 
 from typing import NamedTuple, Optional, Sequence
 
-from .formulas import thin_surgery_formula
+from .formulas import _check_slope, thin_surgery_formula
 from .knotcx import KnotComplex, PreconditionError, decompose, require_valid
 from .linalg import (
     Homology,
@@ -50,9 +50,9 @@ from .linalg import (
 # Lattice slots a cone may span, checked before any assembly: (2W - 1) q
 # for the materialised knot cone at slope p/q and (2W + 1) |offsets| for the
 # exterior-algebra cone, W being the window half-width.  On a 2-vCPU host a
-# knot cone at the limit takes up to 2.2 s (figure-eight at slope 1/499999,
-# every block an edge).  ``surgery_dim`` builds no cone, so the limit binds
-# only ``--compare``, the oracles and the exterior-algebra cone.
+# knot cone at the limit takes up to 0.65 s (figure-eight at slope 1/499999,
+# one path through every slot).  ``surgery_dim`` builds no cone, so the limit
+# binds only ``--compare``, the oracles and the exterior-algebra cone.
 MAX_LATTICE_SLOTS = 5 * 10 ** 5
 
 
@@ -149,23 +149,23 @@ def _proportional(a: dict, b: dict) -> bool:
     return all(a[j] * b[j0] == b[j] * a[j0] for j in a)
 
 
-class ConeProblem:
-    """Assembled finite cone: sources to one-dimensional slots.
+class ConeProblem(NamedTuple):
+    """The truncated cone at slope p/q: sources to one-dimensional slots, by level.
 
-    sources: (doubled index, class count), in lattice order; targets: the
-    retained slots; v_components / h_components: source index -> (target
-    slot, nonzero row {class index: coeff}), present only when the target
-    is retained.  Source sigma reaches the slots sigma (v) and sigma + 2p
-    (h) and nothing else, so the incidence graph is a disjoint union of
-    paths, which is what makes the dimension independent of the
-    slot-identification scalars.
+    sources: the doubled indices, in lattice order; targets: the retained
+    slots; levels: {s': (class count, v row, h row)}, rows being {class
+    index: coeff}.  Each level s' has the q sources 2 s' q - (q-1), ...,
+    2 s' q + (q-1), and each carries the level's classes and rows.  Source
+    sigma reaches the slots sigma (v) and sigma + 2p (h), where the row is
+    nonzero and the slot retained, and nothing else, so the incidence graph
+    is a disjoint union of paths, which is what makes the dimension
+    independent of the slot-identification scalars.
     """
-
-    def __init__(self, targets: range = range(0)):
-        self.sources = []
-        self.targets = targets
-        self.v_components = {}
-        self.h_components = {}
+    p: int
+    q: int
+    sources: range
+    targets: range
+    levels: dict
 
     def dimension(self) -> int:
         """ker + coker of the cone map, ranked by one sweep over the sources.
@@ -177,33 +177,31 @@ class ConeProblem:
         path of k slots has rank k - 1, or k once any of its slots is
         grounded.  So rank = |targets| - (paths with no grounded slot) =
         edges + (paths with a grounded slot), which the sweep counts
-        without visiting untouched slots.  Each distinct row pair is
-        classified once.
+        without visiting untouched slots.  Each level's row pair is
+        classified once, for all q of its sources.
         """
-        v_comp, h_comp = self.v_components, self.h_components
+        q, p2, targets = self.q, 2 * self.p, self.targets
         grounded = set()
         nxt: dict = {}   # edge: v slot -> h slot
         prev: dict = {}  # edge: h slot -> v slot
-        is_line: dict = {}  # (id of v row, id of h row) -> proportional
-        for src, (vt, v_row) in v_comp.items():
-            h = h_comp.get(src)
-            if h is None:
-                grounded.add(vt)
-                continue
-            ht, h_row = h
-            key = (id(v_row), id(h_row))
-            line = is_line.get(key)
-            if line is None:
-                line = is_line[key] = _proportional(v_row, h_row)
-            if line:
-                nxt[vt] = ht
-                prev[ht] = vt
-            else:
-                grounded.add(vt)
-                grounded.add(ht)
-        for src, (ht, _) in h_comp.items():
-            if src not in v_comp:
-                grounded.add(ht)
+        classes = 0
+        for s, (n, v_row, h_row) in self.levels.items():
+            classes += n * q
+            line = v_row and h_row and _proportional(v_row, h_row)
+            for sigma in range(2 * s * q - (q - 1), 2 * s * q + q, 2):
+                v = v_row and sigma in targets
+                h = h_row and sigma + p2 in targets
+                if v and h:
+                    if line:
+                        nxt[sigma] = sigma + p2
+                        prev[sigma + p2] = sigma
+                    else:
+                        grounded.add(sigma)
+                        grounded.add(sigma + p2)
+                elif v:
+                    grounded.add(sigma)
+                elif h:
+                    grounded.add(sigma + p2)
         seen = set()
         grounded_paths = 0
         for t in grounded:
@@ -217,8 +215,7 @@ class ConeProblem:
                     seen.add(x)
                     x = link.get(x)
         r = len(nxt) + grounded_paths
-        total_src = sum(n for _, n in self.sources)
-        return (total_src - r) + (len(self.targets) - r)
+        return (classes - r) + (len(targets) - r)
 
 
 def _level_key(K: KnotComplex, s: int) -> int:
@@ -263,10 +260,13 @@ def build_cone_problem(K: KnotComplex, p: int, q: int, window_margin: int = 0) -
     1 - W <= s' <= W - 1 and offsets -(q-1), -(q-3), ..., q-1: every second
     integer from the lowest to the highest.  Source sigma collapses to level
     s', and its rows reach the slots sigma and sigma + 2p; the retained
-    slots are those that collapse back into the window on both sides.
+    slots run from the lowest source plus 2p to the highest source.  Only
+    the window's level rows are kept.  The slope is checked as
+    ``thin_surgery_formula`` checks it.
     """
     if p == 0:
         raise PreconditionError("slope 0: use zero_surgery_dims for the per-grading table")
+    _check_slope(p, q)
     g = max(K.genus, 1)
     w_min = g
     if p > 0:
@@ -277,18 +277,8 @@ def build_cone_problem(K: KnotComplex, p: int, q: int, window_margin: int = 0) -
 
     first = 2 * (1 - W) * q - (q - 1)
     last = 2 * (W - 1) * q + (q - 1)
-    # slot t is retained when t and t - 2p both lie in the source range
-    problem = ConeProblem(targets=range(first + 2 * p, last + 1, 2))
-    targets = problem.targets
-    for s_prime in range(1 - W, W):
-        dim, v_row, h_row = _level_rows(K, s_prime)
-        for sigma in range(2 * s_prime * q - (q - 1), 2 * s_prime * q + q, 2):
-            problem.sources.append((sigma, dim))
-            if v_row and sigma in targets:
-                problem.v_components[sigma] = (sigma, v_row)
-            if h_row and sigma + 2 * p in targets:
-                problem.h_components[sigma] = (sigma + 2 * p, h_row)
-    return problem
+    return ConeProblem(p, q, range(first, last + 1, 2), range(first + 2 * p, last + 1, 2),
+                       {s: _level_rows(K, s) for s in range(1 - W, W)})
 
 
 def large_surgery_start(K: KnotComplex) -> int:
@@ -306,11 +296,12 @@ def large_surgery_dim(K: KnotComplex, n: int) -> int:
         raise PreconditionError(f"slope {n} is outside the large-surgery regime "
                                 f"(needs n >= {large_surgery_start(K)})")
     g = K.genus
-    # levels below -genus all have the rows of level -genus - 1
-    beyond = max(0, n - 2 * g - 1)
     levels = range(max(g - n, -g - 1), g)
-    _check_level_cells(K, [*levels, -g - 1])
-    return sum(_level_rows(K, s)[0] for s in levels) + beyond * _level_rows(K, -g - 1)[0]
+    _check_level_cells(K, levels)
+    total = sum(_level_rows(K, s)[0] for s in levels)
+    if n > 2 * g + 1:  # each level below -genus - 1 has the rows of -genus - 1
+        total += (n - 2 * g - 1) * _level_rows(K, -g - 1)[0]
+    return total
 
 
 def surgery_dim(K: KnotComplex, p: int, q: int) -> SurgeryResult:

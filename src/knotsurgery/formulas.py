@@ -61,14 +61,19 @@ def parse_profile(data: Mapping) -> SutureDimProfile:
     return prof
 
 
-def thin_surgery_formula(norm_delta: int, tau: int, p: int, q: int) -> int:
-    """Surgery dimension of a thin model from its coefficient norm and tau."""
+def _check_slope(p: int, q: int):
+    """PreconditionError unless p/q is a nonzero reduced slope with q >= 1."""
     if q < 1:
         raise PreconditionError("slope denominator must be a positive integer")
     if p == 0:
         raise PreconditionError("slope must be nonzero")
     if math.gcd(abs(p), q) != 1:
         raise PreconditionError(f"slope {p}/{q} is not reduced")
+
+
+def thin_surgery_formula(norm_delta: int, tau: int, p: int, q: int) -> int:
+    """Surgery dimension of a thin model from its coefficient norm and tau."""
+    _check_slope(p, q)
     if (norm_delta - 2 * abs(tau) - 1) % 4 != 0 or norm_delta < 2 * abs(tau) + 1:
         raise PreconditionError(
             f"coefficient norm {norm_delta} is inconsistent with tau = {tau}")

@@ -531,7 +531,7 @@ def _rank(vectors: list) -> int:
     return len(pivots)
 
 
-def _one_pass(K: KnotComplex, blocks: dict, rank: bool = True) -> tuple:
+def _one_pass(K: KnotComplex, blocks: dict, rank: bool) -> tuple:
     """The generators where d+ d+, d- d- and d+ d- + d- d+ are nonzero, and the block ranks.
 
     Each map is taken as integer columns (``_integer_columns``), and the four
@@ -604,10 +604,9 @@ def decompose(K: KnotComplex) -> Decomposition:
     doubled grading 2s are counted by the rank of d+ d- on that block, with
     sign +1 for z2 = 1 as in ``build_square``.  ``validate`` ranks these in
     its pass over the generators, and its clean report keeps the counts, so
-    no composition is formed again here; a report without them (one made
-    outside ``validate``) makes this rank the blocks itself.  ModelError if
-    K is invalid, or (an internal error, impossible by the above) if K.dim
-    is not 2 |tau| + 1 + 4 k for its k squares.
+    no composition is formed again here.  ModelError if K is invalid, or (an
+    internal error, impossible by the above) if K.dim is not
+    2 |tau| + 1 + 4 k for its k squares.
     """
     return K.decomposition
 
@@ -615,8 +614,6 @@ def decompose(K: KnotComplex) -> Decomposition:
 def _decompose(K: KnotComplex) -> Decomposition:
     require_valid(K)
     squares = K.report.squares
-    if squares is None:
-        squares = _square_counts(_one_pass(K, _blocks(K))[1][2])
     expected = 2 * abs(K.tau) + 1 + 4 * sum(squares.values())
     if K.dim != expected:
         raise ModelError(f"internal: model dimension {K.dim} differs from 2|tau| + 1 + 4k = "

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 from knotsurgery import borromean, catalog, cone, crosscheck, formulas
 from knotsurgery.knotcx import chi_graded, compute_tau, mirror, validate
-from cone_elimination import elimination_dimension
+from cone_elimination import elimination_dimension, h_sources
 from test_properties import random_thin_models
 
 
@@ -104,7 +104,7 @@ def test_acceptance_7_property_suites():
             base_cone = prob.dimension()
             if base_cone != cone.build_cone_problem(K, p, q, window_margin=4).dimension():
                 bad.append(f"{K.name} {p}/{q}: window instability")
-            for src in list(prob.h_components)[:2]:
+            for src in h_sources(prob)[:2]:
                 c = Fraction(rng.randrange(1, 7), rng.randrange(1, 4))
                 if elimination_dimension(prob, {src: c}) != base_cone:
                     bad.append(f"{K.name} {p}/{q}: scalar dependence")

@@ -459,6 +459,15 @@ def test_unreadable_input_file_exits_cleanly(tmp_path, capsys, argv, flag, kind)
             "invalid-json": f"{path}: invalid JSON input: Expecting value"}[kind] in err
 
 
+def test_spec_integer_past_the_digit_limit_exits_cleanly(tmp_path, capsys):
+    path = tmp_path / "huge.json"
+    path.write_text('{"alexander": [[1, 0]], "tau": 1' + "0" * 5000 + "}")
+    code, out, err = run(capsys, "surgery", "--spec", str(path), "--slope", "1")
+    assert code == 1 and not out
+    assert err.startswith(f"error: {path}: invalid JSON input: ") and "digits" in err
+    assert "Traceback" not in err
+
+
 def test_spec_with_two_survivors_exits_naming_the_homology_dims(tmp_path, capsys):
     path = tmp_path / "two.json"
     path.write_text(json.dumps(TWO_SURVIVORS_SPEC))

@@ -25,7 +25,7 @@ from knotsurgery.cone import (
 )
 from knotsurgery.knotcx import SquareSpec, StaircaseSpec, assemble, build_staircase, mirror
 from knotsurgery.linalg import rank
-from cone_elimination import block_kinds, elimination_dimension
+from cone_elimination import block_kinds, elimination_dimension, h_sources
 
 
 def fig8():
@@ -203,6 +203,12 @@ def test_levels_past_the_genus_repeat():
                 assert rows[0] == rows[1], (K.name, far)
 
 
+def test_large_surgery_reads_no_unused_level():
+    K = build_staircase(1)
+    large_surgery_dim(K, 1)
+    assert sorted(K.levels) == [0]
+
+
 def test_large_surgery_far_past_the_genus():
     from knotsurgery.formulas import thin_surgery_formula
     for name in ("figure-eight", "t2_7", "5_2-bar"):
@@ -246,7 +252,7 @@ def test_scalar_independence_of_cone():
         K = get_knot(name)
         prob = build_cone_problem(K, p, q)
         base = prob.dimension()
-        for src in list(prob.h_components):
+        for src in h_sources(prob):
             c = Fraction(rng.randrange(1, 7), rng.randrange(1, 5))
             assert elimination_dimension(prob, {src: c}) == base
 
@@ -276,7 +282,7 @@ def test_sweep_equals_elimination_on_every_block_kind(family):
             prob = build_cone_problem(K, p, q)
             kinds |= block_kinds(prob)
             scale = {src: Fraction(rng.randrange(1, 9), rng.randrange(1, 5))
-                     for src in prob.h_components}
+                     for src in h_sources(prob)}
             assert prob.dimension() == elimination_dimension(prob, scale), (K.name, p, q)
     assert kinds == {"zero", "v-only", "h-only", "edge", "rank 2"}
 
@@ -333,6 +339,32 @@ def test_level_cell_limit_counts_only_new_levels():
 def test_cone_rejects_slope_zero():
     with pytest.raises(PreconditionError, match="zero_surgery"):
         build_cone_problem(fig8(), 0, 1)
+
+
+@pytest.mark.parametrize("p, q, message", [
+    (1, 0, "slope denominator must be a positive integer"),
+    (1, -1, "slope denominator must be a positive integer"),
+    (2, 4, "slope 2/4 is not reduced"),
+    (3, 3, "slope 3/3 is not reduced"),
+])
+def test_cone_refuses_the_slopes_the_formula_refuses(p, q, message):
+    from knotsurgery.formulas import thin_surgery_formula
+    for call in (lambda: build_cone_problem(fig8(), p, q),
+                 lambda: thin_surgery_formula(3, 0, p, q)):
+        with pytest.raises(PreconditionError, match=message):
+            call()
+
+
+@pytest.mark.parametrize("name, p, q, sources, targets", [
+    ("t2_5", 1, 1, 3, 2), ("t2_5", -1, 1, 3, 4), ("figure-eight", 9, 1, 9, 0),
+    ("t2_5", 3, 2, 6, 3), ("t2_5", -3, 2, 6, 9), ("figure-eight", -3, 2, 2, 5),
+    ("t2_5", 5, 3, 9, 4), ("t2_5", -5, 3, 9, 14), ("figure-eight", 1, 3, 3, 2),
+])
+def test_cone_source_and_target_counts(name, p, q, sources, targets):
+    # the benchmark's cone.sources and cone.targets counters read these lengths
+    prob = build_cone_problem(get_knot(name), p, q)
+    assert (len(prob.sources), len(prob.targets)) == (sources, targets)
+    assert sources == len(prob.levels) * q  # (2W - 1) q for the 2W - 1 window levels
 
 
 def test_dimension_has_no_scalar_parameter():

@@ -311,6 +311,7 @@ def test_decompose_rejects_an_invalid_model_and_checks_the_dimension():
     with pytest.raises(ModelError, match="invalid knot model"):
         decompose(K)
     # with the report forced clean, 2 generators and no square contradict tau 0
-    K.__dict__["report"] = ValidationReport()
+    K.__dict__["report"] = report = ValidationReport()
+    report.squares = {}
     with pytest.raises(ModelError, match=r"dimension 2 differs from 2\|tau\| \+ 1 \+ 4k = 1"):
         decompose(K)

@@ -38,7 +38,7 @@ from knotsurgery.knotcx import (
     validate,
 )
 from knotsurgery.linalg import GradedSpace, space, sparse_map
-from cone_elimination import elimination_dimension
+from cone_elimination import elimination_dimension, h_sources
 from knot_helpers import components
 from linalg_helpers import compose, homology_two_pass
 
@@ -176,7 +176,7 @@ def test_scalar_independence_random(K):
     rng = random.Random(99)
     prob = build_cone_problem(K, -1, 1)
     base = prob.dimension()
-    for src in list(prob.h_components)[:4]:
+    for src in h_sources(prob)[:4]:
         c = Fraction(rng.randrange(1, 9), rng.randrange(1, 5))
         assert elimination_dimension(prob, {src: c}) == base
 

@@ -87,11 +87,15 @@ def test_mutable_containers_share_no_defaults():
     r1, r2 = ValidationReport(), ValidationReport()
     r1.violations.append("x")
     assert r2.violations == [] and validate(build_staircase(1)).violations == []
-    c1, c2 = ConeProblem(), ConeProblem()
-    c1.sources.append((0, 1))
-    c1.v_components[0] = (0, {0: Fraction(1)})
-    c1.h_components[0] = (2, {0: Fraction(1)})
-    assert (c2.sources, c2.v_components, c2.h_components, c2.targets) == ([], {}, {}, range(0))
+
+
+def test_cone_problem_is_a_read_only_record():
+    prob = ConeProblem(1, 1, range(0, 1, 2), range(2, 1, 2), {0: (3, {0: 1}, {0: 1})})
+    assert prob._fields == ("p", "q", "sources", "targets", "levels")
+    with pytest.raises(AttributeError):
+        prob.levels = {}
+    with pytest.raises(TypeError):
+        ConeProblem()
 
 
 def test_reprs_are_unchanged():
