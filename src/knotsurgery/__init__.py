@@ -17,7 +17,13 @@ Library layout:
 - ``crosscheck``: agreement suites tying the pathways together.
 """
 
-from .borromean import circle_bundle_dim_formula, circle_bundle_dim_module, seifert_dim
+from .borromean import (
+    SeifertResult,
+    circle_bundle_dim_formula,
+    circle_bundle_dim_module,
+    seifert,
+    seifert_dim,
+)
 from .catalog import get_knot, knot_names
 from .cone import (
     ConeProblem,

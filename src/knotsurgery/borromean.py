@@ -24,7 +24,7 @@ from collections import Counter
 from fractions import Fraction
 from itertools import accumulate
 from math import comb
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple
 
 from .cone import PreconditionError, check_lattice_slots
 
@@ -36,7 +36,7 @@ from .cone import PreconditionError, check_lattice_slots
 # prod(v_i) = 96441 takes under 1 ms.  cone.MAX_LATTICE_SLOTS still bounds
 # the window, on (2W + 1) * prod(v_i) slots: with W = genus for the
 # large-regime test, before anything is counted, and with the cone's W >= genus
-# before each cone.  The count decides whether seifert_dim needs its cone, so
+# before each cone.  The count decides whether ``seifert`` needs its cone, so
 # a large slope past the cone's limit still answers.  That base is inside all
 # three limits.
 MAX_GENUS = 200
@@ -281,37 +281,39 @@ def _seifert_setup(g: int, m: int, pairs: Iterable[tuple]) -> tuple:
     return Fraction(u, p), p, abs(u), multiplicities
 
 
-def seifert_dim(g: int, m: int, pairs: Iterable[tuple]) -> int:
+class SeifertResult(NamedTuple):
+    """The orbifold degree as given, the dimension, and its pathway: "large-surgery" or "cone"."""
+    degree: Fraction
+    dim: int
+    pathway: str
+
+
+def seifert(g: int, m: int, pairs: Iterable[tuple]) -> SeifertResult:
     """Seifert fibered space over a genus-g base with invariants (m, r_i/v_i).
 
     Requires nonzero orbifold degree m + sum(r_i/v_i), multiplicities
-    v_i >= 1 pairwise coprime and each r_i/v_i reduced.  Experimental for
-    v_i > 1: the monomial-block index law is extrapolated from the
-    circle-bundle computation and gated by regression tests.
+    v_i >= 1 pairwise coprime and each r_i/v_i reduced.  One setup and one
+    count of the residue classes serve the large-regime test and, outside
+    that regime, the cone.  Experimental for v_i > 1: the monomial-block
+    index law is extrapolated from the circle-bundle computation and gated
+    by regression tests.
     """
-    return _seifert_evaluate(g, m, pairs)[1]
-
-
-def _seifert_evaluate(g: int, m: int, pairs: Iterable[tuple], shortcut: bool = True,
-                      cone: bool = True) -> tuple:
-    """(degree, dim, pathway) from one setup and one count: the large-slope shortcut
-    when it applies, else the cone.  ``shortcut=False`` forces the cone; with
-    ``cone=False`` dim is None outside the large regime."""
     degree, p, u, multiplicities = _seifert_setup(g, m, pairs)
-    # the slots of the large-regime test, or of the forced cone, checked before counting
-    check_lattice_slots((2 * (g if shortcut else _window(g, p, u)) + 1) * p)
+    check_lattice_slots((2 * g + 1) * p)  # the large-regime test's slots, before counting
     classes = _residue_class_counts(p, u, multiplicities)
-    if shortcut and _large_applicable(g, classes):
+    if _large_applicable(g, classes):
         # large-slope regime: direct sum of u full slots
-        return degree, u * (4 ** g), "large-surgery"
-    return degree, _cone_dim_exterior(g, p, u, classes) if cone else None, "cone"
+        return SeifertResult(degree, u * (4 ** g), "large-surgery")
+    return SeifertResult(degree, _cone_dim_exterior(g, p, u, classes), "cone")
 
 
-def seifert_dim_large(g: int, m: int, pairs: Iterable[tuple]) -> Optional[int]:
-    """Large-slope shortcut value, or None when outside that regime."""
-    return _seifert_evaluate(g, m, pairs, cone=False)[1]
+def seifert_dim(g: int, m: int, pairs: Iterable[tuple]) -> int:
+    """The dimension of ``seifert(g, m, pairs)``."""
+    return seifert(g, m, pairs).dim
 
 
 def seifert_dim_windowed(g: int, m: int, pairs: Iterable[tuple]) -> int:
-    """Force the truncated-cone evaluation even in the large regime."""
-    return _seifert_evaluate(g, m, pairs, shortcut=False)[1]
+    """The truncated cone even in the large regime: the oracle of the shortcut."""
+    _, p, u, multiplicities = _seifert_setup(g, m, pairs)
+    check_lattice_slots((2 * _window(g, p, u) + 1) * p)  # the cone's slots, before counting
+    return _cone_dim_exterior(g, p, u, _residue_class_counts(p, u, multiplicities))

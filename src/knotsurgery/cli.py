@@ -55,8 +55,8 @@ def _parse_slope(text: str):
     return p, q
 
 
-class InputFileError(Exception):
-    """A --spec or --profile file that is not UTF-8 JSON; the message names the file."""
+class JSONInputError(Exception):
+    """A --spec or --profile file, or --delta text, that is not UTF-8 JSON; the message names it."""
 
 
 def _read_json(path: str):
@@ -65,9 +65,9 @@ def _read_json(path: str):
         try:
             return json.load(fh)
         except UnicodeDecodeError as exc:
-            raise InputFileError(f"{path}: {exc}") from None
+            raise JSONInputError(f"{path}: {exc}") from None
         except ValueError as exc:  # malformed JSON, or an integer past int's digit limit
-            raise InputFileError(f"{path}: invalid JSON input: {exc}") from None
+            raise JSONInputError(f"{path}: invalid JSON input: {exc}") from None
 
 
 def _load_knot(args):
@@ -204,13 +204,13 @@ def cmd_circle_bundle(args) -> int:
 
 def cmd_seifert(args) -> int:
     pairs = [_parse_slope(p) for p in args.pair or []]
-    deg, dim, pathway = borromean._seifert_evaluate(args.genus, args.base, pairs)
+    res = borromean.seifert(args.genus, args.base, pairs)
     payload = {"command": "seifert", "genus": args.genus, "base": args.base,
-               "pairs": [[r, v] for r, v in pairs], "degree": str(deg),
-               "dim": dim, "pathway": pathway}
+               "pairs": [[r, v] for r, v in pairs], "degree": str(res.degree),
+               "dim": res.dim, "pathway": res.pathway}
     _emit(args, payload,
           [[args.genus, args.base, " ".join(f"{r}/{v}" for r, v in pairs) or "-",
-            str(deg), dim, pathway]],
+            str(res.degree), res.dim, res.pathway]],
           ["genus", "base", "pairs", "degree", "dim", "pathway"])
     return EXIT_OK
 
@@ -244,7 +244,10 @@ def cmd_splice(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    delta = json.loads(args.delta)
+    try:
+        delta = json.loads(args.delta)
+    except ValueError as exc:  # malformed JSON, or an integer past int's digit limit
+        raise JSONInputError(f"--delta: invalid JSON input: {exc}") from None
     candidates = formulas.nearly_fibered_classify(args.dim, parse_poly_pairs(delta, "--delta"))
     payload = {"command": "classify", "dim": args.dim, "delta": delta,
                "candidates": list(candidates)}
@@ -369,11 +372,8 @@ def main(argv=None) -> int:
     except (cone.PreconditionError, ModelError, LinearAlgebraError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
-    except (OSError, InputFileError) as exc:  # from _read_json
+    except (OSError, JSONInputError) as exc:  # from _read_json and --delta
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except json.JSONDecodeError as exc:
-        print(f"error: invalid JSON input: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
 

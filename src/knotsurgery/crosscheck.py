@@ -125,7 +125,11 @@ def suite_zero_surgery() -> SuiteResult:
 
 
 def suite_whitehead_loop() -> SuiteResult:
-    """Unknot doubles at t = -1, 0, 1 reproduce cone values; tau steps at 0."""
+    """Unknot doubles at t = -1, 0, 1 and twist knots reproduce ranked cone values; tau steps at 0.
+
+    The ranked cone, at slopes +1 and -1, reads each model's level table,
+    not the decomposition that ``surgery_dim`` reads.
+    """
     bad = []
     cases = 0
     targets = {-1: "trefoil-right", 0: "unknot", 1: "figure-eight"}
@@ -133,8 +137,7 @@ def suite_whitehead_loop() -> SuiteResult:
         cases += 1
         res = formulas.whitehead_double_pm1(formulas.WhDoubleSpec(t, formulas.UNKNOT_PROFILE))
         K = catalog.get_knot(name)
-        plus = cone.surgery_dim(K, 1, 1).dimension
-        minus = cone.surgery_dim(K, -1, 1).dimension
+        plus, minus = (cone.build_cone_problem(K, p, 1).dimension() for p in (1, -1))
         if (res.dim_plus_one, res.dim_minus_one) != (plus, minus):
             bad.append(f"double t={t}: ({res.dim_plus_one}, {res.dim_minus_one}) != cone ({plus}, {minus})")
     for t in range(-3, 4):
@@ -146,8 +149,7 @@ def suite_whitehead_loop() -> SuiteResult:
         cases += 1
         K = catalog.get_knot(f"twist({t})")
         res = formulas.whitehead_double_pm1(formulas.WhDoubleSpec(t, formulas.UNKNOT_PROFILE))
-        plus = cone.surgery_dim(K, 1, 1).dimension
-        minus = cone.surgery_dim(K, -1, 1).dimension
+        plus, minus = (cone.build_cone_problem(K, p, 1).dimension() for p in (1, -1))
         if (res.dim_plus_one, res.dim_minus_one) != (plus, minus):
             bad.append(f"twist({t}): formula ({res.dim_plus_one}, {res.dim_minus_one}) "
                        f"!= cone ({plus}, {minus})")
@@ -155,7 +157,7 @@ def suite_whitehead_loop() -> SuiteResult:
 
 
 def suite_seifert_gate() -> SuiteResult:
-    """Integral multiplicities reduce to circle bundles; internal shortcuts agree."""
+    """Integral multiplicities reduce to circle bundles; large-surgery answers equal the cone."""
     bad = []
     cases = 0
     for g in (2, 3):
@@ -172,9 +174,9 @@ def suite_seifert_gate() -> SuiteResult:
     for g, m, pairs in ((2, 3, [(1, 2)]), (2, 2, [(1, 3)]), (3, 4, [(2, 5)])):
         cases += 1
         full = borromean.seifert_dim_windowed(g, m, pairs)
-        short = borromean.seifert_dim_large(g, m, pairs)
-        if short is not None and short != full:
-            bad.append(f"seifert (g={g}, m={m}, {pairs}): shortcut {short} != cone {full}")
+        res = borromean.seifert(g, m, pairs)
+        if res.pathway == "large-surgery" and res.dim != full:
+            bad.append(f"seifert (g={g}, m={m}, {pairs}): shortcut {res.dim} != cone {full}")
     return SuiteResult("seifert-gate", cases, bad)
 
 

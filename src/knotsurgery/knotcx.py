@@ -146,11 +146,6 @@ class KnotComplex(_ModelFields):
         return {}
 
     @cached_property
-    def decomposition(self) -> "Decomposition":
-        """The staircase and squares of the model (see ``decompose``), computed once."""
-        return _decompose(self)
-
-    @cached_property
     def mirrored(self) -> "KnotComplex":
         """``mirror(self)``, built once; its own mirror is this model."""
         M = _build_mirror(self)
@@ -204,22 +199,23 @@ def build_staircase(l: int, name: Optional[str] = None) -> KnotComplex:
     return assemble(StaircaseSpec(l), (), name=name or f"staircase({l})")
 
 
-def staircase_fragment(l: int, prefix: str = "a") -> dict:
+def staircase_fragment(l: int) -> dict:
+    """Generators a1..a(2|l|+1) and arrows of the staircase of l (see ``build_staircase``)."""
     n = 2 * abs(l) + 1
     gens = []
     dplus = []
     dminus = []
     for k in range(1, n + 1):
         grading = -l + (k - 1) if l > 0 else -l - (k - 1)
-        gens.append((f"{prefix}{k}", 2 * grading, (k - 1) % 2))
+        gens.append((f"a{k}", 2 * grading, (k - 1) % 2))
     if l > 0:
         for i in range(1, l + 1):
-            dplus.append((f"{prefix}{2 * i + 1}", f"{prefix}{2 * i}", 1))
-            dminus.append((f"{prefix}{2 * i - 1}", f"{prefix}{2 * i}", 1))
+            dplus.append((f"a{2 * i + 1}", f"a{2 * i}", 1))
+            dminus.append((f"a{2 * i - 1}", f"a{2 * i}", 1))
     elif l < 0:
         for i in range(1, -l + 1):
-            dminus.append((f"{prefix}{2 * i}", f"{prefix}{2 * i - 1}", 1))
-            dplus.append((f"{prefix}{2 * i}", f"{prefix}{2 * i + 1}", 1))
+            dminus.append((f"a{2 * i}", f"a{2 * i - 1}", 1))
+            dplus.append((f"a{2 * i}", f"a{2 * i + 1}", 1))
     return {"generators": gens, "d_plus": dplus, "d_minus": dminus}
 
 
@@ -373,11 +369,16 @@ def compute_tau(K: KnotComplex) -> int:
     return alex_m // 2
 
 
-class ValidationReport:
-    def __init__(self):
-        self.violations = []
-        # {(s, sign): count} of the squares (see ``decompose``), set by a clean ``validate``
-        self.squares = None
+class Decomposition(NamedTuple):
+    """A valid model up to isomorphism: tau of its staircase and its squares {(s, sign): count}."""
+    tau: int
+    squares: dict
+
+
+class ValidationReport(NamedTuple):
+    """The violations ``validate`` found, in order, and a clean model's decomposition."""
+    violations: list
+    decomposition: Optional[Decomposition] = None
 
     @property
     def ok(self) -> bool:
@@ -396,10 +397,12 @@ def validate(K: KnotComplex) -> ValidationReport:
     H(d+) are read from the block ranks: at each (grading, z2) block, the
     block dimension minus the rank of d out of it minus the rank of d into
     it.  Both must be 1, and tau is the grading of the one block where
-    H(d-) lives.  No homology is computed.  A clean report keeps the square
-    counts that ``decompose`` reads.
+    H(d-) lives.  No homology is computed.  The squares are counted from the
+    d+ d- ranks (see ``decompose``), and the dimension must be 2 |tau| + 1 +
+    4k for their number k, which the structure theorem there guarantees.  A
+    clean report keeps the decomposition.
     """
-    report = ValidationReport()
+    violations = []
     sp = K.space
     shifts = []
     for d, label, sgn in ((K.d_plus, "d+", 1), (K.d_minus, "d-", -1)):
@@ -440,14 +443,14 @@ def validate(K: KnotComplex) -> ValidationReport:
     first = [next(gid for gid in sp.ids if gid in ids) if ids else None for ids in bad]
     for label, gid in zip(("d+", "d-"), first):
         if gid is not None:
-            report.violations.append(f"{label}^2 != 0 (witness {gid})")
-    report.violations += shifts
+            violations.append(f"{label}^2 != 0 (witness {gid})")
+    violations += shifts
     if first[2] is not None:
-        report.violations.append(f"d+d- + d-d+ != 0 (witness {first[2]})")
-    report.violations += rest
+        violations.append(f"d+d- + d-d+ != 0 (witness {first[2]})")
+    violations += rest
 
-    if report.violations:
-        return report
+    if violations:
+        return ValidationReport(violations)
     homology_blocks = []  # for d- then d+: {block: dim H(d) there}, nonzero ones only
     for out, shift in ((ranks[0], -2), (ranks[1], 2)):
         homology_blocks.append({
@@ -455,17 +458,19 @@ def validate(K: KnotComplex) -> ValidationReport:
             if (n := len(ids) - out.get((a, z), 0) - out.get((a - shift, 1 - z), 0))})
     hm_dim, hp_dim = (sum(h.values()) for h in homology_blocks)
     if hp_dim != 1 or hm_dim != 1:
-        report.violations.append(f"one-differential homology dims ({hp_dim}, {hm_dim}) "
-                                 "differ from the ambient value 1")
-        return report
+        return ValidationReport([f"one-differential homology dims ({hp_dim}, {hm_dim}) "
+                                 "differ from the ambient value 1"])
     (alex_m, _), (alex_p, _) = (next(iter(h)) for h in homology_blocks)
     if alex_m != -alex_p:
-        report.violations.append("survivor classes are not at opposite integer gradings")
-    elif alex_m // 2 != K.tau:
-        report.violations.append(f"recorded tau {K.tau} differs from survivor grading {alex_m // 2}")
-    else:
-        report.squares = _square_counts(ranks[2])
-    return report
+        return ValidationReport(["survivor classes are not at opposite integer gradings"])
+    if alex_m // 2 != K.tau:
+        return ValidationReport([f"recorded tau {K.tau} differs from survivor grading {alex_m // 2}"])
+    squares = {(alex // 2, 1 if z2 else -1): n for (alex, z2), n in ranks[2].items()}
+    expected = 2 * abs(K.tau) + 1 + 4 * sum(squares.values())
+    if K.dim != expected:
+        return ValidationReport([f"model dimension {K.dim} differs from 2|tau| + 1 + 4k = "
+                                 f"{expected} for tau {K.tau} and its squares"])
+    return ValidationReport([], Decomposition(K.tau, squares))
 
 
 def _blocks(K: KnotComplex) -> dict:
@@ -479,12 +484,14 @@ def _blocks(K: KnotComplex) -> dict:
 def _integer_columns(d: SparseExactMap) -> dict:
     """The columns {source id: {target id: int}} of d scaled by the LCM of its entry denominators.
 
-    A nonzero scale changes no zero test and no rank.  A map with integral
-    entries keeps its own columns, which nothing here changes.
+    A nonzero scale changes no zero test and no rank.  A map whose entries
+    are all ``int`` keeps its own columns, which nothing here changes; an
+    integral ``Fraction`` is made an int like any other entry.
     """
-    scale = lcm(*(v.denominator for _, _, v in d.entries if type(v) is not int))
-    if scale == 1:
+    denominators = [v.denominator for _, _, v in d.entries if type(v) is not int]
+    if not denominators:
         return d._cols
+    scale = lcm(*denominators)
     return {src: {tgt: v.numerator * (scale // v.denominator) for tgt, v in col.items()}
             for src, col in d._cols.items()}
 
@@ -571,21 +578,12 @@ def _one_pass(K: KnotComplex, blocks: dict, rank: bool) -> tuple:
     return bad, ranks
 
 
-def _square_counts(ranks: dict) -> dict:
-    """{(s, sign): count} from the ranks of d+ d- on the blocks of doubled grading 2s."""
-    return {(alex // 2, 1 if z2 else -1): n for (alex, z2), n in ranks.items()}
-
-
-def require_valid(K: KnotComplex):
-    """ModelError listing the violations unless K passes ``validate`` (its kept report)."""
-    if not K.report.ok:
-        raise ModelError("invalid knot model: " + "; ".join(K.report.violations))
-
-
-class Decomposition(NamedTuple):
-    """A valid model up to isomorphism: tau of its staircase and its squares {(s, sign): count}."""
-    tau: int
-    squares: dict
+def require_valid(K: KnotComplex) -> Decomposition:
+    """K's kept decomposition; ModelError listing the violations unless K passes ``validate``."""
+    report = K.report
+    if report.decomposition is None:
+        raise ModelError("invalid knot model: " + "; ".join(report.violations))
+    return report.decomposition
 
 
 def decompose(K: KnotComplex) -> Decomposition:
@@ -603,22 +601,11 @@ def decompose(K: KnotComplex) -> Decomposition:
     The squares whose top generator sits in the (grading, z2) block of
     doubled grading 2s are counted by the rank of d+ d- on that block, with
     sign +1 for z2 = 1 as in ``build_square``.  ``validate`` ranks these in
-    its pass over the generators, and its clean report keeps the counts, so
-    no composition is formed again here.  ModelError if K is invalid, or (an
-    internal error, impossible by the above) if K.dim is not
-    2 |tau| + 1 + 4 k for its k squares.
+    its pass over the generators and checks the dimension, and its clean
+    report keeps the decomposition, so this is one read of it.  ModelError
+    if K is invalid.
     """
-    return K.decomposition
-
-
-def _decompose(K: KnotComplex) -> Decomposition:
-    require_valid(K)
-    squares = K.report.squares
-    expected = 2 * abs(K.tau) + 1 + 4 * sum(squares.values())
-    if K.dim != expected:
-        raise ModelError(f"internal: model dimension {K.dim} differs from 2|tau| + 1 + 4k = "
-                         f"{expected} for tau {K.tau} and its squares")
-    return Decomposition(K.tau, squares)
+    return require_valid(K)
 
 
 # --- knot-spec text format -------------------------------------------------

@@ -76,6 +76,24 @@ def test_acceptance_6_whitehead_loop():
     _report(6, "unknot doubles reproduce cone values; tau steps at t=0", bad)
 
 
+def test_whitehead_loop_reads_the_ranked_cone(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the suite read surgery_dim")
+
+    ranked = []
+    build = cone.build_cone_problem
+
+    def counted(K, p, q, *args, **kwargs):
+        ranked.append((K.name, p, q))
+        return build(K, p, q, *args, **kwargs)
+
+    monkeypatch.setattr(cone, "surgery_dim", refuse)
+    monkeypatch.setattr(cone, "build_cone_problem", counted)
+    res = crosscheck.suite_whitehead_loop()
+    assert res.ok and res.cases == 17
+    assert len(ranked) == 20 and {(p, q) for _, p, q in ranked} == {(1, 1), (-1, 1)}
+
+
 def test_acceptance_7_property_suites():
     bad = []
     models = catalog.thin_catalog() + random_thin_models(50)
@@ -114,8 +132,8 @@ def test_acceptance_7_property_suites():
 def test_acceptance_8_seifert_gate():
     bad = list(crosscheck.suite_seifert_gate().mismatches)
     g, m, pairs = 2, 5, [(1, 3)]  # a fibre pair the suite does not try
-    short = borromean.seifert_dim_large(g, m, pairs)
+    res = borromean.seifert(g, m, pairs)
     full = borromean.seifert_dim_windowed(g, m, pairs)
-    if short is not None and short != full:
-        bad.append(f"(g={g}, m={m}, {pairs}): shortcut {short} != cone {full}")
+    if res.pathway == "large-surgery" and res.dim != full:
+        bad.append(f"(g={g}, m={m}, {pairs}): shortcut {res.dim} != cone {full}")
     _report(8, "integral-multiplicity reduction and large-slope agreement", bad)

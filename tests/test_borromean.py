@@ -3,6 +3,7 @@ import math
 import re
 import time
 from collections import Counter
+from fractions import Fraction
 from math import comb
 
 import pytest
@@ -13,8 +14,8 @@ from knotsurgery.borromean import (
     circle_bundle_dim_formula,
     circle_bundle_dim_module,
     monomial_dim,
+    seifert,
     seifert_dim,
-    seifert_dim_large,
     seifert_dim_windowed,
 )
 from knotsurgery.cone import PreconditionError
@@ -131,14 +132,15 @@ def test_seifert_trivial_pairs_match_circle_bundle():
 def test_seifert_large_slope_agreement():
     # deg = 7/2 puts this in the large regime; the forced cone must agree
     assert seifert_dim(2, 3, [(1, 2)]) == 112
-    assert seifert_dim_large(2, 3, [(1, 2)]) == 112
+    assert seifert(2, 3, [(1, 2)]) == (Fraction(7, 2), 112, "large-surgery")
     assert seifert_dim_windowed(2, 3, [(1, 2)]) == 112
 
 
 def test_seifert_small_slope_windowed_consistency():
-    # below the large regime the dedicated shortcut does not apply
-    assert seifert_dim_large(2, 1, [(1, 2)]) is None
-    assert seifert_dim(2, 1, [(1, 2)]) == seifert_dim_windowed(2, 1, [(1, 2)])
+    # below the large regime the shortcut does not apply, and the cone answers
+    res = seifert(2, 1, [(1, 2)])
+    assert res.pathway == "cone" and res.degree == Fraction(3, 2)
+    assert res.dim == seifert_dim(2, 1, [(1, 2)]) == seifert_dim_windowed(2, 1, [(1, 2)])
 
 
 def test_seifert_orientation_flip():
@@ -182,7 +184,7 @@ def test_seifert_rejects_unreduced_pair():
         seifert_dim(2, 1, [(2, 4)])
 
 
-@pytest.mark.parametrize("fn", [seifert_dim, seifert_dim_large, seifert_dim_windowed])
+@pytest.mark.parametrize("fn", [seifert_dim, seifert, seifert_dim_windowed])
 @pytest.mark.parametrize("g, m, pairs, message", [
     (0, 3, [(1, 2)], "base genus must be at least 1"),
     (2, 1, [(1, 0)], "multiplicity 0 must be a positive integer"),
@@ -196,12 +198,13 @@ def test_seifert_entry_points_share_validation(fn, g, m, pairs, message):
 
 def test_large_slope_past_the_cone_limit_still_answers():
     # the shortcut needs no cone, so only the forced cone hits MAX_LATTICE_SLOTS
-    assert seifert_dim(2, 10 ** 6, []) == seifert_dim_large(2, 10 ** 6, []) == 16 * 10 ** 6
+    assert seifert(2, 10 ** 6, []) == (10 ** 6, 16 * 10 ** 6, "large-surgery")
+    assert seifert_dim(2, 10 ** 6, []) == 16 * 10 ** 6
     with pytest.raises(PreconditionError, match="MAX_LATTICE_SLOTS = 500000"):
         seifert_dim_windowed(2, 10 ** 6, [])
 
 
-@pytest.mark.parametrize("fn", [seifert_dim, seifert_dim_large, seifert_dim_windowed])
+@pytest.mark.parametrize("fn", [seifert_dim, seifert, seifert_dim_windowed])
 def test_seifert_slot_limit_is_checked_before_counting(fn, monkeypatch):
     def refuse(*args):
         raise AssertionError("residue classes counted before the slot limit was checked")

@@ -498,6 +498,16 @@ def test_malformed_spec_exits_cleanly(tmp_path, capsys, spec, field):
     assert code == 2 and field in err
 
 
+@pytest.mark.parametrize("delta, reason", [
+    ("[[2,1", "Expecting ',' delimiter"),
+    ("[[1" + "0" * 5000 + ",0]]", "Exceeds the limit (4300 digits)"),
+], ids=["malformed", "huge-integer"])
+def test_classify_delta_that_is_not_json_exits_1(capsys, delta, reason):
+    code, out, err = run(capsys, "classify", "--dim", "7", "--delta", delta)
+    assert code == 1 and not out
+    assert err.startswith("error: --delta: invalid JSON input: ") and reason in err
+
+
 @pytest.mark.parametrize("delta", ['{"a":1}', '[[1,"x"]]'], ids=["object", "non-integer-power"])
 def test_classify_rejects_malformed_delta(capsys, delta):
     code, _, err = run(capsys, "classify", "--dim", "7", "--delta", delta)

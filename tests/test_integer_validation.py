@@ -16,15 +16,17 @@ from hypothesis import example, given, settings, strategies as st
 
 from knotsurgery import knotcx
 from knotsurgery.catalog import get_knot, thin_catalog
+from knotsurgery.cone import surgery_dim
 from knotsurgery.knotcx import (
     KnotComplex,
+    SquareSpec,
     StaircaseSpec,
     assemble,
     decompose,
     mirror,
     validate,
 )
-from knotsurgery.linalg import space, sparse_map
+from knotsurgery.linalg import SparseExactMap, space, sparse_map
 from knot_helpers import half_level_squares_model
 from test_properties import _broken, _paired_squares, random_thin_models, scramble
 from validation_oracle import decompose_rational, validate_rational
@@ -161,6 +163,21 @@ def test_validate_forms_each_composition_once_and_decompose_none(monkeypatch, ra
     formed.clear()
     assert decompose(K).squares == {(0, 1): 1, (1, -1): 1, (-1, -1): 1}
     assert formed == []
+
+
+def test_maps_of_integral_fractions_validate_like_int_maps():
+    K = assemble(StaircaseSpec(1), [SquareSpec(0, 1), SquareSpec(0, 1), SquareSpec(0, -1),
+                                    SquareSpec(1, 1), SquareSpec(-1, 1)])
+    sp = K.space
+
+    def fractions(d):
+        return SparseExactMap(sp, sp, tuple((t, s, Fraction(v)) for t, s, v in d.entries))
+
+    F = K._replace(d_plus=fractions(K.d_plus), d_minus=fractions(K.d_minus))
+    assert all(type(v) is Fraction for d in (F.d_plus, F.d_minus) for _, _, v in d.entries)
+    assert validate(F) == validate(K) and validate(F).ok
+    assert decompose(F) == decompose(K) == (1, {(0, 1): 2, (0, -1): 1, (1, 1): 1, (-1, 1): 1})
+    assert surgery_dim(F, 1, 1).dimension == surgery_dim(K, 1, 1).dimension == 11
 
 
 def test_scaling_leaves_the_maps_untouched():

@@ -4,13 +4,13 @@ from collections import Counter
 
 import pytest
 
+from knotsurgery import knotcx
 from knotsurgery.catalog import get_knot, knot_names, thin_catalog
 from knotsurgery.knotcx import (
     KnotComplex,
     ModelError,
     SquareSpec,
     StaircaseSpec,
-    ValidationReport,
     assemble,
     build_square,
     build_staircase,
@@ -291,8 +291,8 @@ def test_decompose_reads_back_the_catalog_squares():
 def test_decompose_is_kept_on_the_model():
     K = assemble(StaircaseSpec(-2), [SquareSpec(1, 1), SquareSpec(-1, 1), SquareSpec(0, -1),
                                      SquareSpec(0, -1)])
-    assert "decomposition" not in K.__dict__
-    assert decompose(K) is decompose(K) is K.decomposition
+    assert "report" not in K.__dict__
+    assert decompose(K) is decompose(K) is K.report.decomposition
     assert decompose(K).squares == {(1, 1): 1, (-1, 1): 1, (0, -1): 2}
 
 
@@ -305,13 +305,22 @@ def test_decompose_counts_squares_at_half_integer_gradings():
         decompose(K)
 
 
-def test_decompose_rejects_an_invalid_model_and_checks_the_dimension():
+def test_decompose_rejects_an_invalid_model_and_checks_the_dimension(monkeypatch):
     sp = space([("x", 0, 0), ("y", 0, 0)])
     K = KnotComplex(sp, zero_map(sp), zero_map(sp), genus=0, tau=0)
     with pytest.raises(ModelError, match="invalid knot model"):
         decompose(K)
-    # with the report forced clean, 2 generators and no square contradict tau 0
-    K.__dict__["report"] = report = ValidationReport()
-    report.squares = {}
-    with pytest.raises(ModelError, match=r"dimension 2 differs from 2\|tau\| \+ 1 \+ 4k = 1"):
+    assert K.report.decomposition is None
+    # with the d+ d- ranks dropped, 5 generators and no square contradict tau 0
+    one_pass = knotcx._one_pass
+
+    def without_squares(*args, **kwargs):
+        bad, (minus, plus, _) = one_pass(*args, **kwargs)
+        return bad, (minus, plus, {})
+
+    monkeypatch.setattr(knotcx, "_one_pass", without_squares)
+    K = assemble(StaircaseSpec(0), [SquareSpec(0, -1)])
+    message = "model dimension 5 differs from 2|tau| + 1 + 4k = 1 for tau 0 and its squares"
+    assert validate(K) == ([message], None)
+    with pytest.raises(ModelError, match=f"invalid knot model: {re.escape(message)}$"):
         decompose(K)

@@ -1,12 +1,14 @@
 """Value semantics of the library's spec, result and model types.
 
-They are ``typing.NamedTuple``s (or small classes for the mutable ones):
-equal and hashed as the tuple of their fields, with read-only fields.
+They are ``typing.NamedTuple``s: equal and hashed as the tuple of their
+fields, with read-only fields.  The records holding a list or a dict are
+equal as their field tuples but not hashable.
 """
 from fractions import Fraction
 
 import pytest
 
+from knotsurgery.borromean import SeifertResult
 from knotsurgery.cone import ConeProblem, ScanResult, SurgeryResult
 from knotsurgery.crosscheck import SuiteResult
 from knotsurgery.formulas import (
@@ -17,6 +19,7 @@ from knotsurgery.formulas import (
     WhDoubleSpec,
 )
 from knotsurgery.knotcx import (
+    Decomposition,
     PreconditionError,
     SquareSpec,
     StaircaseSpec,
@@ -39,6 +42,7 @@ VALUES = [
     (SurgeryResult("fig8", 1, 1, 3, "decomposition"),
      ("knot", "p", "q", "dimension", "pathway", "per_grading")),
     (ScanResult("lspace", 1, ((1, 1),)), ("verdict", "witness", "dims")),
+    (SeifertResult(Fraction(7, 2), 112, "large-surgery"), ("degree", "dim", "pathway")),
     (SutureDimProfile(1, 2), ("tau", "base_dim")),
     (WhDoubleSpec(3, UNKNOT_PROFILE), ("t", "companion")),
     (WhDoubleResult(1, 1, 0, 1), ("dim_plus_one", "dim_minus_one", "tau", "top_grading_dim")),
@@ -62,7 +66,7 @@ def test_fields_are_read_only(value, names):
 
 def test_derived_model_state_is_outside_equality():
     K = build_staircase(2)
-    assert K.report.ok and K.decomposition == (2, {})
+    assert K.report.ok and K.report.decomposition == (2, {})
     assert K == build_staircase(2) and hash(K) == hash(build_staircase(2))
 
 
@@ -83,10 +87,13 @@ def test_replace_runs_the_construction_checks():
     assert d._replace(entries=())._cols == {"a": {}, "b": {}}
 
 
-def test_mutable_containers_share_no_defaults():
-    r1, r2 = ValidationReport(), ValidationReport()
-    r1.violations.append("x")
-    assert r2.violations == [] and validate(build_staircase(1)).violations == []
+def test_validation_report_is_a_read_only_record():
+    report = validate(build_staircase(1))
+    assert report._fields == ("violations", "decomposition")
+    assert report == ([], (1, {})) and report.decomposition == Decomposition(1, {})
+    with pytest.raises(AttributeError):
+        report.decomposition = None
+    assert ValidationReport(["x"]) == (["x"], None) and not ValidationReport(["x"]).ok
 
 
 def test_cone_problem_is_a_read_only_record():
