@@ -15,7 +15,7 @@ import sys
 from fractions import Fraction
 
 from . import borromean, catalog, cone, crosscheck, formulas
-from .knotcx import ModelError, chi_graded, parse_knot_spec, parse_poly_pairs, poly_norm, poly_str
+from .knotcx import ModelError, chi_graded, parse_knot_spec, parse_poly_pairs, poly_str
 from .linalg import LinearAlgebraError
 
 EXIT_OK = 0
@@ -37,17 +37,35 @@ class _Parser(argparse.ArgumentParser):
         sys.exit(EXIT_USAGE)
 
 
-def _parse_slope(text: str):
-    """Parse a slope string 'p/q' or 'p'; returns (p, q) with q >= 1."""
-    raw = text.strip()
+# Most digits in an integer read from the command line, checked before it
+# is converted.  Every answer then stays below Python's 4300-digit limit on
+# ``str(int)``: the largest, ``splice``'s, is a product of two arguments.
+MAX_ARG_DIGITS = 1000
+
+
+class _TooManyDigits(argparse.ArgumentTypeError):
+    """An integer argument past MAX_ARG_DIGITS; argparse names its flag."""
+
+
+def _int_arg(text: str) -> int:
+    """The integer in ``text``: the type of every integer flag, and the reader of slope parts."""
+    if len(text.strip().lstrip("+-")) > MAX_ARG_DIGITS:
+        raise _TooManyDigits(f"more than MAX_ARG_DIGITS = {MAX_ARG_DIGITS} digits")
     try:
-        if "/" in raw:
-            top, bottom = raw.split("/", 1)
-            p, q = int(top), int(bottom)
-        else:
-            p, q = int(raw), 1
-    except ValueError:
-        raise cone.PreconditionError(f"slope {text!r} is not of the form p or p/q")
+        return int(text)
+    except ValueError:  # argparse's own wording for a malformed int
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+
+
+def _parse_slope(text: str, flag: str = "--slope"):
+    """Parse a slope string 'p/q' or 'p'; returns (p, q) with q >= 1."""
+    top, slash, bottom = text.strip().partition("/")
+    try:
+        p, q = _int_arg(top), (_int_arg(bottom) if slash else 1)
+    except _TooManyDigits as exc:
+        raise cone.PreconditionError(f"argument {flag}: {exc}") from None
+    except argparse.ArgumentTypeError:
+        raise cone.PreconditionError(f"slope {text!r} is not of the form p or p/q") from None
     if q < 0:
         p, q = -p, -q
     if q == 0:
@@ -104,52 +122,26 @@ def _emit(args, payload: dict, table_rows: list, headers: list) -> None:
         print("  ".join(c.ljust(w) for c, w in zip(row, widths)))
 
 
-def _pathway_values(K, p: int, q: int) -> dict:
-    """Every applicable pathway's value for slope p/q, side by side.
-
-    ``surgery_dim`` goes first, so its slope checks guard every oracle.
-    """
-    values = {"decomposition": cone.surgery_dim(K, p, q).dimension,
-              "cone": cone.build_cone_problem(K, p, q).dimension()}
-    if q == 1 and p >= cone.large_surgery_start(K):
-        values["large-surgery"] = cone.large_surgery_dim(K, p)
-    delta = K.delta()
-    if delta is not None:
-        values["closed-form"] = formulas.thin_surgery_formula(poly_norm(delta), K.tau, p, q)
-    if K.genus == 1 and q == 1 and p >= 1:
-        values["ladder"] = cone.genus_one_positive_ladder(K, p)
-    return values
-
-
 def cmd_surgery(args) -> int:
-    K = _load_knot(args)
     slopes = sorted({_parse_slope(s) for s in args.slope},
                     key=lambda pq: (Fraction(pq[0], pq[1]), pq[1]))
+    K = _load_knot(args)
     if args.compare:
         rows = []
         records = []
-        ok = True
         for p, q in slopes:
             if p == 0:
-                raise cone.PreconditionError("slope 0 has no closed-form comparison; "
+                raise cone.PreconditionError("slope 0 has no pathway comparison; "
                                              "use the zero-surgery subcommand")
-            values = _pathway_values(K, p, q)
+            values = crosscheck.pathway_values(K, p, q)
             agree = len(set(values.values())) == 1
-            ok = ok and agree
             records.append({"knot": K.name, "slope": f"{p}/{q}", "values": values,
                             "agree": agree})
-            rows.append([K.name, f"{p}/{q}",
-                         values["decomposition"],
-                         values["cone"],
-                         values.get("closed-form", "-"),
-                         values.get("large-surgery", "-"),
-                         values.get("ladder", "-"),
+            rows.append([K.name, f"{p}/{q}", *(values.get(n, "-") for n in crosscheck.PATHWAYS),
                          agree])
         payload = {"command": "surgery", "compare": True, "results": records}
-        _emit(args, payload, rows,
-              ["knot", "slope", "decomposition", "cone", "closed-form", "large-surgery",
-               "ladder", "agree"])
-        return EXIT_OK if ok else EXIT_MISMATCH
+        _emit(args, payload, rows, ["knot", "slope", *crosscheck.PATHWAYS, "agree"])
+        return EXIT_OK if all(r["agree"] for r in records) else EXIT_MISMATCH
     results = []
     for p, q in slopes:
         if p == 0:
@@ -203,7 +195,7 @@ def cmd_circle_bundle(args) -> int:
 
 
 def cmd_seifert(args) -> int:
-    pairs = [_parse_slope(p) for p in args.pair or []]
+    pairs = [_parse_slope(p, "--pair") for p in args.pair or []]
     res = borromean.seifert(args.genus, args.base, pairs)
     payload = {"command": "seifert", "genus": args.genus, "base": args.base,
                "pairs": [[r, v] for r, v in pairs], "degree": str(res.degree),
@@ -312,39 +304,39 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_scan)
 
     p = sub.add_parser("circle-bundle", help="circle bundle over a surface")
-    p.add_argument("--genus", type=int, required=True)
-    p.add_argument("--euler", type=int, required=True)
+    p.add_argument("--genus", type=_int_arg, required=True)
+    p.add_argument("--euler", type=_int_arg, required=True)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_circle_bundle)
 
     p = sub.add_parser("seifert", help="Seifert fibered space (nonzero degree)")
-    p.add_argument("--genus", type=int, required=True)
-    p.add_argument("--base", type=int, required=True, help="integer invariant m")
+    p.add_argument("--genus", type=_int_arg, required=True)
+    p.add_argument("--base", type=_int_arg, required=True, help="integer invariant m")
     p.add_argument("--pair", action="append", help="exceptional fiber r/v (repeatable)")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_seifert)
 
     p = sub.add_parser("whitehead", help="twisted double dimensions at slopes +1/-1")
-    p.add_argument("--twists", type=int, required=True)
+    p.add_argument("--twists", type=_int_arg, required=True)
     p.add_argument("--clasp", choices=("pos", "neg"), default="pos")
     p.add_argument("--profile", help="companion-profile JSON file")
-    p.add_argument("--companion-tau", type=int)
-    p.add_argument("--companion-base", type=int)
-    p.add_argument("--gamma0", type=int)
+    p.add_argument("--companion-tau", type=_int_arg)
+    p.add_argument("--companion-base", type=_int_arg)
+    p.add_argument("--gamma0", type=_int_arg)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_whitehead)
 
     p = sub.add_parser("splice", help="splice with a twist-knot complement")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_int_arg, required=True)
     p.add_argument("--profile", help="companion-profile JSON file")
-    p.add_argument("--companion-tau", type=int)
-    p.add_argument("--companion-base", type=int)
-    p.add_argument("--gamma0", type=int)
+    p.add_argument("--companion-tau", type=_int_arg)
+    p.add_argument("--companion-base", type=_int_arg)
+    p.add_argument("--gamma0", type=_int_arg)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_splice)
 
     p = sub.add_parser("classify", help="genus-one nearly-fibered candidates")
-    p.add_argument("--dim", type=int, required=True, help="total knot-homology dimension")
+    p.add_argument("--dim", type=_int_arg, required=True, help="total knot-homology dimension")
     p.add_argument("--delta", required=True,
                    help="Alexander polynomial as JSON [[coef, power], ...]")
     p.add_argument("--json", action="store_true")

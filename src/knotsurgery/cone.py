@@ -36,7 +36,7 @@ from __future__ import annotations
 from typing import NamedTuple, Optional, Sequence
 
 from .formulas import _check_slope, thin_surgery_formula
-from .knotcx import KnotComplex, PreconditionError, decompose, require_valid
+from .knotcx import KnotComplex, PreconditionError, decompose
 from .linalg import (
     Homology,
     SparseExactMap,
@@ -244,7 +244,7 @@ def _level_rows(K: KnotComplex, s: int):
     s = _level_key(K, s)
     rows = K.levels.get(s)
     if rows is None:
-        require_valid(K)
+        decompose(K)
         v, h = pi_maps(K, s)
         order = {cid: i for i, cid in enumerate(v.source.ids)}
         rows = K.levels[s] = (v.source.dim,
@@ -291,7 +291,7 @@ def large_surgery_dim(K: KnotComplex, n: int) -> int:
 
     Equals the cone dimension at integral slope n >= large_surgery_start(K).
     """
-    require_valid(K)
+    decompose(K)
     if n < large_surgery_start(K):
         raise PreconditionError(f"slope {n} is outside the large-surgery regime "
                                 f"(needs n >= {large_surgery_start(K)})")
@@ -344,7 +344,7 @@ def zero_surgery_levels(K: KnotComplex, span: Optional[int] = None) -> dict:
     depends on c.  The grading-0 slot is None ("undetermined") when tau = 0,
     where c is not pinned down.
     """
-    require_valid(K)
+    decompose(K)
     g = K.genus
     top = (g - 1) if span is None else span
     _check_level_cells(K, [s for s in range(-top, top + 1) if s or K.tau])

@@ -1,5 +1,7 @@
 """Agreement suites: every computation pathway checked against the others.
 
+``pathway_values`` is the one table of the knot pathways that apply at a
+slope; ``surgery --compare`` prints it and ``thin-vs-cone`` checks it.
 Each suite returns a list of mismatch descriptions (empty means pass) plus
 a case count, so the command-line front end can render them and fail the
 run when anything disagrees.
@@ -9,11 +11,12 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from . import borromean, catalog, cone, formulas
-from .knotcx import mirror, poly_norm
+from .knotcx import mirror
 
 SLOPE_GRID = [(1, 1), (-1, 1), (2, 1), (-2, 1), (3, 1), (-3, 1), (5, 1), (-5, 1),
               (1, 2), (-1, 2), (1, 3), (-1, 3), (2, 3), (-2, 3), (5, 2), (-5, 2),
               (7, 3), (-7, 3)]
+PATHWAYS = ("decomposition", "cone", "large-surgery", "ladder")
 
 
 class SuiteResult(NamedTuple):
@@ -30,37 +33,39 @@ class SuiteResult(NamedTuple):
                 "ok": self.ok, "mismatches": list(self.mismatches)}
 
 
-def suite_thin_vs_cone() -> SuiteResult:
-    """Ranked cone == surgery_dim == closed thin formula == genus-one ladder.
+def pathway_values(K, p: int, q: int) -> dict:
+    """Every knot pathway that applies at slope p/q, by name, in ``PATHWAYS`` order.
 
-    The ranked value is the materialised cone, or the large-surgery direct
-    sum in its regime, both read off the model's level table;
-    ``surgery_dim`` reads the model's decomposition and the formula its
-    Alexander polynomial.  On catalog models both of those derive from the
-    same polynomial (through ``thin_decomposition``), so the independent
-    legs are the cone and the ladder, which is anchored on level 0 of the
-    table and applies at genus one and positive integral slopes.
+    The decomposition (``surgery_dim``) goes first, so its slope checks
+    guard every oracle.  The ranked cone always applies, the large-surgery
+    direct sum at integral slopes from ``large_surgery_start(K)``, and the
+    genus-one ladder at positive integral slopes.
+    """
+    values = {"decomposition": cone.surgery_dim(K, p, q).dimension,
+              "cone": cone.build_cone_problem(K, p, q).dimension()}
+    if q == 1 and p >= cone.large_surgery_start(K):
+        values["large-surgery"] = cone.large_surgery_dim(K, p)
+    if K.genus == 1 and q == 1 and p >= 1:
+        values["ladder"] = cone.genus_one_positive_ladder(K, p)
+    return values
+
+
+def suite_thin_vs_cone() -> SuiteResult:
+    """Every row of the pathway table agrees, over the catalog and the slope grid.
+
+    ``surgery_dim`` reads the model's decomposition.  The independent legs
+    read the model's level table: the ranked cone, the large-surgery direct
+    sum in its regime, and the genus-one ladder, anchored on level 0.
     """
     cases = 0
     bad = []
     for K in catalog.thin_catalog():
-        norm = poly_norm(K.delta())
         for p, q in SLOPE_GRID:
             cases += 1
-            if q == 1 and p >= cone.large_surgery_start(K):
-                by_cone = cone.large_surgery_dim(K, p)
-            else:
-                by_cone = cone.build_cone_problem(K, p, q).dimension()
-            by_surgery = cone.surgery_dim(K, p, q).dimension
-            by_formula = formulas.thin_surgery_formula(norm, K.tau, p, q)
-            if by_surgery != by_cone:
-                bad.append(f"{K.name} at {p}/{q}: surgery_dim {by_surgery} != cone {by_cone}")
-            if by_cone != by_formula:
-                bad.append(f"{K.name} at {p}/{q}: cone {by_cone} != formula {by_formula}")
-            if K.genus == 1 and q == 1 and p >= 1:
-                by_ladder = cone.genus_one_positive_ladder(K, p)
-                if by_ladder != by_cone:
-                    bad.append(f"{K.name} at {p}/1: ladder {by_ladder} != cone {by_cone}")
+            values = pathway_values(K, p, q)
+            if len(set(values.values())) != 1:
+                bad.append(f"{K.name} at {p}/{q}: "
+                           + ", ".join(f"{name} {v}" for name, v in values.items()))
     return SuiteResult("thin-vs-cone", cases, bad)
 
 

@@ -578,14 +578,6 @@ def _one_pass(K: KnotComplex, blocks: dict, rank: bool) -> tuple:
     return bad, ranks
 
 
-def require_valid(K: KnotComplex) -> Decomposition:
-    """K's kept decomposition; ModelError listing the violations unless K passes ``validate``."""
-    report = K.report
-    if report.decomposition is None:
-        raise ModelError("invalid knot model: " + "; ".join(report.violations))
-    return report.decomposition
-
-
 def decompose(K: KnotComplex) -> Decomposition:
     """The staircase and squares that a valid model is isomorphic to, computed once and kept on K.
 
@@ -603,9 +595,12 @@ def decompose(K: KnotComplex) -> Decomposition:
     sign +1 for z2 = 1 as in ``build_square``.  ``validate`` ranks these in
     its pass over the generators and checks the dimension, and its clean
     report keeps the decomposition, so this is one read of it.  ModelError
-    if K is invalid.
+    listing the violations if K is invalid.
     """
-    return require_valid(K)
+    report = K.report
+    if report.decomposition is None:
+        raise ModelError("invalid knot model: " + "; ".join(report.violations))
+    return report.decomposition
 
 
 # --- knot-spec text format -------------------------------------------------

@@ -39,7 +39,7 @@ def test_acceptance_2_circle_bundles():
 
 
 def test_acceptance_3_thin_oracle_equivalence():
-    _report(3, "cone, closed formula and ladder agree on the slope grid",
+    _report(3, "decomposition, cone, large-surgery sum and ladder agree on the slope grid",
             crosscheck.suite_thin_vs_cone().mismatches)
 
 

@@ -3,10 +3,11 @@ import json
 
 import pytest
 
-from knotsurgery import borromean
+from knotsurgery import borromean, formulas
 from knotsurgery.catalog import get_knot
-from knotsurgery.cli import main
+from knotsurgery.cli import MAX_ARG_DIGITS, main
 from knotsurgery.cone import SurgeryResult
+from knotsurgery.crosscheck import PATHWAYS
 from knotsurgery.knotcx import (
     MAX_MODEL_DIM,
     MAX_MODEL_GENUS,
@@ -62,9 +63,9 @@ def test_surgery_compare_pathways(capsys):
     assert code == 0
     payload = json.loads(out)
     by_slope = {r["slope"]: r for r in payload["results"]}
-    assert by_slope["1/1"]["values"] == {"decomposition": 3, "cone": 3, "closed-form": 3,
-                                         "large-surgery": 3, "ladder": 3}
-    assert by_slope["1/2"]["values"] == {"decomposition": 5, "cone": 5, "closed-form": 5}
+    assert by_slope["1/1"]["values"] == {"decomposition": 3, "cone": 3, "large-surgery": 3,
+                                         "ladder": 3}
+    assert by_slope["1/2"]["values"] == {"decomposition": 5, "cone": 5}
     assert all(r["agree"] for r in payload["results"])
 
 
@@ -72,9 +73,22 @@ def test_surgery_compare_table_shows_the_decomposition(capsys):
     code, out, _ = run(capsys, "surgery", "--knot", "t2_7", "--slope", "7/3", "--compare")
     header, row = out.splitlines()
     assert code == 0
-    assert header.split() == ["knot", "slope", "decomposition", "cone", "closed-form",
-                              "large-surgery", "ladder", "agree"]
-    assert row.split() == ["t2_7", "7/3", "23", "23", "23", "-", "-", "True"]
+    assert header.split() == ["knot", "slope", "decomposition", "cone", "large-surgery",
+                              "ladder", "agree"]
+    assert row.split() == ["t2_7", "7/3", "23", "23", "-", "-", "True"]
+
+
+@pytest.mark.parametrize("K", [assemble(StaircaseSpec(1), [SquareSpec(0, 1), SquareSpec(0, -1)]),
+                               assemble(StaircaseSpec(0), [SquareSpec(1, 1), SquareSpec(-1, -1)])],
+                         ids=["tau1-squares-at-0", "tau0-squares-at-pm1"])
+def test_surgery_compare_columns_are_the_pathway_table(tmp_path, capsys, K):
+    path = tmp_path / "knot.json"
+    path.write_text(json.dumps(knot_spec_dict(K)))
+    code, out, err = run(capsys, "surgery", "--spec", str(path), "--slope", "1", "--compare")
+    header, row = out.splitlines()
+    assert code == 0 and not err
+    assert header.split() == ["knot", "slope", *PATHWAYS, "agree"]
+    assert row.split()[-1] == "True"
 
 
 @pytest.mark.parametrize("compare", [[], ["--compare"]], ids=["plain", "compare"])
@@ -161,6 +175,55 @@ def test_oversized_input_hits_limit_before_work(capsys, argv, limit):
     code, _, err = run(capsys, *argv)
     assert time.perf_counter() - start < 1.0
     assert code == 2 and limit in err
+
+
+NINES = "9" * 4300  # an int that str() prints, but twice it does not
+PAST = "9" * (MAX_ARG_DIGITS + 1)
+
+
+def _run_to_exit(capsys, *argv):
+    """(exit code, stdout, stderr), the code also from a usage error's SystemExit."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
+@pytest.mark.parametrize("argv, flag", [
+    # arguments whose answers str() could not print, were they accepted
+    (["surgery", "--knot", "fig8", "--slope", NINES], "--slope"),
+    (["circle-bundle", "--genus", "2", "--euler", NINES], "--euler"),
+    (["seifert", "--genus", "2", "--base", NINES], "--base"),
+    (["whitehead", "--twists", NINES, "--companion-tau", "0", "--companion-base", "0"], "--twists"),
+    (["splice", "--n", NINES, "--companion-tau", "0", "--companion-base", NINES], "--n"),
+    # one digit past the limit, on the other integer arguments
+    (["surgery", "--knot", "fig8", "--slope", f"1/{PAST}"], "--slope"),
+    (["circle-bundle", "--genus", f"-{PAST}", "--euler", "1"], "--genus"),
+    (["seifert", "--genus", "2", "--base", "1", "--pair", f"{PAST}/2"], "--pair"),
+    (["whitehead", "--twists", "1", "--companion-tau", PAST, "--companion-base", "0"],
+     "--companion-tau"),
+    (["splice", "--n", "1", "--companion-tau", "0", "--companion-base", "1", "--gamma0", PAST],
+     "--gamma0"),
+    (["classify", "--dim", PAST, "--delta", "[[1, 0]]"], "--dim"),
+], ids=["surgery", "circle-bundle", "seifert", "whitehead", "splice",
+        "slope-q", "genus", "pair", "companion-tau", "gamma0", "dim"])
+def test_integer_argument_past_the_digit_limit_is_refused(capsys, argv, flag, json_flag):
+    code, out, err = _run_to_exit(capsys, *argv, *json_flag)
+    assert code in (1, 2) and not out
+    assert f"argument {flag}: more than MAX_ARG_DIGITS = {MAX_ARG_DIGITS} digits" in err
+
+
+def test_integers_at_the_digit_limit_give_printable_answers(capsys):
+    big = "9" * MAX_ARG_DIGITS
+    code, out, _ = run(capsys, "splice", "--n", big, "--companion-tau", big,
+                       "--companion-base", big, "--json")
+    profile = formulas.SutureDimProfile(int(big), int(big))
+    assert code == 0 and json.loads(out)["dim"] == formulas.splice_dim(int(big), profile)
+    code, out, _ = run(capsys, "surgery", "--knot", "fig8", "--slope", f"{big}/1{'0' * 999}")
+    assert code == 0 and "decomposition" in out
 
 
 def _first_primes(n: int) -> list:

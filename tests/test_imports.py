@@ -8,6 +8,8 @@ pays; one check runs the import in a fresh interpreter to confirm neither
 is loaded.  The imports between the package's modules, those inside
 functions included, form no cycle.  No floating point enters a rank: the
 only true division in ``linalg`` is the one inside its exact ``quotient``.
+``cli`` names no knot pathway: ``surgery --compare`` reads them all from
+``crosscheck.pathway_values``.
 """
 import ast
 import graphlib
@@ -131,3 +133,31 @@ def test_the_check_finds_a_stray_division():
 
 def test_linalg_divides_only_in_quotient():
     assert [f for _, f in true_divisions((SRC / "linalg.py").read_text())] == ["quotient"]
+
+
+PATHWAY_NAMES = {"build_cone_problem", "large_surgery_dim", "genus_one_positive_ladder",
+                 "thin_surgery_formula"}
+
+
+def names_in(source: str) -> set:
+    """Every name ``source`` reads or imports, attribute names included."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update(alias.name for alias in node.names)
+    return names
+
+
+def test_the_check_finds_a_pathway_name():
+    source = ("from .cone import large_surgery_dim as lsd\n"
+              "x = cone.build_cone_problem(K, 1, 1).dimension()\n")
+    assert names_in(source) & PATHWAY_NAMES == {"large_surgery_dim", "build_cone_problem"}
+
+
+def test_cli_names_no_knot_pathway():
+    assert names_in((SRC / "cli.py").read_text()) & PATHWAY_NAMES == set()
+

@@ -17,6 +17,7 @@ import pytest
 from knotsurgery import cone
 from knotsurgery.catalog import thin_catalog
 from knotsurgery.cone import build_cone_problem, surgery_dim, zero_surgery_dims, zero_surgery_levels
+from knotsurgery.crosscheck import PATHWAYS, SLOPE_GRID, pathway_values
 from knotsurgery.knotcx import SquareSpec, StaircaseSpec, assemble, decompose, mirror
 from knot_helpers import squares_model
 from test_properties import random_thin_models, scramble
@@ -89,3 +90,15 @@ def test_the_families_split():
         tau, squares = decompose(K)
         assert tau == K.tau and K.dim == 2 * abs(tau) + 1 + 4 * sum(squares.values()), K.name
     assert sum(1 for K in MODELS if decompose(K).squares) >= 20
+
+
+@pytest.mark.parametrize("K", [assemble(StaircaseSpec(1), [SquareSpec(0, 1), SquareSpec(0, -1)]),
+                               assemble(StaircaseSpec(0), [SquareSpec(1, 1), SquareSpec(-1, -1)])],
+                         ids=["tau1-squares-at-0", "tau0-squares-at-pm1"])
+def test_pathway_table_agrees_on_models_that_are_not_thin(K):
+    """Squares the Alexander polynomial cannot see: no pathway of the table reads the polynomial."""
+    for p, q in SLOPE_GRID:
+        values = pathway_values(K, p, q)
+        assert list(values) == [name for name in PATHWAYS if name in values]
+        assert len(set(values.values())) == 1, (p, q, values)
+
