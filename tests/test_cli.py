@@ -25,7 +25,11 @@ from knot_helpers import TWO_SURVIVORS_SPEC
 
 
 def run(capsys, *argv):
-    code = main(list(argv))
+    """(exit code, stdout, stderr), the code also from a usage error's SystemExit."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -181,16 +185,6 @@ NINES = "9" * 4300  # an int that str() prints, but twice it does not
 PAST = "9" * (MAX_ARG_DIGITS + 1)
 
 
-def _run_to_exit(capsys, *argv):
-    """(exit code, stdout, stderr), the code also from a usage error's SystemExit."""
-    try:
-        code = main(list(argv))
-    except SystemExit as exc:
-        code = exc.code
-    captured = capsys.readouterr()
-    return code, captured.out, captured.err
-
-
 @pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
 @pytest.mark.parametrize("argv, flag", [
     # arguments whose answers str() could not print, were they accepted
@@ -211,7 +205,7 @@ def _run_to_exit(capsys, *argv):
 ], ids=["surgery", "circle-bundle", "seifert", "whitehead", "splice",
         "slope-q", "genus", "pair", "companion-tau", "gamma0", "dim"])
 def test_integer_argument_past_the_digit_limit_is_refused(capsys, argv, flag, json_flag):
-    code, out, err = _run_to_exit(capsys, *argv, *json_flag)
+    code, out, err = run(capsys, *argv, *json_flag)
     assert code in (1, 2) and not out
     assert f"argument {flag}: more than MAX_ARG_DIGITS = {MAX_ARG_DIGITS} digits" in err
 
