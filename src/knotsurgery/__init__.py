@@ -2,14 +2,17 @@
 
 Library layout:
 
-- ``linalg``: exact rational linear algebra on graded spaces.
+- ``linalg``: exact rational maps on graded spaces, and their ranks in
+  integers: one fraction-free eliminator, dim H per block and the rank of
+  an induced map from its mapping cone.
 - ``knotcx``: finite knot models (two anticommuting differentials), thin
   synthesis from an Alexander polynomial and tau, validation, mirrors, and
   the decomposition of a valid model into a staircase and squares.
 - ``catalog``: built-in small-knot models by name.
 - ``cone``: nonzero-slope dimensions and the zero-surgery table from the
-  decomposition; bent complexes for the level-table and mapping-cone
-  oracles (integral, rational); ladders and the minimal-dimension scan.
+  decomposition; the level table of each model's bent complexes, read
+  off integer ranks, for the mapping-cone oracles (integral, rational);
+  ladders and the minimal-dimension scan.
 - ``borromean``: exterior-algebra pathway for circle bundles over surfaces
   and Seifert fibered spaces with nonzero orbifold degree.
 - ``formulas``: closed-form dimensions (thin knots, Whitehead doubles,
@@ -53,7 +56,6 @@ from .knotcx import (
     StaircaseSpec,
     build_square,
     build_staircase,
-    compute_tau,
     decompose,
     mirror,
     parse_knot_spec,
@@ -66,7 +68,6 @@ from .linalg import (
     SparseExactMap,
     homology,
     induced_map_on_homology,
-    rank,
 )
 
 __version__ = "0.1.0"

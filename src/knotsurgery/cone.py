@@ -23,6 +23,13 @@ the cone itself, ``large_surgery_dim`` sums the bent homologies of the
 large-surgery regime and ``zero_surgery_levels`` reads the zero-surgery
 slots off them.
 
+Each level of the table is its shape (``pi_maps``): the class count and
+whether the v and h rows are nonzero and proportional, which is all the
+cone reads.  It comes from integer ranks alone, per block of grading and
+Z/2: the bent differential's rank gives the class count, and the rank of
+an induced map comes from the homology of its mapping cone.  No class
+representative is formed.
+
 The cone is ranked without elimination.  Source sigma reaches only the
 slots sigma and sigma + 2p, so the incidence graph is a disjoint union of
 paths, and one sweep over the sources finds the rank from the shape of each
@@ -33,18 +40,12 @@ dimension 1 at slope +1 and the figure-eight 3.
 """
 from __future__ import annotations
 
+from collections import Counter
 from typing import NamedTuple, Optional, Sequence
 
 from .formulas import _check_slope, thin_surgery_formula
 from .knotcx import KnotComplex, PreconditionError, decompose
-from .linalg import (
-    Homology,
-    SparseExactMap,
-    homology,
-    induced_map_on_homology,
-    sparse_map,
-    sub_scaled,
-)
+from .linalg import block_ranks, homology, induced_map_on_homology
 
 
 # Lattice slots a cone may span, checked before any assembly: (2W - 1) q
@@ -57,10 +58,12 @@ MAX_LATTICE_SLOTS = 5 * 10 ** 5
 
 
 # Level-table cells a call may fill, checked before it computes its first
-# new level: (levels not yet in K.levels) x K.dim.  A level costs a bent
-# homology and two induced maps on the whole model: 9-50 us per generator
-# on a 2-vCPU host.  ``--compare`` at slope 1 on a 9959-generator model of
-# genus 10 (189221 cells) takes 3.8 s there.  Every level of
+# new level: (levels not yet in K.levels) x K.dim.  A level costs the block
+# ranks of its bent differential and of two or three mapping cones on the
+# whole model: 10-16 us per generator on a 2-vCPU host for staircases and
+# square-rich thin models, 2.3 ms on a dense whole-space rational scramble
+# of 171 generators.  ``--compare`` at slope 1 on a 9959-generator model
+# of genus 10 (189221 cells) takes 2.6-2.9 s there.  Every level of
 # staircase(200), the largest genus a spec may declare, is 403 x 401 =
 # 161603 cells.  ``surgery_dim`` and ``zero_surgery_dims`` read no level,
 # so the limit binds only ``--compare`` and the oracles.
@@ -74,39 +77,65 @@ def check_lattice_slots(slots: int):
                                 f"MAX_LATTICE_SLOTS = {MAX_LATTICE_SLOTS}")
 
 
-def bent_differential(K: KnotComplex, s: int) -> SparseExactMap:
-    """Differential applying d+ above the (true-unit) level s, d+ + d- at it, d- below."""
+def bent_differential(K: KnotComplex, s: int) -> dict:
+    """Differential applying d+ above the (true-unit) level s, d+ + d- at it, d- below.
+
+    Integer columns over generator positions, read from ``K.integer_maps``
+    (both maps times one LCM), so a nonzero multiple of the true one.  A
+    column off the bend is the model's own, not a copy.
+    """
+    P, M = K.integer_maps
     s2 = 2 * s
-    entries = []
-    for g in K.space.generators:
-        k = g.alex - s2
-        if k >= 0:
-            entries.extend((tgt, g.gid, v) for tgt, v in K.d_plus.column(g.gid).items())
-        if k <= 0:
-            entries.extend((tgt, g.gid, v) for tgt, v in K.d_minus.column(g.gid).items())
-    return sparse_map(K.space, K.space, entries)
+    return {i: P[i] if g.alex > s2 else M[i] if g.alex < s2 else {**P[i], **M[i]}
+            for i, g in enumerate(K.space.generators)}
 
 
-def bent_homology(K: KnotComplex, s: int) -> Homology:
-    """Homology of the bent complex at level s (with representatives)."""
-    return homology(K.space, bent_differential(K, s), prefix=f"b{s}_")
+def _blocks(K: KnotComplex, s: int) -> dict:
+    """{position: (grading, z2)} of the bent complex at level s, the grading being |alex - 2s|.
 
-
-def _projection(K: KnotComplex, s: int, side: int) -> SparseExactMap:
-    """Chain-level projection onto levels <= s (side=-1) or >= s (side=+1)."""
+    The bent differential raises it by 2 and flips z2.
+    """
     s2 = 2 * s
-    keep = [g.gid for g in K.space.generators
-            if (g.alex <= s2 if side < 0 else g.alex >= s2)]
-    return sparse_map(K.space, K.space, [(g, g, 1) for g in keep])
+    return {i: (abs(g.alex - s2), g.z2) for i, g in enumerate(K.space.generators)}
 
 
-def pi_maps(K: KnotComplex, s: int):
-    """Induced projections (v to the lowering complex, h to the raising one)."""
-    hA = bent_homology(K, s)
-    hB_minus, hB_plus = K.homologies
-    v = induced_map_on_homology(_projection(K, s, -1), hA.differential, K.d_minus, hA, hB_minus)
-    h = induced_map_on_homology(_projection(K, s, +1), hA.differential, K.d_plus, hA, hB_plus)
-    return v, h
+def bent_homology(K: KnotComplex, s: int) -> int:
+    """Class count of the bent complex at level s: dim H, block by block from integer ranks."""
+    bent, blocks = bent_differential(K, s), _blocks(K, s)
+    return sum(homology(Counter(blocks.values()), block_ranks(bent, blocks), 2).values())
+
+
+def pi_maps(K: KnotComplex, s: int) -> tuple:
+    """The shape (n, v, h, line) of level s, read off integer ranks.
+
+    n is the class count (``bent_homology``).  v and h say whether the
+    induced projections of the bent homology to H(d-) (onto levels <= s)
+    and to H(d+) (onto levels >= s) are nonzero; line says that both are
+    and that they are proportional, the pair (v, h) having rank 1.  Each
+    rank is read off a mapping cone by ``induced_map_on_homology``, H(d-)
+    and H(d+) being one-dimensional on a valid model.  The copy N + i of
+    generator i in (C, d-) sits at grading 2s - alex + 2 and its copy
+    2N + i in (C, d+) at alex - 2s + 2, both with z2 flipped, N being
+    K.dim, so that every map raises the grading by 2.  Nothing here reads
+    d+ d-, so the table stays independent of the decomposition.
+    """
+    n = bent_homology(K, s)
+    bent, blocks = bent_differential(K, s), _blocks(K, s)
+    P, M = K.integer_maps
+    N, s2 = K.dim, 2 * s
+    minus = {N + i: {N + j: c for j, c in col.items()} for i, col in M.items()}
+    plus = {2 * N + i: {2 * N + j: c for j, c in col.items()} for i, col in P.items()}
+    low, high = {}, {}
+    for i, g in enumerate(K.space.generators):
+        k, flip = g.alex - s2, 1 - g.z2
+        blocks[N + i], blocks[2 * N + i] = (2 - k, flip), (k + 2, flip)
+        low[i] = {N + i: 1} if k <= 0 else {}
+        high[i] = {2 * N + i: 1} if k >= 0 else {}
+    v = induced_map_on_homology(low, bent, minus, blocks, (n, 1)) > 0
+    h = induced_map_on_homology(high, bent, plus, blocks, (n, 1)) > 0
+    line = v and h and induced_map_on_homology(
+        {i: {**low[i], **high[i]} for i in bent}, bent, {**minus, **plus}, blocks, (n, 2)) == 1
+    return n, v, h, line
 
 
 class SurgeryResult(NamedTuple):
@@ -141,20 +170,12 @@ class SurgeryResult(NamedTuple):
                              data["pathway"], per)
 
 
-def _proportional(a: dict, b: dict) -> bool:
-    """Whether two nonzero rows are scalar multiples of each other (exact)."""
-    if a.keys() != b.keys():
-        return False
-    j0 = next(iter(a))
-    return all(a[j] * b[j0] == b[j] * a[j0] for j in a)
-
-
 class ConeProblem(NamedTuple):
     """The truncated cone at slope p/q: sources to one-dimensional slots, by level.
 
     sources: the doubled indices, in lattice order; targets: the retained
-    slots; levels: {s': (class count, v row, h row)}, rows being {class
-    index: coeff}.  Each level s' has the q sources 2 s' q - (q-1), ...,
+    slots; levels: {s': (class count, v, h, line)}, the shapes of
+    ``pi_maps``.  Each level s' has the q sources 2 s' q - (q-1), ...,
     2 s' q + (q-1), and each carries the level's classes and rows.  Source
     sigma reaches the slots sigma (v) and sigma + 2p (h), where the row is
     nonzero and the slot retained, and nothing else, so the incidence graph
@@ -177,20 +198,19 @@ class ConeProblem(NamedTuple):
         path of k slots has rank k - 1, or k once any of its slots is
         grounded.  So rank = |targets| - (paths with no grounded slot) =
         edges + (paths with a grounded slot), which the sweep counts
-        without visiting untouched slots.  Each level's row pair is
-        classified once, for all q of its sources.
+        without visiting untouched slots.  Each level's shape serves all q
+        of its sources.
         """
         q, p2, targets = self.q, 2 * self.p, self.targets
         grounded = set()
         nxt: dict = {}   # edge: v slot -> h slot
         prev: dict = {}  # edge: h slot -> v slot
         classes = 0
-        for s, (n, v_row, h_row) in self.levels.items():
+        for s, (n, has_v, has_h, line) in self.levels.items():
             classes += n * q
-            line = v_row and h_row and _proportional(v_row, h_row)
             for sigma in range(2 * s * q - (q - 1), 2 * s * q + q, 2):
-                v = v_row and sigma in targets
-                h = h_row and sigma + p2 in targets
+                v = has_v and sigma in targets
+                h = has_h and sigma + p2 in targets
                 if v and h:
                     if line:
                         nxt[sigma] = sigma + p2
@@ -222,7 +242,7 @@ def _level_key(K: KnotComplex, s: int) -> int:
     """The entry of K.levels that level s reads.
 
     Levels past the genus repeat: below -genus the bent complex is d+ alone,
-    v is zero and h the identity, and above +genus the reverse.  So every
+    v is zero and h an isomorphism, and above +genus the reverse.  So every
     s <= -genus - 1 shares one entry, and every s >= genus + 1 another.
     """
     return min(max(s, -K.genus - 1), K.genus + 1)
@@ -239,18 +259,14 @@ def _check_level_cells(K: KnotComplex, levels: Sequence[int]):
             f"cells, over the limit MAX_LEVEL_CELLS = {MAX_LEVEL_CELLS}")
 
 
-def _level_rows(K: KnotComplex, s: int):
-    """(class count, v row, h row) at level s, kept in K.levels; rows are {class index: coeff}."""
+def _level(K: KnotComplex, s: int) -> tuple:
+    """The shape (class count, v, h, line) of level s (see ``pi_maps``), kept in K.levels."""
     s = _level_key(K, s)
-    rows = K.levels.get(s)
-    if rows is None:
+    shape = K.levels.get(s)
+    if shape is None:
         decompose(K)
-        v, h = pi_maps(K, s)
-        order = {cid: i for i, cid in enumerate(v.source.ids)}
-        rows = K.levels[s] = (v.source.dim,
-                              {order[src]: val for _, src, val in v.entries},
-                              {order[src]: val for _, src, val in h.entries})
-    return rows
+        shape = K.levels[s] = pi_maps(K, s)
+    return shape
 
 
 def build_cone_problem(K: KnotComplex, p: int, q: int, window_margin: int = 0) -> ConeProblem:
@@ -278,7 +294,7 @@ def build_cone_problem(K: KnotComplex, p: int, q: int, window_margin: int = 0) -
     first = 2 * (1 - W) * q - (q - 1)
     last = 2 * (W - 1) * q + (q - 1)
     return ConeProblem(p, q, range(first, last + 1, 2), range(first + 2 * p, last + 1, 2),
-                       {s: _level_rows(K, s) for s in range(1 - W, W)})
+                       {s: _level(K, s) for s in range(1 - W, W)})
 
 
 def large_surgery_start(K: KnotComplex) -> int:
@@ -298,9 +314,9 @@ def large_surgery_dim(K: KnotComplex, n: int) -> int:
     g = K.genus
     levels = range(max(g - n, -g - 1), g)
     _check_level_cells(K, levels)
-    total = sum(_level_rows(K, s)[0] for s in levels)
+    total = sum(_level(K, s)[0] for s in levels)
     if n > 2 * g + 1:  # each level below -genus - 1 has the rows of -genus - 1
-        total += (n - 2 * g - 1) * _level_rows(K, -g - 1)[0]
+        total += (n - 2 * g - 1) * _level(K, -g - 1)[0]
     return total
 
 
@@ -340,9 +356,10 @@ def zero_surgery_levels(K: KnotComplex, span: Optional[int] = None) -> dict:
     """``zero_surgery_dims`` read from K's own level table: the oracle of the closed form.
 
     Slot s is ker + coker of the row v + c h of level s into one dimension,
-    c being the slot identification scalar; PreconditionError if that
-    depends on c.  The grading-0 slot is None ("undetermined") when tau = 0,
-    where c is not pinned down.
+    c being the slot identification scalar.  That depends on c exactly when
+    the two rows are proportional (rows with h = lambda v vanish at
+    c = -1/lambda), so such a level raises PreconditionError.  The grading-0
+    slot is None ("undetermined") when tau = 0, where c is not pinned down.
     """
     decompose(K)
     g = K.genus
@@ -353,17 +370,12 @@ def zero_surgery_levels(K: KnotComplex, span: Optional[int] = None) -> dict:
         if s == 0 and K.tau == 0:
             out[0] = None
             continue
-        n, v_row, h_row = _level_rows(K, s)
-        dims = set()
-        for c in (1, 2):
-            row = dict(v_row)
-            sub_scaled(row, -c, h_row)  # row = v + c h
-            r = 1 if row else 0
-            dims.add((n - r) + (1 - r))
-        if len(dims) != 1:
+        n, v, h, line = _level(K, s)
+        if line:
             raise PreconditionError(
                 f"zero-surgery slot at grading {s} is scalar-dependent; hypothesis violated")
-        out[s] = dims.pop()
+        r = 1 if v or h else 0
+        out[s] = (n - r) + (1 - r)
     return out
 
 

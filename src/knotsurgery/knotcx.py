@@ -10,13 +10,15 @@ passes ``validate`` is isomorphic to one staircase plus squares, which
 from __future__ import annotations
 
 from functools import cached_property
-from math import gcd, lcm
+from math import lcm
 from typing import Iterable, NamedTuple, Optional
 
 from .linalg import (
+    Echelon,
     GradedSpace,
     Generator,
     SparseExactMap,
+    apply,
     homology,
     quotient,
     sparse_map,
@@ -40,7 +42,7 @@ Poly = dict
 # and the "genus" field of the explicit form.  A surgery answer costs one
 # validation and one decomposition: on a 2-vCPU host under 0.02 s for the
 # genus-200 staircase.  The level table that ``--compare`` reads grows about
-# as genus^2: 0.4 s at genus 100 and 1.8 s at genus 200, within
+# as genus^2: 0.4-0.5 s at genus 100 and 2.0-2.1 s at genus 200, within
 # ``cone.MAX_LEVEL_CELLS``.
 MAX_MODEL_GENUS = 200
 
@@ -128,12 +130,22 @@ class _ModelFields(NamedTuple):
 class KnotComplex(_ModelFields):
     # Derived state, computed on first use and kept in the instance __dict__
     # that this subclass adds (not fields, so equality and hashing see only
-    # the fields above).
+    # the fields above): the validation report, the integer maps and the
+    # level table that the cone oracles read, and the mirror.
     @cached_property
-    def homologies(self) -> tuple:
-        """(H(d-), H(d+)) with representatives."""
-        return (homology(self.space, self.d_minus, prefix="m"),
-                homology(self.space, self.d_plus, prefix="p"))
+    def integer_maps(self) -> tuple:
+        """(d+, d-) times one LCM of all their denominators: {position: {position: int}}.
+
+        A position is a generator's place in the space.  The level table
+        ranks the bent complexes and their cones on these; one scale for
+        both keeps the bent differential a multiple of the true one.
+        """
+        maps = self.d_plus, self.d_minus
+        scale = lcm(*(v.denominator for d in maps for _, _, v in d.entries if type(v) is not int))
+        at = {gid: i for i, gid in enumerate(self.space.ids)}
+        return tuple({at[src]: {at[tgt]: v.numerator * (scale // v.denominator)
+                                for tgt, v in col.items()} for src, col in d._cols.items()}
+                     for d in maps)
 
     @cached_property
     def report(self) -> "ValidationReport":
@@ -142,7 +154,7 @@ class KnotComplex(_ModelFields):
 
     @cached_property
     def levels(self) -> dict:
-        """The cone's level table {s: (class count, v row, h row)}, filled by ``cone``."""
+        """The cone's level table {s: (class count, v, h, line)}, filled by ``cone``."""
         return {}
 
     @cached_property
@@ -352,23 +364,6 @@ def _build_mirror(K: KnotComplex) -> KnotComplex:
                        genus=K.genus, tau=-K.tau, meta=meta)
 
 
-def compute_tau(K: KnotComplex) -> int:
-    """Alexander grading of the lowering-differential survivor.
-
-    Requires both one-differential homologies to be one-dimensional, which
-    is what makes the model a knot-in-the-three-sphere model.
-    """
-    hm, hp = K.homologies
-    if hm.dim != 1 or hp.dim != 1:
-        raise ModelError(
-            f"not an S^3-knot model: homology dims are d-:{hm.dim}, d+:{hp.dim}, expected 1 and 1")
-    alex_m = hm.classes[0].alex
-    alex_p = hp.classes[0].alex
-    if alex_m is None or alex_p is None or alex_m != -alex_p or alex_m % 2:
-        raise ModelError("survivor classes are not at opposite integer gradings")
-    return alex_m // 2
-
-
 class Decomposition(NamedTuple):
     """A valid model up to isomorphism: tau of its staircase and its squares {(s, sign): count}."""
     tau: int
@@ -394,10 +389,9 @@ def validate(K: KnotComplex) -> ValidationReport:
     a fixed order: d+^2, d-^2, the grading shifts, anticommutation,
     symmetric graded dimensions, the genus bounds and the Euler
     characteristic; any fault there ends the report.  dim H(d-) and dim
-    H(d+) are read from the block ranks: at each (grading, z2) block, the
-    block dimension minus the rank of d out of it minus the rank of d into
-    it.  Both must be 1, and tau is the grading of the one block where
-    H(d-) lives.  No homology is computed.  The squares are counted from the
+    H(d+) are read from the block ranks by ``linalg.homology``.  Both must
+    be 1, and tau is the grading of the one block where H(d-) lives.  No
+    class representative is formed.  The squares are counted from the
     d+ d- ranks (see ``decompose``), and the dimension must be 2 |tau| + 1 +
     4k for their number k, which the structure theorem there guarantees.  A
     clean report keeps the decomposition.
@@ -451,11 +445,8 @@ def validate(K: KnotComplex) -> ValidationReport:
 
     if violations:
         return ValidationReport(violations)
-    homology_blocks = []  # for d- then d+: {block: dim H(d) there}, nonzero ones only
-    for out, shift in ((ranks[0], -2), (ranks[1], 2)):
-        homology_blocks.append({
-            (a, z): n for (a, z), ids in blocks.items()
-            if (n := len(ids) - out.get((a, z), 0) - out.get((a - shift, 1 - z), 0))})
+    sizes = {block: len(ids) for block, ids in blocks.items()}
+    homology_blocks = [homology(sizes, ranks[0], -2), homology(sizes, ranks[1], 2)]  # d-, d+
     hm_dim, hp_dim = (sum(h.values()) for h in homology_blocks)
     if hp_dim != 1 or hm_dim != 1:
         return ValidationReport([f"one-differential homology dims ({hp_dim}, {hm_dim}) "
@@ -496,48 +487,6 @@ def _integer_columns(d: SparseExactMap) -> dict:
             for src, col in d._cols.items()}
 
 
-def _apply(cols: dict, vec: dict) -> dict:
-    """The image of the integer vector vec under the map with integer columns cols."""
-    out: dict = {}
-    for src, c in vec.items():
-        for tgt, v in cols[src].items():
-            if x := out.get(tgt, 0) + c * v:
-                out[tgt] = x
-            else:
-                del out[tgt]
-    return out
-
-
-def _rank(vectors: list) -> int:
-    """Rank of nonzero integer vectors, by fraction-free elimination.
-
-    Each vector is pivoted on its least key and divided by the gcd of its
-    entries at every step, which keeps the coefficients small.  The vectors
-    given are left unchanged.
-    """
-    pivots: dict = {}
-    for vec in vectors:
-        while vec:
-            if (g := gcd(*vec.values())) != 1:
-                vec = {r: v // g for r, v in vec.items()}
-            piv = min(vec)
-            basis = pivots.get(piv)
-            if basis is None:
-                pivots[piv] = vec
-                break
-            # vec * a - basis * c clears the pivot; a and c share no factor
-            g = gcd(basis[piv], vec[piv])
-            a, c = basis[piv] // g, vec[piv] // g
-            out = {r: v * a for r, v in vec.items()}
-            for r, v in basis.items():
-                if x := out.get(r, 0) - v * c:
-                    out[r] = x
-                else:
-                    del out[r]
-            vec = out
-    return len(pivots)
-
-
 def _one_pass(K: KnotComplex, blocks: dict, rank: bool) -> tuple:
     """The generators where d+ d+, d- d- and d+ d- + d- d+ are nonzero, and the block ranks.
 
@@ -553,7 +502,6 @@ def _one_pass(K: KnotComplex, blocks: dict, rank: bool) -> tuple:
     P, M = _integer_columns(K.d_plus), _integer_columns(K.d_minus)
     bad = plus_square, minus_square, anticommute = set(), set(), set()
     ranks = ({}, {}, {})
-    apply = _apply
     for block, ids in blocks.items():
         images = minus, plus, squares = [], [], []
         for gid in ids:
@@ -574,7 +522,7 @@ def _one_pass(K: KnotComplex, blocks: dict, rank: bool) -> tuple:
         if rank and not any(bad):
             for out, vectors in zip(ranks, images):
                 if vectors:
-                    out[block] = 1 if len(vectors) == 1 else _rank(vectors)
+                    out[block] = 1 if len(vectors) == 1 else Echelon().reduce(vectors)
     return bad, ranks
 
 

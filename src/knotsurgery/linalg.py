@@ -1,19 +1,25 @@
-"""Exact rational linear algebra on graded spaces.
+"""Exact linear algebra on graded spaces.
 
-Sparse maps with exact rational coefficients, their ranks, homology with
-chosen representatives (one echelon elimination of the columns of d per
-homology) and induced maps on homology.  A coefficient is an ``int`` when
-it is integral and a ``Fraction`` otherwise, never a float: the one
-division, ``quotient``, builds a ``Fraction`` only when it leaves a
-remainder, so a model with integral entries and unit pivots is eliminated
-in ints alone.  Gradings are stored *doubled* (twice the Alexander grading)
-so half-integer gradings remain exact integers.
+Sparse maps with exact rational coefficients: a coefficient is an ``int``
+when it is integral and a ``Fraction`` otherwise, never a float, and the
+one division, ``quotient``, builds a ``Fraction`` only when it leaves a
+remainder.  Gradings are stored *doubled* (twice the Alexander grading) so
+half-integer gradings remain exact integers.
+
+Ranks are taken on integer columns, a map scaled by the LCM of its
+denominators, which changes no rank: ``Echelon`` is the one (fraction-free)
+eliminator, ``block_ranks`` ranks a graded map block by block,
+``homology`` gives dim H per block from those ranks, and
+``induced_map_on_homology`` the rank of an induced map from the homology
+of its mapping cone.  No class representative is ever formed.
 """
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, NamedTuple, Optional, Sequence
+from math import gcd
+from typing import Iterable, NamedTuple
 
 # Sparse vector keyed by generator id.  Zero coefficients are never stored.
 Vec = dict
@@ -154,175 +160,97 @@ def quotient(a, b):
 
 
 class Echelon:
-    """Incremental echelon basis of sparse vectors with usage tracking.
+    """Fraction-free echelon basis of sparse integer vectors: the one eliminator.
 
-    Stored vectors are normalized so their pivot (minimal row in a fixed
-    row order) has coefficient 1; elimination therefore only touches rows
-    at or below the pivot, and rows that cannot be cleared are final as
-    soon as they are reached.  ``reduce`` reports how much of each stored
-    vector it used, keyed by that vector's pivot row.
+    ``reduce`` divides each vector by the gcd of its entries and pivots it
+    on its least key.  A free pivot stores it; otherwise the stored vector
+    there clears the pivot, both sides multiplied by the cofactors of the
+    two pivot entries, so the coefficients stay integers and small.  The
+    vectors given are left unchanged.
     """
 
-    def __init__(self, row_order: Sequence[str]):
-        self._order = {rid: i for i, rid in enumerate(row_order)}
-        self._pivots: dict = {}  # pivot row id -> normalized vector
+    def __init__(self):
+        self._pivots: dict = {}  # pivot key -> stored vector, its entries coprime
 
-    def reduce(self, vec: Vec) -> tuple:
-        """Return (residual, usage); usage maps each used vector's pivot row to its multiple."""
-        res = dict(vec)
-        residual: Vec = {}
-        usage: dict = {}
-        while res:
-            piv = min(res, key=self._order.__getitem__)
-            basis_vec = self._pivots.get(piv)
-            if basis_vec is None:
-                residual[piv] = res.pop(piv)
-                continue
-            c = usage[piv] = res[piv]
-            sub_scaled(res, c, basis_vec)
-        return residual, usage
-
-    def store_residual(self, res: Vec) -> str:
-        """Insert an already fully reduced nonzero vector; returns its pivot."""
-        piv = min(res, key=self._order.__getitem__)
-        lead = res[piv]
-        self._pivots[piv] = {r: quotient(v, lead) for r, v in res.items()}
-        return piv
-
-    def insert(self, vec: Vec) -> Optional[str]:
-        """Reduce then insert the residual; returns its pivot row or None."""
-        res, _ = self.reduce(vec)
-        return self.store_residual(res) if res else None
-
-    @property
-    def rank(self) -> int:
-        return len(self._pivots)
+    def reduce(self, vectors: Iterable[Vec]) -> int:
+        """Eliminate each vector against the stored ones and store what is left; returns the rank."""
+        pivots = self._pivots
+        for vec in vectors:
+            while vec:
+                if (g := gcd(*vec.values())) != 1:
+                    vec = {r: v // g for r, v in vec.items()}
+                piv = min(vec)
+                basis = pivots.get(piv)
+                if basis is None:
+                    pivots[piv] = vec
+                    break
+                # vec * a - basis * c clears the pivot; a and c share no factor
+                g = gcd(basis[piv], vec[piv])
+                a, c = basis[piv] // g, vec[piv] // g
+                out = {r: v * a for r, v in vec.items()}
+                for r, v in basis.items():
+                    if x := out.get(r, 0) - v * c:
+                        out[r] = x
+                    else:
+                        del out[r]
+                vec = out
+        return len(pivots)
 
 
-def sub_scaled(acc: Vec, c, vec: Vec):
-    """acc -= c * vec in place, dropping entries that cancel."""
-    for r, v in vec.items():
-        x = acc.get(r)
-        x = -c * v if x is None else x - c * v
-        if x == 0:
-            acc.pop(r, None)
-        else:
-            acc[r] = x
+def apply(cols: dict, vec: Vec) -> Vec:
+    """The image of the integer vector vec under the map with integer columns cols."""
+    out: Vec = {}
+    for src, c in vec.items():
+        for tgt, v in cols[src].items():
+            if x := out.get(tgt, 0) + c * v:
+                out[tgt] = x
+            else:
+                del out[tgt]
+    return out
 
 
-def rank(m: SparseExactMap) -> int:
-    ech = Echelon(m.target.ids)
-    for col in m._cols.values():
-        ech.insert(col)
-    return ech.rank
+def block_ranks(cols: dict, block_of: dict) -> dict:
+    """{block: rank of the columns of its generators}, blocks of rank 0 left out.
 
-
-class HomologyClass(NamedTuple):
-    cid: str
-    rep: tuple  # sparse representative as ((gid, coefficient), ...) pairs, int where integral
-    alex: Optional[int]  # doubled grading when the representative is homogeneous
-    z2: Optional[int]
-
-    def rep_vec(self) -> Vec:
-        return dict(self.rep)
-
-
-class Homology:
-    """Basis of ker(d)/im(d) with chosen chain-level representatives."""
-
-    def __init__(self, differential: SparseExactMap, classes: list, solver: Echelon,
-                 class_of: dict):
-        self.differential = differential
-        self.classes = classes
-        self._solver = solver  # the boundaries, then the class representatives
-        self._class_of = class_of  # pivot row of each representative -> class id
-        self.space = GradedSpace(tuple(
-            Generator(c.cid, c.alex if c.alex is not None else 0,
-                      c.z2 if c.z2 is not None else 0)
-            for c in classes
-        ))
-
-    @property
-    def dim(self) -> int:
-        return len(self.classes)
-
-    def express(self, vec: Vec) -> Vec:
-        """Coefficients of [vec] over the class basis (vec must be a cycle)."""
-        res, usage = self._solver.reduce(vec)
-        if res:
-            raise LinearAlgebraError("vector is not in ker(d) + im(d); cannot express its class")
-        class_of = self._class_of
-        return {class_of[piv]: c for piv, c in usage.items() if piv in class_of}
-
-
-def _homogeneous_grading(sp: GradedSpace, vec: Vec):
-    alexes = {sp.generator(g).alex for g in vec}
-    z2s = {sp.generator(g).z2 for g in vec}
-    return (alexes.pop() if len(alexes) == 1 else None,
-            z2s.pop() if len(z2s) == 1 else None)
-
-
-def homology(sp: GradedSpace, d: SparseExactMap, prefix: str = "h") -> Homology:
-    """Homology of (sp, d) with representatives, from one elimination of the columns of d.
-
-    Columns that stay independent are the boundaries; each column that
-    clears gives a cycle through the chains of the boundaries it used.  The
-    cycles independent modulo the boundaries and earlier classes are the
-    classes.  Requires d to be an endomorphism of sp with d o d = 0; the
-    failure message names a witness generator.  A grading-homogeneous
-    differential yields grading-homogeneous classes.
+    cols are integer columns {key: {key: int}}; block_of maps each key to
+    its block.  Each block is ranked by its own ``Echelon``.
     """
-    if d.source != sp or d.target != sp:
-        raise LinearAlgebraError("differential is not an endomorphism of the given space")
-    cols = d._cols
-    for gid, col in cols.items():
-        if d.apply(col):
-            raise LinearAlgebraError(f"not a differential: d(d({gid})) != 0")
-
-    solver = Echelon(sp.ids)
-    chains: dict = {}  # pivot row of a stored boundary -> chain whose boundary it is
-    cycles = []
-    for gid, col in cols.items():
-        res, usage = solver.reduce(col)
-        chain: Vec = {gid: 1}
-        for piv, c in usage.items():
-            sub_scaled(chain, c, chains[piv])
-        if res:
-            piv = solver.store_residual(res)
-            lead = res[piv]
-            chains[piv] = {s: quotient(v, lead) for s, v in chain.items()}
-        else:
-            cycles.append(chain)
-    classes = []
-    class_of: dict = {}
-    for z in cycles:
-        res, _ = solver.reduce(z)
-        if not res:
-            continue
-        cid = f"{prefix}{len(classes)}"
-        alex, z2 = _homogeneous_grading(sp, res)
-        piv = solver.store_residual(res)
-        classes.append(HomologyClass(cid, tuple(sorted(solver._pivots[piv].items())), alex, z2))
-        class_of[piv] = cid
-    return Homology(d, classes, solver, class_of)
+    images: dict = {}
+    for key, col in cols.items():
+        if col:
+            images.setdefault(block_of[key], []).append(col)
+    return {block: 1 if len(vectors) == 1 else Echelon().reduce(vectors)
+            for block, vectors in images.items()}
 
 
-def induced_map_on_homology(f: SparseExactMap, dsrc: SparseExactMap, dtgt: SparseExactMap,
-                            hsrc: Homology, htgt: Homology) -> SparseExactMap:
-    """Map induced by the chain map f from hsrc = H(dsrc) to htgt = H(dtgt).
+def homology(sizes: dict, ranks: dict, shift: int) -> dict:
+    """{block: dim H there} of a differential, from its block sizes and ranks; zeros left out.
 
-    Checks f(dsrc(x)) = dtgt(f(x)) exactly on every source generator x, then
-    maps representatives and re-expresses them modulo boundaries.
+    Blocks are (grading, z2), and the differential maps (a, z) into
+    (a + shift, 1 - z); ranks holds the rank out of each block.  dim H at a
+    block is its size minus the rank out of it minus the rank into it.
     """
-    if not (dsrc.source == dsrc.target == f.source and dtgt.source == dtgt.target == f.target):
-        raise LinearAlgebraError("f does not map the source complex's space to the target's")
-    fcols, dcols = f._cols, dsrc._cols
-    for gid in f.source.ids:
-        if f.apply(dcols[gid]) != dtgt.apply(fcols[gid]):
-            raise LinearAlgebraError(f"not a chain map: (f o d - d o f)({gid}) != 0")
-    entries = []
-    for cls in hsrc.classes:
-        img = f.apply(cls.rep_vec())
-        for tgt_cid, c in htgt.express(img).items():
-            entries.append((tgt_cid, cls.cid, c))
-    return SparseExactMap(hsrc.space, htgt.space, tuple(entries))
+    return {(a, z): n for (a, z), size in sizes.items()
+            if (n := size - ranks.get((a, z), 0) - ranks.get((a - shift, 1 - z), 0))}
+
+
+def induced_map_on_homology(f: dict, d_src: dict, d_tgt: dict, block_of: dict,
+                            dims: tuple) -> int:
+    """Rank of the map that the chain map f induces from H(d_src) to H(d_tgt), read off its cone.
+
+    All three are integer columns, the source and target keys disjoint and
+    graded by block_of, each map sending (a, z) into (a + 2, 1 - z); f has
+    a column, maybe empty, for every source key.  dims = (dim H(d_src),
+    dim H(d_tgt)).  Checks f(d_src(x)) = d_tgt(f(x)) exactly on every
+    source generator x.  The cone (x, y) -> (-d_src x, f x + d_tgt y) has
+    dim H = dims[0] + dims[1] - 2 rank f_*; it is ranked block by block
+    without the sign, which changes no rank.
+    """
+    for key, col in d_src.items():
+        if apply(f, col) != apply(d_tgt, f[key]):
+            raise LinearAlgebraError(f"not a chain map: (f o d - d o f)({key}) != 0")
+    cone = {key: {**col, **f[key]} for key, col in d_src.items()}
+    cone.update(d_tgt)
+    sizes = Counter(block_of[key] for key in cone)
+    classes = sum(homology(sizes, block_ranks(cone, block_of), 2).values())
+    return (sum(dims) - classes) // 2

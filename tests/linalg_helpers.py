@@ -3,20 +3,14 @@
 ``kernel_basis`` and ``homology_two_pass`` are the earlier homology
 algorithm: one elimination of the columns of d for the boundaries, a second
 one for a kernel basis, then the kernel vectors reduced modulo the
-boundaries.  ``knotsurgery.linalg.homology`` does this in one elimination,
-and the tests hold it to the same classes and the same ``express``.
+boundaries.  ``level_oracle.homology`` does this in one elimination, and
+the tests hold it to the same classes and the same ``express``.
 """
 from fractions import Fraction
 from typing import Optional
 
-from knotsurgery.linalg import (
-    Echelon,
-    GradedSpace,
-    Homology,
-    HomologyClass,
-    LinearAlgebraError,
-    SparseExactMap,
-)
+from knotsurgery.linalg import GradedSpace, LinearAlgebraError, SparseExactMap
+from level_oracle import Echelon, Homology, HomologyClass
 
 
 def zero_map(source: GradedSpace, target: Optional[GradedSpace] = None) -> SparseExactMap:

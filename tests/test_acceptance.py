@@ -7,8 +7,9 @@ import random
 from fractions import Fraction
 
 from knotsurgery import borromean, catalog, cone, crosscheck, formulas
-from knotsurgery.knotcx import chi_graded, compute_tau, mirror, validate
+from knotsurgery.knotcx import chi_graded, mirror, validate
 from cone_elimination import elimination_dimension, h_sources
+from level_oracle import compute_tau
 from test_properties import random_thin_models
 
 
@@ -124,7 +125,7 @@ def test_acceptance_7_property_suites():
                 bad.append(f"{K.name} {p}/{q}: window instability")
             for src in h_sources(prob)[:2]:
                 c = Fraction(rng.randrange(1, 7), rng.randrange(1, 4))
-                if elimination_dimension(prob, {src: c}) != base_cone:
+                if elimination_dimension(K, prob, {src: c}) != base_cone:
                     bad.append(f"{K.name} {p}/{q}: scalar dependence")
     _report(7, "differential/grading/parity/stability/scalar property suites", bad)
 

@@ -24,8 +24,8 @@ from knotsurgery.cone import (
     zero_surgery_levels,
 )
 from knotsurgery.knotcx import SquareSpec, StaircaseSpec, assemble, build_staircase, mirror
-from knotsurgery.linalg import rank
 from cone_elimination import block_kinds, elimination_dimension, h_sources
+import level_oracle
 
 
 def fig8():
@@ -39,68 +39,84 @@ def mirror_t25():
 # --- bent homology ---------------------------------------------------------
 
 def _bent_differential_by_scan(K, s):
-    """One scan of all entries per generator, kept as the reference for the index."""
-    entries = []
+    """One scan of all entries per generator, kept as the reference for the index.
+
+    Returns {source id: {target id: coefficient}} times the one LCM of the
+    denominators of d+ and d- that ``bent_differential`` scales by.
+    """
+    from math import lcm
+    scale = lcm(*(v.denominator for d in (K.d_plus, K.d_minus) for _, _, v in d.entries))
+    cols = {}
     for g in K.space.generators:
         k = g.alex - 2 * s
+        col = cols[g.gid] = {}
         if k >= 0:
-            entries.extend((t, src, v) for t, src, v in K.d_plus.entries if src == g.gid)
+            col.update((t, v * scale) for t, src, v in K.d_plus.entries if src == g.gid)
         if k <= 0:
-            entries.extend((t, src, v) for t, src, v in K.d_minus.entries if src == g.gid)
-    return tuple(entries)
+            col.update((t, v * scale) for t, src, v in K.d_minus.entries if src == g.gid)
+    return cols
 
 
 def test_bent_differential_matches_entry_scan():
-    for K0 in thin_catalog():
+    import random
+    from test_properties import scramble
+    rng = random.Random(23)
+    for K0 in thin_catalog() + [scramble(K, rng) for K in thin_catalog()[:6]]:
         for K in (K0, mirror(K0)):
+            ids = K.space.ids
             for s in range(-K.genus - 1, K.genus + 2):
-                assert bent_differential(K, s).entries == _bent_differential_by_scan(K, s), \
-                    (K.name, s)
+                got = {ids[i]: {ids[j]: c for j, c in col.items()}
+                       for i, col in bent_differential(K, s).items()}
+                assert got == _bent_differential_by_scan(K, s), (K.name, s)
+                assert all(type(c) is int for col in got.values() for c in col.values())
 
 
 def test_bent_homology_figure_eight_level0():
     # cycles {b, c, d, e} modulo the single boundary c + b: dimension 3
-    assert bent_homology(fig8(), 0).dim == 3
+    assert bent_homology(fig8(), 0) == 3
 
 
 def test_bent_homology_figure_eight_level1():
     # only e survives: the square part pairs off across the bend
-    assert bent_homology(fig8(), 1).dim == 1
+    assert bent_homology(fig8(), 1) == 1
 
 
 def test_bent_homology_trefoil_all_levels():
     K = get_knot("trefoil-right")
     for s in range(-3, 4):
-        assert bent_homology(K, s).dim == 1
+        assert bent_homology(K, s) == 1
 
 
 def test_bent_homology_far_levels_are_one_sided():
     # at |s| >= genus the bend disappears and one class remains
     for name in ("figure-eight", "5_2-bar", "t2_7"):
         K = get_knot(name)
-        assert bent_homology(K, K.genus).dim == bent_homology(K, 5 * K.genus).dim
+        assert bent_homology(K, K.genus) == bent_homology(K, 5 * K.genus) == 1
 
 
 # --- induced projections -----------------------------------------------------
 
 def test_pi_maps_iso_at_genus():
-    K = fig8()
-    v, _ = pi_maps(K, K.genus)
-    assert rank(v) == 1 and v.source.dim == 1
+    # one class, kept by the low projection and killed by the high one
+    assert pi_maps(fig8(), fig8().genus) == (1, True, False, False)
 
 
 def test_pi_maps_mirror_t25_level1():
     # H(A(1)) is 3-dimensional; the low projection keeps the a5 class and the
-    # high projection keeps the a1 class, so both have rank 1.
-    v, h = pi_maps(mirror_t25(), 1)
-    assert v.source.dim == 3
-    assert rank(v) == 1 and rank(h) == 1
+    # high projection keeps the a1 class, so both have rank 1, and the pair
+    # has rank 2: the rows are independent.
+    assert pi_maps(mirror_t25(), 1) == (3, True, True, False)
 
 
 def test_pi_maps_figure_eight_level1():
     # the sole class [e] sits below the bend: kept by v, killed by h
-    v, h = pi_maps(fig8(), 1)
-    assert rank(v) == 1 and rank(h) == 0
+    assert pi_maps(fig8(), 1) == (1, True, False, False)
+
+
+def test_pi_maps_figure_eight_level0_is_a_line():
+    # H(A(0)) is 3-dimensional and both projections keep only [e]: rank 1
+    # each, and rank 1 for the pair, so the rows are proportional
+    assert pi_maps(fig8(), 0) == (3, True, True, True)
 
 
 # --- integral and rational surgeries ----------------------------------------
@@ -193,13 +209,8 @@ def test_levels_past_the_genus_repeat():
         for K in (K0, mirror(K0)):
             g = K.genus
             for edge, far in ((-g - 1, -g - 3), (g + 1, g + 3)):
-                rows = []
-                for s in (edge, far):
-                    v, h = pi_maps(K, s)
-                    order = {cid: i for i, cid in enumerate(v.source.ids)}
-                    rows.append([v.source.dim] + [sorted((order[src], tgt, val)
-                                                         for tgt, src, val in m.entries)
-                                                  for m in (v, h)])
+                assert pi_maps(K, edge) == pi_maps(K, far), (K.name, far)
+                rows = [level_oracle.level_rows(K, s) for s in (edge, far)]
                 assert rows[0] == rows[1], (K.name, far)
 
 
@@ -218,20 +229,17 @@ def test_large_surgery_far_past_the_genus():
         assert set(K.levels) <= set(range(-K.genus - 1, K.genus + 2))
 
 
-def test_pi_maps_builds_the_bent_differential_once(monkeypatch):
-    calls = []
-    real = cone.bent_differential
-
-    def counted(K, s):
-        calls.append(s)
-        return real(K, s)
-
-    monkeypatch.setattr(cone, "bent_differential", counted)
-    hA = bent_homology(fig8(), 0)
-    assert hA.differential.entries == real(fig8(), 0).entries
-    calls.clear()
-    pi_maps(fig8(), 0)
-    assert calls == [0]
+def test_the_bent_differential_shares_the_model_columns():
+    # bent_homology and pi_maps each build the level's bent differential;
+    # off the bend a column is the model's own integer column, so each
+    # build is one dict over the generators
+    for K in (fig8(), build_staircase(-3)):
+        P, M = K.integer_maps
+        for s in range(-K.genus - 1, K.genus + 2):
+            bent = bent_differential(K, s)
+            for i, g in enumerate(K.space.generators):
+                if g.alex != 2 * s:
+                    assert bent[i] is (P[i] if g.alex > 2 * s else M[i]), (K.name, s, i)
 
 
 def test_large_surgery_dim_rejects_small_slope():
@@ -254,7 +262,7 @@ def test_scalar_independence_of_cone():
         base = prob.dimension()
         for src in h_sources(prob):
             c = Fraction(rng.randrange(1, 7), rng.randrange(1, 5))
-            assert elimination_dimension(prob, {src: c}) == base
+            assert elimination_dimension(K, prob, {src: c}) == base
 
 
 def _square_models():
@@ -280,10 +288,10 @@ def test_sweep_equals_elimination_on_every_block_kind(family):
     for K in models:
         for p, q in ((1, 1), (-1, 1), (3, 1), (-3, 2), (1, 3), (5, 3)):
             prob = build_cone_problem(K, p, q)
-            kinds |= block_kinds(prob)
+            kinds |= block_kinds(K, prob)
             scale = {src: Fraction(rng.randrange(1, 9), rng.randrange(1, 5))
                      for src in h_sources(prob)}
-            assert prob.dimension() == elimination_dimension(prob, scale), (K.name, p, q)
+            assert prob.dimension() == elimination_dimension(K, prob, scale), (K.name, p, q)
     assert kinds == {"zero", "v-only", "h-only", "edge", "rank 2"}
 
 
@@ -295,9 +303,9 @@ def test_sweep_follows_long_paths():
     K = fig8()
     for p, kinds in ((1, {"edge", "v-only", "h-only"}), (-1, {"edge"})):
         prob = build_cone_problem(K, p, 41)
-        assert block_kinds(prob) == kinds
+        assert block_kinds(K, prob) == kinds
         want = thin_surgery_formula(K.dim, K.tau, p, 41)
-        assert prob.dimension() == elimination_dimension(prob) == want
+        assert prob.dimension() == elimination_dimension(K, prob) == want
 
 
 def test_lattice_slot_limit():
@@ -411,32 +419,6 @@ def test_level_table_lives_on_the_model():
     assert other == K and other.levels == {}
 
 
-def test_one_differential_homologies_computed_once(monkeypatch):
-    # validation reads per-block ranks and both answers read the
-    # decomposition, so no homology is computed; the level-table oracle
-    # computes H(d-) and H(d+) once per model.
-    from knotsurgery import knotcx
-    real = knotcx.homology
-    prefixes = []
-
-    def counted(sp, d, prefix="h"):
-        prefixes.append(prefix)
-        return real(sp, d, prefix=prefix)
-
-    monkeypatch.setattr(knotcx, "homology", counted)
-    monkeypatch.setattr(cone, "homology", counted)
-    for K in (build_staircase(-3),
-              assemble(StaircaseSpec(-2), [SquareSpec(-1, 1), SquareSpec(0, -1), SquareSpec(1, 1)],
-                       name="squares")):
-        prefixes.clear()
-        surgery_dim(K, 1, 1)
-        zero_surgery_dims(K)
-        assert prefixes == [], K.name
-        zero_surgery_levels(K)
-        zero_surgery_levels(K, span=K.genus + 1)
-        assert prefixes.count("m") == 1 and prefixes.count("p") == 1, K.name
-
-
 def test_mirror_is_kept_on_the_model(monkeypatch):
     from knotsurgery import knotcx
     from knotsurgery.knotcx import thin_from_alexander
@@ -526,6 +508,26 @@ def test_zero_surgery_matches_the_mirror_route(family):
                 assert table == oracle, (K.name, span)
                 assert table == zero_surgery_levels(K, span=span), (K.name, span)
     assert taus == ({-1, 1} if family == "asymmetric" else {-1, 0, 1})
+
+
+def test_zero_surgery_levels_refuse_every_proportional_level():
+    # Rows h = lambda v make v + c h vanish at c = -1/lambda, so the slot
+    # over such a level depends on the identification scalar c whatever
+    # lambda is.  A proportional level injected at s != 0 raises; at s = 0
+    # of a tau = 0 model the slot is None and the level is never read.
+    from knot_helpers import squares_model
+    line = (2, True, True, True)
+    for s in (1, -1):
+        K = build_staircase(2)
+        K.levels[s] = line
+        with pytest.raises(PreconditionError, match=f"grading {s} is scalar-dependent"):
+            zero_surgery_levels(K)
+    K = squares_model(2, 0, 1)
+    want = zero_surgery_dims(K)
+    K.levels[0] = line
+    assert zero_surgery_levels(K) == want and want[0] is None
+    assert cone._level(fig8(), 0) == (3, True, True, True)  # the figure-eight's own level 0
+    assert zero_surgery_levels(fig8()) == {0: None}
 
 
 def test_zero_surgery_builds_no_mirror(monkeypatch):
@@ -631,24 +633,19 @@ def test_levels_match_the_cone(family):
                     (K.name, p, q)
         # the levels at +-genus, past the level word, have one class and one row each
         if K.genus:
-            n, v_row, h_row = cone._level_rows(K, K.genus)
-            assert n == 1 and v_row and not h_row, K.name
-            n, v_row, h_row = cone._level_rows(K, -K.genus)
-            assert n == 1 and h_row and not v_row, K.name
+            assert cone._level(K, K.genus) == (1, True, False, False), K.name
+            assert cone._level(K, -K.genus) == (1, False, True, False), K.name
 
 
-_ROWS = {"0": (1, {}, {}), "V": (1, {0: 1}, {}), "H": (1, {}, {0: 1}),
-         "E": (2, {0: 1, 1: 2}, {0: -3, 1: -6}), "G": (2, {0: 1}, {0: 1, 1: 1})}
+_SHAPES = {"0": (1, False, False, False), "V": (1, True, False, False),
+           "H": (1, False, True, False), "E": (2, True, True, True), "G": (2, True, True, False)}
 
 
 def _table_model(word):
-    """A staircase whose levels 1 - g..g - 1 carry the rows named by ``word``."""
-    from fractions import Fraction
+    """A staircase whose levels 1 - g..g - 1 carry the shapes named by ``word``."""
     g = (len(word) + 1) // 2
     K = build_staircase(g)
-    K.levels.update({s: (_ROWS[k][0],) + tuple({i: Fraction(c) for i, c in row.items()}
-                                                for row in _ROWS[k][1:])
-                     for s, k in zip(range(1 - g, g), word)})
+    K.levels.update({s: _SHAPES[k] for s, k in zip(range(1 - g, g), word)})
     return K
 
 

@@ -2,9 +2,9 @@
 
 ``quotient`` is the one division of the exact linear algebra and
 ``sparse_map`` the one place coefficients come in.  Every catalog model has
-unit entries and unit pivots, so after the crosscheck battery every
-coefficient it kept is an int; that is what keeps the battery free of
-``Fraction`` arithmetic.
+unit entries, so after the crosscheck battery every coefficient it kept is
+an int.  Every rank is taken on integer columns, so whatever a model's
+entries, its integer maps hold ints and its level table holds shapes.
 """
 import random
 from fractions import Fraction
@@ -48,15 +48,19 @@ def test_sparse_map_stores_integral_values_as_ints():
 
 
 def _coefficients(K):
-    """Every coefficient K keeps: its maps, its homology representatives, its level rows."""
+    """Every coefficient K keeps: its maps and, once the level table has read them, its integer maps."""
     for d in (K.d_plus, K.d_minus):
         yield from (v for _, _, v in d.entries)
-    for h in K.homologies:
-        for cls in h.classes:
-            yield from (c for _, c in cls.rep)
-    for _, v_row, h_row in K.levels.values():
-        yield from v_row.values()
-        yield from h_row.values()
+    if "integer_maps" in K.__dict__:
+        for cols in K.integer_maps:
+            yield from (c for col in cols.values() for c in col.values())
+
+
+def _integer_state(K) -> bool:
+    """Whether K's integer maps hold only ints and its level table only (int, bool, bool, bool)."""
+    return (all(type(c) is int for cols in K.integer_maps for col in cols.values()
+                for c in col.values())
+            and all(list(map(type, shape)) == [int, bool, bool, bool] for shape in K.levels.values()))
 
 
 def test_the_crosscheck_battery_keeps_every_catalog_coefficient_an_int():
@@ -68,6 +72,7 @@ def test_the_crosscheck_battery_keeps_every_catalog_coefficient_an_int():
     for K in models:
         kinds = {type(c) for c in _coefficients(K)}
         assert kinds <= {int}, (K.name, kinds)
+        assert _integer_state(K), K.name
 
 
 def test_no_float_enters_a_rational_whole_space_scramble():
@@ -81,4 +86,5 @@ def test_no_float_enters_a_rational_whole_space_scramble():
                 build_cone_problem(M, p, q).dimension()
             zero_surgery_levels(M)
             kinds |= {type(c) for c in _coefficients(M)}
+            assert M.levels and _integer_state(M), M.name
     assert kinds == {int, Fraction}  # the rational path ran, and nothing else came out of it

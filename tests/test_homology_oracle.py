@@ -1,20 +1,22 @@
 """One-elimination homology against the two-pass oracle in ``linalg_helpers``.
 
-Both must give the same classes (id, representative, grading, parity), in
-the same order, and the same ``express`` coefficients, on seeded random
-differentials and on the bent complexes that the cone ranks.
+Both live in the tests: ``level_oracle.homology`` is the oracle of the
+level table.  They must give the same classes (id, representative,
+grading, parity), in the same order, and the same ``express``
+coefficients, on seeded random differentials and on the bent complexes
+of the level table.
 """
 import random
 from fractions import Fraction
 
 import pytest
 
-from knotsurgery import linalg
 from knotsurgery.catalog import thin_catalog
-from knotsurgery.cone import _projection, bent_differential
 from knotsurgery.knotcx import mirror
-from knotsurgery.linalg import LinearAlgebraError, homology, space, sparse_map
+from knotsurgery.linalg import LinearAlgebraError, space, sparse_map
+import level_oracle
 from knot_helpers import squares_model
+from level_oracle import bent_differential, homologies, homology, projection
 from linalg_helpers import compose, homology_two_pass
 
 
@@ -90,7 +92,7 @@ def _models():
 def test_bent_homologies_match_the_two_pass_oracle(K):
     hm_old = homology_two_pass(K.space, K.d_minus, prefix="m")
     hp_old = homology_two_pass(K.space, K.d_plus, prefix="p")
-    hm, hp = K.homologies
+    hm, hp = homologies(K)
     assert_same_homology(hm, hm_old)
     assert_same_homology(hp, hp_old)
     for s in range(-K.genus - 2, K.genus + 3):
@@ -99,7 +101,7 @@ def test_bent_homologies_match_the_two_pass_oracle(K):
         assert_same_homology(new, homology_two_pass(K.space, d, prefix=f"b{s}_"))
         # the images that pi_maps expresses over H(d-) and H(d+)
         for side, h_new, h_old in ((-1, hm, hm_old), (1, hp, hp_old)):
-            f = _projection(K, s, side)
+            f = projection(K, s, side)
             for cls in new.classes:
                 img = f.apply(cls.rep_vec())
                 assert list(h_new.express(img).items()) == list(h_old.express(img).items())
@@ -107,13 +109,13 @@ def test_bent_homologies_match_the_two_pass_oracle(K):
 
 def test_each_homology_builds_one_echelon(monkeypatch):
     built = []
-    init = linalg.Echelon.__init__
+    init = level_oracle.Echelon.__init__
 
     def counting(self, row_order):
         built.append(1)
         init(self, row_order)
 
-    monkeypatch.setattr(linalg.Echelon, "__init__", counting)
+    monkeypatch.setattr(level_oracle.Echelon, "__init__", counting)
     rng = random.Random(3)
     for _ in range(10):
         sp, d = random_differential(rng)

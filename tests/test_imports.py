@@ -9,7 +9,9 @@ is loaded.  The imports between the package's modules, those inside
 functions included, form no cycle.  No floating point enters a rank: the
 only true division in ``linalg`` is the one inside its exact ``quotient``.
 ``cli`` names no knot pathway: ``surgery --compare`` reads them all from
-``crosscheck.pathway_values``.
+``crosscheck.pathway_values``.  No library module forms a homology class
+or its representative: the level table is read off integer ranks, and the
+homology with representatives is the tests' oracle (``level_oracle``).
 """
 import ast
 import graphlib
@@ -161,3 +163,28 @@ def test_the_check_finds_a_pathway_name():
 def test_cli_names_no_knot_pathway():
     assert names_in((SRC / "cli.py").read_text()) & PATHWAY_NAMES == set()
 
+
+
+REPRESENTATIVE_NAMES = {"Homology", "HomologyClass", "express", "rep_vec"}
+
+
+def representative_names(source: str) -> set:
+    """The names of REPRESENTATIVE_NAMES that ``source`` defines, reads or imports."""
+    names = names_in(source)
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+    return names & REPRESENTATIVE_NAMES
+
+
+def test_the_check_finds_a_class_representative():
+    source = ("class Homology:\n    def express(self, vec):\n        pass\n"
+              "def f(c):\n    return c.rep_vec()\n"
+              "from .linalg import HomologyClass as H\n")
+    assert representative_names(source) == REPRESENTATIVE_NAMES
+    assert representative_names("def homology(sizes, ranks, shift):\n    pass\n") == set()
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_module_forms_a_class_representative(path):
+    assert representative_names(path.read_text()) == set()

@@ -133,7 +133,7 @@ def _counted_pass(monkeypatch):
     ``_integer_columns`` returned for d+ and for d- (in that order).
     """
     columns, formed = [], []
-    integer_columns, apply = knotcx._integer_columns, knotcx._apply
+    integer_columns, apply = knotcx._integer_columns, knotcx.apply
 
     def spy_columns(d):
         columns.append(integer_columns(d))
@@ -147,7 +147,7 @@ def _counted_pass(monkeypatch):
         return apply(cols, vec)
 
     monkeypatch.setattr(knotcx, "_integer_columns", spy_columns)
-    monkeypatch.setattr(knotcx, "_apply", spy_apply)
+    monkeypatch.setattr(knotcx, "apply", spy_apply)
     return formed
 
 

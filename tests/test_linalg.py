@@ -1,5 +1,8 @@
-"""Exact linear algebra: rank, homology with representatives, induced maps.
+"""Exact linear algebra: sparse maps, integer ranks, and the rational homology oracle.
 
+The integer layer of ``knotsurgery.linalg`` (``Echelon``, ``block_ranks``,
+``homology``, ``induced_map_on_homology``) is tested at the end, against
+the rational rank and homology with representatives of ``level_oracle``.
 Expected values were computed by hand (Gaussian elimination / kernel-image
 chases written out in comments) before the implementation existed.
 """
@@ -8,16 +11,9 @@ from fractions import Fraction
 
 import pytest
 
-from knotsurgery.linalg import (
-    Echelon,
-    LinearAlgebraError,
-    SparseExactMap,
-    homology,
-    induced_map_on_homology,
-    rank,
-    sparse_map,
-    space,
-)
+from knotsurgery import linalg
+from knotsurgery.linalg import LinearAlgebraError, SparseExactMap, sparse_map, space
+from level_oracle import Echelon, homology, induced_map_on_homology, rank
 from linalg_helpers import add_maps, compose, identity_map, kernel_basis, zero_map
 
 
@@ -261,3 +257,100 @@ def test_map_construction_errors(entries, message):
     sp = space([("a", 0, 0), ("b", 2, 1)])
     with pytest.raises(LinearAlgebraError, match=message):
         SparseExactMap(sp, sp, tuple((t, s, Fraction(v)) for t, s, v in entries))
+
+
+# --- integer ranks: the one eliminator, dim H per block, induced ranks --------
+
+def _integer_columns(m):
+    """m's columns as {index: {index: int}}, its entries times the LCM of their denominators."""
+    from math import lcm
+    scale = lcm(*(v.denominator for _, _, v in m.entries if type(v) is not int))
+    src = {gid: i for i, gid in enumerate(m.source.ids)}
+    tgt = {gid: i for i, gid in enumerate(m.target.ids)}
+    return {src[s]: {tgt[t]: int(v * scale) for t, v in col.items()} for s, col in m._cols.items()}
+
+
+def test_integer_echelon_rank_equals_the_rational_rank_random():
+    rng = random.Random(31)
+    for _ in range(200):
+        src = space([(f"s{i}", 0, 0) for i in range(rng.randrange(1, 8))])
+        tgt = space([(f"t{i}", 0, 0) for i in range(rng.randrange(1, 8))])
+        f = _random_map(rng, src, tgt)
+        cols = _integer_columns(f)
+        assert linalg.Echelon().reduce(cols.values()) == rank(f)
+        assert all(cols[i] == _integer_columns(f)[i] for i in cols)  # the vectors are unchanged
+
+
+def test_integer_echelon_stores_coprime_vectors():
+    ech = linalg.Echelon()
+    assert ech.reduce([{0: 4, 2: 6}]) == 1
+    assert ech.reduce([{0: -6, 2: -9}]) == 1  # a multiple of the stored vector
+    assert ech.reduce([{0: 3, 1: 5}]) == 2
+    # 2 (3, 5, 0) - 3 (2, 0, 3) = (0, 10, -9), stored on its least key
+    assert ech._pivots == {0: {0: 2, 2: 3}, 1: {1: 10, 2: -9}}
+    assert linalg.Echelon().reduce([{5: 7}, {5: -1}, {}]) == 1
+
+
+def test_block_ranks_rank_each_block_apart():
+    # keys 0, 1 in block A map onto the same vector; key 2 in block B is free
+    cols = {0: {3: 2}, 1: {3: -4}, 2: {4: 1, 5: 1}, 3: {}}
+    block_of = {0: "A", 1: "A", 2: "B", 3: "C"}
+    assert linalg.block_ranks(cols, block_of) == {"A": 1, "B": 1}
+
+
+def test_homology_per_block_from_the_ranks():
+    # the figure-eight's d+ by blocks (doubled grading, z2): a@(0,0) -> c@(2,1), b@(-2,1) -> d@(0,0);
+    # e@(0,0) is left, and a and d share a block: dim H is 1 there, 0 elsewhere
+    sizes = {(0, 0): 3, (2, 1): 1, (-2, 1): 1}
+    ranks = {(0, 0): 1, (-2, 1): 1}
+    assert linalg.homology(sizes, ranks, 2) == {(0, 0): 1}
+    assert linalg.homology(sizes, {}, 2) == sizes  # the zero differential
+
+
+def _complex(sp, d):
+    """(integer columns over indices, {index: (alex, z2)}) of the complex (sp, d)."""
+    return _integer_columns(d), {i: (g.alex, g.z2) for i, g in enumerate(sp.generators)}
+
+
+def test_induced_rank_from_the_cone_matches_the_oracle_on_bent_projections():
+    # the figure-eight bent at level 1 (doubled 2), projected to the low side
+    # into (C, d-) and to the high side into (C, d+): ranks 1 and 0 (see
+    # test_induced_map_bent_projections_figure_eight); the targets are
+    # shifted past the source keys and graded so that every map raises by 2
+    sp, dp, dm = _figure_eight_space_and_diffs()
+    bent = sparse_map(sp, sp, [("b", "a", 1), ("d", "c", -1)])
+    n = len(sp.ids)
+    a_cols, _ = _complex(sp, bent)
+    blocks = {}
+    for i, g in enumerate(sp.generators):
+        k = g.alex - 2
+        blocks[i], blocks[n + i], blocks[2 * n + i] = (abs(k), g.z2), (2 - k, 1 - g.z2), (k + 2, 1 - g.z2)
+    minus = {n + i: {n + j: c for j, c in col.items()} for i, col in _integer_columns(dm).items()}
+    plus = {2 * n + i: {2 * n + j: c for j, c in col.items()}
+            for i, col in _integer_columns(dp).items()}
+    low = {i: {n + i: 1} if g.alex <= 2 else {} for i, g in enumerate(sp.generators)}
+    high = {i: {2 * n + i: 1} if g.alex >= 2 else {} for i, g in enumerate(sp.generators)}
+    n_bent = homology(sp, bent).dim
+    assert linalg.induced_map_on_homology(low, a_cols, minus, blocks, (n_bent, 1)) == 1
+    assert linalg.induced_map_on_homology(high, a_cols, plus, blocks, (n_bent, 1)) == 0
+
+
+def test_induced_rank_of_a_quasi_isomorphism_is_full():
+    # X = (a -> b) + (c), Y = (c'); f kills the acyclic pair and matches c to
+    # c' (see test_quasi_isomorphism_induces_full_rank): rank 1
+    d_src = {0: {1: 1}, 1: {}, 2: {}}
+    d_tgt = {3: {}}
+    f = {0: {}, 1: {}, 2: {3: 1}}
+    block_of = {0: (0, 0), 1: (2, 1), 2: (0, 0), 3: (2, 1)}
+    assert linalg.induced_map_on_homology(f, d_src, d_tgt, block_of, (1, 1)) == 1
+    assert linalg.induced_map_on_homology({0: {}, 1: {}, 2: {}}, d_src, d_tgt, block_of, (1, 1)) == 0
+
+
+def test_induced_rank_rejects_a_non_chain_map():
+    # a -> b under d_src, zero d_tgt, and f(b) = b': f(d(a)) = b' but d_tgt(f(a)) = 0
+    d_src = {0: {1: 1}, 1: {}}
+    d_tgt = {2: {}, 3: {}}
+    f = {0: {}, 1: {3: 1}}
+    block_of = {0: (0, 0), 1: (2, 1), 2: (2, 1), 3: (4, 0)}
+    with pytest.raises(LinearAlgebraError, match=r"not a chain map: \(f o d - d o f\)\(0\)"):
+        linalg.induced_map_on_homology(f, d_src, d_tgt, block_of, (0, 2))

@@ -29,7 +29,6 @@ from knotsurgery.knotcx import (
     StaircaseSpec,
     assemble,
     chi_graded,
-    compute_tau,
     decompose,
     knot_spec_dict,
     mirror,
@@ -40,6 +39,7 @@ from knotsurgery.knotcx import (
 from knotsurgery.linalg import GradedSpace, space, sparse_map
 from cone_elimination import elimination_dimension, h_sources
 from knot_helpers import components
+from level_oracle import compute_tau
 from linalg_helpers import compose, homology_two_pass
 
 
@@ -178,7 +178,7 @@ def test_scalar_independence_random(K):
     base = prob.dimension()
     for src in h_sources(prob)[:4]:
         c = Fraction(rng.randrange(1, 9), rng.randrange(1, 5))
-        assert elimination_dimension(prob, {src: c}) == base
+        assert elimination_dimension(K, prob, {src: c}) == base
 
 
 @pytest.mark.parametrize("K", MODELS[:10], ids=lambda K: K.name)

@@ -4,10 +4,10 @@
 staircase of tau and its squares, and ``surgery_dim`` and
 ``zero_surgery_dims`` answer from that split alone.  The oracle here is the
 level table of the model as given: ``pi_maps`` on K itself, with K's own
-H(d-) and H(d+).  The split is rebuilt with ``assemble``.  Rows are taken
-over different class bases, so the comparison is of what the cone depends
-on: class counts, which rows vanish, whether v and h are proportional, and
-the cone dimension.
+H(d-) and H(d+).  The split is rebuilt with ``assemble``.  Each level of
+the table is what the cone depends on: its class count, which rows
+vanish and whether v and h are proportional; the cone dimensions are
+compared too.
 """
 import math
 import random
@@ -37,11 +37,11 @@ def _models():
 MODELS = _models()
 
 
-def _kind(v_row, h_row):
+def _kind(v, h, line):
     """E (both rows, proportional), G (both, independent), V (v only), H (h only) or 0 (none)."""
-    if v_row and h_row:
-        return "E" if cone._proportional(v_row, h_row) else "G"
-    return "V" if v_row else "H" if h_row else "0"
+    if v and h:
+        return "E" if line else "G"
+    return "V" if v else "H" if h else "0"
 
 
 def _rebuilt(K):
@@ -58,10 +58,7 @@ def test_split_levels_match_the_full_model(K):
     g = K.genus
     assert split.genus == g
     for s in range(-g - 1, g + 2):
-        n, v_row, h_row = cone._level_rows(K, s)
-        got = cone._level_rows(split, s)
-        assert got[0] == n, (K.name, s)
-        assert _kind(got[1], got[2]) == _kind(v_row, h_row), (K.name, s)
+        assert cone._level(split, s) == cone._level(K, s), (K.name, s)
     for span in (None, g + 1):
         assert zero_surgery_dims(K, span=span) == zero_surgery_levels(K, span=span), (K.name, span)
     for p, q in SLOPES:
@@ -80,7 +77,7 @@ def test_level_word_is_fixed_by_tau(K):
     g, tau = max(K.genus, 1), K.tau
     t = max(abs(tau), 1)
     middle = "E" if tau == 0 else ("0" if tau > 0 else "G") * (2 * abs(tau) - 1)
-    word = "".join(_kind(*cone._level_rows(K, s)[1:]) for s in range(1 - g, g))
+    word = "".join(_kind(*cone._level(K, s)[1:]) for s in range(1 - g, g))
     assert word == "H" * (g - t) + middle + "V" * (g - t), K.name
 
 

@@ -27,7 +27,8 @@ from knotsurgery.knotcx import (
     build_staircase,
     validate,
 )
-from knotsurgery.linalg import Generator, HomologyClass, LinearAlgebraError, space, sparse_map
+from knotsurgery.linalg import Generator, LinearAlgebraError, space, sparse_map
+from level_oracle import HomologyClass
 
 SP = space([("a", 0, 0), ("b", 2, 1)])
 

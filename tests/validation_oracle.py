@@ -3,13 +3,14 @@
 ``validate_rational`` is ``knotcx.validate`` as it was before the one
 integer pass: it forms d+ d+, d- d- and d+ d- + d- d+ in ``Fraction``-capable
 arithmetic through ``SparseExactMap.apply``, and ranks each (grading, z2)
-block with a fresh ``linalg.Echelon``.  ``decompose_rational`` forms the
+block with a fresh rational ``level_oracle.Echelon``.  ``decompose_rational`` forms the
 d+ d- columns again and ranks them the same way.  The tests hold the
 integer pass to the same violation lists, in order, and the same
 decompositions.
 """
 from knotsurgery.knotcx import Decomposition, KnotComplex, ModelError, chi_graded
-from knotsurgery.linalg import Echelon, SparseExactMap
+from knotsurgery.linalg import SparseExactMap
+from level_oracle import Echelon
 
 
 def validate_rational(K: KnotComplex) -> list:
