@@ -26,9 +26,12 @@ slots off them.
 Each level of the table is its shape (``pi_maps``): the class count and
 whether the v and h rows are nonzero and proportional, which is all the
 cone reads.  It comes from integer ranks alone, per block of grading and
-Z/2: the bent differential's rank gives the class count, and the rank of
-an induced map comes from the homology of its mapping cone.  No class
-representative is formed.
+Z/2: the bent differential's block ranks give the class count, and the
+rank of an induced map is a sum over the blocks of its mapping cone, of
+which only the block where the target's homology lives can add anything.
+H(d-) and H(d+) are one block each, so v, h and the pair (v, h) each take
+one small elimination beside those block ranks, after a chain-map check
+on every generator.  No class representative is formed.
 
 The cone is ranked without elimination.  Source sigma reaches only the
 slots sigma and sigma + 2p, so the incidence graph is a disjoint union of
@@ -40,7 +43,6 @@ dimension 1 at slope +1 and the figure-eight 3.
 """
 from __future__ import annotations
 
-from collections import Counter
 from typing import NamedTuple, Optional, Sequence
 
 from .formulas import _check_slope, thin_surgery_formula
@@ -58,12 +60,13 @@ MAX_LATTICE_SLOTS = 5 * 10 ** 5
 
 
 # Level-table cells a call may fill, checked before it computes its first
-# new level: (levels not yet in K.levels) x K.dim.  A level costs the block
-# ranks of its bent differential and of two or three mapping cones on the
-# whole model: 10-16 us per generator on a 2-vCPU host for staircases and
-# square-rich thin models, 2.3 ms on a dense whole-space rational scramble
-# of 171 generators.  ``--compare`` at slope 1 on a 9959-generator model
-# of genus 10 (189221 cells) takes 2.6-2.9 s there.  Every level of
+# new level: (levels not yet in K.levels) x K.dim.  A level costs one
+# build of its bent complex with its block ranks, a chain-map check of each
+# projection on every generator and one small elimination per projection:
+# 4-6 us per generator on a 2-vCPU host for staircases and square-rich
+# thin models, 0.3 ms on a dense whole-space rational scramble of 171
+# generators.  ``--compare`` at slope 1 on a 9959-generator model of genus
+# 10 (189221 cells) takes 0.7-1.1 s there.  Every level of
 # staircase(200), the largest genus a spec may declare, is 403 x 401 =
 # 161603 cells.  ``surgery_dim`` and ``zero_surgery_dims`` read no level,
 # so the limit binds only ``--compare`` and the oracles.
@@ -90,51 +93,65 @@ def bent_differential(K: KnotComplex, s: int) -> dict:
             for i, g in enumerate(K.space.generators)}
 
 
-def _blocks(K: KnotComplex, s: int) -> dict:
-    """{position: (grading, z2)} of the bent complex at level s, the grading being |alex - 2s|.
+def _bent_complex(K: KnotComplex, s: int) -> tuple:
+    """(columns, blocks, ranks, class count) of the bent complex at level s.
 
-    The bent differential raises it by 2 and flips z2.
+    blocks lists the positions of each block (|alex - 2s|, z2), which the
+    bent differential raises by 2 with z2 flipped; ranks is its rank out of
+    each block, and the class count is dim H summed over the blocks.  This
+    is the one build of a level's bent complex, which ``bent_homology`` and
+    ``pi_maps`` share.
     """
-    s2 = 2 * s
-    return {i: (abs(g.alex - s2), g.z2) for i, g in enumerate(K.space.generators)}
+    bent, s2 = bent_differential(K, s), 2 * s
+    blocks: dict = {}
+    for i, g in enumerate(K.space.generators):
+        blocks.setdefault((abs(g.alex - s2), g.z2), []).append(i)
+    ranks = block_ranks(bent, blocks)
+    sizes = {block: len(keys) for block, keys in blocks.items()}
+    return bent, blocks, ranks, sum(homology(sizes, ranks, 2).values())
 
 
 def bent_homology(K: KnotComplex, s: int) -> int:
     """Class count of the bent complex at level s: dim H, block by block from integer ranks."""
-    bent, blocks = bent_differential(K, s), _blocks(K, s)
-    return sum(homology(Counter(blocks.values()), block_ranks(bent, blocks), 2).values())
+    return _bent_complex(K, s)[3]
 
 
 def pi_maps(K: KnotComplex, s: int) -> tuple:
-    """The shape (n, v, h, line) of level s, read off integer ranks.
+    """The shape (n, v, h, line) of level s, read off integer ranks; ModelError if K is invalid.
 
     n is the class count (``bent_homology``).  v and h say whether the
     induced projections of the bent homology to H(d-) (onto levels <= s)
     and to H(d+) (onto levels >= s) are nonzero; line says that both are
     and that they are proportional, the pair (v, h) having rank 1.  Each
-    rank is read off a mapping cone by ``induced_map_on_homology``, H(d-)
-    and H(d+) being one-dimensional on a valid model.  The copy N + i of
-    generator i in (C, d-) sits at grading 2s - alex + 2 and its copy
-    2N + i in (C, d+) at alex - 2s + 2, both with z2 flipped, N being
-    K.dim, so that every map raises the grading by 2.  Nothing here reads
-    d+ d-, so the table stays independent of the decomposition.
+    rank comes from ``induced_map_on_homology``, which eliminates only the
+    block where its target's homology lives, reusing the bent block ranks
+    that gave n.  The targets are (C, d-) graded by 2s - alex and (C, d+)
+    by alex - 2s, z2 kept, so that each projection keeps the block, on the
+    model's own positions and columns.  H(d-) and H(d+) are one block each
+    (``K.report.homology_blocks``).  When those blocks differ at level s
+    the pair's rank is the sum of the parts', so the pair is eliminated
+    only where they meet.  Nothing here reads d+ d-, so the table stays
+    independent of the decomposition.
     """
-    n = bent_homology(K, s)
-    bent, blocks = bent_differential(K, s), _blocks(K, s)
+    decompose(K)
+    bent, blocks, ranks, n = _bent_complex(K, s)
     P, M = K.integer_maps
-    N, s2 = K.dim, 2 * s
-    minus = {N + i: {N + j: c for j, c in col.items()} for i, col in M.items()}
-    plus = {2 * N + i: {2 * N + j: c for j, c in col.items()} for i, col in P.items()}
-    low, high = {}, {}
+    h_minus, h_plus = K.report.homology_blocks
+    s2 = 2 * s
+    low, high, minus_blocks, plus_blocks = {}, {}, {}, {}
     for i, g in enumerate(K.space.generators):
-        k, flip = g.alex - s2, 1 - g.z2
-        blocks[N + i], blocks[2 * N + i] = (2 - k, flip), (k + 2, flip)
-        low[i] = {N + i: 1} if k <= 0 else {}
-        high[i] = {2 * N + i: 1} if k >= 0 else {}
-    v = induced_map_on_homology(low, bent, minus, blocks, (n, 1)) > 0
-    h = induced_map_on_homology(high, bent, plus, blocks, (n, 1)) > 0
-    line = v and h and induced_map_on_homology(
-        {i: {**low[i], **high[i]} for i in bent}, bent, {**minus, **plus}, blocks, (n, 2)) == 1
+        k = g.alex - s2
+        low[i] = {i: 1} if k <= 0 else {}
+        high[i] = {i: 1} if k >= 0 else {}
+        minus_blocks.setdefault((-k, g.z2), []).append(i)
+        plus_blocks.setdefault((k, g.z2), []).append(i)
+    at_minus = {(s2 - a, z) for a, z in h_minus}
+    at_plus = {(a - s2, z) for a, z in h_plus}
+    minus, plus = (low, M, minus_blocks, at_minus), (high, P, plus_blocks, at_plus)
+    v = induced_map_on_homology(bent, blocks, ranks, [minus]) > 0
+    h = induced_map_on_homology(bent, blocks, ranks, [plus]) > 0
+    line = (v and h and at_minus == at_plus
+            and induced_map_on_homology(bent, blocks, ranks, [minus, plus]) == 1)
     return n, v, h, line
 
 
@@ -264,7 +281,6 @@ def _level(K: KnotComplex, s: int) -> tuple:
     s = _level_key(K, s)
     shape = K.levels.get(s)
     if shape is None:
-        decompose(K)
         shape = K.levels[s] = pi_maps(K, s)
     return shape
 

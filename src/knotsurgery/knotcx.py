@@ -371,9 +371,14 @@ class Decomposition(NamedTuple):
 
 
 class ValidationReport(NamedTuple):
-    """The violations ``validate`` found, in order, and a clean model's decomposition."""
+    """The violations ``validate`` found, in order, and a clean model's decomposition.
+
+    A clean report also keeps (H(d-), H(d+)) as {(doubled grading, z2):
+    dim}, one block of dimension 1 each, for the level table's targets.
+    """
     violations: list
     decomposition: Optional[Decomposition] = None
+    homology_blocks: Optional[tuple] = None
 
     @property
     def ok(self) -> bool:
@@ -394,7 +399,7 @@ def validate(K: KnotComplex) -> ValidationReport:
     class representative is formed.  The squares are counted from the
     d+ d- ranks (see ``decompose``), and the dimension must be 2 |tau| + 1 +
     4k for their number k, which the structure theorem there guarantees.  A
-    clean report keeps the decomposition.
+    clean report keeps the decomposition and the blocks of H(d-) and H(d+).
     """
     violations = []
     sp = K.space
@@ -446,7 +451,7 @@ def validate(K: KnotComplex) -> ValidationReport:
     if violations:
         return ValidationReport(violations)
     sizes = {block: len(ids) for block, ids in blocks.items()}
-    homology_blocks = [homology(sizes, ranks[0], -2), homology(sizes, ranks[1], 2)]  # d-, d+
+    homology_blocks = homology(sizes, ranks[0], -2), homology(sizes, ranks[1], 2)  # d-, d+
     hm_dim, hp_dim = (sum(h.values()) for h in homology_blocks)
     if hp_dim != 1 or hm_dim != 1:
         return ValidationReport([f"one-differential homology dims ({hp_dim}, {hm_dim}) "
@@ -461,7 +466,7 @@ def validate(K: KnotComplex) -> ValidationReport:
     if K.dim != expected:
         return ValidationReport([f"model dimension {K.dim} differs from 2|tau| + 1 + 4k = "
                                  f"{expected} for tau {K.tau} and its squares"])
-    return ValidationReport([], Decomposition(K.tau, squares))
+    return ValidationReport([], Decomposition(K.tau, squares), homology_blocks)
 
 
 def _blocks(K: KnotComplex) -> dict:

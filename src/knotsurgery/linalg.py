@@ -10,16 +10,16 @@ Ranks are taken on integer columns, a map scaled by the LCM of its
 denominators, which changes no rank: ``Echelon`` is the one (fraction-free)
 eliminator, ``block_ranks`` ranks a graded map block by block,
 ``homology`` gives dim H per block from those ranks, and
-``induced_map_on_homology`` the rank of an induced map from the homology
-of its mapping cone.  No class representative is ever formed.
+``induced_map_on_homology`` the rank of an induced map from one
+elimination per block where the target's homology lives, the source's
+block ranks given.  No class representative is ever formed.
 """
 from __future__ import annotations
 
-from collections import Counter
 from fractions import Fraction
 from functools import cached_property
 from math import gcd
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
 # Sparse vector keyed by generator id.  Zero coefficients are never stored.
 Vec = dict
@@ -209,18 +209,18 @@ def apply(cols: dict, vec: Vec) -> Vec:
     return out
 
 
-def block_ranks(cols: dict, block_of: dict) -> dict:
-    """{block: rank of the columns of its generators}, blocks of rank 0 left out.
+def block_ranks(cols: dict, blocks: dict) -> dict:
+    """{block: rank of the columns of its keys}, blocks of rank 0 left out.
 
-    cols are integer columns {key: {key: int}}; block_of maps each key to
-    its block.  Each block is ranked by its own ``Echelon``.
+    cols are integer columns {key: {key: int}}; blocks lists the keys of
+    each block, {block: [keys]}.  Each block is ranked by its own ``Echelon``.
     """
-    images: dict = {}
-    for key, col in cols.items():
-        if col:
-            images.setdefault(block_of[key], []).append(col)
-    return {block: 1 if len(vectors) == 1 else Echelon().reduce(vectors)
-            for block, vectors in images.items()}
+    out = {}
+    for block, keys in blocks.items():
+        vectors = [col for key in keys if (col := cols[key])]
+        if vectors:
+            out[block] = 1 if len(vectors) == 1 else Echelon().reduce(vectors)
+    return out
 
 
 def homology(sizes: dict, ranks: dict, shift: int) -> dict:
@@ -234,23 +234,49 @@ def homology(sizes: dict, ranks: dict, shift: int) -> dict:
             if (n := size - ranks.get((a, z), 0) - ranks.get((a - shift, 1 - z), 0))}
 
 
-def induced_map_on_homology(f: dict, d_src: dict, d_tgt: dict, block_of: dict,
-                            dims: tuple) -> int:
-    """Rank of the map that the chain map f induces from H(d_src) to H(d_tgt), read off its cone.
+def induced_map_on_homology(d_src: dict, src_blocks: dict, src_ranks: dict,
+                            targets: Sequence) -> int:
+    """Rank of the map that chain maps out of (A, d_src) induce from H(A) to their targets' H.
 
-    All three are integer columns, the source and target keys disjoint and
-    graded by block_of, each map sending (a, z) into (a + 2, 1 - z); f has
-    a column, maybe empty, for every source key.  dims = (dim H(d_src),
-    dim H(d_tgt)).  Checks f(d_src(x)) = d_tgt(f(x)) exactly on every
-    source generator x.  The cone (x, y) -> (-d_src x, f x + d_tgt y) has
-    dim H = dims[0] + dims[1] - 2 rank f_*; it is ranked block by block
-    without the sign, which changes no rank.
+    Integer columns over keys that are non-negative ints.  Each
+    differential sends block (a, z) into (a + 2, 1 - z), and each chain map
+    keeps the block.  src_blocks lists the keys of each block of A,
+    {block: [keys]}, and src_ranks holds the rank of d_src out of each
+    block (``block_ranks``).  targets holds (f, d_tgt, tgt_blocks,
+    tgt_homology) for each target complex (B, d_tgt): f has a column,
+    maybe empty, for every source key; tgt_blocks lists B's keys by block;
+    tgt_homology holds the blocks where H(B) is nonzero.  One target gives
+    the rank of f_*: H(A) -> H(B); several give the rank into the
+    homology of their direct sum.  Checks f(d_src(x)) = d_tgt(f(x))
+    exactly on every source generator x, target by target.
+
+    The rank is a sum over blocks.  At block b, the vectors (d_src x, f x)
+    for x in A_b and d_tgt y for y in the block before b have rank
+    rank d_src out of b + rank d_tgt into b + rank (f_*)_b, where (f_*)_b
+    maps H_b(A) to H_b(B): the first coordinate spans the image of d_src,
+    and what lies over 0 is f of the cycles at b plus the boundaries at b.
+    So (f_*)_b is zero unless H(B) is nonzero at b, and where it is, one
+    ``Echelon`` stores the d_tgt vectors first, whose rank it returns, and
+    then the others.  Inside it, key t of target k of m becomes the
+    negative key ~(t * m + k), so targets may share keys with each other
+    and with the source.
     """
-    for key, col in d_src.items():
-        if apply(f, col) != apply(d_tgt, f[key]):
-            raise LinearAlgebraError(f"not a chain map: (f o d - d o f)({key}) != 0")
-    cone = {key: {**col, **f[key]} for key, col in d_src.items()}
-    cone.update(d_tgt)
-    sizes = Counter(block_of[key] for key in cone)
-    classes = sum(homology(sizes, block_ranks(cone, block_of), 2).values())
-    return (sum(dims) - classes) // 2
+    for f, d_tgt, _, _ in targets:
+        for key, col in d_src.items():
+            if apply(f, col) != apply(d_tgt, f[key]):
+                raise LinearAlgebraError(f"not a chain map: (f o d - d o f)({key}) != 0")
+    m = len(targets)
+    total = 0
+    for a, z in set().union(*(h for _, _, _, h in targets)):
+        sources = src_blocks.get((a, z))
+        if not sources:
+            continue
+        ech = Echelon()
+        boundaries = ech.reduce({~(t * m + k): c for t, c in d_tgt[y].items()}
+                                for k, (_, d_tgt, tgt_blocks, _) in enumerate(targets)
+                                for y in tgt_blocks.get((a - 2, 1 - z), ()))
+        images = ({**d_src[x], **{~(t * m + k): c for k, (f, _, _, _) in enumerate(targets)
+                                  for t, c in f[x].items()}}
+                  for x in sources)
+        total += ech.reduce(images) - boundaries - src_ranks.get((a, z), 0)
+    return total

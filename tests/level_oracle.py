@@ -10,12 +10,16 @@ over the bent homology's classes.  ``level_rows`` is that level as
 (class count, v row, h row) and ``shape`` the (n, v, h, line) it has,
 which the tests hold ``K.levels`` to.  ``compute_tau`` reads tau off the
 survivor classes, and ``rank`` ranks a ``SparseExactMap``.
+``induced_rank_by_cone`` is the integer rank of an induced map read off
+the homology of its whole mapping cone: the oracle of the block-local
+``linalg.induced_map_on_homology``.
 """
 from __future__ import annotations
 
 from functools import lru_cache
 from typing import NamedTuple, Optional, Sequence
 
+from knotsurgery import linalg
 from knotsurgery.knotcx import KnotComplex, ModelError
 from knotsurgery.linalg import (
     Generator,
@@ -201,6 +205,30 @@ def induced_map_on_homology(f: SparseExactMap, dsrc: SparseExactMap, dtgt: Spars
         for tgt_cid, c in htgt.express(img).items():
             entries.append((tgt_cid, cls.cid, c))
     return SparseExactMap(hsrc.space, htgt.space, tuple(entries))
+
+
+def induced_rank_by_cone(f: dict, d_src: dict, d_tgt: dict, block_of: dict, dims: tuple) -> int:
+    """Rank of the map that the chain map f induces from H(d_src) to H(d_tgt), read off its cone.
+
+    All three are integer columns, the source and target keys disjoint and
+    graded by block_of, each map sending (a, z) into (a + 2, 1 - z); f has
+    a column, maybe empty, for every source key.  dims = (dim H(d_src),
+    dim H(d_tgt)).  Checks f(d_src(x)) = d_tgt(f(x)) exactly on every
+    source generator x.  The cone (x, y) -> (-d_src x, f x + d_tgt y) has
+    dim H = dims[0] + dims[1] - 2 rank f_*; it is ranked block by block
+    without the sign, which changes no rank.
+    """
+    for key, col in d_src.items():
+        if linalg.apply(f, col) != linalg.apply(d_tgt, f[key]):
+            raise LinearAlgebraError(f"not a chain map: (f o d - d o f)({key}) != 0")
+    cone = {key: {**col, **f[key]} for key, col in d_src.items()}
+    cone.update(d_tgt)
+    blocks: dict = {}
+    for key in cone:
+        blocks.setdefault(block_of[key], []).append(key)
+    sizes = {block: len(keys) for block, keys in blocks.items()}
+    classes = sum(linalg.homology(sizes, linalg.block_ranks(cone, blocks), 2).values())
+    return (sum(dims) - classes) // 2
 
 
 # --- the level table, rows and all ---------------------------------------------

@@ -24,6 +24,7 @@ from knotsurgery.cone import (
     zero_surgery_levels,
 )
 from knotsurgery.knotcx import SquareSpec, StaircaseSpec, assemble, build_staircase, mirror
+from knotsurgery.linalg import LinearAlgebraError
 from cone_elimination import block_kinds, elimination_dimension, h_sources
 import level_oracle
 
@@ -190,9 +191,9 @@ def test_large_surgery_reuses_levels(monkeypatch):
 
     def counted(K, s):
         calls.append(s)
-        return bent_homology(K, s)
+        return pi_maps(K, s)
 
-    monkeypatch.setattr(cone, "bent_homology", counted)
+    monkeypatch.setattr(cone, "pi_maps", counted)
     K = build_staircase(12)
     almost_lspace_scan(K)
     assert calls == []  # the scan reads the decomposition, no level
@@ -230,9 +231,9 @@ def test_large_surgery_far_past_the_genus():
 
 
 def test_the_bent_differential_shares_the_model_columns():
-    # bent_homology and pi_maps each build the level's bent differential;
-    # off the bend a column is the model's own integer column, so each
-    # build is one dict over the generators
+    # bent_homology and pi_maps share one build of the level's bent
+    # differential; off the bend a column is the model's own integer
+    # column, so a build is one dict over the generators
     for K in (fig8(), build_staircase(-3)):
         P, M = K.integer_maps
         for s in range(-K.genus - 1, K.genus + 2):
@@ -240,6 +241,44 @@ def test_the_bent_differential_shares_the_model_columns():
             for i, g in enumerate(K.space.generators):
                 if g.alex != 2 * s:
                     assert bent[i] is (P[i] if g.alex > 2 * s else M[i]), (K.name, s, i)
+
+
+def test_a_new_level_builds_the_bent_complex_once(monkeypatch):
+    # filling a level ranks v, h and the pair on one build of the bent
+    # complex, the one that also gives its class count; a kept level builds
+    # nothing
+    built = []
+    build = cone._bent_complex
+
+    def spy(K, s):
+        built.append(s)
+        return build(K, s)
+
+    monkeypatch.setattr(cone, "_bent_complex", spy)
+    fresh = (build_staircase(0), build_staircase(-3), mirror(build_staircase(2)),
+             assemble(StaircaseSpec(0), [SquareSpec(0, 1), SquareSpec(0, -1)]))
+    for K in fresh:
+        for s in range(-K.genus - 1, K.genus + 2):
+            built.clear()
+            cone._level(K, s)
+            assert built == [s], (K.name, s)
+            cone._level(K, s)
+            assert built == [s], (K.name, s)
+
+
+def test_pi_maps_checks_each_projection_is_a_chain_map():
+    # a d- column sent two gradings up: at level -1 the bent column of a1
+    # (at -2, below the bend) is that column, which the low projection
+    # kills, while d- of the projected a1 is not zero
+    K = build_staircase(2)
+    P, M = K.integer_maps
+    K.__dict__["integer_maps"] = P, {**M, 0: {2: 1}}
+    assert K.report.ok  # validation reads the model's own maps
+    with pytest.raises(LinearAlgebraError, match=r"not a chain map: \(f o d - d o f\)\(0\)"):
+        pi_maps(K, -1)
+    with pytest.raises(LinearAlgebraError, match="not a chain map"):
+        cone._level(K, -1)
+    assert -1 not in K.levels
 
 
 def test_large_surgery_dim_rejects_small_slope():

@@ -1,4 +1,5 @@
 """Knot models: staircases, squares, thin synthesis, mirror, tau, validation, decomposition."""
+import random
 import re
 from collections import Counter
 
@@ -28,6 +29,7 @@ from knotsurgery.knotcx import (
 from knotsurgery.linalg import space, sparse_map
 from knot_helpers import TWO_SURVIVORS_SPEC, graded_signature, half_level_squares_model
 from level_oracle import compute_tau, homologies
+from test_properties import random_thin_models, scramble
 from linalg_helpers import homology_two_pass, is_zero, zero_map
 
 
@@ -160,6 +162,18 @@ def test_validate_catalog_all_pass():
         assert report.ok, (K.name, report.violations)
         assert compute_tau(K) == K.tau
         assert K.dim == poly_norm(K.delta())
+
+
+def test_clean_report_keeps_the_survivor_blocks():
+    # H(d-) and H(d+) each live in one (doubled grading, z2) block: the
+    # blocks of the survivor classes of the rational homology
+    rng = random.Random(3)
+    models = thin_catalog() + random_thin_models(6)
+    for K0 in models + [scramble(K, rng, whole_space=True) for K in models[:8]]:
+        for K in (K0, mirror(K0)):
+            expected = tuple({(c.alex, c.z2): 1 for c in h.classes} for h in homologies(K))
+            assert K.report.homology_blocks == expected, K.name
+    assert validate(build_staircase(-2)).homology_blocks == ({(-4, 0): 1}, {(4, 0): 1})
 
 
 def test_validate_flags_bad_shift():
@@ -321,6 +335,6 @@ def test_decompose_rejects_an_invalid_model_and_checks_the_dimension(monkeypatch
     monkeypatch.setattr(knotcx, "_one_pass", without_squares)
     K = assemble(StaircaseSpec(0), [SquareSpec(0, -1)])
     message = "model dimension 5 differs from 2|tau| + 1 + 4k = 1 for tau 0 and its squares"
-    assert validate(K) == ([message], None)
+    assert validate(K) == ([message], None, None)
     with pytest.raises(ModelError, match=f"invalid knot model: {re.escape(message)}$"):
         decompose(K)

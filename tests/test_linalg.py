@@ -294,8 +294,8 @@ def test_integer_echelon_stores_coprime_vectors():
 def test_block_ranks_rank_each_block_apart():
     # keys 0, 1 in block A map onto the same vector; key 2 in block B is free
     cols = {0: {3: 2}, 1: {3: -4}, 2: {4: 1, 5: 1}, 3: {}}
-    block_of = {0: "A", 1: "A", 2: "B", 3: "C"}
-    assert linalg.block_ranks(cols, block_of) == {"A": 1, "B": 1}
+    blocks = {"A": [0, 1], "B": [2], "C": [3]}
+    assert linalg.block_ranks(cols, blocks) == {"A": 1, "B": 1}
 
 
 def test_homology_per_block_from_the_ranks():
@@ -307,43 +307,53 @@ def test_homology_per_block_from_the_ranks():
     assert linalg.homology(sizes, {}, 2) == sizes  # the zero differential
 
 
-def _complex(sp, d):
-    """(integer columns over indices, {index: (alex, z2)}) of the complex (sp, d)."""
-    return _integer_columns(d), {i: (g.alex, g.z2) for i, g in enumerate(sp.generators)}
+def _graded(cols, block_of):
+    """(keys by block, ranks out of each block, blocks where H is nonzero) of a complex."""
+    blocks = {}
+    for key, block in block_of.items():
+        blocks.setdefault(block, []).append(key)
+    ranks = linalg.block_ranks(cols, blocks)
+    sizes = {block: len(keys) for block, keys in blocks.items()}
+    return blocks, ranks, set(linalg.homology(sizes, ranks, 2))
+
+
+def _target(f, cols, block_of):
+    """The target (f, cols, keys by block, blocks where H is nonzero) of a chain map f."""
+    blocks, _, nonzero = _graded(cols, block_of)
+    return f, cols, blocks, nonzero
 
 
 def test_induced_rank_from_the_cone_matches_the_oracle_on_bent_projections():
     # the figure-eight bent at level 1 (doubled 2), projected to the low side
     # into (C, d-) and to the high side into (C, d+): ranks 1 and 0 (see
-    # test_induced_map_bent_projections_figure_eight); the targets are
-    # shifted past the source keys and graded so that every map raises by 2
+    # test_induced_map_bent_projections_figure_eight); the targets keep the
+    # generators' indices and are graded by 2 - alex and alex - 2, so that
+    # each projection keeps the block and each differential raises it by 2
     sp, dp, dm = _figure_eight_space_and_diffs()
     bent = sparse_map(sp, sp, [("b", "a", 1), ("d", "c", -1)])
-    n = len(sp.ids)
-    a_cols, _ = _complex(sp, bent)
-    blocks = {}
-    for i, g in enumerate(sp.generators):
-        k = g.alex - 2
-        blocks[i], blocks[n + i], blocks[2 * n + i] = (abs(k), g.z2), (2 - k, 1 - g.z2), (k + 2, 1 - g.z2)
-    minus = {n + i: {n + j: c for j, c in col.items()} for i, col in _integer_columns(dm).items()}
-    plus = {2 * n + i: {2 * n + j: c for j, c in col.items()}
-            for i, col in _integer_columns(dp).items()}
-    low = {i: {n + i: 1} if g.alex <= 2 else {} for i, g in enumerate(sp.generators)}
-    high = {i: {2 * n + i: 1} if g.alex >= 2 else {} for i, g in enumerate(sp.generators)}
-    n_bent = homology(sp, bent).dim
-    assert linalg.induced_map_on_homology(low, a_cols, minus, blocks, (n_bent, 1)) == 1
-    assert linalg.induced_map_on_homology(high, a_cols, plus, blocks, (n_bent, 1)) == 0
+    gens = list(enumerate(sp.generators))
+    a_cols = _integer_columns(bent)
+    a_blocks, a_ranks, _ = _graded(a_cols, {i: (abs(g.alex - 2), g.z2) for i, g in gens})
+    minus, plus = _integer_columns(dm), _integer_columns(dp)
+    low = {i: {i: 1} if g.alex <= 2 else {} for i, g in gens}
+    high = {i: {i: 1} if g.alex >= 2 else {} for i, g in gens}
+    low_target = _target(low, minus, {i: (2 - g.alex, g.z2) for i, g in gens})
+    high_target = _target(high, plus, {i: (g.alex - 2, g.z2) for i, g in gens})
+    assert linalg.induced_map_on_homology(a_cols, a_blocks, a_ranks, [low_target]) == 1
+    assert linalg.induced_map_on_homology(a_cols, a_blocks, a_ranks, [high_target]) == 0
 
 
 def test_induced_rank_of_a_quasi_isomorphism_is_full():
     # X = (a -> b) + (c), Y = (c'); f kills the acyclic pair and matches c to
     # c' (see test_quasi_isomorphism_induces_full_rank): rank 1
     d_src = {0: {1: 1}, 1: {}, 2: {}}
-    d_tgt = {3: {}}
-    f = {0: {}, 1: {}, 2: {3: 1}}
-    block_of = {0: (0, 0), 1: (2, 1), 2: (0, 0), 3: (2, 1)}
-    assert linalg.induced_map_on_homology(f, d_src, d_tgt, block_of, (1, 1)) == 1
-    assert linalg.induced_map_on_homology({0: {}, 1: {}, 2: {}}, d_src, d_tgt, block_of, (1, 1)) == 0
+    d_tgt = {0: {}}
+    f = {0: {}, 1: {}, 2: {0: 1}}
+    src_blocks = {(0, 0): [0, 2], (2, 1): [1]}
+    tgt_blocks = {(0, 0): [0]}
+    for g, rank in ((f, 1), ({0: {}, 1: {}, 2: {}}, 0)):
+        target = (g, d_tgt, tgt_blocks, {(0, 0)})
+        assert linalg.induced_map_on_homology(d_src, src_blocks, {(0, 0): 1}, [target]) == rank
 
 
 def test_induced_rank_rejects_a_non_chain_map():
@@ -351,6 +361,6 @@ def test_induced_rank_rejects_a_non_chain_map():
     d_src = {0: {1: 1}, 1: {}}
     d_tgt = {2: {}, 3: {}}
     f = {0: {}, 1: {3: 1}}
-    block_of = {0: (0, 0), 1: (2, 1), 2: (2, 1), 3: (4, 0)}
+    target = (f, d_tgt, {(0, 0): [2], (2, 1): [3]}, {(0, 0), (2, 1)})
     with pytest.raises(LinearAlgebraError, match=r"not a chain map: \(f o d - d o f\)\(0\)"):
-        linalg.induced_map_on_homology(f, d_src, d_tgt, block_of, (0, 2))
+        linalg.induced_map_on_homology(d_src, {(0, 0): [0], (2, 1): [1]}, {(0, 0): 1}, [target])
