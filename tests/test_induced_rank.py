@@ -59,9 +59,9 @@ def _compose(outer: dict, inner: dict, keys) -> dict:
 def _conjugate(rng, cols: dict, block_of: dict, maps_in: list, maps_out: list, moves: int):
     """Change basis by random elementary moves inside the blocks, in place.
 
-    The move e_i -> e_i + c e_j (i, j in one block) is the matrix T = I - c e_ij
-    on coordinates: cols becomes T cols T^-1, each map into the complex T f,
-    and each map out of it f T^-1.
+    The move e_j -> e_j + c e_i (i, j in one block) changes coordinates by
+    T = I - c e_ij: cols becomes T cols T^-1, each map into the complex
+    T f, and each map out of it f T^-1.
     """
     keys = list(cols)
     for _ in range(moves if keys else 0):
