@@ -83,9 +83,10 @@ def check_lattice_slots(slots: int):
 def bent_differential(K: KnotComplex, s: int) -> dict:
     """Differential applying d+ above the (true-unit) level s, d+ + d- at it, d- below.
 
-    Integer columns over generator positions, read from ``K.integer_maps``
-    (both maps times one LCM), so a nonzero multiple of the true one.  A
-    column off the bend is the model's own, not a copy.
+    Integer columns over generator positions, read from ``K.integer_maps``,
+    each map times its own LCM: conjugate to a nonzero multiple of the true
+    one by a change of basis that keeps every block (see there).  A column
+    off the bend is the model's own, not a copy.
     """
     P, M = K.integer_maps
     s2 = 2 * s

@@ -14,11 +14,11 @@ from math import lcm
 from typing import Iterable, NamedTuple, Optional
 
 from .linalg import (
-    Echelon,
     GradedSpace,
     Generator,
     SparseExactMap,
     apply,
+    block_ranks,
     homology,
     quotient,
     sparse_map,
@@ -58,14 +58,15 @@ MAX_MODEL_DIM = 10 ** 4
 
 # Largest explicit spec, checked by ``parse_knot_spec`` before any map is
 # built: the d+ and d- entries together, and the bits of each map's
-# integers in ``validate``'s pass (the LCM of the map's denominators, and
-# every entry scaled by it).  Dense rational input is what costs: ranking a
+# integers in ``KnotComplex.integer_maps`` (the LCM of the map's
+# denominators, and every entry scaled by it), which validation and the
+# level table both rank.  Dense rational input is what costs: ranking a
 # dense block takes about (block size)^3 operations on integers that grow
 # to about (block size) x (entry bits).  On a 2-vCPU host the slowest input
 # measured at both limits, one dense full-rank 70 x 70 block of 64-bit
-# entries, validates in 2.6 s; a random dense map that fails a structural
-# check is never ranked, and takes 0.1 s.  A model given in the thin form
-# is bounded by MAX_MODEL_DIM alone.
+# entries, validates in 2.0-2.4 s; a random dense map that fails a
+# structural check is never ranked, and takes 0.1 s.  A model given in the
+# thin form is bounded by MAX_MODEL_DIM alone.
 MAX_SPEC_ENTRIES = 5000
 MAX_SPEC_BITS = 64
 
@@ -130,22 +131,37 @@ class _ModelFields(NamedTuple):
 class KnotComplex(_ModelFields):
     # Derived state, computed on first use and kept in the instance __dict__
     # that this subclass adds (not fields, so equality and hashing see only
-    # the fields above): the validation report, the integer maps and the
-    # level table that the cone oracles read, and the mirror.
+    # the fields above): the integer maps that validation and the level
+    # table read, the validation report, the level table that the cone
+    # oracles read, and the mirror.
     @cached_property
     def integer_maps(self) -> tuple:
-        """(d+, d-) times one LCM of all their denominators: {position: {position: int}}.
+        """(d+, d-) as integer columns {position: {position: int}}, each map times its own LCM.
 
-        A position is a generator's place in the space.  The level table
-        ranks the bent complexes and their cones on these; one scale for
-        both keeps the bent differential a multiple of the true one.
+        A position is a generator's place in the space, and a map's scale is
+        the LCM of its entry denominators; an integral ``Fraction`` entry
+        becomes an int.  This is the one integer form of a model: ``validate``
+        forms its compositions and ranks its blocks on it, and the level table
+        ranks the bent complexes and their cones on it.  A nonzero scale of
+        one map changes no zero test and no rank.  Scaled by a and b, the two
+        maps are conjugate by the diagonal change of basis x -> lambda^(alex(x)/2) x,
+        with lambda^2 = a/b, to sqrt(ab) times the true ones: a d+ + b d-
+        becomes sqrt(ab) (d+ + d-), and so does each bent differential.  That
+        change keeps every (grading, z2) block and commutes with the
+        projections onto gradings, so no block rank and no level shape
+        changes.  So each map keeps its own scale, and every integer here is
+        one that ``parse_knot_spec`` bounds by MAX_SPEC_BITS.
         """
-        maps = self.d_plus, self.d_minus
-        scale = lcm(*(v.denominator for d in maps for _, _, v in d.entries if type(v) is not int))
         at = {gid: i for i, gid in enumerate(self.space.ids)}
-        return tuple({at[src]: {at[tgt]: v.numerator * (scale // v.denominator)
-                                for tgt, v in col.items()} for src, col in d._cols.items()}
-                     for d in maps)
+        maps = []
+        for d in (self.d_plus, self.d_minus):
+            scale = lcm(*(v.denominator for _, _, v in d.entries if type(v) is not int))
+            cols: dict = {i: {} for i in range(len(at))}
+            for tgt, src, v in d.entries:
+                cols[at[src]][at[tgt]] = (v * scale if type(v) is int
+                                          else v.numerator * (scale // v.denominator))
+            maps.append(cols)
+        return tuple(maps)
 
     @cached_property
     def report(self) -> "ValidationReport":
@@ -388,12 +404,12 @@ class ValidationReport(NamedTuple):
 def validate(K: KnotComplex) -> ValidationReport:
     """Check every invariant; collects violations, never raises.
 
-    One pass over the generators, block by block (see ``_one_pass``), forms
-    d+ d+, d- d-, d+ d- and d- d+ once per generator, in integers, and ranks
-    the blocks unless a check has failed.  The structural checks report in
-    a fixed order: d+^2, d-^2, the grading shifts, anticommutation,
-    symmetric graded dimensions, the genus bounds and the Euler
-    characteristic; any fault there ends the report.  dim H(d-) and dim
+    One pass over the generators (see ``_one_pass``) forms d+ d+, d- d-,
+    d+ d- and d- d+ once per generator on ``K.integer_maps``, and after it
+    the blocks are ranked unless a check has failed.  The structural checks
+    report in a fixed order: d+^2, d-^2, the grading shifts,
+    anticommutation, symmetric graded dimensions, the genus bounds and the
+    Euler characteristic; any fault there ends the report.  dim H(d-) and dim
     H(d+) are read from the block ranks by ``linalg.homology``.  Both must
     be 1, and tau is the grading of the one block where H(d-) lives.  No
     class representative is formed.  The squares are counted from the
@@ -439,7 +455,7 @@ def validate(K: KnotComplex) -> ValidationReport:
 
     blocks = _blocks(K)
     bad, ranks = _one_pass(K, blocks, rank=not (shifts or rest))
-    first = [next(gid for gid in sp.ids if gid in ids) if ids else None for ids in bad]
+    first = [sp.ids[min(positions)] if positions else None for positions in bad]
     for label, gid in zip(("d+", "d-"), first):
         if gid is not None:
             violations.append(f"{label}^2 != 0 (witness {gid})")
@@ -450,7 +466,7 @@ def validate(K: KnotComplex) -> ValidationReport:
 
     if violations:
         return ValidationReport(violations)
-    sizes = {block: len(ids) for block, ids in blocks.items()}
+    sizes = {block: len(positions) for block, positions in blocks.items()}
     homology_blocks = homology(sizes, ranks[0], -2), homology(sizes, ranks[1], 2)  # d-, d+
     hm_dim, hp_dim = (sum(h.values()) for h in homology_blocks)
     if hp_dim != 1 or hm_dim != 1:
@@ -470,65 +486,40 @@ def validate(K: KnotComplex) -> ValidationReport:
 
 
 def _blocks(K: KnotComplex) -> dict:
-    """{(doubled grading, z2): generator ids of that block, in model order}."""
+    """{(doubled grading, z2): positions of that block's generators, in model order}."""
     blocks: dict = {}
-    for g in K.space.generators:
-        blocks.setdefault((g.alex, g.z2), []).append(g.gid)
+    for i, g in enumerate(K.space.generators):
+        blocks.setdefault((g.alex, g.z2), []).append(i)
     return blocks
 
 
-def _integer_columns(d: SparseExactMap) -> dict:
-    """The columns {source id: {target id: int}} of d scaled by the LCM of its entry denominators.
-
-    A nonzero scale changes no zero test and no rank.  A map whose entries
-    are all ``int`` keeps its own columns, which nothing here changes; an
-    integral ``Fraction`` is made an int like any other entry.
-    """
-    denominators = [v.denominator for _, _, v in d.entries if type(v) is not int]
-    if not denominators:
-        return d._cols
-    scale = lcm(*denominators)
-    return {src: {tgt: v.numerator * (scale // v.denominator) for tgt, v in col.items()}
-            for src, col in d._cols.items()}
-
-
 def _one_pass(K: KnotComplex, blocks: dict, rank: bool) -> tuple:
-    """The generators where d+ d+, d- d- and d+ d- + d- d+ are nonzero, and the block ranks.
+    """The positions where d+ d+, d- d- and d+ d- + d- d+ are nonzero, and the block ranks.
 
-    Each map is taken as integer columns (``_integer_columns``), and the four
-    compositions are formed once per generator, block by block.  Unless
-    ``rank`` is false, each block's images under d-, d+ and d+ d- are ranked
-    as soon as the block is done, and dropped; once a composition has shown
-    a fault, no block is ranked, since a model at fault has no use for its
-    ranks and a dense one may take long to rank.  Returns (three sets of
-    generator ids, ({block: rank of d- out of it}, {block: rank of d+ out
-    of it}, {block: rank of d+ d- on it})), blocks of rank 0 left out.
+    The four compositions are formed once per generator on ``K.integer_maps``.
+    After the pass, unless ``rank`` is false or a composition has shown a
+    fault, ``linalg.block_ranks`` ranks the images of each block under d-,
+    d+ and d+ d-: a model at fault has no use for its ranks, and a dense
+    one may take long to rank.  Returns (three sets of positions, ({block:
+    rank of d- out of it}, {block: rank of d+ out of it}, {block: rank of
+    d+ d- on it})), blocks of rank 0 left out.
     """
-    P, M = _integer_columns(K.d_plus), _integer_columns(K.d_minus)
+    P, M = K.integer_maps
     bad = plus_square, minus_square, anticommute = set(), set(), set()
-    ranks = ({}, {}, {})
-    for block, ids in blocks.items():
-        images = minus, plus, squares = [], [], []
-        for gid in ids:
-            p, m = P[gid], M[gid]
-            if apply(P, p):
-                plus_square.add(gid)
-            if apply(M, m):
-                minus_square.add(gid)
-            pm, mp = apply(P, m), apply(M, p)
-            if (pm or mp) and (len(pm) != len(mp) or any(mp.get(r) != -c for r, c in pm.items())):
-                anticommute.add(gid)
-            if m:
-                minus.append(m)
-            if p:
-                plus.append(p)
-            if pm:
-                squares.append(pm)
-        if rank and not any(bad):
-            for out, vectors in zip(ranks, images):
-                if vectors:
-                    out[block] = 1 if len(vectors) == 1 else Echelon().reduce(vectors)
-    return bad, ranks
+    squares = {}
+    for i in range(K.dim):
+        p, m = P[i], M[i]
+        if apply(P, p):
+            plus_square.add(i)
+        if apply(M, m):
+            minus_square.add(i)
+        pm, mp = apply(P, m), apply(M, p)
+        if (pm or mp) and (len(pm) != len(mp) or any(mp.get(r) != -c for r, c in pm.items())):
+            anticommute.add(i)
+        squares[i] = pm
+    if not rank or any(bad):
+        return bad, ({}, {}, {})
+    return bad, tuple(block_ranks(cols, blocks) for cols in (M, P, squares))
 
 
 def decompose(K: KnotComplex) -> Decomposition:
@@ -589,7 +580,7 @@ def _check_genus(genus: int, what: str):
 
 
 def _check_scaled_bits(key: str, values: list):
-    """ModelError unless a map's scale and scaled entries (see ``_integer_columns``) fit MAX_SPEC_BITS."""
+    """ModelError unless a map's scale and its integers in ``KnotComplex.integer_maps`` fit."""
     scale = 1
     for v in values:
         if type(v) is not int and (scale := lcm(scale, v.denominator)).bit_length() > MAX_SPEC_BITS:

@@ -217,7 +217,10 @@ def block_ranks(cols: dict, blocks: dict) -> dict:
     """
     out = {}
     for block, keys in blocks.items():
-        vectors = [col for key in keys if (col := cols[key])]
+        vectors = []
+        for key in keys:
+            if col := cols[key]:
+                vectors.append(col)
         if vectors:
             out[block] = 1 if len(vectors) == 1 else Echelon().reduce(vectors)
     return out

@@ -11,6 +11,7 @@ from knotsurgery.crosscheck import PATHWAYS
 from knotsurgery.knotcx import (
     MAX_MODEL_DIM,
     MAX_MODEL_GENUS,
+    MAX_SPEC_BITS,
     ModelError,
     SquareSpec,
     StaircaseSpec,
@@ -474,6 +475,28 @@ def test_explicit_spec_at_the_limits_is_accepted():
     for values in ([[2 ** 63, 1]], [[1, 2 ** 32], [3 ** 20, 3 ** 20 + 1]]):
         spec = _explicit_with_coefficients(values)
         assert decompose(parse_knot_spec(spec)) == (0, {(0, -1): 3})
+
+
+def test_maps_of_different_scales_stay_within_the_bit_limit(tmp_path, capsys):
+    # staircase(1) with d+ times 2^60 and d- times 3^-38: each map fits MAX_SPEC_BITS
+    # on its own scale, while one LCM of both would be 2^60 3^38, of 121 bits
+    spec = {"name": "scaled-staircase", "genus": 1, "tau": 1,
+            "generators": [{"id": "a1", "alex": -1, "z2": 0}, {"id": "a2", "alex": 0, "z2": 1},
+                           {"id": "a3", "alex": 1, "z2": 0}],
+            "d_plus": [["a2", "a3", 2 ** 60, 1]], "d_minus": [["a2", "a1", 1, 3 ** 38]]}
+    K = parse_knot_spec(spec)
+    assert decompose(K) == (1, {})
+    assert all(abs(c).bit_length() <= MAX_SPEC_BITS
+               for cols in K.integer_maps for col in cols.values() for c in col.values())
+    path = tmp_path / "scaled.json"
+    path.write_text(json.dumps(spec))
+    code, out, err = run(capsys, "surgery", "--spec", str(path), "--slope", "1", "--slope", "-1",
+                         "--compare", "--json")
+    assert code == 0 and not err
+    results = {r["slope"]: r for r in json.loads(out)["results"]}
+    assert {slope: r["values"]["decomposition"] for slope, r in results.items()} == \
+        {"1/1": 1, "-1/1": 3}
+    assert all(r["agree"] for r in results.values())
 
 
 def test_compare_hits_the_level_table_limit(tmp_path, capsys):

@@ -42,19 +42,19 @@ def mirror_t25():
 def _bent_differential_by_scan(K, s):
     """One scan of all entries per generator, kept as the reference for the index.
 
-    Returns {source id: {target id: coefficient}} times the one LCM of the
-    denominators of d+ and d- that ``bent_differential`` scales by.
+    Returns {source id: {target id: coefficient}}, d+ and d- each times the
+    LCM of its own denominators, as ``bent_differential`` scales them.
     """
     from math import lcm
-    scale = lcm(*(v.denominator for d in (K.d_plus, K.d_minus) for _, _, v in d.entries))
+    plus, minus = ((d.entries, lcm(*(v.denominator for _, _, v in d.entries)))
+                   for d in (K.d_plus, K.d_minus))
     cols = {}
     for g in K.space.generators:
         k = g.alex - 2 * s
         col = cols[g.gid] = {}
-        if k >= 0:
-            col.update((t, v * scale) for t, src, v in K.d_plus.entries if src == g.gid)
-        if k <= 0:
-            col.update((t, v * scale) for t, src, v in K.d_minus.entries if src == g.gid)
+        for (entries, scale), on in ((plus, k >= 0), (minus, k <= 0)):
+            if on:
+                col.update((t, v * scale) for t, src, v in entries if src == g.gid)
     return cols
 
 
@@ -271,9 +271,9 @@ def test_pi_maps_checks_each_projection_is_a_chain_map():
     # (at -2, below the bend) is that column, which the low projection
     # kills, while d- of the projected a1 is not zero
     K = build_staircase(2)
+    assert K.report.ok  # validated before its integer maps are corrupted
     P, M = K.integer_maps
     K.__dict__["integer_maps"] = P, {**M, 0: {2: 1}}
-    assert K.report.ok  # validation reads the model's own maps
     with pytest.raises(LinearAlgebraError, match=r"not a chain map: \(f o d - d o f\)\(0\)"):
         pi_maps(K, -1)
     with pytest.raises(LinearAlgebraError, match="not a chain map"):

@@ -48,7 +48,7 @@ def test_sparse_map_stores_integral_values_as_ints():
 
 
 def _coefficients(K):
-    """Every coefficient K keeps: its maps and, once the level table has read them, its integer maps."""
+    """Every coefficient K keeps: its maps and, once validation has built them, its integer maps."""
     for d in (K.d_plus, K.d_minus):
         yield from (v for _, _, v in d.entries)
     if "integer_maps" in K.__dict__:

@@ -12,6 +12,8 @@ only true division in ``linalg`` is the one inside its exact ``quotient``.
 ``crosscheck.pathway_values``.  No library module forms a homology class
 or its representative: the level table is read off integer ranks, and the
 homology with representatives is the tests' oracle (``level_oracle``).
+No library module but ``linalg`` reads a map's column index ``_cols``: a
+model's one integer form is ``KnotComplex.integer_maps``.
 """
 import ast
 import graphlib
@@ -188,3 +190,23 @@ def test_the_check_finds_a_class_representative():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_module_forms_a_class_representative(path):
     assert representative_names(path.read_text()) == set()
+
+
+def column_index_reads(source: str) -> list:
+    """Lines of ``source`` that name ``_cols``, a ``SparseExactMap``'s column index."""
+    return sorted({node.lineno for node in ast.walk(ast.parse(source))
+                   if isinstance(node, ast.Attribute) and node.attr == "_cols"
+                   or isinstance(node, ast.Constant) and node.value == "_cols"})
+
+
+def test_the_check_finds_a_column_index_read():
+    source = ("P = K.d_plus._cols\n"
+              "M = getattr(K.d_minus, '_cols')\n"
+              "cols = K.integer_maps\n")
+    assert column_index_reads(source) == [1, 2]
+
+
+@pytest.mark.parametrize("path", [p for p in sorted(SRC.glob("*.py")) if p.name != "linalg.py"],
+                         ids=lambda p: p.name)
+def test_only_linalg_reads_the_column_index(path):
+    assert column_index_reads(path.read_text()) == []

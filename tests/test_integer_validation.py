@@ -6,28 +6,38 @@ form the four compositions once per generator in integers, and by
 lists must be equal, in order, and a valid model's decompositions must be
 equal.  The models are thin models, per-component and whole-space
 scrambles of them with denominators up to 10^6, and broken variants.
+Both read ``K.integer_maps``, each map times its own LCM: every accepted
+spec keeps those integers within MAX_SPEC_BITS, and a separate scale on
+each map changes no report and no level shape.
 """
+import json
 import random
 from collections import Counter
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from knotsurgery import knotcx
+from knotsurgery import cone, knotcx
 from knotsurgery.catalog import get_knot, thin_catalog
 from knotsurgery.cone import surgery_dim
 from knotsurgery.knotcx import (
+    MAX_SPEC_BITS,
     KnotComplex,
+    ModelError,
     SquareSpec,
     StaircaseSpec,
     assemble,
     decompose,
+    knot_spec_dict,
     mirror,
+    parse_knot_spec,
     validate,
 )
 from knotsurgery.linalg import SparseExactMap, space, sparse_map
 from knot_helpers import half_level_squares_model
+from test_level_table import models
 from test_properties import _broken, _paired_squares, random_thin_models, scramble
 from validation_oracle import decompose_rational, validate_rational
 
@@ -126,27 +136,21 @@ def _entry_types(d) -> list:
     return [(t, s, v, type(v)) for t, s, v in d.entries]
 
 
-def _counted_pass(monkeypatch):
-    """Records every composition the pass forms as (outer map, inner map, generator).
+def _counted_pass(monkeypatch, K):
+    """Records every composition the pass forms as (outer map, inner map, generator id).
 
-    The maps are "+" and "-", read off the integer columns that
-    ``_integer_columns`` returned for d+ and for d- (in that order).
+    The maps are "+" and "-", read off the columns of ``K.integer_maps``.
     """
-    columns, formed = [], []
-    integer_columns, apply = knotcx._integer_columns, knotcx.apply
-
-    def spy_columns(d):
-        columns.append(integer_columns(d))
-        return columns[-1]
+    formed = []
+    P, M = K.integer_maps
+    apply = knotcx.apply
 
     def spy_apply(cols, vec):
-        P, M = columns[-2:]
-        inner = next((label, gid) for label, own in (("+", P), ("-", M))
-                     for gid, col in own.items() if col is vec)
+        inner = next((label, K.space.ids[i]) for label, own in (("+", P), ("-", M))
+                     for i, col in own.items() if col is vec)
         formed.append(("+" if cols is P else "-",) + inner)
         return apply(cols, vec)
 
-    monkeypatch.setattr(knotcx, "_integer_columns", spy_columns)
     monkeypatch.setattr(knotcx, "apply", spy_apply)
     return formed
 
@@ -156,7 +160,7 @@ def test_validate_forms_each_composition_once_and_decompose_none(monkeypatch, ra
     K = assemble(StaircaseSpec(2), _paired_squares([(0, 1), (1, -1)]))
     if rational:
         K = scramble(K, random.Random(5), whole_space=True, max_denominator=10 ** 6)
-    formed = _counted_pass(monkeypatch)
+    formed = _counted_pass(monkeypatch, K)
     assert K.report.ok
     want = Counter((outer, inner, gid) for outer in "+-" for inner in "+-" for gid in K.space.ids)
     assert Counter(formed) == want
@@ -176,6 +180,9 @@ def test_maps_of_integral_fractions_validate_like_int_maps():
     F = K._replace(d_plus=fractions(K.d_plus), d_minus=fractions(K.d_minus))
     assert all(type(v) is Fraction for d in (F.d_plus, F.d_minus) for _, _, v in d.entries)
     assert validate(F) == validate(K) and validate(F).ok
+    assert F.integer_maps == K.integer_maps
+    assert all(type(c) is int for cols in F.integer_maps for col in cols.values()
+               for c in col.values())
     assert decompose(F) == decompose(K) == (1, {(0, 1): 2, (0, -1): 1, (1, 1): 1, (-1, 1): 1})
     assert surgery_dim(F, 1, 1).dimension == surgery_dim(K, 1, 1).dimension == 11
 
@@ -191,6 +198,54 @@ def test_scaling_leaves_the_maps_untouched():
     assert [d._cols for d in (K.d_plus, K.d_minus)] == columns
     for d in (K.d_plus, K.d_minus):
         assert all(type(v) is (int if v.denominator == 1 else Fraction) for _, _, v in d.entries)
-    # integral entries keep their own columns
+    # integral maps keep their own entries, by position
     T = get_knot("t2_7")
-    assert knotcx._integer_columns(T.d_plus) is T.d_plus._cols
+    at = {gid: i for i, gid in enumerate(T.space.ids)}
+    for d, cols in zip((T.d_plus, T.d_minus), T.integer_maps):
+        scaled = sorted((j, i, c) for i, col in cols.items() for j, c in col.items())
+        assert scaled == sorted((at[t], at[s], v) for t, s, v in d.entries)
+
+
+def _bits(K: KnotComplex) -> int:
+    """The most bits of any integer in ``K.integer_maps``."""
+    return max((abs(c).bit_length() for cols in K.integer_maps for col in cols.values()
+                for c in col.values()), default=0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(-3, 3),
+       st.lists(st.tuples(st.integers(0, 2), st.sampled_from((-1, 1))), max_size=3),
+       st.booleans(), st.sampled_from((3, 1000, 10 ** 6)), st.integers(0, 2 ** 32))
+def test_accepted_specs_keep_their_integer_maps_within_the_bit_limit(tau, picked, whole_space,
+                                                                     max_denominator, seed):
+    """A scramble either comes back from its spec exactly, every integer the library
+    ranks within MAX_SPEC_BITS, or is refused naming that limit."""
+    K = scramble(assemble(StaircaseSpec(tau), _paired_squares(picked)), random.Random(seed),
+                 whole_space=whole_space, max_denominator=max_denominator)
+    for M in (K, mirror(K)):
+        try:
+            back = parse_knot_spec(json.loads(json.dumps(knot_spec_dict(M))))
+        except ModelError as exc:
+            assert "MAX_SPEC_BITS" in str(exc)
+            continue
+        assert (back.d_plus, back.d_minus) == (M.d_plus, M.d_minus)
+        assert _bits(back) <= MAX_SPEC_BITS
+
+
+def _scaled(K: KnotComplex, a: int, b: int) -> KnotComplex:
+    """K with d+ times a and d- times b."""
+    sp = K.space
+    return K._replace(**{key: sparse_map(sp, sp, [(t, s, v * c) for t, s, v in d.entries])
+                         for key, d, c in (("d_plus", K.d_plus, a), ("d_minus", K.d_minus, b))})
+
+
+@settings(max_examples=60, deadline=None)
+@given(models(), st.tuples(st.integers(-50, 50), st.integers(-50, 50)).filter(
+    lambda ab: ab[0] != ab[1] and gcd(*ab) == 1 and 0 not in ab))
+def test_a_scale_on_each_map_changes_no_report_and_no_level(K, scales):
+    """d+ times a and d- times b, coprime and different, as two scales of the integer maps are."""
+    S = _scaled(K, *scales)
+    assert validate(S) == validate(K)
+    assert decompose(S) == decompose(K)
+    for s in range(-K.genus - 1, K.genus + 2):
+        assert cone.pi_maps(S, s) == cone.pi_maps(K, s), (K.name, scales, s)
