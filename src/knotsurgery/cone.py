@@ -63,10 +63,10 @@ MAX_LATTICE_SLOTS = 5 * 10 ** 5
 # new level: (levels not yet in K.levels) x K.dim.  A level costs one
 # build of its bent complex with its block ranks, a chain-map check of each
 # projection on every generator and one small elimination per projection:
-# 4-6 us per generator on a 2-vCPU host for staircases and square-rich
-# thin models, 0.3 ms on a dense whole-space rational scramble of 171
+# 3-5 us per generator on a 2-vCPU host for staircases and square-rich
+# thin models, 0.2 ms on a dense whole-space rational scramble of 167
 # generators.  ``--compare`` at slope 1 on a 9959-generator model of genus
-# 10 (189221 cells) takes 0.7-1.1 s there.  Every level of
+# 10 (189221 cells) takes 0.7-1.0 s there.  Every level of
 # staircase(200), the largest genus a spec may declare, is 403 x 401 =
 # 161603 cells.  ``surgery_dim`` and ``zero_surgery_dims`` read no level,
 # so the limit binds only ``--compare`` and the oracles.
@@ -98,15 +98,16 @@ def _bent_complex(K: KnotComplex, s: int) -> tuple:
     """(columns, blocks, ranks, class count) of the bent complex at level s.
 
     blocks lists the positions of each block (|alex - 2s|, z2), which the
-    bent differential raises by 2 with z2 flipped; ranks is its rank out of
+    bent differential raises by 2 with z2 flipped: ``K.blocks`` re-keyed,
+    the two model blocks at alex = 2s +- k joined.  ranks is its rank out of
     each block, and the class count is dim H summed over the blocks.  This
     is the one build of a level's bent complex, which ``bent_homology`` and
     ``pi_maps`` share.
     """
     bent, s2 = bent_differential(K, s), 2 * s
     blocks: dict = {}
-    for i, g in enumerate(K.space.generators):
-        blocks.setdefault((abs(g.alex - s2), g.z2), []).append(i)
+    for (a, z), positions in K.blocks.items():
+        blocks.setdefault((abs(a - s2), z), []).extend(positions)
     ranks = block_ranks(bent, blocks)
     sizes = {block: len(keys) for block, keys in blocks.items()}
     return bent, blocks, ranks, sum(homology(sizes, ranks, 2).values())
@@ -128,7 +129,8 @@ def pi_maps(K: KnotComplex, s: int) -> tuple:
     block where its target's homology lives, reusing the bent block ranks
     that gave n.  The targets are (C, d-) graded by 2s - alex and (C, d+)
     by alex - 2s, z2 kept, so that each projection keeps the block, on the
-    model's own positions and columns.  H(d-) and H(d+) are one block each
+    model's own positions and columns; their blocks are ``K.blocks``
+    re-keyed one to one.  H(d-) and H(d+) are one block each
     (``K.report.homology_blocks``).  When those blocks differ at level s
     the pair's rank is the sum of the parts', so the pair is eliminated
     only where they meet.  Nothing here reads d+ d-, so the table stays
@@ -139,13 +141,10 @@ def pi_maps(K: KnotComplex, s: int) -> tuple:
     P, M = K.integer_maps
     h_minus, h_plus = K.report.homology_blocks
     s2 = 2 * s
-    low, high, minus_blocks, plus_blocks = {}, {}, {}, {}
-    for i, g in enumerate(K.space.generators):
-        k = g.alex - s2
-        low[i] = {i: 1} if k <= 0 else {}
-        high[i] = {i: 1} if k >= 0 else {}
-        minus_blocks.setdefault((-k, g.z2), []).append(i)
-        plus_blocks.setdefault((k, g.z2), []).append(i)
+    low = {i: {i: 1} if g.alex <= s2 else {} for i, g in enumerate(K.space.generators)}
+    high = {i: {i: 1} if g.alex >= s2 else {} for i, g in enumerate(K.space.generators)}
+    minus_blocks = {(s2 - a, z): positions for (a, z), positions in K.blocks.items()}
+    plus_blocks = {(a - s2, z): positions for (a, z), positions in K.blocks.items()}
     at_minus = {(s2 - a, z) for a, z in h_minus}
     at_plus = {(a - s2, z) for a, z in h_plus}
     minus, plus = (low, M, minus_blocks, at_minus), (high, P, plus_blocks, at_plus)

@@ -131,9 +131,20 @@ class _ModelFields(NamedTuple):
 class KnotComplex(_ModelFields):
     # Derived state, computed on first use and kept in the instance __dict__
     # that this subclass adds (not fields, so equality and hashing see only
-    # the fields above): the integer maps that validation and the level
-    # table read, the validation report, the level table that the cone
-    # oracles read, and the mirror.
+    # the fields above): the block index and the integer maps that
+    # validation and the level table read, the validation report, the level
+    # table that the cone oracles read, and the mirror.
+    @cached_property
+    def blocks(self) -> dict:
+        """{(doubled grading, z2): positions of that block's generators, in model order}.
+
+        ``validate`` ranks on it, and each level of the cone re-keys it.
+        """
+        blocks: dict = {}
+        for i, g in enumerate(self.space.generators):
+            blocks.setdefault((g.alex, g.z2), []).append(i)
+        return blocks
+
     @cached_property
     def integer_maps(self) -> tuple:
         """(d+, d-) as integer columns {position: {position: int}}, each map times its own LCM.
@@ -270,8 +281,8 @@ def build_square(s: int, sign: int, prefix: str = "q") -> dict:
 
 
 def assemble(staircase: StaircaseSpec, squares: Iterable[SquareSpec],
-             name: Optional[str] = None, delta: Optional[Poly] = None) -> KnotComplex:
-    """Direct sum of one staircase and any number of squares."""
+             name: Optional[str] = None) -> KnotComplex:
+    """Direct sum of one staircase and any number of squares, with their polynomial attached."""
     squares = list(squares)
     frag = staircase_fragment(staircase.l)
     gens = list(frag["generators"])
@@ -284,12 +295,11 @@ def assemble(staircase: StaircaseSpec, squares: Iterable[SquareSpec],
         dminus.extend(f["d_minus"])
     sp = space(gens)
     g = max([abs(staircase.l)] + [abs(sq.s) + 1 for sq in squares])
-    if delta is None:
-        delta = staircase_polynomial(staircase.l)
-        for sq in squares:
-            for p, c in {sq.s + 1: sq.sign, sq.s: -2 * sq.sign, sq.s - 1: sq.sign}.items():
-                delta[p] = delta.get(p, 0) + c
-        delta = {p: c for p, c in delta.items() if c}
+    delta = staircase_polynomial(staircase.l)
+    for sq in squares:
+        for p, c in {sq.s + 1: sq.sign, sq.s: -2 * sq.sign, sq.s - 1: sq.sign}.items():
+            delta[p] = delta.get(p, 0) + c
+    delta = {p: c for p, c in delta.items() if c}
     return KnotComplex(sp, sparse_map(sp, sp, dplus), sparse_map(sp, sp, dminus),
                        genus=g, tau=staircase.l, meta=_meta(name, delta))
 
@@ -345,13 +355,10 @@ def thin_decomposition(delta: Poly, tau: int) -> tuple:
 
 
 def thin_from_alexander(delta, tau: int, name: Optional[str] = None) -> KnotComplex:
-    """Model determined by a symmetric Alexander polynomial and tau."""
+    """Model of a symmetric Alexander polynomial and tau (``assemble`` attaches it, normalised)."""
     if not isinstance(delta, dict):
         delta = poly_from_pairs(delta)
-    stair, squares = thin_decomposition(delta, tau)
-    at_one = sum(delta.values())
-    normalized = delta if at_one == 1 else {p: -c for p, c in delta.items()}
-    return assemble(stair, squares, name=name, delta=normalized)
+    return assemble(*thin_decomposition(delta, tau), name=name)
 
 
 def mirror(K: KnotComplex) -> KnotComplex:
@@ -405,17 +412,19 @@ def validate(K: KnotComplex) -> ValidationReport:
     """Check every invariant; collects violations, never raises.
 
     One pass over the generators (see ``_one_pass``) forms d+ d+, d- d-,
-    d+ d- and d- d+ once per generator on ``K.integer_maps``, and after it
-    the blocks are ranked unless a check has failed.  The structural checks
-    report in a fixed order: d+^2, d-^2, the grading shifts,
-    anticommutation, symmetric graded dimensions, the genus bounds and the
-    Euler characteristic; any fault there ends the report.  dim H(d-) and dim
-    H(d+) are read from the block ranks by ``linalg.homology``.  Both must
-    be 1, and tau is the grading of the one block where H(d-) lives.  No
-    class representative is formed.  The squares are counted from the
-    d+ d- ranks (see ``decompose``), and the dimension must be 2 |tau| + 1 +
-    4k for their number k, which the structure theorem there guarantees.  A
-    clean report keeps the decomposition and the blocks of H(d-) and H(d+).
+    d+ d- and d- d+ once per generator on ``K.integer_maps``.  The
+    structural checks report in a fixed order: d+^2, d-^2, the grading
+    shifts, anticommutation, symmetric graded dimensions, the genus bounds
+    and the Euler characteristic; any fault there ends the report before a
+    block is ranked, since a dense model may take long to rank.  Otherwise
+    ``linalg.block_ranks`` ranks the d-, d+ and d+ d- images of each block
+    of ``K.blocks``, and ``linalg.homology`` reads dim H(d-) and dim H(d+)
+    off those ranks.  Both must be 1, and tau is the grading of the one
+    block where H(d-) lives.  No class representative is formed.  The
+    squares are counted from the d+ d- ranks (see ``decompose``), and the
+    dimension must be 2 |tau| + 1 + 4k for their number k, which the
+    structure theorem there guarantees.  A clean report keeps the
+    decomposition and the blocks of H(d-) and H(d+).
     """
     violations = []
     sp = K.space
@@ -453,8 +462,7 @@ def validate(K: KnotComplex) -> ValidationReport:
         if chi != delta and neg != delta:
             rest.append("graded Euler characteristic does not match the attached polynomial")
 
-    blocks = _blocks(K)
-    bad, ranks = _one_pass(K, blocks, rank=not (shifts or rest))
+    bad, squares = _one_pass(K)
     first = [sp.ids[min(positions)] if positions else None for positions in bad]
     for label, gid in zip(("d+", "d-"), first):
         if gid is not None:
@@ -466,7 +474,9 @@ def validate(K: KnotComplex) -> ValidationReport:
 
     if violations:
         return ValidationReport(violations)
-    sizes = {block: len(positions) for block, positions in blocks.items()}
+    P, M = K.integer_maps
+    ranks = [block_ranks(cols, K.blocks) for cols in (M, P, squares)]
+    sizes = {block: len(positions) for block, positions in K.blocks.items()}
     homology_blocks = homology(sizes, ranks[0], -2), homology(sizes, ranks[1], 2)  # d-, d+
     hm_dim, hp_dim = (sum(h.values()) for h in homology_blocks)
     if hp_dim != 1 or hm_dim != 1:
@@ -485,24 +495,11 @@ def validate(K: KnotComplex) -> ValidationReport:
     return ValidationReport([], Decomposition(K.tau, squares), homology_blocks)
 
 
-def _blocks(K: KnotComplex) -> dict:
-    """{(doubled grading, z2): positions of that block's generators, in model order}."""
-    blocks: dict = {}
-    for i, g in enumerate(K.space.generators):
-        blocks.setdefault((g.alex, g.z2), []).append(i)
-    return blocks
-
-
-def _one_pass(K: KnotComplex, blocks: dict, rank: bool) -> tuple:
-    """The positions where d+ d+, d- d- and d+ d- + d- d+ are nonzero, and the block ranks.
+def _one_pass(K: KnotComplex) -> tuple:
+    """The positions where d+ d+, d- d- and d+ d- + d- d+ are nonzero, and the d+ d- columns.
 
     The four compositions are formed once per generator on ``K.integer_maps``.
-    After the pass, unless ``rank`` is false or a composition has shown a
-    fault, ``linalg.block_ranks`` ranks the images of each block under d-,
-    d+ and d+ d-: a model at fault has no use for its ranks, and a dense
-    one may take long to rank.  Returns (three sets of positions, ({block:
-    rank of d- out of it}, {block: rank of d+ out of it}, {block: rank of
-    d+ d- on it})), blocks of rank 0 left out.
+    Returns (three sets of positions, {position: d+ d- of that generator}).
     """
     P, M = K.integer_maps
     bad = plus_square, minus_square, anticommute = set(), set(), set()
@@ -517,9 +514,7 @@ def _one_pass(K: KnotComplex, blocks: dict, rank: bool) -> tuple:
         if (pm or mp) and (len(pm) != len(mp) or any(mp.get(r) != -c for r, c in pm.items())):
             anticommute.add(i)
         squares[i] = pm
-    if not rank or any(bad):
-        return bad, ({}, {}, {})
-    return bad, tuple(block_ranks(cols, blocks) for cols in (M, P, squares))
+    return bad, squares
 
 
 def decompose(K: KnotComplex) -> Decomposition:
@@ -536,8 +531,8 @@ def decompose(K: KnotComplex) -> Decomposition:
 
     The squares whose top generator sits in the (grading, z2) block of
     doubled grading 2s are counted by the rank of d+ d- on that block, with
-    sign +1 for z2 = 1 as in ``build_square``.  ``validate`` ranks these in
-    its pass over the generators and checks the dimension, and its clean
+    sign +1 for z2 = 1 as in ``build_square``.  ``validate`` ranks these
+    after its pass over the generators and checks the dimension, and its clean
     report keeps the decomposition, so this is one read of it.  ModelError
     listing the violations if K is invalid.
     """

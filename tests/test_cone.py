@@ -6,6 +6,7 @@ five-step staircases are written out in the comments, and cross-checked
 against the closed thin-knot formula where both apply.
 """
 import pytest
+from hypothesis import given, settings
 
 from knotsurgery import cone
 from knotsurgery.catalog import get_knot, thin_catalog
@@ -23,10 +24,20 @@ from knotsurgery.cone import (
     zero_surgery_dims,
     zero_surgery_levels,
 )
-from knotsurgery.knotcx import SquareSpec, StaircaseSpec, assemble, build_staircase, mirror
+from knotsurgery.knotcx import (
+    KnotComplex,
+    SquareSpec,
+    StaircaseSpec,
+    assemble,
+    build_staircase,
+    decompose,
+    mirror,
+    validate,
+)
 from knotsurgery.linalg import LinearAlgebraError
 from cone_elimination import block_kinds, elimination_dimension, h_sources
 import level_oracle
+from test_level_table import models
 
 
 def fig8():
@@ -430,7 +441,7 @@ def test_surgery_rejects_unreduced_slope():
 
 
 def test_surgery_rejects_invalid_model():
-    from knotsurgery.knotcx import KnotComplex, ModelError
+    from knotsurgery.knotcx import ModelError
     from knotsurgery.linalg import space
     from linalg_helpers import zero_map
     sp = space([("x", 0, 0), ("y", 0, 0)])
@@ -456,6 +467,19 @@ def test_level_table_lives_on_the_model():
     assert sorted(K.levels) == list(range(1 - K.genus, K.genus))
     other = build_staircase(3)
     assert other == K and other.levels == {}
+
+
+@settings(max_examples=40, deadline=None)
+@given(models())
+def test_block_order_changes_no_answer(K):
+    # each block of K.blocks read in reverse: the same report, decomposition
+    # and level shapes as the model in its own order
+    R = KnotComplex(*K)
+    R.__dict__["blocks"] = {block: positions[::-1] for block, positions in K.blocks.items()}
+    assert validate(R) == validate(K)
+    assert decompose(R) == decompose(K)
+    for s in range(-K.genus - 1, K.genus + 2):
+        assert pi_maps(R, s) == pi_maps(K, s), (K.name, s)
 
 
 def test_mirror_is_kept_on_the_model(monkeypatch):

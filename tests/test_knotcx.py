@@ -97,6 +97,14 @@ def test_thin_t2_5_pure_staircase():
     assert K.dim == 5 and K.genus == 2 and K.tau == 2
 
 
+def test_thin_attaches_the_normalised_polynomial():
+    # the input's zero term and its sign at t=1 leave no trace in the model
+    trefoil = get_knot("trefoil")
+    for delta in ({1: 1, 0: -1, -1: 1, 2: 0}, {1: -1, 0: 1, -1: -1}):
+        K = thin_from_alexander(delta, 1, name="trefoil-right")
+        assert K == trefoil and K.delta() == {1: 1, 0: -1, -1: 1}
+
+
 def test_thin_rejects_wrong_norm():
     # norm 7 with tau = 0 would need a non-integer number of squares
     with pytest.raises(ModelError, match="not a thin complex"):
@@ -234,6 +242,37 @@ def test_validate_stops_at_a_structural_fault():
     assert validate(K).violations == ["d+ shifts grading of x by 2.0, expected 1"]
 
 
+def test_validate_never_ranks_a_faulty_model(monkeypatch):
+    # a grading shift, a composition and the Euler characteristic each end
+    # the report before any block is ranked; a clean model ranks d-, d+ and
+    # d+ d- once each
+    ranked = []
+    rank = knotcx.block_ranks
+
+    def spy(cols, blocks):
+        ranked.append(blocks)
+        return rank(cols, blocks)
+
+    monkeypatch.setattr(knotcx, "block_ranks", spy)
+    trefoil = get_knot("trefoil")
+    faulty = {
+        "d+ shifts grading of x by 2.0, expected 1": _explicit([("x", -1, 0), ("y", 1, 1)],
+                                                               [("x", "y")], []),
+        "d+d- + d-d+ != 0 (witness a)": _explicit(
+            [("a", 0, 0), ("b", -1, 1), ("c", 1, 1), ("d", 0, 0)],
+            [("a", "c"), ("b", "d")], [("a", "b"), ("c", "d")]),
+        "graded Euler characteristic does not match the attached polynomial": KnotComplex(
+            trefoil.space, trefoil.d_plus, trefoil.d_minus, genus=trefoil.genus,
+            tau=trefoil.tau, meta=get_knot("figure-eight").meta),
+    }
+    for message, K in faulty.items():
+        assert validate(K).violations == [message]
+        assert ranked == [], message
+    K = assemble(StaircaseSpec(1), [SquareSpec(0, 1)])
+    assert validate(K).ok
+    assert ranked == [K.blocks] * 3
+
+
 def test_parse_thin_spec_round_trip():
     data = {"name": "fig8", "alexander": [[-1, 1], [3, 0], [-1, -1]], "tau": 0}
     K = parse_knot_spec(data)
@@ -328,9 +367,9 @@ def test_decompose_rejects_an_invalid_model_and_checks_the_dimension(monkeypatch
     # with the d+ d- ranks dropped, 5 generators and no square contradict tau 0
     one_pass = knotcx._one_pass
 
-    def without_squares(*args, **kwargs):
-        bad, (minus, plus, _) = one_pass(*args, **kwargs)
-        return bad, (minus, plus, {})
+    def without_squares(K):
+        bad, squares = one_pass(K)
+        return bad, {i: {} for i in squares}
 
     monkeypatch.setattr(knotcx, "_one_pass", without_squares)
     K = assemble(StaircaseSpec(0), [SquareSpec(0, -1)])
