@@ -364,7 +364,7 @@ def test_decompose_rejects_an_invalid_model_and_checks_the_dimension(monkeypatch
     with pytest.raises(ModelError, match="invalid knot model"):
         decompose(K)
     assert K.report.decomposition is None
-    # with the d+ d- ranks dropped, 5 generators and no square contradict tau 0
+    # with every d+ d- column emptied, 5 generators and no square contradict tau 0
     one_pass = knotcx._one_pass
 
     def without_squares(K):
