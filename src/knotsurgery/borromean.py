@@ -134,9 +134,9 @@ def _cone_dim_exterior(g: int, p: int, u: int, classes) -> int:
 def circle_bundle_dim_module(g: int, m: int) -> int:
     """Circle-bundle dimension over a genus-g surface, module pathway.
 
-    Evaluates the truncated cone with monomial-block images; for
-    |m| >= 2g - 1 the cone has no retained targets and collapses to the
-    direct sum 4^g * |m|.
+    Evaluates the truncated cone with monomial-block images on its one
+    residue class (e = c = -|m|, gamma = 0); in the large regime
+    (``_large_applicable``: |m| >= 2g - 1) it collapses to 4^g * |m|.
     """
     if g < 2:
         raise PreconditionError("module pathway requires genus at least 2")
@@ -144,10 +144,10 @@ def circle_bundle_dim_module(g: int, m: int) -> int:
     if m == 0:
         raise PreconditionError("Euler number 0 unsupported (zero orbifold degree)")
     mm = abs(m)  # the bundle and its orientation reverse have equal dimensions
-    if mm >= 2 * g - 1:
+    classes = {(-mm, 0, -mm): 1}
+    if _large_applicable(g, classes):
         return (4 ** g) * mm
-    # one residue class: the offset 0, with e = c = -mm and gamma = 0
-    return _cone_dim_exterior(g, 1, mm, {(-mm, 0, -mm): 1})
+    return _cone_dim_exterior(g, 1, mm, classes)
 
 
 def circle_bundle_dim_formula(g: int, m: int) -> int:

@@ -150,28 +150,30 @@ class KnotComplex(_ModelFields):
         """(d+, d-) as integer columns {position: {position: int}}, each map times its own LCM.
 
         A position is a generator's place in the space, and a map's scale is
-        the LCM of its entry denominators; an integral ``Fraction`` entry
-        becomes an int.  This is the one integer form of a model: ``validate``
-        forms its compositions and ranks its blocks on it, and the level table
-        ranks the bent complexes and their cones on it.  A nonzero scale of
-        one map changes no zero test and no rank.  Scaled by a and b, the two
-        maps are conjugate by the diagonal change of basis x -> lambda^(alex(x)/2) x,
-        with lambda^2 = a/b, to sqrt(ab) times the true ones: a d+ + b d-
-        becomes sqrt(ab) (d+ + d-), and so does each bent differential.  That
-        change keeps every (grading, z2) block and commutes with the
-        projections onto gradings, so no block rank and no level shape
-        changes.  So each map keeps its own scale, and every integer here is
-        one that ``parse_knot_spec`` bounds by MAX_SPEC_BITS.
+        the LCM of its entry denominators.  A map of int entries is its own
+        ``columns``, not a copy; any other is one scaled copy of them, each
+        integral ``Fraction`` entry made an int.  This is the one integer
+        form of a model: ``validate`` forms its compositions and ranks its
+        blocks on it, and the level table ranks the bent complexes and their
+        cones on it.  A nonzero scale of one map changes no zero test and no
+        rank.  Scaled by a and b, the two maps are conjugate by the diagonal
+        change of basis x -> lambda^(alex(x)/2) x, with lambda^2 = a/b, to
+        sqrt(ab) times the true ones: a d+ + b d- becomes sqrt(ab) (d+ + d-),
+        and so does each bent differential.  That change keeps every
+        (grading, z2) block and commutes with the projections onto gradings,
+        so no block rank and no level shape changes.  So each map keeps its
+        own scale, and every integer here is one that ``parse_knot_spec``
+        bounds by MAX_SPEC_BITS.
         """
-        at = {gid: i for i, gid in enumerate(self.space.ids)}
         maps = []
         for d in (self.d_plus, self.d_minus):
-            scale = lcm(*(v.denominator for _, _, v in d.entries if type(v) is not int))
-            cols: dict = {i: {} for i in range(len(at))}
-            for tgt, src, v in d.entries:
-                cols[at[src]][at[tgt]] = (v * scale if type(v) is int
-                                          else v.numerator * (scale // v.denominator))
-            maps.append(cols)
+            denominators = [v.denominator for _, _, v in d.entries if type(v) is not int]
+            if not denominators:
+                maps.append(d.columns)
+                continue
+            scale = lcm(*denominators)
+            maps.append({i: {j: v * scale if type(v) is int else v.numerator * (scale // v.denominator)
+                             for j, v in col.items()} for i, col in d.columns.items()})
         return tuple(maps)
 
     @cached_property

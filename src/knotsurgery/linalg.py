@@ -17,7 +17,6 @@ block ranks given.  No class representative is ever formed.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property
 from math import gcd
 from typing import Iterable, NamedTuple, Sequence
 
@@ -36,17 +35,17 @@ class Generator(NamedTuple):
 
 
 class GradedSpace(NamedTuple("GradedSpace", [("generators", tuple)])):
-    """A tuple of generators with distinct ids, indexed by id at construction."""
+    """A tuple of generators with distinct ids, each id indexed to its position at construction."""
 
     def __new__(cls, generators: tuple):
         self = super().__new__(cls, generators)
         index: dict = {}
-        for g in generators:
+        for i, g in enumerate(generators):
             if g.gid in index:
                 raise LinearAlgebraError(f"duplicate generator id {g.gid!r}")
             if g.z2 not in (0, 1):
                 raise LinearAlgebraError(f"generator {g.gid!r} has z2 grading {g.z2}, expected 0 or 1")
-            index[g.gid] = g
+            index[g.gid] = i
         # Derived once; not fields, so equality and hashing see only the generators.
         self._index = index
         self._ids = tuple(index)
@@ -64,11 +63,15 @@ class GradedSpace(NamedTuple("GradedSpace", [("generators", tuple)])):
     def ids(self) -> tuple[str, ...]:
         return self._ids
 
-    def generator(self, gid: str) -> Generator:
+    def position(self, gid: str) -> int:
+        """The place of generator gid in the space."""
         try:
             return self._index[gid]
         except KeyError:
             raise LinearAlgebraError(f"unknown generator id {gid!r}") from None
+
+    def generator(self, gid: str) -> Generator:
+        return self.generators[self.position(gid)]
 
     def dims_by_grading(self) -> dict:
         """Dimension of each (doubled) Alexander grading level."""
@@ -88,52 +91,46 @@ class SparseExactMap(NamedTuple("SparseExactMap", [
     """Entries are (target id, source id, coefficient) triples, checked at construction.
 
     A coefficient is a nonzero ``int``, or a ``Fraction`` when it is not
-    integral (``sparse_map`` normalises to this).
+    integral (``sparse_map`` normalises to this).  The check fills
+    ``columns``, the map's one column index {source position: {target
+    position: coefficient}}, with a column, maybe empty, for every source
+    generator, each in entry order.
     """
 
     def __new__(cls, source: GradedSpace, target: GradedSpace, entries: tuple):
-        src_ids = source._index
-        tgt_ids = target._index
-        seen = set()
+        src_at, tgt_at = source._index, target._index
+        columns: dict = {i: {} for i in range(len(src_at))}
         for tgt, src, val in entries:
-            if src not in src_ids:
+            if (i := src_at.get(src)) is None:
                 raise LinearAlgebraError(f"entry references unknown source generator {src!r}")
-            if tgt not in tgt_ids:
+            if (j := tgt_at.get(tgt)) is None:
                 raise LinearAlgebraError(f"entry references unknown target generator {tgt!r}")
-            if (tgt, src) in seen:
+            if j in (col := columns[i]):
                 raise LinearAlgebraError(f"duplicate entry for (target={tgt!r}, source={src!r})")
             if val == 0:
                 raise LinearAlgebraError(f"explicit zero entry at (target={tgt!r}, source={src!r})")
-            seen.add((tgt, src))
-        return super().__new__(cls, source, target, entries)
+            col[j] = val
+        self = super().__new__(cls, source, target, entries)
+        self.columns = columns  # not a field, so equality and hashing see only the fields
+        return self
 
     @classmethod
     def _make(cls, iterable):  # so that _replace runs the checks too
         return cls(*iterable)
 
-    @cached_property
-    def _cols(self) -> dict:
-        """Column index {source id: {target id: coeff}}, built on first use, in entry order."""
-        cols: dict = {gid: {} for gid in self.source.ids}
-        for tgt, src, val in self.entries:
-            cols[src][tgt] = val
-        return cols
-
     def column(self, src_gid: str) -> Vec:
         """Image of one source generator, as a fresh dict the caller may mutate."""
-        return dict(self._cols.get(src_gid, ()))
+        ids = self.target.ids
+        return {ids[j]: v for j, v in self.columns[self.source.position(src_gid)].items()}
 
     def apply(self, vec: Vec) -> Vec:
         out: Vec = {}
-        cols = self._cols
         for src, c in vec.items():
-            for tgt, val in cols.get(src, {}).items():
-                acc = out.get(tgt)
-                acc = c * val if acc is None else acc + c * val
-                if acc == 0:
-                    out.pop(tgt, None)
-                else:
+            for tgt, val in self.column(src).items():
+                if acc := out.get(tgt, 0) + c * val:
                     out[tgt] = acc
+                else:
+                    out.pop(tgt, None)
         return out
 
 

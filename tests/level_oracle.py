@@ -91,8 +91,8 @@ def sub_scaled(acc: Vec, c, vec: Vec):
 
 def rank(m: SparseExactMap) -> int:
     ech = Echelon(m.target.ids)
-    for col in m._cols.values():
-        ech.insert(col)
+    for gid in m.source.ids:
+        ech.insert(m.column(gid))
     return ech.rank
 
 
@@ -153,7 +153,7 @@ def homology(sp: GradedSpace, d: SparseExactMap, prefix: str = "h") -> Homology:
     """
     if d.source != sp or d.target != sp:
         raise LinearAlgebraError("differential is not an endomorphism of the given space")
-    cols = d._cols
+    cols = {gid: d.column(gid) for gid in sp.ids}
     for gid, col in cols.items():
         if d.apply(col):
             raise LinearAlgebraError(f"not a differential: d(d({gid})) != 0")
@@ -195,9 +195,8 @@ def induced_map_on_homology(f: SparseExactMap, dsrc: SparseExactMap, dtgt: Spars
     """
     if not (dsrc.source == dsrc.target == f.source and dtgt.source == dtgt.target == f.target):
         raise LinearAlgebraError("f does not map the source complex's space to the target's")
-    fcols, dcols = f._cols, dsrc._cols
     for gid in f.source.ids:
-        if f.apply(dcols[gid]) != dtgt.apply(fcols[gid]):
+        if f.apply(dsrc.column(gid)) != dtgt.apply(f.column(gid)):
             raise LinearAlgebraError(f"not a chain map: (f o d - d o f)({gid}) != 0")
     entries = []
     for cls in hsrc.classes:

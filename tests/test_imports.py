@@ -12,8 +12,9 @@ only true division in ``linalg`` is the one inside its exact ``quotient``.
 ``crosscheck.pathway_values``.  No library module forms a homology class
 or its representative: the level table is read off integer ranks, and the
 homology with representatives is the tests' oracle (``level_oracle``).
-No library module but ``linalg`` reads a map's column index ``_cols``: a
-model's one integer form is ``KnotComplex.integer_maps``.
+No library module but ``linalg`` reads a map's column index ``columns``,
+except ``KnotComplex.integer_maps``, a model's one integer form, which
+``cone`` reads in place of the maps.
 """
 import ast
 import graphlib
@@ -193,16 +194,22 @@ def test_no_module_forms_a_class_representative(path):
 
 
 def column_index_reads(source: str) -> list:
-    """Lines of ``source`` that name ``_cols``, a ``SparseExactMap``'s column index."""
-    return sorted({node.lineno for node in ast.walk(ast.parse(source))
-                   if isinstance(node, ast.Attribute) and node.attr == "_cols"
-                   or isinstance(node, ast.Constant) and node.value == "_cols"})
+    """Lines of ``source`` outside ``integer_maps`` that name ``columns``, a map's column index."""
+    tree = ast.parse(source)
+    allowed = {id(node) for fn in ast.walk(tree)
+               if isinstance(fn, ast.FunctionDef) and fn.name == "integer_maps"
+               for node in ast.walk(fn)}
+    return sorted({node.lineno for node in ast.walk(tree) if id(node) not in allowed and (
+        isinstance(node, ast.Attribute) and node.attr == "columns"
+        or isinstance(node, ast.Constant) and node.value == "columns")})
 
 
 def test_the_check_finds_a_column_index_read():
-    source = ("P = K.d_plus._cols\n"
-              "M = getattr(K.d_minus, '_cols')\n"
-              "cols = K.integer_maps\n")
+    source = ("P = K.d_plus.columns\n"
+              "M = getattr(K.d_minus, 'columns')\n"
+              "cols = K.integer_maps\n"
+              "def integer_maps(self):\n"
+              "    return self.d_plus.columns\n")
     assert column_index_reads(source) == [1, 2]
 
 
@@ -210,3 +217,11 @@ def test_the_check_finds_a_column_index_read():
                          ids=lambda p: p.name)
 def test_only_linalg_reads_the_column_index(path):
     assert column_index_reads(path.read_text()) == []
+
+
+def test_the_cone_reads_a_model_only_through_its_integer_maps():
+    """``cone`` names no map's entries or columns: its maps are ``K.integer_maps``."""
+    names = {node.attr for node in ast.walk(ast.parse((SRC / "cone.py").read_text()))
+             if isinstance(node, ast.Attribute)}
+    assert "integer_maps" in names
+    assert not names & {"d_plus", "d_minus", "entries", "columns", "column", "apply"}

@@ -19,7 +19,7 @@ from math import gcd
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from knotsurgery import cone, knotcx
+from knotsurgery import catalog, cone, crosscheck, knotcx
 from knotsurgery.catalog import get_knot, thin_catalog
 from knotsurgery.cone import surgery_dim
 from knotsurgery.knotcx import (
@@ -191,11 +191,11 @@ def test_scaling_leaves_the_maps_untouched():
     K = scramble(get_knot("figure-eight"), random.Random(3), whole_space=True,
                  max_denominator=10 ** 6)
     before = [_entry_types(d) for d in (K.d_plus, K.d_minus)]
-    columns = [{src: dict(col) for src, col in d._cols.items()} for d in (K.d_plus, K.d_minus)]
+    columns = [{i: dict(col) for i, col in d.columns.items()} for d in (K.d_plus, K.d_minus)]
     assert any(type(v) is Fraction for d in (K.d_plus, K.d_minus) for _, _, v in d.entries)
     assert validate(K).ok and decompose(K) == (0, {(0, -1): 1})
     assert [_entry_types(d) for d in (K.d_plus, K.d_minus)] == before
-    assert [d._cols for d in (K.d_plus, K.d_minus)] == columns
+    assert [d.columns for d in (K.d_plus, K.d_minus)] == columns
     for d in (K.d_plus, K.d_minus):
         assert all(type(v) is (int if v.denominator == 1 else Fraction) for _, _, v in d.entries)
     # integral maps keep their own entries, by position
@@ -204,6 +204,40 @@ def test_scaling_leaves_the_maps_untouched():
     for d, cols in zip((T.d_plus, T.d_minus), T.integer_maps):
         scaled = sorted((j, i, c) for i, col in cols.items() for j, c in col.items())
         assert scaled == sorted((at[t], at[s], v) for t, s, v in d.entries)
+
+
+def _assert_columns_as_built(models):
+    """Each model's map columns equal a fresh build from their entries, and so do its integer maps."""
+    for K in models:
+        for d in (K.d_plus, K.d_minus):
+            assert d.columns == SparseExactMap(d.source, d.target, d.entries).columns, K.name
+        assert K.integer_maps == K._replace().integer_maps, K.name
+
+
+def test_an_integral_model_ranks_its_own_columns():
+    K = get_knot("t2_7")
+    assert K.integer_maps[0] is K.d_plus.columns and K.integer_maps[1] is K.d_minus.columns
+    R = scramble(K, random.Random(3), whole_space=True, max_denominator=10 ** 6)
+    assert R.integer_maps[0] is not R.d_plus.columns
+
+
+def test_no_battery_changes_a_column():
+    crosscheck.run_suites()
+    built = list(catalog._BUILT.values())
+    _assert_columns_as_built(built + [K.__dict__["mirrored"] for K in built
+                                      if "mirrored" in K.__dict__])
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_no_level_or_cone_changes_a_column_of_a_rational_scramble(seed):
+    K = scramble(assemble(StaircaseSpec(1), _paired_squares([(0, 1), (1, -1)])),
+                 random.Random(seed), whole_space=True, max_denominator=10 ** 6)
+    for M in (K, mirror(K)):
+        for s in range(-M.genus - 1, M.genus + 2):
+            cone.pi_maps(M, s)
+        for p, q in ((1, 1), (-1, 1), (3, 2), (-5, 3)):
+            crosscheck.pathway_values(M, p, q)
+    _assert_columns_as_built([K, mirror(K)])
 
 
 def _bits(K: KnotComplex) -> int:

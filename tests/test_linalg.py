@@ -240,6 +240,22 @@ def test_column_is_a_copy():
     assert m.apply({"a": Fraction(1)}) == {"b": Fraction(1)}
 
 
+def test_columns_are_keyed_by_position():
+    sp = space([("a", 0, 0), ("b", 2, 1), ("c", 4, 0)])
+    m = sparse_map(sp, sp, [("c", "b", 2), ("b", "a", 1), ("a", "b", Fraction(1, 2))])
+    assert m.columns == {0: {1: 1}, 1: {2: 2, 0: Fraction(1, 2)}, 2: {}}
+    assert list(m.column("b")) == ["c", "a"]
+    assert [sp.position(g) for g in "abc"] == [0, 1, 2]
+
+
+def test_an_unknown_source_id_raises():
+    sp = space([("a", 0, 0), ("b", 2, 1)])
+    m = sparse_map(sp, sp, [("b", "a", 1)])
+    for read in (lambda: m.column("typo"), lambda: m.apply({"a": 1, "typo": 1})):
+        with pytest.raises(LinearAlgebraError, match="unknown generator id 'typo'"):
+            read()
+
+
 def test_generator_lookup():
     sp = space([("a", 0, 0), ("b", 2, 1)])
     assert sp.generator("b").alex == 2
@@ -265,9 +281,9 @@ def _integer_columns(m):
     """m's columns as {index: {index: int}}, its entries times the LCM of their denominators."""
     from math import lcm
     scale = lcm(*(v.denominator for _, _, v in m.entries if type(v) is not int))
-    src = {gid: i for i, gid in enumerate(m.source.ids)}
     tgt = {gid: i for i, gid in enumerate(m.target.ids)}
-    return {src[s]: {tgt[t]: int(v * scale) for t, v in col.items()} for s, col in m._cols.items()}
+    return {s: {tgt[t]: int(v * scale) for t, v in m.column(gid).items()}
+            for s, gid in enumerate(m.source.ids)}
 
 
 def test_integer_echelon_rank_equals_the_rational_rank_random():

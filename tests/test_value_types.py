@@ -85,7 +85,7 @@ def test_replace_runs_the_construction_checks():
     with pytest.raises(LinearAlgebraError, match="explicit zero entry"):
         d._replace(entries=(("b", "a", Fraction(0)),))
     assert SP._replace(generators=SP.generators[:1]).ids == ("a",)
-    assert d._replace(entries=())._cols == {"a": {}, "b": {}}
+    assert d._replace(entries=()).columns == {0: {}, 1: {}}
 
 
 def test_validation_report_is_a_read_only_record():
