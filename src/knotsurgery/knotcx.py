@@ -165,16 +165,13 @@ class KnotComplex(_ModelFields):
         own scale, and every integer here is one that ``parse_knot_spec``
         bounds by MAX_SPEC_BITS.
         """
-        maps = []
-        for d in (self.d_plus, self.d_minus):
-            denominators = [v.denominator for _, _, v in d.entries if type(v) is not int]
-            if not denominators:
-                maps.append(d.columns)
-                continue
+        def scaled(d: SparseExactMap) -> dict:
+            if not (denominators := [v.denominator for _, _, v in d.entries if type(v) is not int]):
+                return d.columns
             scale = lcm(*denominators)
-            maps.append({i: {j: v * scale if type(v) is int else v.numerator * (scale // v.denominator)
-                             for j, v in col.items()} for i, col in d.columns.items()})
-        return tuple(maps)
+            return {i: {j: v * scale if type(v) is int else v.numerator * (scale // v.denominator)
+                        for j, v in col.items()} for i, col in d.columns.items()}
+        return scaled(self.d_plus), scaled(self.d_minus)
 
     @cached_property
     def report(self) -> "ValidationReport":
@@ -413,8 +410,9 @@ class ValidationReport(NamedTuple):
 def validate(K: KnotComplex) -> ValidationReport:
     """Check every invariant; collects violations, never raises.
 
-    One pass over the generators (see ``_one_pass``) forms d+ d+, d- d-,
-    d+ d- and d- d+ once per generator on ``K.integer_maps``.  The
+    Maps over any space but the model's are refused first: ``K.integer_maps``
+    keeps their positions.  One pass over the generators (see ``_one_pass``)
+    forms d+ d+, d- d-, d+ d- and d- d+ once per generator on them.  The
     structural checks report in a fixed order: d+^2, d-^2, the grading
     shifts, anticommutation, symmetric graded dimensions, the genus bounds
     and the Euler characteristic; any fault there ends the report before a
@@ -428,8 +426,10 @@ def validate(K: KnotComplex) -> ValidationReport:
     structure theorem there guarantees.  A clean report keeps the
     decomposition and the blocks of H(d-) and H(d+).
     """
-    violations = []
     sp = K.space
+    if any(d.source != sp or d.target != sp for d in (K.d_plus, K.d_minus)):
+        return ValidationReport(["d+ and d- must map the model's space to itself"])
+    violations = []
     shifts = []
     for d, label, sgn in ((K.d_plus, "d+", 1), (K.d_minus, "d-", -1)):
         for tgt, src, _ in d.entries:

@@ -91,10 +91,9 @@ class SparseExactMap(NamedTuple("SparseExactMap", [
     """Entries are (target id, source id, coefficient) triples, checked at construction.
 
     A coefficient is a nonzero ``int``, or a ``Fraction`` when it is not
-    integral (``sparse_map`` normalises to this).  The check fills
-    ``columns``, the map's one column index {source position: {target
-    position: coefficient}}, with a column, maybe empty, for every source
-    generator, each in entry order.
+    integral (``sparse_map`` normalises to this).  The check fills the one
+    column index ``columns``, {source position: {target position: coefficient}}:
+    a column, maybe empty, per source generator, each in entry order.
     """
 
     def __new__(cls, source: GradedSpace, target: GradedSpace, entries: tuple):

@@ -35,7 +35,7 @@ from knotsurgery.knotcx import (
     parse_knot_spec,
     validate,
 )
-from knotsurgery.linalg import SparseExactMap, space, sparse_map
+from knotsurgery.linalg import GradedSpace, SparseExactMap, space, sparse_map
 from knot_helpers import half_level_squares_model
 from test_level_table import models
 from test_properties import _broken, _paired_squares, random_thin_models, scramble
@@ -219,6 +219,20 @@ def test_an_integral_model_ranks_its_own_columns():
     assert K.integer_maps[0] is K.d_plus.columns and K.integer_maps[1] is K.d_minus.columns
     R = scramble(K, random.Random(3), whole_space=True, max_denominator=10 ** 6)
     assert R.integer_maps[0] is not R.d_plus.columns
+
+
+def test_maps_over_another_space_are_refused():
+    """Positions are the model's: its generators in another order are another space."""
+    K = assemble(StaircaseSpec(1), [SquareSpec(0, 1), SquareSpec(1, -1), SquareSpec(-1, -1)])
+    gens = list(K.space.generators)
+    random.Random(1).shuffle(gens)
+    other = GradedSpace(tuple(gens))
+    for keys in (("d_minus",), ("d_plus", "d_minus")):
+        R = K._replace(**{key: SparseExactMap(other, other, getattr(K, key).entries)
+                          for key in keys})
+        assert validate(R).violations == ["d+ and d- must map the model's space to itself"]
+        with pytest.raises(ModelError, match="model's space"):
+            surgery_dim(R, 1, 1)
 
 
 def test_no_battery_changes_a_column():
