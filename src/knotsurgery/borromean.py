@@ -81,7 +81,10 @@ def _large_applicable(g: int, classes) -> bool:
     this reduces to u >= 2g - 1.  With W = g - 1 a class has a violating
     slot, s_low <= W and s_low + c >= -W, iff -W - min(e, c) <= W + min(gamma, 0).
     """
-    return all(min(e, c) + min(gamma, 0) < 2 - 2 * g for e, gamma, c in classes)
+    for e, gamma, c in classes:  # min(e, c) + min(gamma, 0), without the calls
+        if (e if e < c else c) + (gamma if gamma < 0 else 0) >= 2 - 2 * g:
+            return False
+    return True
 
 
 def _cone_dim_exterior(g: int, p: int, u: int, classes) -> int:

@@ -26,12 +26,15 @@ slots off them.
 Each level of the table is its shape (``pi_maps``): the class count and
 whether the v and h rows are nonzero and proportional, which is all the
 cone reads.  It comes from integer ranks alone, per block of grading and
-Z/2: the bent differential's block ranks give the class count, and the
-rank of an induced map is a sum over the blocks of its mapping cone, of
-which only the block where the target's homology lives can add anything.
-H(d-) and H(d+) are one block each, so v, h and the pair (v, h) each take
-one small elimination beside those block ranks, after a chain-map check
-on every generator.  No class representative is formed.
+Z/2.  Off the bend, a block of the bent differential has the ranks of d+
+and d- that ``validate`` keeps, so the class count takes one elimination,
+of the bend.  The rank of an induced map is a sum over the blocks of its
+mapping cone, of which only the block where the target's homology lives
+can add anything.  H(d-) and H(d+) are one block each, and off the bend
+a survivor's representative is a cycle of the bent differential, so v, h
+and the pair (v, h) take a small elimination only when a survivor lies
+in the bend, on that block alone, with a chain-map check on its columns.
+No level reads every generator, and no class representative is formed.
 
 The cone is ranked without elimination.  Source sigma reaches only the
 slots sigma and sigma + 2p, so the incidence graph is a disjoint union of
@@ -60,16 +63,19 @@ MAX_LATTICE_SLOTS = 5 * 10 ** 5
 
 
 # Level-table cells a call may fill, checked before it computes its first
-# new level: (levels not yet in K.levels) x K.dim.  A level costs one
-# build of its bent complex with its block ranks, a chain-map check of each
-# projection on every generator and one small elimination per projection:
-# 3-5 us per generator on a 2-vCPU host for staircases and square-rich
-# thin models, 0.2 ms on a dense whole-space rational scramble of 167
-# generators.  ``--compare`` at slope 1 on a 9959-generator model of genus
-# 10 (189221 cells) takes 0.7-1.0 s there.  Every level of
+# new level: (levels not yet in K.levels) x K.dim.  A level no longer
+# costs a pass over K.dim: it eliminates its bend, and the block there
+# again when it holds a survivor (see ``pi_maps``).  On a 2-vCPU host,
+# filling every level takes 0.02-0.15 us per cell for staircases and
+# square-rich thin models (staircase(200): 0.006 s), and 23 us per cell
+# on a dense whole-space rational scramble of 167 generators, where the
+# bend eliminations dominate.  ``--compare`` at slope 1 on a
+# 9959-generator model of genus 10 (189221 cells) takes 0.27-0.33 s wall
+# there, most of it building and validating the model.  Every level of
 # staircase(200), the largest genus a spec may declare, is 403 x 401 =
-# 161603 cells.  ``surgery_dim`` and ``zero_surgery_dims`` read no level,
-# so the limit binds only ``--compare`` and the oracles.
+# 161603 cells.  The limit and its refusal are kept as they were.
+# ``surgery_dim`` and ``zero_surgery_dims`` read no level, so the limit
+# binds only ``--compare`` and the oracles.
 MAX_LEVEL_CELLS = 2 * 10 ** 5
 
 
@@ -80,42 +86,44 @@ def check_lattice_slots(slots: int):
                                 f"MAX_LATTICE_SLOTS = {MAX_LATTICE_SLOTS}")
 
 
-def bent_differential(K: KnotComplex, s: int) -> dict:
-    """Differential applying d+ above the (true-unit) level s, d+ + d- at it, d- below.
+def _bend(K: KnotComplex, s2: int) -> tuple:
+    """(columns, blocks, ranks) of the bend: the model blocks at doubled grading s2 under d+ + d-.
 
-    Integer columns over generator positions, read from ``K.integer_maps``,
-    each map times its own LCM: conjugate to a nonzero multiple of the true
-    one by a change of basis that keeps every block (see there).  A column
-    off the bend is the model's own, not a copy.
+    They are the bent complex's blocks (0, z), and their ranks take the one
+    elimination of a level: d+ and d- send a column to different gradings,
+    so its (d+ + d-) column is the two joined.
     """
     P, M = K.integer_maps
-    s2 = 2 * s
-    return {i: P[i] if g.alex > s2 else M[i] if g.alex < s2 else {**P[i], **M[i]}
-            for i, g in enumerate(K.space.generators)}
+    blocks = {(0, z): K.blocks.get((s2, z), []) for z in (0, 1)}
+    cols = {i: {**P[i], **M[i]} for positions in blocks.values() for i in positions}
+    return cols, blocks, block_ranks(cols, blocks)
 
 
-def _bent_complex(K: KnotComplex, s: int) -> tuple:
-    """(columns, blocks, ranks, class count) of the bent complex at level s.
+def _classes(K: KnotComplex, s2: int, bend_ranks: dict) -> tuple:
+    """(class count, {(k, z): dim H} for k = 0, 2) of the bent complex at doubled level s2.
 
-    blocks lists the positions of each block (|alex - 2s|, z2), which the
-    bent differential raises by 2 with z2 flipped: ``K.blocks`` re-keyed,
-    the two model blocks at alex = 2s +- k joined.  ranks is its rank out of
-    each block, and the class count is dim H summed over the blocks.  This
-    is the one build of a level's bent complex, which ``bent_homology`` and
-    ``pi_maps`` share.
+    The bent block (k, z), k > 0, is the model block (s2 + k, z) under d+
+    and (s2 - k, z) under d-, whose images lie apart, so its rank is the
+    sum of theirs (``K.report.ranks``).  For k >= 4 the rank into it is
+    also the model's, so its dim H is dim H(d+) at s2 + k plus dim H(d-) at
+    s2 - k: the one class of H(d+) when it lies at s2 + 4 or above, and of
+    H(d-) at s2 - 4 or below.  Only the blocks k = 0 and 2, next to the
+    bend, are counted with ``homology``; zeros are left out.
     """
-    bent, s2 = bent_differential(K, s), 2 * s
-    blocks: dict = {}
-    for (a, z), positions in K.blocks.items():
-        blocks.setdefault((abs(a - s2), z), []).extend(positions)
-    ranks = block_ranks(bent, blocks)
-    sizes = {block: len(keys) for block, keys in blocks.items()}
-    return bent, blocks, ranks, sum(homology(sizes, ranks, 2).values())
+    (minus, plus), ((a_m, _),), ((a_p, _),) = K.report.ranks, *K.report.homology_blocks
+    sizes, ranks = {}, dict(bend_ranks)
+    for z in (0, 1):
+        sizes[0, z] = len(K.blocks.get((s2, z), ()))
+        sizes[2, z] = len(K.blocks.get((s2 + 2, z), ())) + len(K.blocks.get((s2 - 2, z), ()))
+        ranks[2, z] = plus.get((s2 + 2, z), 0) + minus.get((s2 - 2, z), 0)
+    near = homology(sizes, ranks, 2)
+    return sum(near.values()) + (a_p >= s2 + 4) + (a_m <= s2 - 4), near
 
 
 def bent_homology(K: KnotComplex, s: int) -> int:
-    """Class count of the bent complex at level s: dim H, block by block from integer ranks."""
-    return _bent_complex(K, s)[3]
+    """Class count of the bent complex at level s, from block ranks; ModelError if K is invalid."""
+    decompose(K)
+    return _classes(K, 2 * s, _bend(K, 2 * s)[2])[0]
 
 
 def pi_maps(K: KnotComplex, s: int) -> tuple:
@@ -124,34 +132,55 @@ def pi_maps(K: KnotComplex, s: int) -> tuple:
     n is the class count (``bent_homology``).  v and h say whether the
     induced projections of the bent homology to H(d-) (onto levels <= s)
     and to H(d+) (onto levels >= s) are nonzero; line says that both are
-    and that they are proportional, the pair (v, h) having rank 1.  Each
-    rank comes from ``induced_map_on_homology``, which eliminates only the
-    block where its target's homology lives, reusing the bent block ranks
-    that gave n.  The targets are (C, d-) graded by 2s - alex and (C, d+)
-    by alex - 2s, z2 kept, so that each projection keeps the block, on the
-    model's own positions and columns; their blocks are ``K.blocks``
-    re-keyed one to one.  H(d-) and H(d+) are one block each
-    (``K.report.homology_blocks``).  When those blocks differ at level s
-    the pair's rank is the sum of the parts', so the pair is eliminated
-    only where they meet.  Nothing here reads d+ d-, so the table stays
-    independent of the decomposition.
+    and that they are proportional, the pair (v, h) having rank 1.
+
+    H(d-) and H(d+) are one block each (``K.report.homology_blocks``), and
+    a projection's rank lives in the bent block at its survivor's grading
+    (``linalg.induced_map_on_homology``).  A survivor past the bend, on the
+    side its projection kills, gives zero.  One strictly on the kept side,
+    say of H(d-) below the bend, lies in a bent block that is its model
+    block under d- joined with the reflected one under d+, whose images
+    lie apart: its representative is a cycle there, which the projection
+    keeps, so the projection is nonzero.  Two such projections have rank 2
+    together, never 1.  So only a survivor in the bend takes an
+    elimination, on the bend block alone, and none when that block has no
+    homology; the pair is eliminated only when both survivors share a bend
+    block of more than one class (with one, v and h give it rank 1).  The
+    targets, (C, d-) graded by 2s - alex and (C, d+) by alex - 2s, z2 kept,
+    pass the survivor's block and the boundary block next to it.  No level
+    reads every generator, and nothing here reads d+ d-, so the table
+    stays independent of the decomposition.
+
+    The projections are chain maps whatever the columns, once d+ raises
+    and d- lowers the grading by exactly one: the bent column of a
+    generator below the bend is its d- column, kept by the low projection,
+    and one above is its d+ column, which it kills; at the bend the low
+    projection keeps the d- half.  The high projection is the mirror case.
+    That is ``validate``'s shift check, which ``decompose`` requires here,
+    so the chain-map check of ``induced_map_on_homology`` runs on the bend
+    block's columns alone.
     """
     decompose(K)
-    bent, blocks, ranks, n = _bent_complex(K, s)
     P, M = K.integer_maps
-    h_minus, h_plus = K.report.homology_blocks
-    s2 = 2 * s
-    low = {i: {i: 1} if g.alex <= s2 else {} for i, g in enumerate(K.space.generators)}
-    high = {i: {i: 1} if g.alex >= s2 else {} for i, g in enumerate(K.space.generators)}
-    minus_blocks = {(s2 - a, z): positions for (a, z), positions in K.blocks.items()}
-    plus_blocks = {(a - s2, z): positions for (a, z), positions in K.blocks.items()}
-    at_minus = {(s2 - a, z) for a, z in h_minus}
-    at_plus = {(a - s2, z) for a, z in h_plus}
-    minus, plus = (low, M, minus_blocks, at_minus), (high, P, plus_blocks, at_plus)
-    v = induced_map_on_homology(bent, blocks, ranks, [minus]) > 0
-    h = induced_map_on_homology(bent, blocks, ranks, [plus]) > 0
-    line = (v and h and at_minus == at_plus
-            and induced_map_on_homology(bent, blocks, ranks, [minus, plus]) == 1)
+    gens, s2 = K.space.generators, 2 * s
+    cols, blocks, ranks = _bend(K, s2)
+    n, near = _classes(K, s2, ranks)
+    rows, targets = [], []
+    for sign, ((a, z),) in zip((-1, 1), K.report.homology_blocks):
+        if a != s2 or (0, z) not in near:  # no elimination (see above)
+            rows.append(sign * (a - s2) > 0)
+            continue
+        block = blocks[0, z]
+        source = {i: cols[i] for i in block}, {(0, z): block}, {(0, z): ranks.get((0, z), 0)}
+        f = {i: {i: 1} if sign * (gens[i].alex - s2) >= 0 else {}
+             for i in set(block).union(*source[0].values())}
+        boundary = K.blocks.get((s2 - 2 * sign, 1 - z), [])
+        targets.append((f, M if sign < 0 else P, {(0, z): block, (-2, 1 - z): boundary}, {(0, z)}))
+        rows.append(induced_map_on_homology(*source, targets[-1:]) > 0)
+    v, h = rows
+    # with both survivors in one bend block, source and z are that block's
+    line = (v and h and len(targets) == 2 and targets[0][3] == targets[1][3]
+            and (near[0, z] == 1 or induced_map_on_homology(*source, targets) == 1))
     return n, v, h, line
 
 

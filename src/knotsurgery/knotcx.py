@@ -41,9 +41,11 @@ Poly = dict
 # before any synthesis or validation: the polynomial degree of the thin form
 # and the "genus" field of the explicit form.  A surgery answer costs one
 # validation and one decomposition: on a 2-vCPU host under 0.02 s for the
-# genus-200 staircase.  The level table that ``--compare`` reads grows about
-# as genus^2: 0.4-0.5 s at genus 100 and 2.0-2.1 s at genus 200, within
-# ``cone.MAX_LEVEL_CELLS``.
+# genus-200 staircase.  The level table that ``--compare`` reads costs one
+# elimination per level, of its bend, and one more at each level whose
+# bend holds a survivor: for the genus-200 staircase, 0.005-0.008 s for
+# the ranked cone at slope 1 and 0.014-0.024 s for the whole slope grid
+# there, within ``cone.MAX_LEVEL_CELLS``.
 MAX_MODEL_GENUS = 200
 
 # Largest model dimension a knot spec may ask for, checked by
@@ -396,11 +398,15 @@ class ValidationReport(NamedTuple):
     """The violations ``validate`` found, in order, and a clean model's decomposition.
 
     A clean report also keeps (H(d-), H(d+)) as {(doubled grading, z2):
-    dim}, one block of dimension 1 each, for the level table's targets.
+    dim}, one block of dimension 1 each, and the block ranks of (d-, d+)
+    as {(doubled grading, z2): rank out of that block}, blocks of rank 0
+    left out: the level table reads its class counts and its sources'
+    ranks off them.
     """
     violations: list
     decomposition: Optional[Decomposition] = None
     homology_blocks: Optional[tuple] = None
+    ranks: Optional[tuple] = None
 
     @property
     def ok(self) -> bool:
@@ -424,7 +430,8 @@ def validate(K: KnotComplex) -> ValidationReport:
     squares are counted from the d+ d- ranks (see ``decompose``), and the
     dimension must be 2 |tau| + 1 + 4k for their number k, which the
     structure theorem there guarantees.  A clean report keeps the
-    decomposition and the blocks of H(d-) and H(d+).
+    decomposition, the blocks of H(d-) and H(d+) and the block ranks of d-
+    and d+.
     """
     sp = K.space
     if any(d.source != sp or d.target != sp for d in (K.d_plus, K.d_minus)):
@@ -494,7 +501,7 @@ def validate(K: KnotComplex) -> ValidationReport:
     if K.dim != expected:
         return ValidationReport([f"model dimension {K.dim} differs from 2|tau| + 1 + 4k = "
                                  f"{expected} for tau {K.tau} and its squares"])
-    return ValidationReport([], Decomposition(K.tau, squares), homology_blocks)
+    return ValidationReport([], Decomposition(K.tau, squares), homology_blocks, tuple(ranks[:2]))
 
 
 def _one_pass(K: KnotComplex) -> tuple:

@@ -117,21 +117,6 @@ class SparseExactMap(NamedTuple("SparseExactMap", [
     def _make(cls, iterable):  # so that _replace runs the checks too
         return cls(*iterable)
 
-    def column(self, src_gid: str) -> Vec:
-        """Image of one source generator, as a fresh dict the caller may mutate."""
-        ids = self.target.ids
-        return {ids[j]: v for j, v in self.columns[self.source.position(src_gid)].items()}
-
-    def apply(self, vec: Vec) -> Vec:
-        out: Vec = {}
-        for src, c in vec.items():
-            for tgt, val in self.column(src).items():
-                if acc := out.get(tgt, 0) + c * val:
-                    out[tgt] = acc
-                else:
-                    out.pop(tgt, None)
-        return out
-
 
 def _exact(v):
     """v as an exact coefficient: an int when integral, else a Fraction."""

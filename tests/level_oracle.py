@@ -12,7 +12,11 @@ which the tests hold ``K.levels`` to.  ``compute_tau`` reads tau off the
 survivor classes, and ``rank`` ranks a ``SparseExactMap``.
 ``induced_rank_by_cone`` is the integer rank of an induced map read off
 the homology of its whole mapping cone: the oracle of the block-local
-``linalg.induced_map_on_homology``.
+``linalg.induced_map_on_homology``.  ``whole_level_shape`` is the integer
+level table as it was before each level was read off the model's block
+ranks: it builds the whole bent differential (``bent_columns``), ranks
+every block of it and checks both projections as chain maps on every
+generator.
 """
 from __future__ import annotations
 
@@ -20,7 +24,7 @@ from functools import lru_cache
 from typing import NamedTuple, Optional, Sequence
 
 from knotsurgery import linalg
-from knotsurgery.knotcx import KnotComplex, ModelError
+from knotsurgery.knotcx import KnotComplex, ModelError, decompose
 from knotsurgery.linalg import (
     Generator,
     GradedSpace,
@@ -30,6 +34,7 @@ from knotsurgery.linalg import (
     quotient,
     sparse_map,
 )
+from map_reads import apply, column
 
 
 class Echelon:
@@ -92,7 +97,7 @@ def sub_scaled(acc: Vec, c, vec: Vec):
 def rank(m: SparseExactMap) -> int:
     ech = Echelon(m.target.ids)
     for gid in m.source.ids:
-        ech.insert(m.column(gid))
+        ech.insert(column(m, gid))
     return ech.rank
 
 
@@ -153,9 +158,9 @@ def homology(sp: GradedSpace, d: SparseExactMap, prefix: str = "h") -> Homology:
     """
     if d.source != sp or d.target != sp:
         raise LinearAlgebraError("differential is not an endomorphism of the given space")
-    cols = {gid: d.column(gid) for gid in sp.ids}
+    cols = {gid: column(d, gid) for gid in sp.ids}
     for gid, col in cols.items():
-        if d.apply(col):
+        if apply(d, col):
             raise LinearAlgebraError(f"not a differential: d(d({gid})) != 0")
 
     solver = Echelon(sp.ids)
@@ -196,11 +201,11 @@ def induced_map_on_homology(f: SparseExactMap, dsrc: SparseExactMap, dtgt: Spars
     if not (dsrc.source == dsrc.target == f.source and dtgt.source == dtgt.target == f.target):
         raise LinearAlgebraError("f does not map the source complex's space to the target's")
     for gid in f.source.ids:
-        if f.apply(dsrc.column(gid)) != dtgt.apply(f.column(gid)):
+        if apply(f, column(dsrc, gid)) != apply(dtgt, column(f, gid)):
             raise LinearAlgebraError(f"not a chain map: (f o d - d o f)({gid}) != 0")
     entries = []
     for cls in hsrc.classes:
-        img = f.apply(cls.rep_vec())
+        img = apply(f, cls.rep_vec())
         for tgt_cid, c in htgt.express(img).items():
             entries.append((tgt_cid, cls.cid, c))
     return SparseExactMap(hsrc.space, htgt.space, tuple(entries))
@@ -239,9 +244,9 @@ def bent_differential(K: KnotComplex, s: int) -> SparseExactMap:
     for g in K.space.generators:
         k = g.alex - s2
         if k >= 0:
-            entries.extend((tgt, g.gid, v) for tgt, v in K.d_plus.column(g.gid).items())
+            entries.extend((tgt, g.gid, v) for tgt, v in column(K.d_plus, g.gid).items())
         if k <= 0:
-            entries.extend((tgt, g.gid, v) for tgt, v in K.d_minus.column(g.gid).items())
+            entries.extend((tgt, g.gid, v) for tgt, v in column(K.d_minus, g.gid).items())
     return sparse_map(K.space, K.space, entries)
 
 
@@ -311,3 +316,62 @@ def compute_tau(K: KnotComplex) -> int:
     if alex_m is None or alex_p is None or alex_m != -alex_p or alex_m % 2:
         raise ModelError("survivor classes are not at opposite integer gradings")
     return alex_m // 2
+
+
+# --- the whole level on integer ranks ----------------------------------------
+
+def bent_columns(K: KnotComplex, s: int) -> dict:
+    """Differential applying d+ above the (true-unit) level s, d+ + d- at it, d- below.
+
+    Integer columns over generator positions, read from ``K.integer_maps``,
+    each map times its own LCM.  A column off the bend is the model's own,
+    not a copy.
+    """
+    P, M = K.integer_maps
+    s2 = 2 * s
+    return {i: P[i] if g.alex > s2 else M[i] if g.alex < s2 else {**P[i], **M[i]}
+            for i, g in enumerate(K.space.generators)}
+
+
+def bent_complex(K: KnotComplex, s: int) -> tuple:
+    """(columns, blocks, ranks, class count) of the whole bent complex at level s.
+
+    blocks lists the positions of each block (|alex - 2s|, z2), which the
+    bent differential raises by 2 with z2 flipped: ``K.blocks`` re-keyed,
+    the two model blocks at alex = 2s +- k joined.  ranks is its rank out of
+    each block, and the class count is dim H summed over the blocks.
+    """
+    bent, s2 = bent_columns(K, s), 2 * s
+    blocks: dict = {}
+    for (a, z), positions in K.blocks.items():
+        blocks.setdefault((abs(a - s2), z), []).extend(positions)
+    ranks = linalg.block_ranks(bent, blocks)
+    sizes = {block: len(keys) for block, keys in blocks.items()}
+    return bent, blocks, ranks, sum(linalg.homology(sizes, ranks, 2).values())
+
+
+def whole_level_shape(K: KnotComplex, s: int) -> tuple:
+    """The shape (n, v, h, line) of ``cone.pi_maps`` from the whole bent complex of level s.
+
+    Each projection is a column {i: {i: 1}} or {} for every generator, so
+    ``linalg.induced_map_on_homology`` checks it as a chain map on every
+    generator.  The targets are (C, d-) graded by 2s - alex and (C, d+) by
+    alex - 2s, z2 kept, their blocks ``K.blocks`` re-keyed one to one.
+    """
+    decompose(K)
+    bent, blocks, ranks, n = bent_complex(K, s)
+    P, M = K.integer_maps
+    h_minus, h_plus = K.report.homology_blocks
+    s2 = 2 * s
+    low = {i: {i: 1} if g.alex <= s2 else {} for i, g in enumerate(K.space.generators)}
+    high = {i: {i: 1} if g.alex >= s2 else {} for i, g in enumerate(K.space.generators)}
+    minus_blocks = {(s2 - a, z): positions for (a, z), positions in K.blocks.items()}
+    plus_blocks = {(a - s2, z): positions for (a, z), positions in K.blocks.items()}
+    at_minus = {(s2 - a, z) for a, z in h_minus}
+    at_plus = {(a - s2, z) for a, z in h_plus}
+    minus, plus = (low, M, minus_blocks, at_minus), (high, P, plus_blocks, at_plus)
+    v = linalg.induced_map_on_homology(bent, blocks, ranks, [minus]) > 0
+    h = linalg.induced_map_on_homology(bent, blocks, ranks, [plus]) > 0
+    line = (v and h and at_minus == at_plus
+            and linalg.induced_map_on_homology(bent, blocks, ranks, [minus, plus]) == 1)
+    return n, v, h, line

@@ -11,6 +11,7 @@ from typing import Optional
 
 from knotsurgery.linalg import GradedSpace, LinearAlgebraError, SparseExactMap
 from level_oracle import Echelon, Homology, HomologyClass
+from map_reads import apply, column
 
 
 def zero_map(source: GradedSpace, target: Optional[GradedSpace] = None) -> SparseExactMap:
@@ -37,7 +38,7 @@ def compose(outer: SparseExactMap, inner: SparseExactMap) -> SparseExactMap:
         raise LinearAlgebraError("composition mismatch: inner target differs from outer source")
     entries = []
     for gid in inner.source.ids:
-        img = outer.apply(inner.column(gid))
+        img = apply(outer, column(inner, gid))
         entries.extend((tgt, gid, val) for tgt, val in img.items())
     return SparseExactMap(inner.source, outer.target, tuple(entries))
 
@@ -52,7 +53,7 @@ def kernel_basis(m: SparseExactMap) -> list:
     exprs: dict = {}  # pivot row -> expression of the stored vector over source ids
     kernel = []
     for gid in m.source.ids:
-        res, usage = ech.reduce(m.column(gid))
+        res, usage = ech.reduce(column(m, gid))
         expr = {gid: Fraction(1)}
         for piv, c in usage.items():
             for s, v in exprs[piv].items():
@@ -74,11 +75,11 @@ def homology_two_pass(sp: GradedSpace, d: SparseExactMap, prefix: str = "h") -> 
     if d.source != sp or d.target != sp:
         raise LinearAlgebraError("differential is not an endomorphism of the given space")
     for gid in sp.ids:
-        if d.apply(d.column(gid)):
+        if apply(d, column(d, gid)):
             raise LinearAlgebraError(f"not a differential: d(d({gid})) != 0")
     solver = Echelon(sp.ids)
     for gid in sp.ids:
-        solver.insert(d.column(gid))
+        solver.insert(column(d, gid))
     classes, class_of = [], {}
     for vec in kernel_basis(d):
         res, _ = solver.reduce(vec)

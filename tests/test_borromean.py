@@ -252,6 +252,21 @@ def _large_applicable_by_slots(g, p, u, offset_map):
     return True
 
 
+def test_large_applicable_equals_the_all_form_on_a_grid():
+    # the loop returns early; the generator form it replaced is the reference
+    from itertools import combinations, product
+    keys = list(product(range(-5, 3), range(-3, 2), range(-5, 3)))
+    seen = set()
+    for g in range(1, 5):
+        for size in range(4):
+            for chosen in combinations(keys[::7] if size > 1 else keys, size):
+                classes = dict.fromkeys(chosen, 1)
+                want = all(min(e, c) + min(gamma, 0) < 2 - 2 * g for e, gamma, c in classes)
+                assert borromean._large_applicable(g, classes) == want, (g, chosen)
+                seen.add(want)
+    assert seen == {True, False}
+
+
 def _seifert_args(g, m, pairs):
     """The private arguments of one Seifert input: (classes, offset_map, p, u)."""
     _, p, u, multiplicities = borromean._seifert_setup(g, m, pairs)

@@ -13,7 +13,6 @@ from knotsurgery.catalog import get_knot, thin_catalog
 from knotsurgery.cone import (
     PreconditionError,
     almost_lspace_scan,
-    bent_differential,
     bent_homology,
     build_cone_problem,
     genus_one_positive_ladder,
@@ -49,39 +48,6 @@ def mirror_t25():
 
 
 # --- bent homology ---------------------------------------------------------
-
-def _bent_differential_by_scan(K, s):
-    """One scan of all entries per generator, kept as the reference for the index.
-
-    Returns {source id: {target id: coefficient}}, d+ and d- each times the
-    LCM of its own denominators, as ``bent_differential`` scales them.
-    """
-    from math import lcm
-    plus, minus = ((d.entries, lcm(*(v.denominator for _, _, v in d.entries)))
-                   for d in (K.d_plus, K.d_minus))
-    cols = {}
-    for g in K.space.generators:
-        k = g.alex - 2 * s
-        col = cols[g.gid] = {}
-        for (entries, scale), on in ((plus, k >= 0), (minus, k <= 0)):
-            if on:
-                col.update((t, v * scale) for t, src, v in entries if src == g.gid)
-    return cols
-
-
-def test_bent_differential_matches_entry_scan():
-    import random
-    from test_properties import scramble
-    rng = random.Random(23)
-    for K0 in thin_catalog() + [scramble(K, rng) for K in thin_catalog()[:6]]:
-        for K in (K0, mirror(K0)):
-            ids = K.space.ids
-            for s in range(-K.genus - 1, K.genus + 2):
-                got = {ids[i]: {ids[j]: c for j, c in col.items()}
-                       for i, col in bent_differential(K, s).items()}
-                assert got == _bent_differential_by_scan(K, s), (K.name, s)
-                assert all(type(c) is int for col in got.values() for c in col.values())
-
 
 def test_bent_homology_figure_eight_level0():
     # cycles {b, c, d, e} modulo the single boundary c + b: dimension 3
@@ -241,55 +207,73 @@ def test_large_surgery_far_past_the_genus():
         assert set(K.levels) <= set(range(-K.genus - 1, K.genus + 2))
 
 
-def test_the_bent_differential_shares_the_model_columns():
-    # bent_homology and pi_maps share one build of the level's bent
-    # differential; off the bend a column is the model's own integer
-    # column, so a build is one dict over the generators
-    for K in (fig8(), build_staircase(-3)):
-        P, M = K.integer_maps
+def test_a_new_level_passes_only_its_source_block(monkeypatch):
+    # filling a level ranks the bend alone, and an induced rank is taken only
+    # on the bend block that holds a survivor, never on all K.dim columns; a
+    # kept level calls nothing
+    from knot_helpers import squares_model
+    ranked, induced = [], []
+    real_ranks, real_induced = cone.block_ranks, cone.induced_map_on_homology
+
+    def ranks_spy(cols, blocks):
+        ranked.append(cols)
+        return real_ranks(cols, blocks)
+
+    def induced_spy(d_src, src_blocks, src_ranks, targets):
+        induced.append((d_src, src_blocks, len(targets)))
+        return real_induced(d_src, src_blocks, src_ranks, targets)
+
+    monkeypatch.setattr(cone, "block_ranks", ranks_spy)
+    monkeypatch.setattr(cone, "induced_map_on_homology", induced_spy)
+    passed = []
+    for K in (build_staircase(200), squares_model(4, -1, 3), squares_model(4, 0, 5)):
+        survivors = {block for h in K.report.homology_blocks for block in h}
         for s in range(-K.genus - 1, K.genus + 2):
-            bent = bent_differential(K, s)
-            for i, g in enumerate(K.space.generators):
-                if g.alex != 2 * s:
-                    assert bent[i] is (P[i] if g.alex > 2 * s else M[i]), (K.name, s, i)
-
-
-def test_a_new_level_builds_the_bent_complex_once(monkeypatch):
-    # filling a level ranks v, h and the pair on one build of the bent
-    # complex, the one that also gives its class count; a kept level builds
-    # nothing
-    built = []
-    build = cone._bent_complex
-
-    def spy(K, s):
-        built.append(s)
-        return build(K, s)
-
-    monkeypatch.setattr(cone, "_bent_complex", spy)
-    fresh = (build_staircase(0), build_staircase(-3), mirror(build_staircase(2)),
-             assemble(StaircaseSpec(0), [SquareSpec(0, 1), SquareSpec(0, -1)]))
-    for K in fresh:
-        for s in range(-K.genus - 1, K.genus + 2):
-            built.clear()
+            ranked.clear()
+            induced.clear()
             cone._level(K, s)
-            assert built == [s], (K.name, s)
+            bend = {i for z in (0, 1) for i in K.blocks.get((2 * s, z), ())}
+            assert [set(cols) for cols in ranked] == [bend], (K.name, s)
+            for d_src, src_blocks, targets in induced:
+                [((k, z), positions)] = src_blocks.items()
+                assert k == 0 and (2 * s, z) in survivors, (K.name, s)
+                assert set(d_src) == set(positions) == set(K.blocks[2 * s, z]), (K.name, s)
+                assert len(d_src) < K.dim
+                passed.append(targets)
+            ranked.clear()
+            induced.clear()
             cone._level(K, s)
-            assert built == [s], (K.name, s)
+            assert ranked == induced == [], (K.name, s)
+    assert sorted(passed) == [1] * 6 + [2]  # v and h at s = +-tau of each, the pair once
 
 
 def test_pi_maps_checks_each_projection_is_a_chain_map():
-    # a d- column sent two gradings up: at level -1 the bent column of a1
-    # (at -2, below the bend) is that column, which the low projection
-    # kills, while d- of the projected a1 is not zero
-    K = build_staircase(2)
+    # a d+ column sent two gradings down: q0d (at 0) of the figure-eight now
+    # maps to q0b (at -1).  At level 0, q0d is in the bend block of both
+    # survivors: its bent column is that column, which the low projection
+    # keeps, while d- of q0d is zero
+    K = KnotComplex(*fig8())  # a fresh copy: the catalog's own model stays intact
     assert K.report.ok  # validated before its integer maps are corrupted
     P, M = K.integer_maps
-    K.__dict__["integer_maps"] = P, {**M, 0: {2: 1}}
-    with pytest.raises(LinearAlgebraError, match=r"not a chain map: \(f o d - d o f\)\(0\)"):
-        pi_maps(K, -1)
+    K.__dict__["integer_maps"] = {**P, 4: {2: 1}}, M
+    with pytest.raises(LinearAlgebraError, match=r"not a chain map: \(f o d - d o f\)\(4\)"):
+        pi_maps(K, 0)
     with pytest.raises(LinearAlgebraError, match="not a chain map"):
-        cone._level(K, -1)
-    assert -1 not in K.levels
+        cone._level(K, 0)
+    assert 0 not in K.levels
+
+
+def test_the_whole_level_oracle_checks_every_generator():
+    # a d- column sent two gradings up: a1 (at -2) now maps to a3 (at 0).  At
+    # level -1 no survivor is in the bend, so the local table reads no column
+    # of a1 and keeps its shape, while the whole-level oracle checks a1 too
+    K = build_staircase(2)
+    assert K.report.ok
+    P, M = K.integer_maps
+    K.__dict__["integer_maps"] = P, {**M, 0: {2: 1}}
+    assert pi_maps(K, -1) == pi_maps(build_staircase(2), -1)
+    with pytest.raises(LinearAlgebraError, match=r"not a chain map: \(f o d - d o f\)\(0\)"):
+        level_oracle.whole_level_shape(K, -1)
 
 
 def test_large_surgery_dim_rejects_small_slope():

@@ -18,6 +18,7 @@ import level_oracle
 from knot_helpers import squares_model
 from level_oracle import bent_differential, homologies, homology, projection
 from linalg_helpers import compose, homology_two_pass
+from map_reads import apply, column
 
 
 def _elementary(sp, i, j, c):
@@ -62,7 +63,7 @@ def _random_cycles(rng, sp, d, h, count=6):
             for g, v in cls.rep:
                 z[g] = z.get(g, Fraction(0)) + a * v
         chain = {g: Fraction(rng.randrange(-2, 3)) for g in sp.ids}
-        for g, v in d.apply({g: v for g, v in chain.items() if v}).items():
+        for g, v in apply(d, {g: v for g, v in chain.items() if v}).items():
             z[g] = z.get(g, Fraction(0)) + v
         out.append({g: v for g, v in z.items() if v})
     return out
@@ -75,7 +76,7 @@ def test_random_differentials_match_the_two_pass_oracle():
         new, old = homology(sp, d), homology_two_pass(sp, d)
         assert_same_homology(new, old, _random_cycles(rng, sp, d, new))
         for gid in sp.ids:  # a generator with a nonzero boundary is not a cycle
-            if d.column(gid):
+            if column(d, gid):
                 with pytest.raises(LinearAlgebraError, match="not in ker"):
                     new.express({gid: Fraction(1)})
                 with pytest.raises(LinearAlgebraError, match="not in ker"):
@@ -103,7 +104,7 @@ def test_bent_homologies_match_the_two_pass_oracle(K):
         for side, h_new, h_old in ((-1, hm, hm_old), (1, hp, hp_old)):
             f = projection(K, s, side)
             for cls in new.classes:
-                img = f.apply(cls.rep_vec())
+                img = apply(f, cls.rep_vec())
                 assert list(h_new.express(img).items()) == list(h_old.express(img).items())
 
 

@@ -31,6 +31,7 @@ from knot_helpers import TWO_SURVIVORS_SPEC, graded_signature, half_level_square
 from level_oracle import compute_tau, homologies
 from test_properties import random_thin_models, scramble
 from linalg_helpers import homology_two_pass, is_zero, zero_map
+from map_reads import column
 
 
 def test_staircase_zero_is_single_generator():
@@ -43,8 +44,8 @@ def test_staircase_one_matches_diagram():
     # a1@-1, a2@0, a3@1 with d+(a2)=a3 and d-(a2)=a1.
     K = build_staircase(1)
     assert [(g.gid, g.alex // 2) for g in K.space.generators] == [("a1", -1), ("a2", 0), ("a3", 1)]
-    assert K.d_plus.column("a2") == {"a3": 1}
-    assert K.d_minus.column("a2") == {"a1": 1}
+    assert column(K.d_plus, "a2") == {"a3": 1}
+    assert column(K.d_minus, "a2") == {"a1": 1}
 
 
 def test_staircase_negative_two():
@@ -182,6 +183,20 @@ def test_clean_report_keeps_the_survivor_blocks():
             expected = tuple({(c.alex, c.z2): 1 for c in h.classes} for h in homologies(K))
             assert K.report.homology_blocks == expected, K.name
     assert validate(build_staircase(-2)).homology_blocks == ({(-4, 0): 1}, {(4, 0): 1})
+
+
+def test_clean_report_keeps_the_block_ranks():
+    # the ranks of d- and d+ out of each (doubled grading, z2) block, zeros
+    # left out, as the rational oracle ranks them
+    from validation_oracle import _block_ranks, _blocks
+    rng = random.Random(4)
+    models = thin_catalog() + random_thin_models(6)
+    for K0 in models + [scramble(K, rng, whole_space=True) for K in models[:8]]:
+        for K in (K0, mirror(K0)):
+            expected = tuple(_block_ranks(_blocks(K), lambda gid, d=d: column(d, gid), shift)
+                             for d, shift in ((K.d_minus, -2), (K.d_plus, 2)))
+            assert K.report.ranks == expected, K.name
+    assert validate(build_staircase(-2)).ranks == ({(0, 0): 1, (4, 0): 1}, {(-4, 0): 1, (0, 0): 1})
 
 
 def test_validate_flags_bad_shift():
@@ -374,6 +389,6 @@ def test_decompose_rejects_an_invalid_model_and_checks_the_dimension(monkeypatch
     monkeypatch.setattr(knotcx, "_one_pass", without_squares)
     K = assemble(StaircaseSpec(0), [SquareSpec(0, -1)])
     message = "model dimension 5 differs from 2|tau| + 1 + 4k = 1 for tau 0 and its squares"
-    assert validate(K) == ([message], None, None)
+    assert validate(K) == ([message], None, None, None)
     with pytest.raises(ModelError, match=f"invalid knot model: {re.escape(message)}$"):
         decompose(K)

@@ -15,6 +15,7 @@ from knotsurgery import linalg
 from knotsurgery.linalg import LinearAlgebraError, SparseExactMap, sparse_map, space
 from level_oracle import Echelon, homology, induced_map_on_homology, rank
 from linalg_helpers import add_maps, compose, identity_map, kernel_basis, zero_map
+from map_reads import apply, column
 
 
 def test_rank_zero_map():
@@ -191,7 +192,7 @@ def test_echelon_reduce_usage():
     assert res == {} and usage == {"r0": Fraction(2)}
 
 
-# --- the column index against a plain scan of the entries --------------------
+# --- the column index and its id-keyed reads (map_reads) against a plain scan --
 
 def _random_map(rng, src, tgt):
     entries = {}
@@ -220,10 +221,10 @@ def test_indexed_map_matches_entry_scan_random():
                    for x in "abc")
         f, g = _random_map(rng, a, b), _random_map(rng, b, c)
         for gid in a.ids:
-            assert f.column(gid) == _scan_column(f, gid)
+            assert column(f, gid) == _scan_column(f, gid)
         vec = {gid: Fraction(rng.randrange(-2, 3)) for gid in a.ids}
         vec = {k: v for k, v in vec.items() if v != 0}
-        assert f.apply(vec) == _scan_apply(f, vec)
+        assert apply(f, vec) == _scan_apply(f, vec)
         gf = compose(g, f)
         assert gf.source == a and gf.target == c
         want = {(t, s): v for s in a.ids for t, v in _scan_apply(g, _scan_column(f, s)).items()}
@@ -233,25 +234,25 @@ def test_indexed_map_matches_entry_scan_random():
 def test_column_is_a_copy():
     sp = space([("a", 0, 0), ("b", 2, 1)])
     m = sparse_map(sp, sp, [("b", "a", 1)])
-    col = m.column("a")
+    col = column(m, "a")
     col["a"] = Fraction(7)
     col.pop("b")
-    assert m.column("a") == {"b": Fraction(1)}
-    assert m.apply({"a": Fraction(1)}) == {"b": Fraction(1)}
+    assert column(m, "a") == {"b": Fraction(1)}
+    assert apply(m, {"a": Fraction(1)}) == {"b": Fraction(1)}
 
 
 def test_columns_are_keyed_by_position():
     sp = space([("a", 0, 0), ("b", 2, 1), ("c", 4, 0)])
     m = sparse_map(sp, sp, [("c", "b", 2), ("b", "a", 1), ("a", "b", Fraction(1, 2))])
     assert m.columns == {0: {1: 1}, 1: {2: 2, 0: Fraction(1, 2)}, 2: {}}
-    assert list(m.column("b")) == ["c", "a"]
+    assert list(column(m, "b")) == ["c", "a"]
     assert [sp.position(g) for g in "abc"] == [0, 1, 2]
 
 
 def test_an_unknown_source_id_raises():
     sp = space([("a", 0, 0), ("b", 2, 1)])
     m = sparse_map(sp, sp, [("b", "a", 1)])
-    for read in (lambda: m.column("typo"), lambda: m.apply({"a": 1, "typo": 1})):
+    for read in (lambda: column(m, "typo"), lambda: apply(m, {"a": 1, "typo": 1})):
         with pytest.raises(LinearAlgebraError, match="unknown generator id 'typo'"):
             read()
 
@@ -282,7 +283,7 @@ def _integer_columns(m):
     from math import lcm
     scale = lcm(*(v.denominator for _, _, v in m.entries if type(v) is not int))
     tgt = {gid: i for i, gid in enumerate(m.target.ids)}
-    return {s: {tgt[t]: int(v * scale) for t, v in m.column(gid).items()}
+    return {s: {tgt[t]: int(v * scale) for t, v in column(m, gid).items()}
             for s, gid in enumerate(m.source.ids)}
 
 

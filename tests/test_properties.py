@@ -41,6 +41,7 @@ from cone_elimination import elimination_dimension, h_sources
 from knot_helpers import components
 from level_oracle import compute_tau
 from linalg_helpers import compose, homology_two_pass
+from map_reads import column
 
 
 def random_thin_models(count: int, seed: int = 20240817) -> list:
@@ -124,12 +125,12 @@ def test_structural_invariants(K):
     for gid in K.space.ids:
         once = {}
         for m in (K.d_plus, K.d_minus):
-            for tgt, val in m.column(gid).items():
+            for tgt, val in column(m, gid).items():
                 once[tgt] = once.get(tgt, Fraction(0)) + val
         twice = {}
         for src, c in once.items():
             for m in (K.d_plus, K.d_minus):
-                for tgt, val in m.column(src).items():
+                for tgt, val in column(m, src).items():
                     acc = twice.get(tgt, Fraction(0)) + c * val
                     if acc == 0:
                         twice.pop(tgt, None)

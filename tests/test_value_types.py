@@ -90,12 +90,12 @@ def test_replace_runs_the_construction_checks():
 
 def test_validation_report_is_a_read_only_record():
     report = validate(build_staircase(1))
-    assert report._fields == ("violations", "decomposition", "homology_blocks")
-    assert report == ([], (1, {}), ({(2, 0): 1}, {(-2, 0): 1}))
+    assert report._fields == ("violations", "decomposition", "homology_blocks", "ranks")
+    assert report == ([], (1, {}), ({(2, 0): 1}, {(-2, 0): 1}), ({(0, 1): 1}, {(0, 1): 1}))
     assert report.decomposition == Decomposition(1, {})
     with pytest.raises(AttributeError):
         report.decomposition = None
-    assert ValidationReport(["x"]) == (["x"], None, None) and not ValidationReport(["x"]).ok
+    assert ValidationReport(["x"]) == (["x"], None, None, None) and not ValidationReport(["x"]).ok
 
 
 def test_cone_problem_is_a_read_only_record():

@@ -2,7 +2,7 @@
 
 ``validate_rational`` is ``knotcx.validate`` as it was before the one
 integer pass: it forms d+ d+, d- d- and d+ d- + d- d+ in ``Fraction``-capable
-arithmetic through ``SparseExactMap.apply``, and ranks each (grading, z2)
+arithmetic through ``map_reads.apply``, and ranks each (grading, z2)
 block with a fresh rational ``level_oracle.Echelon``.  ``decompose_rational`` forms the
 d+ d- columns again and ranks them the same way.  The tests hold the
 integer pass to the same violation lists, in order, and the same
@@ -11,6 +11,7 @@ decompositions.
 from knotsurgery.knotcx import Decomposition, KnotComplex, ModelError, chi_graded
 from knotsurgery.linalg import SparseExactMap
 from level_oracle import Echelon
+from map_reads import apply, column
 
 
 def validate_rational(K: KnotComplex) -> list:
@@ -20,7 +21,7 @@ def validate_rational(K: KnotComplex) -> list:
 
     def check_square(d: SparseExactMap, label: str):
         for gid in sp.ids:
-            if d.apply(d.column(gid)):
+            if apply(d, column(d, gid)):
                 violations.append(f"{label}^2 != 0 (witness {gid})")
                 return
 
@@ -39,8 +40,8 @@ def validate_rational(K: KnotComplex) -> list:
                 break
 
     for gid in sp.ids:
-        w = K.d_minus.apply(K.d_plus.column(gid))
-        if K.d_plus.apply(K.d_minus.column(gid)) != {r: -c for r, c in w.items()}:
+        w = apply(K.d_minus, column(K.d_plus, gid))
+        if apply(K.d_plus, column(K.d_minus, gid)) != {r: -c for r, c in w.items()}:
             violations.append(f"d+d- + d-d+ != 0 (witness {gid})")
             break
 
@@ -70,7 +71,7 @@ def validate_rational(K: KnotComplex) -> list:
     blocks = _blocks(K)
     homology_blocks = []
     for d, shift in ((K.d_minus, -2), (K.d_plus, 2)):
-        out = _block_ranks(blocks, d.column, shift)
+        out = _block_ranks(blocks, lambda gid: column(d, gid), shift)
         homology_blocks.append({
             (a, z): n for (a, z), ids in blocks.items()
             if (n := len(ids) - out.get((a, z), 0) - out.get((a - shift, 1 - z), 0))})
@@ -89,7 +90,7 @@ def validate_rational(K: KnotComplex) -> list:
 
 def decompose_rational(K: KnotComplex) -> Decomposition:
     """``knotcx.decompose`` from the ranks of the d+ d- columns, formed again; K must be valid."""
-    ranks = _block_ranks(_blocks(K), lambda gid: K.d_plus.apply(K.d_minus.column(gid)), 0)
+    ranks = _block_ranks(_blocks(K), lambda gid: apply(K.d_plus, column(K.d_minus, gid)), 0)
     squares = {(alex // 2, 1 if z2 else -1): n for (alex, z2), n in ranks.items()}
     expected = 2 * abs(K.tau) + 1 + 4 * sum(squares.values())
     if K.dim != expected:
