@@ -400,8 +400,7 @@ class ValidationReport(NamedTuple):
     A clean report also keeps (H(d-), H(d+)) as {(doubled grading, z2):
     dim}, one block of dimension 1 each, and the block ranks of (d-, d+)
     as {(doubled grading, z2): rank out of that block}, blocks of rank 0
-    left out: the level table reads its class counts and its sources'
-    ranks off them.
+    left out: the level table reads its class counts off them.
     """
     violations: list
     decomposition: Optional[Decomposition] = None
