@@ -165,7 +165,7 @@ def pi_maps(K: KnotComplex, s: int) -> tuple:
     gens, s2 = K.space.generators, 2 * s
     cols, blocks, ranks = _bend(K, s2)
     n, near = _classes(K, s2, ranks)
-    rows, targets = [], []
+    rows, sides = [], []
     for sign, ((a, z),) in zip((-1, 1), K.report.homology_blocks):
         if a != s2 or (0, z) not in near:  # no elimination (see above)
             rows.append(sign * (a - s2) > 0)
@@ -175,13 +175,15 @@ def pi_maps(K: KnotComplex, s: int) -> tuple:
         f = {i: {i: 1} if sign * (gens[i].alex - s2) >= 0 else {}
              for i in set(block).union(*source[0].values())}
         boundary = K.blocks.get((s2 - 2 * sign, 1 - z), [])
-        targets.append((f, M if sign < 0 else P, {(0, z): block, (-2, 1 - z): boundary}, {(0, z)}))
-        rows.append(induced_map_on_homology(*source, targets[-1:]) > 0)
+        target = f, M if sign < 0 else P, {(0, z): block, (-2, 1 - z): boundary}, {(0, z)}
+        sides.append((source, target))
+        rows.append(induced_map_on_homology(*source, [target]) > 0)
     v, h = rows
-    # with both survivors in one bend block, source and z are that block's
-    line = (v and h and len(targets) == 2 and targets[0][3] == targets[1][3]
-            and (near[0, z] == 1 or induced_map_on_homology(*source, targets) == 1))
-    return n, v, h, line
+    if not (v and h and len(sides) == 2 and sides[0][1][3] == sides[1][1][3]):
+        return n, v, h, False
+    (source, low), (_, high) = sides
+    (block,) = low[3]
+    return n, v, h, near[block] == 1 or induced_map_on_homology(*source, [low, high]) == 1
 
 
 class SurgeryResult(NamedTuple):
