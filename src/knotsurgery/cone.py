@@ -38,8 +38,9 @@ No level reads every generator, and no class representative is formed.
 
 The cone is ranked without elimination.  Source sigma reaches only the
 slots sigma and sigma + 2p, so the incidence graph is a disjoint union of
-paths, and one sweep over the sources finds the rank from the shape of each
-source's block, its level's rows (see ``ConeProblem.dimension``).
+paths, and one pass over the sources in lattice order finds the rank from
+the shape of each source's block, its level's rows, naming each path by
+its lowest slot (see ``ConeProblem.dimension``).
 
 Sign conventions are calibrated by two anchors: the right trefoil must give
 dimension 1 at slope +1 and the figure-eight 3.
@@ -56,8 +57,9 @@ from .linalg import block_ranks, homology, induced_map_on_homology
 # Lattice slots a cone may span, checked before any assembly: (2W - 1) q
 # for the materialised knot cone at slope p/q and (2W + 1) |offsets| for the
 # exterior-algebra cone, W being the window half-width.  On a 2-vCPU host a
-# knot cone at the limit takes up to 0.65 s (figure-eight at slope 1/499999,
-# one path through every slot).  ``surgery_dim`` builds no cone, so the limit
+# knot cone at the limit is built and ranked in 0.19-0.30 s in process, with
+# a peak RSS of 56 MB (figure-eight at slope +-1/499999, one path through
+# every slot).  ``surgery_dim`` builds no cone, so the limit
 # binds only ``--compare``, the oracles and the exterior-algebra cone.
 MAX_LATTICE_SLOTS = 5 * 10 ** 5
 
@@ -237,7 +239,7 @@ class ConeProblem(NamedTuple):
     levels: dict
 
     def dimension(self) -> int:
-        """ker + coker of the cone map, ranked by one sweep over the sources.
+        """ker + coker of the cone map, ranked in one pass over the sources.
 
         Each source's block [v row; h row] spans, inside its two slots,
         nothing (no row), one slot (one row: that slot is grounded), both
@@ -245,75 +247,65 @@ class ConeProblem(NamedTuple):
         (proportional rows: an edge).  Edges join the slots into paths; a
         path of k slots has rank k - 1, or k once any of its slots is
         grounded.  So rank = |targets| - (paths with no grounded slot) =
-        edges + (paths with a grounded slot), which the sweep counts
-        without visiting untouched slots.  Each level's shape serves all q
-        of its sources.
+        edges + (paths with a grounded slot).  The v slot sigma is retained
+        iff sigma >= targets.start, and the h slot sigma + 2p iff
+        sigma <= sources.stop - 1 - 2p.  An edge's lower slot is the upper
+        slot of the edge before it on its path, whose source comes earlier
+        in lattice order.  So one pass over the sources in that order names
+        each edge's upper slot by the lowest slot of its path (``head``),
+        and a slot is grounded only once its edge from below, if any, has
+        been seen, so ``grounded`` collects paths.  The levels are visited
+        in ascending order, whatever the order of ``levels``, and each
+        level's shape serves all q of its sources.
         """
-        q, p2, targets = self.q, 2 * self.p, self.targets
-        grounded = set()
-        nxt: dict = {}   # edge: v slot -> h slot
-        prev: dict = {}  # edge: h slot -> v slot
+        q, p2 = self.q, 2 * self.p
+        v_from, h_to = self.targets.start, self.sources.stop - 1 - p2
+        head: dict = {}  # upper slot of an edge -> lowest slot of its path
+        grounded = set()  # lowest slots of the paths with a grounded slot
         classes = 0
-        for s, (n, has_v, has_h, line) in self.levels.items():
+        for s, (n, has_v, has_h, line) in sorted(self.levels.items()):
             classes += n * q
             for sigma in range(2 * s * q - (q - 1), 2 * s * q + q, 2):
-                v = has_v and sigma in targets
-                h = has_h and sigma + p2 in targets
-                if v and h:
-                    if line:
-                        nxt[sigma] = sigma + p2
-                        prev[sigma + p2] = sigma
-                    else:
-                        grounded.add(sigma)
-                        grounded.add(sigma + p2)
-                elif v:
-                    grounded.add(sigma)
-                elif h:
-                    grounded.add(sigma + p2)
-        seen = set()
-        grounded_paths = 0
-        for t in grounded:
-            if t in seen:
-                continue
-            grounded_paths += 1
-            seen.add(t)
-            for link in (nxt, prev):
-                x = link.get(t)
-                while x is not None:
-                    seen.add(x)
-                    x = link.get(x)
-        r = len(nxt) + grounded_paths
-        return (classes - r) + (len(targets) - r)
-
-
-def _level_key(K: KnotComplex, s: int) -> int:
-    """The entry of K.levels that level s reads.
-
-    Levels past the genus repeat: below -genus the bent complex is d+ alone,
-    v is zero and h an isomorphism, and above +genus the reverse.  So every
-    s <= -genus - 1 shares one entry, and every s >= genus + 1 another.
-    """
-    return min(max(s, -K.genus - 1), K.genus + 1)
+                v = has_v and sigma >= v_from
+                h = has_h and sigma <= h_to
+                if v and h and line:
+                    lo, hi = (sigma, sigma + p2) if p2 > 0 else (sigma + p2, sigma)
+                    head[hi] = head.get(lo, lo)
+                    continue
+                if v:
+                    grounded.add(head.get(sigma, sigma))
+                if h:
+                    grounded.add(head.get(sigma + p2, sigma + p2))
+        r = len(head) + len(grounded)
+        return (classes - r) + (len(self.targets) - r)
 
 
 def _check_level_cells(K: KnotComplex, levels: Sequence[int]):
     """PreconditionError, naming the limit, when filling these levels would pass MAX_LEVEL_CELLS."""
     if min(len(levels), 2 * K.genus + 3) * K.dim <= MAX_LEVEL_CELLS:
         return  # within the limit even if every entry of the table is new
-    new = {_level_key(K, s) for s in levels} - K.levels.keys()
+    edge = K.genus + 1
+    new = {min(max(s, -edge), edge) for s in levels} - K.levels.keys()
     if (cells := len(new) * K.dim) > MAX_LEVEL_CELLS:
         raise PreconditionError(
             f"the level table needs {len(new)} levels of a {K.dim}-generator model, {cells} "
             f"cells, over the limit MAX_LEVEL_CELLS = {MAX_LEVEL_CELLS}")
 
 
-def _level(K: KnotComplex, s: int) -> tuple:
-    """The shape (class count, v, h, line) of level s (see ``pi_maps``), kept in K.levels."""
-    s = _level_key(K, s)
-    shape = K.levels.get(s)
-    if shape is None:
-        shape = K.levels[s] = pi_maps(K, s)
-    return shape
+def _fill_levels(K: KnotComplex, keys: Sequence[int]) -> dict:
+    """K.levels, with the shape (see ``pi_maps``) of each level in keys computed where it is missing.
+
+    Levels past the genus repeat: below -genus the bent complex is d+ alone,
+    v is zero and h an isomorphism, and above +genus the reverse.  So the
+    table holds the levels -genus - 1..genus + 1, and every level past one
+    end reads that end's entry.  The keys must lie in that range.
+    """
+    table = K.levels
+    if new := [s for s in keys if s not in table]:
+        _check_level_cells(K, new)
+        for s in new:
+            table[s] = pi_maps(K, s)
+    return table
 
 
 def build_cone_problem(K: KnotComplex, p: int, q: int, window_margin: int = 0) -> ConeProblem:
@@ -336,12 +328,17 @@ def build_cone_problem(K: KnotComplex, p: int, q: int, window_margin: int = 0) -
         w_min = max(w_min, (p + q - 1) // (2 * q) + 1)
     W = w_min + max(0, window_margin)
     check_lattice_slots((2 * W - 1) * q)
-    _check_level_cells(K, range(1 - W, W))
+    edge = K.genus + 1
+    keys = range(max(1 - W, -edge), min(W, edge + 1))
+    table = _fill_levels(K, keys)
+    levels = {s: table[s] for s in keys}
+    if W > edge + 1:  # the levels past the genus repeat the edge entries
+        levels = {**dict.fromkeys(range(1 - W, -edge), table[-edge]), **levels,
+                  **dict.fromkeys(range(edge + 1, W), table[edge])}
 
     first = 2 * (1 - W) * q - (q - 1)
     last = 2 * (W - 1) * q + (q - 1)
-    return ConeProblem(p, q, range(first, last + 1, 2), range(first + 2 * p, last + 1, 2),
-                       {s: _level(K, s) for s in range(1 - W, W)})
+    return ConeProblem(p, q, range(first, last + 1, 2), range(first + 2 * p, last + 1, 2), levels)
 
 
 def large_surgery_start(K: KnotComplex) -> int:
@@ -360,10 +357,10 @@ def large_surgery_dim(K: KnotComplex, n: int) -> int:
                                 f"(needs n >= {large_surgery_start(K)})")
     g = K.genus
     levels = range(max(g - n, -g - 1), g)
-    _check_level_cells(K, levels)
-    total = sum(_level(K, s)[0] for s in levels)
+    table = _fill_levels(K, levels)
+    total = sum(table[s][0] for s in levels)
     if n > 2 * g + 1:  # each level below -genus - 1 has the rows of -genus - 1
-        total += (n - 2 * g - 1) * _level(K, -g - 1)[0]
+        total += (n - 2 * g - 1) * table[-g - 1][0]
     return total
 
 
@@ -409,15 +406,15 @@ def zero_surgery_levels(K: KnotComplex, span: Optional[int] = None) -> dict:
     slot is None ("undetermined") when tau = 0, where c is not pinned down.
     """
     decompose(K)
-    g = K.genus
-    top = (g - 1) if span is None else span
-    _check_level_cells(K, [s for s in range(-top, top + 1) if s or K.tau])
+    edge = K.genus + 1
+    top = (K.genus - 1) if span is None else span
+    table = _fill_levels(K, [s for s in range(max(-top, -edge), min(top, edge) + 1) if s or K.tau])
     out: dict = {}
     for s in range(-top, top + 1):
         if s == 0 and K.tau == 0:
             out[0] = None
             continue
-        n, v, h, line = _level(K, s)
+        n, v, h, line = table[min(max(s, -edge), edge)]
         if line:
             raise PreconditionError(
                 f"zero-surgery slot at grading {s} is scalar-dependent; hypothesis violated")

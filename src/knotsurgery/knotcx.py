@@ -140,7 +140,9 @@ class KnotComplex(_ModelFields):
     def blocks(self) -> dict:
         """{(doubled grading, z2): positions of that block's generators, in model order}.
 
-        ``validate`` ranks on it, and each level of the cone re-keys it.
+        ``validate`` reads the grading dimensions and ranks its maps on it,
+        ``chi_graded`` the Euler characteristic, and each level of the cone
+        reads its own blocks out of it, as ``K.blocks.get((s2, z))``.
         """
         blocks: dict = {}
         for i, g in enumerate(self.space.generators):
@@ -218,13 +220,13 @@ def _meta(name: Optional[str], delta: Optional[Poly]) -> tuple:
 
 
 def chi_graded(K: KnotComplex) -> Poly:
-    """Graded Euler characteristic: signed generator count per true grading."""
+    """Graded Euler characteristic: signed generator count per true grading, read off ``K.blocks``."""
+    half = [positions[0] for (alex, _), positions in K.blocks.items() if alex % 2]
+    if half:
+        raise ModelError(f"generator {K.space.ids[min(half)]!r} sits at a half-integer grading")
     out: Poly = {}
-    for g in K.space.generators:
-        if g.alex % 2:
-            raise ModelError(f"generator {g.gid!r} sits at a half-integer grading")
-        key = g.alex // 2
-        out[key] = out.get(key, 0) + (-1) ** g.z2
+    for (alex, z2), positions in K.blocks.items():
+        out[alex // 2] = out.get(alex // 2, 0) + (-1) ** z2 * len(positions)
     return {p: c for p, c in out.items() if c}
 
 
@@ -420,8 +422,9 @@ def validate(K: KnotComplex) -> ValidationReport:
     forms d+ d+, d- d-, d+ d- and d- d+ once per generator on them.  The
     structural checks report in a fixed order: d+^2, d-^2, the grading
     shifts, anticommutation, symmetric graded dimensions, the genus bounds
-    and the Euler characteristic; any fault there ends the report before a
-    block is ranked, since a dense model may take long to rank.  Otherwise
+    and the Euler characteristic (``chi_graded``), the last three read off
+    the block sizes of ``K.blocks``; any fault there ends the report before
+    a block is ranked, since a dense model may take long to rank.  Otherwise
     ``linalg.block_ranks`` ranks the d-, d+ and d+ d- images of each block
     of ``K.blocks``, and ``linalg.homology`` reads dim H(d-) and dim H(d+)
     off those ranks.  Both must be 1, and tau is the grading of the one
@@ -437,9 +440,10 @@ def validate(K: KnotComplex) -> ValidationReport:
         return ValidationReport(["d+ and d- must map the model's space to itself"])
     violations = []
     shifts = []
+    gens, at = sp.generators, sp._index
     for d, label, sgn in ((K.d_plus, "d+", 1), (K.d_minus, "d-", -1)):
         for tgt, src, _ in d.entries:
-            gs, gt = sp.generator(src), sp.generator(tgt)
+            gs, gt = gens[at[src]], gens[at[tgt]]
             if gt.alex - gs.alex != 2 * sgn:
                 shifts.append(
                     f"{label} shifts grading of {src} by {(gt.alex - gs.alex) / 2}, expected {sgn}")
@@ -448,7 +452,9 @@ def validate(K: KnotComplex) -> ValidationReport:
                 shifts.append(f"{label} does not flip the Z/2 grading on {src}")
                 break
 
-    dims = sp.dims_by_grading()
+    dims: dict = {}
+    for (alex, _), positions in K.blocks.items():
+        dims[alex] = dims.get(alex, 0) + len(positions)
     rest = []  # the checks reported after anticommutation
     for a, n in dims.items():
         if dims.get(-a, 0) != n:
@@ -460,14 +466,13 @@ def validate(K: KnotComplex) -> ValidationReport:
     if K.genus > 0 and dims.get(2 * K.genus, 0) < 1:
         rest.append(f"no generator at the top grading {K.genus}")
 
-    half = next((g.gid for g in sp.generators if g.alex % 2), None)
-    delta = K.delta()
-    if half is not None:  # chi_graded's text for the same fault
-        rest.append(f"generator {half!r} sits at a half-integer grading")
-    elif delta is not None:
+    try:
         chi = chi_graded(K)
-        neg = {p: -c for p, c in chi.items()}
-        if chi != delta and neg != delta:
+    except ModelError as half:
+        rest.append(str(half))
+    else:
+        delta = K.delta()
+        if delta is not None and delta != chi and delta != {p: -c for p, c in chi.items()}:
             rest.append("graded Euler characteristic does not match the attached polynomial")
 
     bad, squares = _one_pass(K)

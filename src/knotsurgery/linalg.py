@@ -73,13 +73,6 @@ class GradedSpace(NamedTuple("GradedSpace", [("generators", tuple)])):
     def generator(self, gid: str) -> Generator:
         return self.generators[self.position(gid)]
 
-    def dims_by_grading(self) -> dict:
-        """Dimension of each (doubled) Alexander grading level."""
-        out: dict = {}
-        for g in self.generators:
-            out[g.alex] = out.get(g.alex, 0) + 1
-        return out
-
 
 def space(gens: Iterable[tuple]) -> GradedSpace:
     """Build a GradedSpace from (id, doubled-grading, z2) triples."""

@@ -1,17 +1,21 @@
 """Exact-elimination oracle for the cone sweep of ``ConeProblem.dimension``.
 
 ``blocks`` rebuilds the cone's per-source blocks from its level table, its
-slope and its retained slots.  ``elimination_dimension`` assembles the cone
-matrix as a SparseExactMap, one column per source class and one row per
-retained slot, from the rows that ``level_oracle`` computes for the model
-(each level's shape in the table must be theirs), with each source's h row
-scaled by a chosen nonzero scalar, and ranks it with ``level_oracle.rank``.
-Slot identifications are fixed only up to such scalars, so the dimension
-must not depend on them.  ``block_kinds`` names the shape of each source's
+slope and its retained slots, in lattice order.  ``assembled_dimension``
+assembles the cone matrix as a SparseExactMap, one column per source class
+and one row per retained slot, from given rows of each level, with each
+source's h row scaled by a chosen nonzero scalar, and ranks it with
+``level_oracle.rank``.  ``elimination_dimension`` does so with the rows
+that ``level_oracle`` computes for the model (each level's shape in the
+table must be theirs), and ``generic_rows`` gives rows of any shape with
+random rational entries.  Slot identifications are fixed only up to such
+scalars, so the dimension must not depend on them.  ``block_kinds`` names the shape of each source's
 block, for tests that must reach every kind.  ``check_path_structure``
 asserts the shape the sweep relies on; the test suite applies it to every
 cone it ranks (see ``conftest.py``).
 """
+from fractions import Fraction
+
 from knotsurgery.linalg import space, sparse_map
 from level_oracle import level_rows, rank, shape
 
@@ -19,7 +23,7 @@ from level_oracle import level_rows, rank, shape
 def blocks(prob) -> list:
     """[(sigma, level, v slot or None, h slot or None)] in lattice order, from the level flags."""
     out = []
-    for s, (_, has_v, has_h, _) in prob.levels.items():
+    for s, (_, has_v, has_h, _) in sorted(prob.levels.items()):
         for sigma in range(2 * s * prob.q - (prob.q - 1), 2 * s * prob.q + prob.q, 2):
             v = sigma if has_v and sigma in prob.targets else None
             ht = sigma + 2 * prob.p
@@ -43,11 +47,38 @@ def h_sources(prob) -> list:
     return [sigma for sigma, _, _, h in blocks(prob) if h is not None]
 
 
+def generic_rows(shape, rng) -> tuple:
+    """(class count, v row, h row) of a level of this shape, with random nonzero rational entries.
+
+    Independent rows differ from proportional ones in the entry of class 1
+    alone, so they need two classes, as the shape does.
+    """
+    n, has_v, has_h, line = shape
+
+    def entry():
+        return Fraction(rng.choice((-1, 1)) * rng.randrange(1, 9), rng.randrange(1, 5))
+
+    v = {j: entry() for j in range(n)} if has_v else {}
+    if not has_h:
+        return n, v, {}
+    if not has_v:
+        return n, v, {j: entry() for j in range(n)}
+    c = entry()
+    h = {j: c * x for j, x in v.items()}
+    if not line:
+        h[1] += entry()
+    return n, v, {j: x for j, x in h.items() if x}
+
+
 def elimination_dimension(K, prob, h_scale=None) -> int:
     """ker + coker of the assembled cone matrix of K; h_scale maps a source to its h scalar."""
+    return assembled_dimension(prob, _rows(K, prob), h_scale)
+
+
+def assembled_dimension(prob, rows, h_scale=None) -> int:
+    """ker + coker of the cone matrix whose level s has rows[s] = (class count, v row, h row)."""
     check_path_structure(prob)
     h_scale = h_scale or {}
-    rows = _rows(K, prob)
     srcs = blocks(prob)
     cols = space([(f"s{sigma}_{j}", 0, 0) for sigma, s, _, _ in srcs for j in range(rows[s][0])])
     slots = space([(f"t{t}", 0, 0) for t in prob.targets])

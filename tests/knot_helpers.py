@@ -11,6 +11,7 @@ from knotsurgery.knotcx import (
     chi_graded,
 )
 from knotsurgery.linalg import space, sparse_map
+from validation_oracle import dims_by_grading
 
 
 def graded_signature(K: KnotComplex):
@@ -18,7 +19,7 @@ def graded_signature(K: KnotComplex):
     chi = chi_graded(K)
     if sum(chi.values()) < 0:
         chi = {p: -c for p, c in chi.items()}
-    return (tuple(sorted(K.space.dims_by_grading().items())), tuple(sorted(chi.items())), K.tau)
+    return (tuple(sorted(dims_by_grading(K.space).items())), tuple(sorted(chi.items())), K.tau)
 
 
 # Explicit knot spec of staircase(1) plus an isolated generator at grading 0,

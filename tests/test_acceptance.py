@@ -11,6 +11,7 @@ from knotsurgery.knotcx import chi_graded, mirror, validate
 from cone_elimination import elimination_dimension, h_sources
 from level_oracle import compute_tau
 from test_properties import random_thin_models
+from validation_oracle import dims_by_grading
 
 
 def _report(num: int, text: str, mismatches):
@@ -104,7 +105,7 @@ def test_acceptance_7_property_suites():
         if not report.ok:
             bad.append(f"{K.name}: {report.violations}")
             continue
-        dims = K.space.dims_by_grading()
+        dims = dims_by_grading(K.space)
         if any(dims.get(-a, 0) != n for a, n in dims.items()):
             bad.append(f"{K.name}: asymmetric gradings")
         chi = chi_graded(K)

@@ -5,8 +5,10 @@ kernel/image chases on the five-generator figure-eight model and the
 five-step staircases are written out in the comments, and cross-checked
 against the closed thin-knot formula where both apply.
 """
+import math
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from knotsurgery import cone
 from knotsurgery.catalog import get_knot, thin_catalog
@@ -34,7 +36,13 @@ from knotsurgery.knotcx import (
     validate,
 )
 from knotsurgery.linalg import LinearAlgebraError
-from cone_elimination import block_kinds, elimination_dimension, h_sources
+from cone_elimination import (
+    assembled_dimension,
+    block_kinds,
+    elimination_dimension,
+    generic_rows,
+    h_sources,
+)
 import level_oracle
 from test_level_table import models
 
@@ -231,7 +239,7 @@ def test_a_new_level_passes_only_its_source_block(monkeypatch):
         for s in range(-K.genus - 1, K.genus + 2):
             ranked.clear()
             induced.clear()
-            cone._level(K, s)
+            cone._fill_levels(K, [s])
             bend = {i for z in (0, 1) for i in K.blocks.get((2 * s, z), ())}
             assert [set(cols) for cols in ranked] == [bend], (K.name, s)
             for d_src, src_blocks, targets in induced:
@@ -242,7 +250,7 @@ def test_a_new_level_passes_only_its_source_block(monkeypatch):
                 passed.append(targets)
             ranked.clear()
             induced.clear()
-            cone._level(K, s)
+            cone._fill_levels(K, [s])
             assert ranked == induced == [], (K.name, s)
     assert sorted(passed) == [1] * 6 + [2]  # v and h at s = +-tau of each, the pair once
 
@@ -259,7 +267,7 @@ def test_pi_maps_checks_each_projection_is_a_chain_map():
     with pytest.raises(LinearAlgebraError, match=r"not a chain map: \(f o d - d o f\)\(4\)"):
         pi_maps(K, 0)
     with pytest.raises(LinearAlgebraError, match="not a chain map"):
-        cone._level(K, 0)
+        cone._fill_levels(K, [0])
     assert 0 not in K.levels
 
 
@@ -340,6 +348,38 @@ def test_sweep_follows_long_paths():
         assert block_kinds(K, prob) == kinds
         want = thin_surgery_formula(K.dim, K.tau, p, 41)
         assert prob.dimension() == elimination_dimension(K, prob) == want
+
+
+# Every level shape: n classes, and v, h and line as a level of n classes can have them.
+_EVERY_SHAPE = [(n, v, h, line) for n in range(4) for v in (False, True) for h in (False, True)
+                for line in (False, True)
+                if (n or not (v or h)) and line <= (v and h) and (line or not (v and h) or n > 1)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 3).flatmap(lambda g: st.lists(st.sampled_from(_EVERY_SHAPE),
+                                                    min_size=2 * g + 3, max_size=2 * g + 3)),
+       st.integers(1, 6).flatmap(lambda q: st.tuples(
+           st.integers(-13, 13).filter(lambda p: p and math.gcd(p, q) == 1), st.just(q))),
+       st.integers(0, 3), st.integers(0, 2 ** 32))
+def test_sweep_equals_elimination_on_generated_level_words(word, slope, margin, seed):
+    # a level word over the table's entries -g-1..g+1, the window widened by
+    # margin so that far levels repeat the edge entries, against the exact
+    # elimination with generic rational rows and h scalars
+    import random
+    from fractions import Fraction
+    (p, q), g = slope, (len(word) - 3) // 2
+    K = build_staircase(g)
+    K.levels.update(zip(range(-g - 1, g + 2), word))
+    prob = build_cone_problem(K, p, q, window_margin=margin)
+    rng = random.Random(seed)
+    rows = {s: generic_rows(shape, rng) for s, shape in zip(range(-g - 1, g + 2), word)}
+    rows = {s: rows[min(max(s, -g - 1), g + 1)] for s in prob.levels}
+    scale = {src: Fraction(rng.choice((-1, 1)) * rng.randrange(1, 9), rng.randrange(1, 5))
+             for src in h_sources(prob)}
+    dim = prob.dimension()
+    assert dim == assembled_dimension(prob, rows, scale), (word, p, q, margin)
+    assert prob._replace(levels=dict(reversed(prob.levels.items()))).dimension() == dim
 
 
 def test_lattice_slot_limit():
@@ -573,7 +613,7 @@ def test_zero_surgery_levels_refuse_every_proportional_level():
     want = zero_surgery_dims(K)
     K.levels[0] = line
     assert zero_surgery_levels(K) == want and want[0] is None
-    assert cone._level(fig8(), 0) == (3, True, True, True)  # the figure-eight's own level 0
+    assert cone._fill_levels(fig8(), [0])[0] == (3, True, True, True)  # the figure-eight's own level 0
     assert zero_surgery_levels(fig8()) == {0: None}
 
 
@@ -680,8 +720,9 @@ def test_levels_match_the_cone(family):
                     (K.name, p, q)
         # the levels at +-genus, past the level word, have one class and one row each
         if K.genus:
-            assert cone._level(K, K.genus) == (1, True, False, False), K.name
-            assert cone._level(K, -K.genus) == (1, False, True, False), K.name
+            table = cone._fill_levels(K, [-K.genus, K.genus])
+            assert table[K.genus] == (1, True, False, False), K.name
+            assert table[-K.genus] == (1, False, True, False), K.name
 
 
 _SHAPES = {"0": (1, False, False, False), "V": (1, True, False, False),

@@ -11,6 +11,7 @@ spec keeps those integers within MAX_SPEC_BITS, and a separate scale on
 each map changes no report and no level shape.
 """
 import json
+import math
 import random
 from collections import Counter
 from fractions import Fraction
@@ -56,8 +57,12 @@ def _faulty(K: KnotComplex, how: str, grading: int, tag: str) -> KnotComplex:
     or d- (down), so that differential does not square to zero;
     "commuting" is a square whose four arrows commute; "one-sided" is a
     -> c under d+ and c -> d under d-, so d- d+ is nonzero on a while d+ d-
-    is zero there; "two-step" is a d+ arrow that jumps two gradings.  The
-    genus grows to cover the new generators.
+    is zero there; "two-step" is a d+ arrow that jumps two gradings;
+    "asymmetric" is a d+ arrow y0 -> y1, one generator at each of two
+    gradings that are not opposite; "half-grading" is e0 at ``grading``,
+    then e1 and e2 half a grading below and above it, in two blocks first
+    seen after e0's, with a d+ arrow e1 -> e2.  The genus grows to cover the
+    new generators.
     """
     plus, minus = [], []  # the new arrows, as (target, source)
     if how in ("plus-square", "minus-square"):
@@ -72,20 +77,28 @@ def _faulty(K: KnotComplex, how: str, grading: int, tag: str) -> KnotComplex:
         added = [("a", grading, 0), ("c", grading + 1, 1), ("d", grading, 0)]
         plus.append(("c", "a"))
         minus.append(("d", "c"))
+    elif how == "asymmetric":
+        added = [("y0", grading, 0), ("y1", grading + 1, 1)]
+        plus.append(("y1", "y0"))
+    elif how == "half-grading":
+        half = Fraction(1, 2)
+        added = [("e0", grading, 0), ("e1", grading - half, 0), ("e2", grading + half, 1)]
+        plus.append(("e2", "e1"))
     else:  # two-step
         added = [("t0", grading, 0), ("t1", grading + 2, 1)]
         plus.append(("t1", "t0"))
     gens = [(g.gid, g.alex, g.z2) for g in K.space.generators]
-    gens += [(tag + gid, 2 * a, z) for gid, a, z in added]
+    gens += [(tag + gid, int(2 * a), z) for gid, a, z in added]
     d_plus, d_minus = (list(d.entries) + [(tag + t, tag + s, 1) for t, s in new]
                        for d, new in ((K.d_plus, plus), (K.d_minus, minus)))
-    genus = max([K.genus] + [abs(a) for _, a, _ in added])
+    genus = max([K.genus] + [math.ceil(abs(a)) for _, a, _ in added])
     sp = space(gens)
     return KnotComplex(sp, sparse_map(sp, sp, d_plus), sparse_map(sp, sp, d_minus),
                        genus=genus, tau=K.tau)
 
 
-FAULTS = ("plus-square", "minus-square", "commuting", "one-sided", "two-step")
+FAULTS = ("plus-square", "minus-square", "commuting", "one-sided", "two-step", "asymmetric",
+          "half-grading")
 OLD_FAULTS = ("free", "plus-pair", "minus-pair", "tau")  # test_properties._broken, one at most
 
 
@@ -108,6 +121,9 @@ def test_half_integer_gradings_agree_with_the_oracle():
 @example(2, [], None, ["commuting"], 0, "whole", 10 ** 6, 4)
 @example(-1, [(1, -1)], "tau", ["two-step"], -1, "component", 10 ** 6, 5)
 @example(1, [(0, 1)], "free", [], 0, "whole", 10 ** 6, 6)
+@example(1, [(1, 1)], None, ["asymmetric", "half-grading"], 2, "none", 1, 7)
+@example(-1, [], None, ["half-grading", "asymmetric"], -1, "none", 1, 8)
+@example(0, [(0, -1)], None, ["half-grading"], 0, "whole", 3, 9)
 @given(st.integers(-3, 3),
        st.lists(st.tuples(st.integers(0, 2), st.sampled_from((-1, 1))), max_size=3),
        st.sampled_from((None,) + OLD_FAULTS), st.lists(st.sampled_from(FAULTS), max_size=2, unique=True),

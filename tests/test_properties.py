@@ -42,6 +42,7 @@ from knot_helpers import components
 from level_oracle import compute_tau
 from linalg_helpers import compose, homology_two_pass
 from map_reads import column
+from validation_oracle import dims_by_grading
 
 
 def random_thin_models(count: int, seed: int = 20240817) -> list:
@@ -137,7 +138,7 @@ def test_structural_invariants(K):
                     else:
                         twice[tgt] = acc
         assert not twice, f"(d+ + d-)^2 != 0 on {gid}"
-    dims = K.space.dims_by_grading()
+    dims = dims_by_grading(K.space)
     assert all(dims.get(-a, 0) == n for a, n in dims.items())
     chi = chi_graded(K)
     delta = K.delta()

@@ -3,13 +3,15 @@
 ``validate_rational`` is ``knotcx.validate`` as it was before the one
 integer pass: it forms d+ d+, d- d- and d+ d- + d- d+ in ``Fraction``-capable
 arithmetic through ``map_reads.apply``, and ranks each (grading, z2)
-block with a fresh rational ``level_oracle.Echelon``.  ``decompose_rational`` forms the
-d+ d- columns again and ranks them the same way.  The tests hold the
-integer pass to the same violation lists, in order, and the same
-decompositions.
+block with a fresh rational ``level_oracle.Echelon``.  The grading
+dimensions and the Euler characteristic come from its own walk over the
+generators (``dims_by_grading``, ``euler_characteristic``), not from
+``K.blocks``.  ``decompose_rational`` forms the d+ d- columns again and
+ranks them the same way.  The tests hold the integer pass to the same
+violation lists, in order, and the same decompositions.
 """
-from knotsurgery.knotcx import Decomposition, KnotComplex, ModelError, chi_graded
-from knotsurgery.linalg import SparseExactMap
+from knotsurgery.knotcx import Decomposition, KnotComplex, ModelError, Poly
+from knotsurgery.linalg import GradedSpace, SparseExactMap
 from level_oracle import Echelon
 from map_reads import apply, column
 
@@ -45,7 +47,7 @@ def validate_rational(K: KnotComplex) -> list:
             violations.append(f"d+d- + d-d+ != 0 (witness {gid})")
             break
 
-    dims = sp.dims_by_grading()
+    dims = dims_by_grading(sp)
     for a, n in dims.items():
         if dims.get(-a, 0) != n:
             violations.append(f"grading dims asymmetric: {n} at {a / 2} vs {dims.get(-a, 0)} at {-a / 2}")
@@ -61,7 +63,7 @@ def validate_rational(K: KnotComplex) -> list:
     if half is not None:
         violations.append(f"generator {half!r} sits at a half-integer grading")
     elif delta is not None:
-        chi = chi_graded(K)
+        chi = euler_characteristic(K)
         neg = {p: -c for p, c in chi.items()}
         if chi != delta and neg != delta:
             violations.append("graded Euler characteristic does not match the attached polynomial")
@@ -86,6 +88,22 @@ def validate_rational(K: KnotComplex) -> list:
     elif alex_m // 2 != K.tau:
         violations.append(f"recorded tau {K.tau} differs from survivor grading {alex_m // 2}")
     return violations
+
+
+def dims_by_grading(sp: GradedSpace) -> dict:
+    """{doubled grading: number of generators there}, in the order the gradings first appear."""
+    out: dict = {}
+    for g in sp.generators:
+        out[g.alex] = out.get(g.alex, 0) + 1
+    return out
+
+
+def euler_characteristic(K: KnotComplex) -> Poly:
+    """Signed generator count per true grading, zeros left out; K must have integer gradings."""
+    out: Poly = {}
+    for g in K.space.generators:
+        out[g.alex // 2] = out.get(g.alex // 2, 0) + (-1) ** g.z2
+    return {p: c for p, c in out.items() if c}
 
 
 def decompose_rational(K: KnotComplex) -> Decomposition:
