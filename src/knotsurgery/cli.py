@@ -58,18 +58,22 @@ def _int_arg(text: str) -> int:
 
 
 def _parse_slope(text: str, flag: str = "--slope"):
-    """Parse a slope string 'p/q' or 'p'; returns (p, q) with q >= 1."""
+    """Parse a slope string 'p/q' or 'p' given to flag; returns (p, q) with q >= 1.
+
+    Errors name the argument by its flag: "slope '1/0' ..." or "pair '1/0' ...".
+    """
     top, slash, bottom = text.strip().partition("/")
+    name = flag.lstrip("-")
     try:
         p, q = _int_arg(top), (_int_arg(bottom) if slash else 1)
     except _TooManyDigits as exc:
         raise cone.PreconditionError(f"argument {flag}: {exc}") from None
     except argparse.ArgumentTypeError:
-        raise cone.PreconditionError(f"slope {text!r} is not of the form p or p/q") from None
+        raise cone.PreconditionError(f"{name} {text!r} is not of the form p or p/q") from None
     if q < 0:
         p, q = -p, -q
     if q == 0:
-        raise cone.PreconditionError(f"slope {text!r} has denominator zero")
+        raise cone.PreconditionError(f"{name} {text!r} has denominator zero")
     return p, q
 
 

@@ -64,23 +64,6 @@ from .linalg import block_ranks, homology, induced_map_on_homology
 MAX_LATTICE_SLOTS = 5 * 10 ** 5
 
 
-# Level-table cells a call may fill, checked before it computes its first
-# new level: (levels not yet in K.levels) x K.dim.  A level no longer
-# costs a pass over K.dim: it eliminates its bend, and the block there
-# again when it holds a survivor (see ``pi_maps``).  On a 2-vCPU host,
-# filling every level takes 0.02-0.15 us per cell for staircases and
-# square-rich thin models (staircase(200): 0.006 s), and 23 us per cell
-# on a dense whole-space rational scramble of 167 generators, where the
-# bend eliminations dominate.  ``--compare`` at slope 1 on a
-# 9959-generator model of genus 10 (189221 cells) takes 0.27-0.33 s wall
-# there, most of it building and validating the model.  Every level of
-# staircase(200), the largest genus a spec may declare, is 403 x 401 =
-# 161603 cells.  The limit and its refusal are kept as they were.
-# ``surgery_dim`` and ``zero_surgery_dims`` read no level, so the limit
-# binds only ``--compare`` and the oracles.
-MAX_LEVEL_CELLS = 2 * 10 ** 5
-
-
 def check_lattice_slots(slots: int):
     """Raise PreconditionError, naming the limit, when slots exceeds MAX_LATTICE_SLOTS."""
     if slots > MAX_LATTICE_SLOTS:
@@ -280,18 +263,6 @@ class ConeProblem(NamedTuple):
         return (classes - r) + (len(self.targets) - r)
 
 
-def _check_level_cells(K: KnotComplex, levels: Sequence[int]):
-    """PreconditionError, naming the limit, when filling these levels would pass MAX_LEVEL_CELLS."""
-    if min(len(levels), 2 * K.genus + 3) * K.dim <= MAX_LEVEL_CELLS:
-        return  # within the limit even if every entry of the table is new
-    edge = K.genus + 1
-    new = {min(max(s, -edge), edge) for s in levels} - K.levels.keys()
-    if (cells := len(new) * K.dim) > MAX_LEVEL_CELLS:
-        raise PreconditionError(
-            f"the level table needs {len(new)} levels of a {K.dim}-generator model, {cells} "
-            f"cells, over the limit MAX_LEVEL_CELLS = {MAX_LEVEL_CELLS}")
-
-
 def _fill_levels(K: KnotComplex, keys: Sequence[int]) -> dict:
     """K.levels, with the shape (see ``pi_maps``) of each level in keys computed where it is missing.
 
@@ -299,11 +270,15 @@ def _fill_levels(K: KnotComplex, keys: Sequence[int]) -> dict:
     v is zero and h an isomorphism, and above +genus the reverse.  So the
     table holds the levels -genus - 1..genus + 1, and every level past one
     end reads that end's entry.  The keys must lie in that range.
+
+    No limit of its own bounds the table: the spec limits that bound
+    ``validate`` bound it too.  A generator is a bend column at one level
+    only, and only a level whose bend holds a survivor eliminates again, so
+    the whole table ranks each model block about once more than ``validate``.
     """
     table = K.levels
-    if new := [s for s in keys if s not in table]:
-        _check_level_cells(K, new)
-        for s in new:
+    for s in keys:
+        if s not in table:
             table[s] = pi_maps(K, s)
     return table
 

@@ -45,7 +45,7 @@ Poly = dict
 # elimination per level, of its bend, and one more at each level whose
 # bend holds a survivor: for the genus-200 staircase, 0.005-0.008 s for
 # the ranked cone at slope 1 and 0.014-0.024 s for the whole slope grid
-# there, within ``cone.MAX_LEVEL_CELLS``.
+# there.  This limit and MAX_MODEL_DIM bound the level table too.
 MAX_MODEL_GENUS = 200
 
 # Largest model dimension a knot spec may ask for, checked by
@@ -55,7 +55,8 @@ MAX_MODEL_GENUS = 200
 # [[c, 1], [1 - 2c, 0], [c, -1]] ask for 4c - 1 generators.  On a 2-vCPU
 # host the slowest thin spec measured at this limit (squares spread over
 # every level to genus 200) answers ``surgery`` in 0.27 s, and the cost is
-# linear in the dimension; ``--compare`` on it hits ``cone.MAX_LEVEL_CELLS``.
+# linear in the dimension; ``--compare`` on it answers as fast, since every
+# level together takes about a third of the validation time.
 MAX_MODEL_DIM = 10 ** 4
 
 # Largest explicit spec, checked by ``parse_knot_spec`` before any map is

@@ -63,16 +63,6 @@ class GradedSpace(NamedTuple("GradedSpace", [("generators", tuple)])):
     def ids(self) -> tuple[str, ...]:
         return self._ids
 
-    def position(self, gid: str) -> int:
-        """The place of generator gid in the space."""
-        try:
-            return self._index[gid]
-        except KeyError:
-            raise LinearAlgebraError(f"unknown generator id {gid!r}") from None
-
-    def generator(self, gid: str) -> Generator:
-        return self.generators[self.position(gid)]
-
 
 def space(gens: Iterable[tuple]) -> GradedSpace:
     """Build a GradedSpace from (id, doubled-grading, z2) triples."""

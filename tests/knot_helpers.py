@@ -61,6 +61,13 @@ def squares_model(g: int, tau: int, seed: int) -> KnotComplex:
                     name=f"squares(g={g}, tau={tau})")
 
 
+def wide_model(g: int, per_level: int) -> KnotComplex:
+    """staircase(1) plus per_level squares at each level strictly inside genus g, signs alternating."""
+    return assemble(StaircaseSpec(1), [SquareSpec(s, (-1) ** abs(s))
+                                       for s in range(1 - g, g) for _ in range(per_level)],
+                    name=f"wide(g={g}, {per_level} per level)")
+
+
 def components(K: KnotComplex) -> list:
     """Connected components of the graph whose edges are the d+ and d- entries.
 

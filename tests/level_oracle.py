@@ -34,7 +34,7 @@ from knotsurgery.linalg import (
     quotient,
     sparse_map,
 )
-from map_reads import apply, column
+from map_reads import apply, column, generator
 
 
 class Echelon:
@@ -140,8 +140,8 @@ class Homology:
 
 
 def _homogeneous_grading(sp: GradedSpace, vec: Vec):
-    alexes = {sp.generator(g).alex for g in vec}
-    z2s = {sp.generator(g).z2 for g in vec}
+    alexes = {generator(sp, g).alex for g in vec}
+    z2s = {generator(sp, g).z2 for g in vec}
     return (alexes.pop() if len(alexes) == 1 else None,
             z2s.pop() if len(z2s) == 1 else None)
 

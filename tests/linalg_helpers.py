@@ -11,7 +11,7 @@ from typing import Optional
 
 from knotsurgery.linalg import GradedSpace, LinearAlgebraError, SparseExactMap
 from level_oracle import Echelon, Homology, HomologyClass
-from map_reads import apply, column
+from map_reads import apply, column, generator
 
 
 def zero_map(source: GradedSpace, target: Optional[GradedSpace] = None) -> SparseExactMap:
@@ -86,8 +86,8 @@ def homology_two_pass(sp: GradedSpace, d: SparseExactMap, prefix: str = "h") -> 
         if not res:
             continue
         cid = f"{prefix}{len(classes)}"
-        alexes = {sp.generator(g).alex for g in res}
-        z2s = {sp.generator(g).z2 for g in res}
+        alexes = {generator(sp, g).alex for g in res}
+        z2s = {generator(sp, g).z2 for g in res}
         piv = solver.store_residual(res)
         lead = res[piv]
         rep = tuple(sorted((r, v / lead) for r, v in res.items()))

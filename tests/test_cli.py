@@ -22,7 +22,7 @@ from knotsurgery.knotcx import (
     poly_to_pairs,
     staircase_polynomial,
 )
-from knot_helpers import TWO_SURVIVORS_SPEC
+from knot_helpers import TWO_SURVIVORS_SPEC, wide_model
 
 
 def run(capsys, *argv):
@@ -119,6 +119,16 @@ def test_malformed_negative_slope_is_a_slope_error(capsys):
     code, out, err = run(capsys, "surgery", "--knot", "fig8", "--slope", "-1/2/3")
     assert code == 2 and not out
     assert err == "error: slope '-1/2/3' is not of the form p or p/q\n"
+
+
+@pytest.mark.parametrize("pair, message", [
+    ("1/0", "pair '1/0' has denominator zero"),
+    ("1/2/3", "pair '1/2/3' is not of the form p or p/q"),
+], ids=["zero-denominator", "malformed"])
+def test_malformed_pair_is_a_pair_error(capsys, pair, message):
+    code, out, err = run(capsys, "seifert", "--genus", "2", "--base", "1", "--pair", pair)
+    assert code == 2 and not out
+    assert err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("spelling", [["--pair", "-1/3"], ["--pair=-1/3"]],
@@ -499,19 +509,21 @@ def test_maps_of_different_scales_stay_within_the_bit_limit(tmp_path, capsys):
     assert all(r["agree"] for r in results.values())
 
 
-def test_compare_hits_the_level_table_limit(tmp_path, capsys):
-    # staircase(1) plus 50 squares at every level inside genus 20: 7803 generators
-    squares = [SquareSpec(s, (-1) ** abs(s)) for s in range(-19, 20) for _ in range(50)]
-    K = assemble(StaircaseSpec(1), squares)
+@pytest.mark.parametrize("g, per_level, dim", [(20, 50, 7803), (MAX_MODEL_GENUS, 6, 9579)],
+                         ids=["genus-20", "genus-max"])
+def test_compare_answers_on_the_widest_thin_specs(tmp_path, capsys, g, per_level, dim):
+    # staircase(1) plus squares at every level inside the genus: every level
+    # of the table is read, and the spec limits alone bound that work
+    K = wide_model(g, per_level)
+    assert K.dim == dim <= MAX_MODEL_DIM and K.genus == g
     path = tmp_path / "wide.json"
     path.write_text(json.dumps({"alexander": [list(pair) for pair in poly_to_pairs(K.delta())],
                                 "tau": 1}))
-    code, _, err = run(capsys, "surgery", "--spec", str(path), "--slope", "1")
+    code, out, err = run(capsys, "surgery", "--spec", str(path), "--slope", "1", "--slope", "-1",
+                         "--slope", "3/2", "--slope", str(2 * g - 1), "--compare", "--json")
     assert code == 0 and not err
-    code, out, err = run(capsys, "surgery", "--spec", str(path), "--slope", "1", "--compare")
-    assert code == 2 and not out
-    assert err == ("error: the level table needs 39 levels of a 7803-generator model, 304317 "
-                   "cells, over the limit MAX_LEVEL_CELLS = 200000\n")
+    results = json.loads(out)["results"]
+    assert len(results) == 4 and all(r["agree"] for r in results)
 
 
 def test_missing_spec_file(capsys):

@@ -43,6 +43,7 @@ from cone_elimination import (
     generic_rows,
     h_sources,
 )
+from knot_helpers import squares_model, wide_model
 import level_oracle
 from test_level_table import models
 
@@ -219,7 +220,6 @@ def test_a_new_level_passes_only_its_source_block(monkeypatch):
     # filling a level ranks the bend alone, and an induced rank is taken only
     # on the bend block that holds a survivor, never on all K.dim columns; a
     # kept level calls nothing
-    from knot_helpers import squares_model
     ranked, induced = [], []
     real_ranks, real_induced = cone.block_ranks, cone.induced_map_on_homology
 
@@ -386,36 +386,64 @@ def test_lattice_slot_limit():
     cone.check_lattice_slots(cone.MAX_LATTICE_SLOTS)
     with pytest.raises(PreconditionError, match="MAX_LATTICE_SLOTS = 500000"):
         cone.check_lattice_slots(cone.MAX_LATTICE_SLOTS + 1)
-
-
-def _wide_model(g: int, per_level: int):
-    """staircase(1) plus per_level squares at each level strictly inside genus g."""
-    return assemble(StaircaseSpec(1), [SquareSpec(s, (-1) ** abs(s))
-                                       for s in range(1 - g, g) for _ in range(per_level)])
-
-
-def test_level_cell_limit_refuses_before_the_first_level():
-    K = _wide_model(20, 50)  # 7803 generators; each oracle reads 39 or 40 levels
-    limit = r"levels of a 7803-generator model, 3\d{5} cells, over the limit MAX_LEVEL_CELLS = 200000"
-    for oracle in (lambda: build_cone_problem(K, 1, 1), lambda: large_surgery_dim(K, 39),
-                   lambda: zero_surgery_levels(K)):
-        with pytest.raises(PreconditionError, match=limit):
-            oracle()
-        assert K.levels == {}
-    from knotsurgery.formulas import thin_surgery_formula
-    assert surgery_dim(K, 1, 1).dimension == thin_surgery_formula(K.dim, 1, 1, 1)
-
-
-def test_level_cell_limit_counts_only_new_levels():
-    # every level of staircase(200), the largest genus a spec may declare, fits
-    cone._check_level_cells(build_staircase(200), range(-300, 301))
-    K = _wide_model(2, 2500)  # 30003 generators; levels -3..3 are the table's 7 entries
-    with pytest.raises(PreconditionError, match="7 levels of a 30003-generator model"):
-        cone._check_level_cells(K, range(-5, 6))
-    K.levels.update({s: None for s in range(-3, 3)})  # as if filled: one entry is left
-    cone._check_level_cells(K, range(-5, 6))
     # a genus-2 Seifert base at prod v_i = 96441 stays inside: (2 * 2 + 1) * 96441 slots
     assert 5 * 96441 <= cone.MAX_LATTICE_SLOTS
+
+
+def test_the_level_table_answers_on_a_wide_model():
+    # 7803 generators at genus 20: every oracle reads 39 or 40 levels of the
+    # table and equals its closed form
+    K = wide_model(20, 50)
+    assert K.dim == 7803
+    for p, q in ((1, 1), (-1, 1), (3, 2), (39, 1)):
+        assert build_cone_problem(K, p, q).dimension() == surgery_dim(K, p, q).dimension
+    assert large_surgery_dim(K, 39) == surgery_dim(K, 39, 1).dimension
+    assert zero_surgery_levels(K) == zero_surgery_dims(K)
+
+
+def _work_bound_models():
+    import random
+    from test_properties import random_thin_models, scramble
+    rng = random.Random(17)
+    wide = [squares_model(10, tau, seed) for tau, seed in ((-3, 1), (3, 2), (0, 3))] + [
+        wide_model(2, 6), wide_model(6, 3)]
+    scrambled = [scramble(K, rng, whole_space=True)
+                 for K in thin_catalog()[:8] + random_thin_models(8, seed=3) + wide]
+    return thin_catalog() + random_thin_models(20) + wide + scrambled
+
+
+def test_the_level_table_costs_one_rank_of_each_block_and_its_survivors(monkeypatch):
+    """Filling every level hands ``Echelon.reduce`` at most K.dim + 7 w vectors.
+
+    w is the most generators at one grading.  A level ranks its bend, the
+    model blocks at its own grading, so each generator is a bend column at
+    one level only: K.dim in all.  Only a level whose bend holds the
+    survivor of H(d-) or H(d+) eliminates again, on the survivor's bend
+    block and the boundary block next to it, 2 w for each of the two
+    survivors; when both share one bend block, the pair is eliminated once
+    more, on that block and both boundary blocks, 3 w.  This bound is what
+    keeps the table within the spec limits that bound ``validate``, so no
+    limit of its own is needed.
+    """
+    from collections import Counter
+    from knotsurgery import linalg
+    reduce, handed = linalg.Echelon.reduce, []
+
+    def counting(self, vectors):
+        vectors = list(vectors)
+        handed.append(len(vectors))
+        return reduce(self, vectors)
+
+    models = _work_bound_models()
+    for K in models:
+        decompose(K)  # validation ranks on its own account
+    monkeypatch.setattr(linalg.Echelon, "reduce", counting)
+    for K in models:
+        handed.clear()
+        cone._fill_levels(K, range(-K.genus - 1, K.genus + 2))
+        widest = max(Counter(g.alex for g in K.space.generators).values())
+        assert sum(handed) <= K.dim + 7 * widest, K.name
+    assert max(K.dim for K in models) > 150
 
 
 def test_cone_rejects_slope_zero():
@@ -602,7 +630,6 @@ def test_zero_surgery_levels_refuse_every_proportional_level():
     # over such a level depends on the identification scalar c whatever
     # lambda is.  A proportional level injected at s != 0 raises; at s = 0
     # of a tau = 0 model the slot is None and the level is never read.
-    from knot_helpers import squares_model
     line = (2, True, True, True)
     for s in (1, -1):
         K = build_staircase(2)

@@ -14,10 +14,12 @@ or its representative: the level table is read off integer ranks, and the
 homology with representatives is the tests' oracle (``level_oracle``).
 No library module but ``linalg`` reads a map's column index ``columns``,
 except ``KnotComplex.integer_maps``, a model's one integer form, which
-``cone`` reads in place of the maps.
+``cone`` reads in place of the maps.  The README names every module-level
+``MAX_*`` limit of the library, and no limit that the library lacks.
 """
 import ast
 import graphlib
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -225,3 +227,37 @@ def test_the_cone_reads_a_model_only_through_its_integer_maps():
              if isinstance(node, ast.Attribute)}
     assert "integer_maps" in names
     assert not names & {"d_plus", "d_minus", "entries", "columns", "column", "apply"}
+
+
+README = SRC.parent.parent / "README.md"
+
+
+def module_limits(source: str) -> set:
+    """Names of the ``MAX_*`` constants that ``source`` assigns at module level."""
+    names = set()
+    for node in ast.parse(source).body:
+        targets = node.targets if isinstance(node, ast.Assign) else \
+            [node.target] if isinstance(node, ast.AnnAssign) else []
+        names.update(t.id for t in targets if isinstance(t, ast.Name) and t.id.startswith("MAX_"))
+    return names
+
+
+def named_limits(text: str) -> set:
+    """Every ``MAX_*`` name in ``text``, qualified (``cone.MAX_X``) or not."""
+    return set(re.findall(r"\bMAX_[A-Z0-9_]+\b", text))
+
+
+def test_the_check_finds_a_stale_limit():
+    source = ("MAX_A = 1\nMAX_B: int = 2\nclass C:\n    MAX_C = 3\n"
+              "def f():\n    MAX_D = 4\n    return MAX_A\n")
+    assert module_limits(source) == {"MAX_A", "MAX_B"}
+    readme = "at most 2 (`cone.MAX_A`), and MAX_OLD_2 cells, MAX_B."
+    assert named_limits(readme) - module_limits(source) == {"MAX_OLD_2"}
+    assert module_limits(source) - named_limits(readme) == set()
+
+
+def test_the_readme_names_every_limit_and_no_other():
+    defined = set().union(*(module_limits(p.read_text()) for p in SRC.glob("*.py")))
+    named = named_limits(README.read_text())
+    assert defined - named == set(), "limits the README does not name"
+    assert named - defined == set(), "README names of limits that src does not define"

@@ -13,7 +13,7 @@ violation lists, in order, and the same decompositions.
 from knotsurgery.knotcx import Decomposition, KnotComplex, ModelError, Poly
 from knotsurgery.linalg import GradedSpace, SparseExactMap
 from level_oracle import Echelon
-from map_reads import apply, column
+from map_reads import apply, column, generator
 
 
 def validate_rational(K: KnotComplex) -> list:
@@ -32,7 +32,7 @@ def validate_rational(K: KnotComplex) -> list:
 
     for d, label, sgn in ((K.d_plus, "d+", 1), (K.d_minus, "d-", -1)):
         for tgt, src, _ in d.entries:
-            gs, gt = sp.generator(src), sp.generator(tgt)
+            gs, gt = generator(sp, src), generator(sp, tgt)
             if gt.alex - gs.alex != 2 * sgn:
                 violations.append(
                     f"{label} shifts grading of {src} by {(gt.alex - gs.alex) / 2}, expected {sgn}")
