@@ -19,7 +19,7 @@ against the unfibered/circle-bundle values; treat it as experimental.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from fractions import Fraction
 from itertools import accumulate
@@ -30,15 +30,17 @@ from .cone import PreconditionError, check_lattice_slots
 
 # Size limits, checked before any work starts.  The residue classes are
 # counted per fibre, meeting two halves of balanced product, and the exterior
-# cone sums each class key at once, so the cost grows about as genus +
-# sqrt(prod(v_i)) * n^2 * log(prod(v_i)) for n fibres: on a 2-vCPU host the
-# module pathway takes 2 ms at genus 200 and a genus-2 base with
-# prod(v_i) = 96441 takes under 1 ms.  cone.MAX_LATTICE_SLOTS still bounds
-# the window, on (2W + 1) * prod(v_i) slots: with W = genus for the
-# large-regime test, before anything is counted, and with the cone's W >= genus
-# before each cone.  The count decides whether ``seifert`` needs its cone, so
-# a large slope past the cone's limit still answers.  That base is inside all
-# three limits.
+# cone sums each class key at once off a tail table built once per genus, so
+# the cost grows about as genus + sqrt(prod(v_i)) * n^2 * log(prod(v_i)) for
+# n fibres.  On a 2-vCPU host the module pathway takes 1.6 ms for the first
+# query at genus 200 (building the table) and 7 us for each one after it, the
+# closed form 0.8 ms, and a genus-2 base with prod(v_i) near 10^5 under 1 ms;
+# the tables of every genus up to MAX_GENUS hold about 3 MB.
+# cone.MAX_LATTICE_SLOTS still bounds the window, on (2W + 1) * prod(v_i)
+# slots: with W = genus for the large-regime test, before anything is
+# counted, and with the cone's W >= genus before each cone.  The count decides
+# whether ``seifert`` needs its cone, so a large slope past the cone's limit
+# still answers.  That genus-2 base is inside all three limits.
 MAX_GENUS = 200
 MAX_MULTIPLICITY_PRODUCT = 10 ** 5
 
@@ -46,15 +48,6 @@ MAX_MULTIPLICITY_PRODUCT = 10 ** 5
 def _check_genus(g: int):
     if g > MAX_GENUS:
         raise PreconditionError(f"genus {g} exceeds the limit MAX_GENUS = {MAX_GENUS}")
-
-
-def monomial_dim(g: int, k: int) -> int:
-    """Dimension of the degree->=k submodule: sum of binomials C(2g, j), j >= k."""
-    if k <= 0:
-        k = 0
-    if k > 2 * g:
-        return 0
-    return sum(comb(2 * g, j) for j in range(k, 2 * g + 1))
 
 
 # --- truncated cone over the exterior-algebra model -------------------------
@@ -87,6 +80,28 @@ def _large_applicable(g: int, classes) -> bool:
     return True
 
 
+# The tail prefix sums of each genus met so far (see _tail_prefix).  Every
+# caller checks the genus against MAX_GENUS first, so at most MAX_GENUS
+# genera are ever kept; circle-bundle grids and Seifert batteries query each
+# genus many times.
+_TAIL_PREFIX: dict = {}
+
+
+def _tail_prefix(g: int) -> list:
+    """prefix[j] = tails[0] + ... + tails[j-1], built once per genus.
+
+    tails[k] = sum_{i >= k} C(2g, i) is the dimension of the span of the
+    monomials of degree >= k, for k = 0..2g+1.
+    """
+    prefix = _TAIL_PREFIX.get(g)
+    if prefix is None:
+        tails = [0] * (2 * g + 2)
+        for k in range(2 * g, -1, -1):
+            tails[k] = tails[k + 1] + comb(2 * g, k)
+        prefix = _TAIL_PREFIX[g] = [0, *accumulate(tails)]
+    return prefix
+
+
 def _cone_dim_exterior(g: int, p: int, u: int, classes) -> int:
     """ker + coker of the truncated cone with all-vanishing differentials.
 
@@ -96,7 +111,8 @@ def _cone_dim_exterior(g: int, p: int, u: int, classes) -> int:
     (e, gamma, c) to its number of residue classes, p in all.  On one class
     the image degree min(g - s_low, g + s_high) runs through consecutive
     integers, up and then down, so each key adds two runs of the tail sums,
-    read off one prefix-sum table.
+    read off the genus's prefix table (``_tail_prefix``).  After the first
+    cone of a genus the cost is O(1) per key.
     """
     if u <= 0:
         raise PreconditionError("internal: cone expects a positive total slope")
@@ -104,18 +120,12 @@ def _cone_dim_exterior(g: int, p: int, u: int, classes) -> int:
     check_lattice_slots((2 * W + 1) * p)
     full = 4 ** g
     src_total = (2 * W + 1) * p * full
-    # tails[k] = monomial_dim(g, k) for k = 0..2g+1; prefix[j] = tails[0] + ... + tails[j-1]
-    top = 2 * g + 1
-    tails = [0] * (top + 1)
-    for k in range(2 * g, -1, -1):
-        tails[k] = tails[k + 1] + comb(2 * g, k)
-    prefix = [0, *accumulate(tails)]
+    prefix = _tail_prefix(g)
+    last = 2 * g + 2  # every degree from here on has an empty image
 
-    def run(k0: int, k1: int) -> int:
-        """Image sizes at degrees k0..k1: full below 0, tails[k] up to 2g + 1, 0 past it."""
-        total = full * max(0, min(k1, -1) - k0 + 1)
-        a, b = max(k0, 0), min(k1, top)
-        return total + (prefix[b + 1] - prefix[a] if a <= b else 0)
+    def cum(k: int) -> int:
+        """cum(k1 + 1) - cum(k0) sums the image sizes at degrees k0..k1: 4^g below 0, tails[k] after."""
+        return full * k if k < 0 else prefix[k if k < last else last]
 
     tgt_count = 0
     image_total = 0
@@ -125,12 +135,13 @@ def _cone_dim_exterior(g: int, p: int, u: int, classes) -> int:
         if a > b:
             continue
         tgt_count += n * (b - a + 1)
-        # the high side g + c + s is the smaller up to s = floor(-c / 2), the low side g - s after
+        # the high side g + c + s is the smaller up to s = floor(-c / 2), the low side g - s
+        # after, so the degrees run g + c + a .. g + c + turn, then g - b .. g - turn - 1
         turn = min(b, -c // 2)
         if a <= turn:
-            image_total += n * run(g + c + a, g + c + turn)
-        if max(a, turn + 1) <= b:
-            image_total += n * run(g - b, g - max(a, turn + 1))
+            image_total += n * (cum(g + c + turn + 1) - cum(g + c + a))
+        if turn < b:
+            image_total += n * (cum(g - max(a, turn + 1) + 1) - cum(g - b))
     return src_total + tgt_count * full - 2 * image_total
 
 
@@ -154,7 +165,12 @@ def circle_bundle_dim_module(g: int, m: int) -> int:
 
 
 def circle_bundle_dim_formula(g: int, m: int) -> int:
-    """Closed-form circle-bundle dimension (three cases by parity and size)."""
+    """Closed-form circle-bundle dimension (three cases by parity and size).
+
+    The nested binomial sums take one pass of O(g) ``comb`` calls.  It builds
+    its own sums and never reads ``_tail_prefix``, so it stays an independent
+    check of the module pathway.
+    """
     if g < 2:
         raise PreconditionError("closed form requires genus at least 2")
     _check_genus(g)
@@ -163,14 +179,14 @@ def circle_bundle_dim_formula(g: int, m: int) -> int:
     mm = abs(m)
     if mm >= 2 * g - 1:
         return (4 ** g) * mm
-    if mm % 2 == 0:
-        l = mm // 2
-        return ((4 ** g) * mm
-                + 4 * sum(comb(2 * g, i) for j in range(1, g - l) for i in range(j))
-                + 2 * sum(comb(2 * g, i) for i in range(g - l)))
-    l = (mm + 1) // 2
-    return ((4 ** g) * mm
-            + 4 * sum(comb(2 * g, i) for j in range(1, g - l + 1) for i in range(j)))
+    # With H(j) = sum_{i < j} C(2g, i) and l = ceil(|m| / 2), the correction is
+    # 4 (H(1) + ... + H(g - l - 1)) + 2 H(g - l) for even |m| and
+    # 4 (H(1) + ... + H(g - l)) for odd |m|: one running head sum gives both.
+    head = nested = 0
+    for j in range(g - (mm + 1) // 2):
+        head += comb(2 * g, j)  # H(j + 1)
+        nested += head
+    return (4 ** g) * mm + 4 * nested - (2 * head if mm % 2 == 0 else 0)
 
 
 def _fibre_terms(p: int, u: int, v: int) -> dict:
@@ -206,10 +222,13 @@ def _residue_class_counts(p: int, u: int, multiplicities: list) -> Counter:
     Each offset is off = sum_i tau_i p/v_i (pairwise coprime multiplicities
     make the p offsets distinct mod 2p), and its class shift is
     c = sum_i kappa_i - M with M = (u - sum_i rho_i p/v_i) / p.  The fibres
-    are split into two halves of balanced product; the offsets of the
-    smaller half are bisected against the sorted sums of the larger at the
-    points where e or gamma changes, so the cost is about sqrt(prod v_i)
-    rather than prod v_i.
+    are split into two halves of balanced product, and each half's offset
+    sums are sorted by their kappa sum.  For each pair of kappa sums only the
+    cuts, the points where e or gamma changes, inside the pair's range of
+    sums cost anything; at such a cut only the offsets of the shorter list
+    whose window of sums straddles it are bisected against the longer list,
+    the others meeting all of it or none.  So the cost is at most about
+    sqrt(prod v_i) bisections per cut, rather than prod v_i.
     """
     fibres = sorted((v for v in multiplicities if v > 1), reverse=True)
     halves, products = ([], []), [1, 1]
@@ -229,11 +248,22 @@ def _residue_class_counts(p: int, u: int, multiplicities: list) -> Counter:
     counts: Counter = Counter()
     for ks, s_offs in small.items():
         for kl, l_offs in large.items():
-            # below[j] = number of pairs with off < cuts[j]
-            below = [0, *(sum(bisect_left(l_offs, x - a) for a in s_offs) for x in cuts),
-                     len(s_offs) * len(l_offs)]
+            short, long = (s_offs, l_offs) if len(s_offs) <= len(l_offs) else (l_offs, s_offs)
+            if not short:
+                continue
+            l_min, l_max, n_l = long[0], long[-1], len(long)
+            # only the cuts strictly inside the pair's range of sums split it
+            j0 = bisect_right(cuts, short[0] + l_min)
+            j1 = bisect_right(cuts, short[-1] + l_max, j0)
+            below = [0]  # below[j] = number of pairs with off < cuts[j0 + j - 1]
+            for x in cuts[j0:j1]:
+                # a < x - l_max meets all of long, a >= x - l_min none of it
+                i0 = bisect_left(short, x - l_max)
+                i1 = bisect_left(short, x - l_min, i0)
+                below.append(i0 * n_l + sum(bisect_left(long, x - a) for a in short[i0:i1]))
+            below.append(len(short) * n_l)
             c = ks + kl - shift
-            for (e, gamma), lo, hi in zip(cells, below, below[1:]):
+            for (e, gamma), lo, hi in zip(cells[j0:j1 + 1], below, below[1:]):
                 if hi > lo:
                     counts[e, gamma, c] += hi - lo
     return counts

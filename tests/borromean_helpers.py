@@ -1,9 +1,12 @@
 """Explicit oracles for ``borromean``: monomial modules and the listed Seifert lattice.
 
 ``MonomialModule`` lists its monomials, so its dimension checks the closed
-count ``borromean.monomial_dim``.  The graded slices of the sutured space
-and the knot-homology dimensions of the g-fold Borromean sum are built
-from it.  ``seifert_offsets`` lists all prod(v_i) lattice offsets and
+count ``monomial_dim``, which in turn checks the tail table
+``borromean._tail_prefix``.  The graded slices of the sutured space and the
+knot-homology dimensions of the g-fold Borromean sum are built from it.
+``circle_bundle_dim_double_sum`` is the closed form as a plain double sum,
+the reference of the one-pass ``borromean.circle_bundle_dim_formula``.
+``seifert_offsets`` lists all prod(v_i) lattice offsets and
 ``residue_classes`` walks them one by one, so together they check the
 per-fibre count ``borromean._residue_class_counts``.
 """
@@ -13,6 +16,30 @@ from itertools import combinations, product
 from math import comb
 
 from knotsurgery.cone import PreconditionError
+
+
+def monomial_dim(g: int, k: int) -> int:
+    """Dimension of the degree->=k submodule: sum of binomials C(2g, j), j >= k."""
+    if k <= 0:
+        k = 0
+    if k > 2 * g:
+        return 0
+    return sum(comb(2 * g, j) for j in range(k, 2 * g + 1))
+
+
+def circle_bundle_dim_double_sum(g: int, m: int) -> int:
+    """The closed circle-bundle form with its nested binomial sums written out, O(g^2) terms."""
+    mm = abs(m)
+    if mm >= 2 * g - 1:
+        return (4 ** g) * mm
+    row = [comb(2 * g, i) for i in range(2 * g + 1)]
+    if mm % 2 == 0:
+        l = mm // 2
+        return ((4 ** g) * mm
+                + 4 * sum(row[i] for j in range(1, g - l) for i in range(j))
+                + 2 * sum(row[i] for i in range(g - l)))
+    l = (mm + 1) // 2
+    return (4 ** g) * mm + 4 * sum(row[i] for j in range(1, g - l + 1) for i in range(j))
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,6 @@ from knotsurgery import borromean
 from knotsurgery.borromean import (
     circle_bundle_dim_formula,
     circle_bundle_dim_module,
-    monomial_dim,
     seifert,
     seifert_dim,
     seifert_dim_windowed,
@@ -21,9 +20,11 @@ from knotsurgery.borromean import (
 from knotsurgery.cone import PreconditionError
 from borromean_helpers import (
     MonomialModule,
+    circle_bundle_dim_double_sum,
     gamma_slice,
     gamma_slice_table,
     khi_borromean,
+    monomial_dim,
     residue_classes,
     seifert_offsets,
 )
@@ -96,15 +97,69 @@ def test_circle_bundle_spot_values():
 
 
 def test_circle_bundle_module_equals_formula_grid():
-    for g in range(2, 6):
+    grid = [(g, m) for g in range(2, 41) for m in range(1, 2 * g + 3)]
+    grid += [(200, m) for m in (1, 2, 3, 100, 397, 398, 399, 402)]
+    for g, m in grid:
+        a = circle_bundle_dim_module(g, m)
+        b = circle_bundle_dim_formula(g, m)
+        assert a == b, (g, m, a, b)
+        assert circle_bundle_dim_module(g, -m) == a
+        assert a >= (4 ** g) * m
+        if m >= 2 * g - 1:
+            assert a == (4 ** g) * m
+
+
+def test_circle_bundle_formula_equals_the_double_sum():
+    for g in range(2, 41):
+        for m in range(-2 * g - 2, 2 * g + 3):
+            if m:
+                assert circle_bundle_dim_formula(g, m) == circle_bundle_dim_double_sum(g, m), (g, m)
+    for g in range(41, borromean.MAX_GENUS + 1):
+        for m in (1, 2, 2 * g - 2, 2 * g - 1):
+            assert circle_bundle_dim_formula(g, m) == circle_bundle_dim_double_sum(g, m), (g, m)
+
+
+def test_tail_table_differences_are_the_monomial_dims(monkeypatch):
+    monkeypatch.setattr(borromean, "_TAIL_PREFIX", {})
+    for g in range(1, 13):
+        prefix = borromean._tail_prefix(g)
+        assert [b - a for a, b in zip(prefix, prefix[1:])] == [monomial_dim(g, k) for k in range(2 * g + 2)]
+        assert borromean._tail_prefix(g) is prefix  # built once per genus
+    assert sorted(borromean._TAIL_PREFIX) == list(range(1, 13))
+
+
+def _bundle_and_seifert_answers(genera):
+    """Every circle bundle |m| <= 2g + 2 and a few Seifert cones of each genus, in the given order."""
+    answers = {}
+    for g in genera:
         for m in range(1, 2 * g + 3):
-            a = circle_bundle_dim_module(g, m)
-            b = circle_bundle_dim_formula(g, m)
-            assert a == b, (g, m, a, b)
-            assert circle_bundle_dim_module(g, -m) == a
-            assert a >= (4 ** g) * m
-            if m >= 2 * g - 1:
-                assert a == (4 ** g) * m
+            answers[g, m] = circle_bundle_dim_module(g, m)
+        for m, pairs in ((1, [(1, 2)]), (0, [(-1, 3), (2, 5)]), (-1, [(2, 7), (-1, 11)])):
+            answers[g, m, tuple(pairs)] = seifert_dim_windowed(g, m, pairs)
+    return answers
+
+
+def test_answers_do_not_depend_on_the_order_genera_are_first_queried(monkeypatch):
+    genera = range(2, 13)
+    monkeypatch.setattr(borromean, "_TAIL_PREFIX", {})
+    ascending = _bundle_and_seifert_answers(genera)
+    monkeypatch.setattr(borromean, "_TAIL_PREFIX", {})
+    descending = _bundle_and_seifert_answers(reversed(genera))
+    assert ascending == descending
+    assert sorted(borromean._TAIL_PREFIX) == list(genera)
+    for key, dim in ascending.items():
+        if len(key) == 2:
+            assert dim == circle_bundle_dim_double_sum(*key), key
+
+
+def test_a_genus_past_the_limit_raises_before_the_table_grows(monkeypatch):
+    monkeypatch.setattr(borromean, "_TAIL_PREFIX", {})
+    g = borromean.MAX_GENUS + 1
+    for call in (lambda: circle_bundle_dim_module(g, 1), lambda: circle_bundle_dim_formula(g, 1),
+                 lambda: seifert_dim(g, 1, [(1, 2)]), lambda: seifert_dim_windowed(g, 1, [(1, 2)])):
+        with pytest.raises(PreconditionError, match="MAX_GENUS = 200"):
+            call()
+    assert borromean._TAIL_PREFIX == {}
 
 
 def test_circle_bundle_rejects_zero_euler():
@@ -373,3 +428,71 @@ def test_seifert_dim_equals_the_slot_sums(args):
     want = u * 4 ** g if large else _cone_dim_by_slots(g, p, u, offset_map)
     assert seifert_dim(*args) == want
     assert seifert_dim_windowed(*args) == _cone_dim_by_slots(g, p, u, offset_map)
+
+
+# --- the per-fibre class count against the listed lattice, on every small fibre set ----
+
+def _fibre_sets(primes=(2, 3, 5, 7, 11, 13), max_product=3000):
+    from itertools import combinations
+    return [list(vs) for size in range(len(primes) + 1)
+            for vs in combinations(primes, size) if math.prod(vs) <= max_product]
+
+
+def _assert_counts_equal_the_listed_lattice(p, u, multiplicities):
+    classes = borromean._residue_class_counts(p, u, multiplicities)
+    offset_map = seifert_offsets(multiplicities)
+    for W in (0, 2):
+        lo, hi = 2 * u - 2 * W * p - (p - 1), 2 * W * p + (p - 1)
+        keyed = Counter({(-W - e, W + gamma, c): n for (e, gamma, c), n in classes.items()})
+        assert keyed == Counter(residue_classes(p, u, offset_map, lo, hi)), (multiplicities, u, W)
+
+
+def test_class_count_equals_the_listed_lattice_on_every_small_fibre_set(monkeypatch):
+    # a pair's second bisect_right starts at its first one's answer, and returns
+    # it when no cut lies inside the pair's sums
+    between_cuts = []
+    bisect_right = borromean.bisect_right
+
+    def spy(cuts, x, *lo):
+        j = bisect_right(cuts, x, *lo)
+        if lo:
+            between_cuts.append(j == lo[0])
+        return j
+    monkeypatch.setattr(borromean, "bisect_right", spy)
+    fibre_sets = _fibre_sets()
+    assert len(fibre_sets) == 57 and [2, 3, 5, 7, 11] in fibre_sets and [3, 7, 11, 13] not in fibre_sets
+    for multiplicities in fibre_sets:
+        p = math.prod(multiplicities)
+        v = max(multiplicities, default=1)
+        # v | u leaves a kappa = -1 list empty; the others give both kappas
+        for u in sorted({1, 2, v, p - 1 or 1, p, p + 1, 2 * p + 3, 5 * p - 2}):
+            _assert_counts_equal_the_listed_lattice(p, u, multiplicities)
+    assert any(between_cuts) and not all(between_cuts)
+
+
+def test_class_count_covers_empty_lists_and_lone_fibre_ranges():
+    # v | u: the kappa = -1 terms of each fibre are empty, and so is every sum that uses one
+    assert borromean._half_sums(7, 7, [7])[-1] == range(-6, -6, 2)
+    assert borromean._half_sums(15, 15, [5, 3])[-1] == []
+    # a lone fibre keeps its ranges, and the count bisects them as lists
+    terms = borromean._half_sums(77, 3, [7])
+    assert all(isinstance(r, range) and r for r in terms.values())
+    for multiplicities, u in (([7], 7), ([5, 3], 15), ([7, 11], 77), ([7, 11], 3),
+                              ([13, 3, 2], 3), ([13, 11, 2], 11 * 13)):
+        _assert_counts_equal_the_listed_lattice(math.prod(multiplicities), u, multiplicities)
+
+
+def _seifert_regression():
+    """The frozen Seifert references of the benchmark's ``lattice`` workload."""
+    import importlib.util
+    from pathlib import Path
+    path = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return [entry for slot in module.SEIFERT_REGRESSION for entry in slot]
+
+
+@pytest.mark.parametrize("g, m, pairs, dim", _seifert_regression())
+def test_seifert_regression_dimensions(g, m, pairs, dim):
+    assert seifert_dim(g, m, pairs) == dim
