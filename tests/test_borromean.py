@@ -4,6 +4,7 @@ import re
 import time
 from collections import Counter
 from fractions import Fraction
+from itertools import combinations
 from math import comb
 
 import pytest
@@ -309,7 +310,7 @@ def _large_applicable_by_slots(g, p, u, offset_map):
 
 def test_large_applicable_equals_the_all_form_on_a_grid():
     # the loop returns early; the generator form it replaced is the reference
-    from itertools import combinations, product
+    from itertools import product
     keys = list(product(range(-5, 3), range(-3, 2), range(-5, 3)))
     seen = set()
     for g in range(1, 5):
@@ -432,54 +433,40 @@ def test_seifert_dim_equals_the_slot_sums(args):
 
 # --- the per-fibre class count against the listed lattice, on every small fibre set ----
 
-def _fibre_sets(primes=(2, 3, 5, 7, 11, 13), max_product=3000):
-    from itertools import combinations
-    return [list(vs) for size in range(len(primes) + 1)
-            for vs in combinations(primes, size) if math.prod(vs) <= max_product]
-
-
-def _assert_counts_equal_the_listed_lattice(p, u, multiplicities):
-    classes = borromean._residue_class_counts(p, u, multiplicities)
-    offset_map = seifert_offsets(multiplicities)
-    for W in (0, 2):
-        lo, hi = 2 * u - 2 * W * p - (p - 1), 2 * W * p + (p - 1)
-        keyed = Counter({(-W - e, W + gamma, c): n for (e, gamma, c), n in classes.items()})
-        assert keyed == Counter(residue_classes(p, u, offset_map, lo, hi)), (multiplicities, u, W)
-
-
 def test_class_count_equals_the_listed_lattice_on_every_small_fibre_set(monkeypatch):
-    # a pair's second bisect_right starts at its first one's answer, and returns
-    # it when no cut lies inside the pair's sums
-    between_cuts = []
-    bisect_right = borromean.bisect_right
+    seen = Counter()
+    bisect_right, half_sums = borromean.bisect_right, borromean._half_sums
 
-    def spy(cuts, x, *lo):
+    def spy_bisect(cuts, x, *lo):
+        # a pair's second bisect_right starts at its first one's answer, and
+        # returns it when no cut lies inside the pair's sums
         j = bisect_right(cuts, x, *lo)
         if lo:
-            between_cuts.append(j == lo[0])
+            seen["between two cuts" if j == lo[0] else "split by a cut"] += 1
         return j
-    monkeypatch.setattr(borromean, "bisect_right", spy)
-    fibre_sets = _fibre_sets()
+
+    def spy_half(p, u, fibres):
+        sums = half_sums(p, u, fibres)
+        seen["empty list"] += any(not offs for offs in sums.values())
+        seen["lone-fibre range"] += isinstance(sums[0], range)
+        return sums
+    monkeypatch.setattr(borromean, "bisect_right", spy_bisect)
+    monkeypatch.setattr(borromean, "_half_sums", spy_half)
+    fibre_sets = [list(vs) for size in range(7) for vs in combinations((2, 3, 5, 7, 11, 13), size)
+                  if math.prod(vs) <= 3000]
     assert len(fibre_sets) == 57 and [2, 3, 5, 7, 11] in fibre_sets and [3, 7, 11, 13] not in fibre_sets
     for multiplicities in fibre_sets:
         p = math.prod(multiplicities)
+        offset_map = seifert_offsets(multiplicities)
         v = max(multiplicities, default=1)
-        # v | u leaves a kappa = -1 list empty; the others give both kappas
+        # v | u empties the kappa = -1 terms of that fibre; the other u give both kappas
         for u in sorted({1, 2, v, p - 1 or 1, p, p + 1, 2 * p + 3, 5 * p - 2}):
-            _assert_counts_equal_the_listed_lattice(p, u, multiplicities)
-    assert any(between_cuts) and not all(between_cuts)
-
-
-def test_class_count_covers_empty_lists_and_lone_fibre_ranges():
-    # v | u: the kappa = -1 terms of each fibre are empty, and so is every sum that uses one
-    assert borromean._half_sums(7, 7, [7])[-1] == range(-6, -6, 2)
-    assert borromean._half_sums(15, 15, [5, 3])[-1] == []
-    # a lone fibre keeps its ranges, and the count bisects them as lists
-    terms = borromean._half_sums(77, 3, [7])
-    assert all(isinstance(r, range) and r for r in terms.values())
-    for multiplicities, u in (([7], 7), ([5, 3], 15), ([7, 11], 77), ([7, 11], 3),
-                              ([13, 3, 2], 3), ([13, 11, 2], 11 * 13)):
-        _assert_counts_equal_the_listed_lattice(math.prod(multiplicities), u, multiplicities)
+            classes = borromean._residue_class_counts(p, u, multiplicities)
+            for W in (0, 2):
+                lo, hi = 2 * u - 2 * W * p - (p - 1), 2 * W * p + (p - 1)
+                keyed = Counter({(-W - e, W + gamma, c): n for (e, gamma, c), n in classes.items()})
+                assert keyed == Counter(residue_classes(p, u, offset_map, lo, hi)), (multiplicities, u, W)
+    assert set(+seen) == {"between two cuts", "split by a cut", "empty list", "lone-fibre range"}
 
 
 def _seifert_regression():
