@@ -23,7 +23,6 @@ from bisect import bisect_left, bisect_right
 from collections import Counter
 from fractions import Fraction
 from itertools import accumulate
-from math import comb
 from typing import Iterable, NamedTuple
 
 from .cone import PreconditionError, check_lattice_slots
@@ -95,9 +94,10 @@ def _tail_prefix(g: int) -> list:
     """
     prefix = _TAIL_PREFIX.get(g)
     if prefix is None:
-        tails = [0] * (2 * g + 2)
+        tails, c = [0] * (2 * g + 2), 1  # c = C(2g, k), stepped down from C(2g, 2g)
         for k in range(2 * g, -1, -1):
-            tails[k] = tails[k + 1] + comb(2 * g, k)
+            tails[k] = tails[k + 1] + c
+            c = c * k // (2 * g - k + 1)
         prefix = _TAIL_PREFIX[g] = [0, *accumulate(tails)]
     return prefix
 
@@ -167,7 +167,8 @@ def circle_bundle_dim_module(g: int, m: int) -> int:
 def circle_bundle_dim_formula(g: int, m: int) -> int:
     """Closed-form circle-bundle dimension (three cases by parity and size).
 
-    The nested binomial sums take one pass of O(g) ``comb`` calls.  It builds
+    The nested binomial sums take one pass of O(g) steps, each binomial
+    C(2g, j + 1) stepped from C(2g, j) by one multiply and divide.  It builds
     its own sums and never reads ``_tail_prefix``, so it stays an independent
     check of the module pathway.
     """
@@ -183,9 +184,11 @@ def circle_bundle_dim_formula(g: int, m: int) -> int:
     # 4 (H(1) + ... + H(g - l - 1)) + 2 H(g - l) for even |m| and
     # 4 (H(1) + ... + H(g - l)) for odd |m|: one running head sum gives both.
     head = nested = 0
+    n, c = 2 * g, 1  # c = C(2g, j), stepped up from C(2g, 0)
     for j in range(g - (mm + 1) // 2):
-        head += comb(2 * g, j)  # H(j + 1)
+        head += c  # H(j + 1)
         nested += head
+        c = c * (n - j) // (j + 1)
     return (4 ** g) * mm + 4 * nested - (2 * head if mm % 2 == 0 else 0)
 
 

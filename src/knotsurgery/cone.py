@@ -36,17 +36,21 @@ and the pair (v, h) take a small elimination only when a survivor lies
 in the bend, on that block alone, with a chain-map check on its columns.
 No level reads every generator, and no class representative is formed.
 
-The cone is ranked without elimination.  Source sigma reaches only the
-slots sigma and sigma + 2p, so the incidence graph is a disjoint union of
-paths, and one pass over the sources in lattice order finds the rank from
-the shape of each source's block, its level's rows, naming each path by
-its lowest slot (see ``ConeProblem.dimension``).
+The cone is ranked without elimination, and without visiting its sources
+one by one.  Source sigma reaches only the slots sigma and sigma + 2p, so
+the incidence graph is a disjoint union of paths, and the rank is edges +
+grounded rows - paths grounded at both ends.  Consecutive window levels
+of equal shape, read straight off the model's table, make runs of
+sources, and all three terms are counted per run, the last by shifting
+the runs by |p| (see ``ConeProblem.dimension``).  The cost depends on the
+table's levels alone, not on q, p or the window's far levels.
 
 Sign conventions are calibrated by two anchors: the right trefoil must give
 dimension 1 at slope +1 and the figure-eight 3.
 """
 from __future__ import annotations
 
+from bisect import bisect_right
 from typing import NamedTuple, Optional, Sequence
 
 from .formulas import _check_slope, thin_surgery_formula
@@ -55,12 +59,14 @@ from .linalg import block_ranks, homology, induced_map_on_homology
 
 
 # Lattice slots a cone may span, checked before any assembly: (2W - 1) q
-# for the materialised knot cone at slope p/q and (2W + 1) |offsets| for the
-# exterior-algebra cone, W being the window half-width.  On a 2-vCPU host a
-# knot cone at the limit is built and ranked in 0.19-0.30 s in process, with
-# a peak RSS of 56 MB (figure-eight at slope +-1/499999, one path through
-# every slot).  ``surgery_dim`` builds no cone, so the limit
-# binds only ``--compare``, the oracles and the exterior-algebra cone.
+# for the knot cone at slope p/q and (2W + 1) |offsets| for the
+# exterior-algebra cone, W being the window half-width.  The knot cone is
+# ranked by runs of levels, so its cost does not grow with its slots: on a
+# 2-vCPU host (Python 3.11) figure-eight at slope +-1/499999 or 499999/1,
+# at the limit, is built and ranked in 0.07-0.32 ms in process, its level
+# table filled from empty, with no peak RSS above the import baseline.
+# ``surgery_dim`` builds no cone, so the limit binds only ``--compare``,
+# the oracles and the exterior-algebra cone.
 MAX_LATTICE_SLOTS = 5 * 10 ** 5
 
 
@@ -206,61 +212,122 @@ class SurgeryResult(NamedTuple):
 class ConeProblem(NamedTuple):
     """The truncated cone at slope p/q: sources to one-dimensional slots, by level.
 
-    sources: the doubled indices, in lattice order; targets: the retained
-    slots; levels: {s': (class count, v, h, line)}, the shapes of
-    ``pi_maps``.  Each level s' has the q sources 2 s' q - (q-1), ...,
-    2 s' q + (q-1), and each carries the level's classes and rows.  Source
-    sigma reaches the slots sigma (v) and sigma + 2p (h), where the row is
+    The window is the levels 1 - window, ..., window - 1; each level s' has
+    the q sources 2 s' q - (q-1), ..., 2 s' q + (q-1), in lattice order,
+    and each carries the classes and rows of its shape in ``levels``, the
+    model's own table {s: (class count, v, h, line)} of ``pi_maps``.  A
+    window level past +-edge reads the entry at +-edge.  Source sigma
+    reaches the slots sigma (v) and sigma + 2p (h), where the row is
     nonzero and the slot retained, and nothing else, so the incidence graph
     is a disjoint union of paths, which is what makes the dimension
     independent of the slot-identification scalars.
     """
     p: int
     q: int
-    sources: range
-    targets: range
+    window: int
+    edge: int
     levels: dict
 
-    def dimension(self) -> int:
-        """ker + coker of the cone map, ranked in one pass over the sources.
+    @property
+    def sources(self) -> range:
+        """The doubled source indices, in lattice order."""
+        q, W = self.q, self.window
+        return range(2 * (1 - W) * q - (q - 1), 2 * (W - 1) * q + q, 2)
 
-        Each source's block [v row; h row] spans, inside its two slots,
-        nothing (no row), one slot (one row: that slot is grounded), both
-        slots (independent rows: both grounded), or a line through both
-        (proportional rows: an edge).  Edges join the slots into paths; a
-        path of k slots has rank k - 1, or k once any of its slots is
-        grounded.  So rank = |targets| - (paths with no grounded slot) =
-        edges + (paths with a grounded slot).  The v slot sigma is retained
-        iff sigma >= targets.start, and the h slot sigma + 2p iff
-        sigma <= sources.stop - 1 - 2p.  An edge's lower slot is the upper
-        slot of the edge before it on its path, whose source comes earlier
-        in lattice order.  So one pass over the sources in that order names
-        each edge's upper slot by the lowest slot of its path (``head``),
-        and a slot is grounded only once its edge from below, if any, has
-        been seen, so ``grounded`` collects paths.  The levels are visited
-        in ascending order, whatever the order of ``levels``, and each
-        level's shape serves all q of its sources.
+    @property
+    def targets(self) -> range:
+        """The retained slots: from the lowest source plus 2p to the highest source."""
+        sources = self.sources
+        return range(sources.start + 2 * self.p, sources.stop, 2)
+
+    def dimension(self) -> int:
+        """ker + coker of the cone map, ranked by runs of equal levels.
+
+        Number the sources 0..N-1 in lattice order, N = (2 window - 1) q,
+        and the slots so that source i reaches slot i (v) and i + p (h);
+        the retained slots are p..N-1, so the v slot is retained iff i >= p
+        and the h slot iff i < N - p.  Each source's block [v row; h row]
+        spans, inside its retained slots, nothing, one slot (that slot is
+        grounded), both slots (independent rows: both grounded), or a line
+        through both (proportional rows: an edge).  Edges join the slots
+        into paths along the chains of step |p|; a path of k slots has rank
+        k - 1, or k once any of its slots is grounded.  So rank = edges +
+        (paths with a grounded slot).  Only a path's end slots take a
+        grounded row: the bottom one from the source below it, by that
+        source's upper row (h for p > 0, v for p < 0), and the top one from
+        the source at it, by its lower row.  So rank = edges + grounded
+        rows - (paths grounded at both ends), and such a path pairs a
+        non-edge source whose upper row is grounded with the next non-edge
+        source up its chain, when that one's lower row is grounded.
+
+        Consecutive window levels of equal shape merge into runs, the far
+        levels joining the end entries' runs.  A run's sources, cut where
+        retention changes (at p and N - p, for p > 0), make pieces of one
+        kind (an edge, or which rows are grounded), so the classes, edges
+        and grounded rows are counted per piece.  The pairs are counted by
+        shifting each piece whose upper rows are grounded by |p| and
+        overlapping it with the pieces.  Only the sources that land in an
+        edge piece walk on up their chains, and together: each jumps the
+        whole piece in one step, and as no two of them share a chain they
+        are at most |p| consecutive sources, which land in the |p| sources
+        after the piece as at most two intervals.  An interval's ends are
+        the pieces' ends shifted, so the work is bounded by the square of
+        the number of pieces, whatever q, p and the far levels.  The
+        targets are counted as N - p, with no len() of their range.
         """
-        q, p2 = self.q, 2 * self.p
-        v_from, h_to = self.targets.start, self.sources.stop - 1 - p2
-        head: dict = {}  # upper slot of an edge -> lowest slot of its path
-        grounded = set()  # lowest slots of the paths with a grounded slot
-        classes = 0
-        for s, (n, has_v, has_h, line) in sorted(self.levels.items()):
-            classes += n * q
-            for sigma in range(2 * s * q - (q - 1), 2 * s * q + q, 2):
-                v = has_v and sigma >= v_from
-                h = has_h and sigma <= h_to
-                if v and h and line:
-                    lo, hi = (sigma, sigma + p2) if p2 > 0 else (sigma + p2, sigma)
-                    head[hi] = head.get(lo, lo)
+        p, q, W, edge, levels = self
+        total = (2 * W - 1) * q
+        step, top, rising = abs(p), total - p, p > 0
+        low, high = max(1 - W, -edge), min(W - 1, edge)  # the far levels join the end entries
+        classes = edges = grounded = pairs = 0
+        # the pieces of one kind, each level's run cut where retention changes, by their
+        # bounds: lower is None for edges, else whether the lower row is grounded; walkers
+        # are the sources one step up the chains from the grounded upper rows
+        bounds, lower, walkers = [], [], []
+        lo, shape = 0, levels[low]
+        for s in range(low + 1, high + 2):  # a run of equal levels ends before s
+            if s <= high:
+                following = levels[s]
+                if following == shape:
                     continue
-                if v:
-                    grounded.add(head.get(sigma, sigma))
-                if h:
-                    grounded.add(head.get(sigma + p2, sigma + p2))
-        r = len(head) + len(grounded)
-        return (classes - r) + (len(self.targets) - r)
+                stop = (s + W - 1) * q
+            else:
+                following, stop = None, total
+            n, has_v, has_h, line = shape
+            classes += n * (stop - lo)
+            while lo < stop:
+                hi = stop  # the retained slots cut a row at sources p and N - p, if p > 0
+                if has_v and lo < p < hi:
+                    hi = p
+                if has_h and lo < top < hi:
+                    hi = top
+                v, h = has_v and lo >= p, has_h and lo < top
+                bounds.append(lo)
+                if v and h and line:
+                    edges += hi - lo
+                    lower.append(None)
+                else:
+                    grounded += (v + h) * (hi - lo)
+                    lower.append(v if rising else h)
+                    if (h if rising else v) and lo + step < total:
+                        walkers.append((lo + step, hi + step))
+                lo = hi
+            shape = following
+        bounds.append(total)
+        while walkers:
+            lo, hi = walkers.pop()
+            hi, j = min(hi, total), bisect_right(bounds, lo) - 1
+            while lo < hi:
+                end = bounds[j + 1]
+                if lower[j] is None:  # each jumps the piece, landing in the |p| sources after it
+                    n = min(hi, end) - lo
+                    y = lo + (end - lo + step - 1) // step * step
+                    walkers += [(y, min(y + n, end + step)), (end, y + n - step)]
+                elif lower[j]:
+                    pairs += min(hi, end) - lo
+                lo, j = end, j + 1
+        r = edges + grounded - pairs
+        return (classes - r) + (top - r)
 
 
 def _fill_levels(K: KnotComplex, keys: Sequence[int]) -> dict:
@@ -286,13 +353,16 @@ def _fill_levels(K: KnotComplex, keys: Sequence[int]) -> dict:
 def build_cone_problem(K: KnotComplex, p: int, q: int, window_margin: int = 0) -> ConeProblem:
     """Assemble the truncated cone for slope p/q (p != 0, q >= 1, gcd(|p|, q) = 1).
 
-    The sources are the doubled indices 2 s' q + offset for levels
-    1 - W <= s' <= W - 1 and offsets -(q-1), -(q-3), ..., q-1: every second
-    integer from the lowest to the highest.  Source sigma collapses to level
-    s', and its rows reach the slots sigma and sigma + 2p; the retained
-    slots run from the lowest source plus 2p to the highest source.  Only
-    the window's level rows are kept.  The slope is checked as
-    ``thin_surgery_formula`` checks it.
+    The window is the levels 1 - W <= s' <= W - 1, W being at least the
+    genus and 1 and, for p > 0, past p / 2q, plus window_margin.  Its
+    sources are the doubled indices 2 s' q + offset for offsets -(q-1),
+    -(q-3), ..., q-1: every second integer from the lowest to the highest.
+    Source sigma collapses to level s', and its rows reach the slots sigma
+    and sigma + 2p; the retained slots run from the lowest source plus 2p
+    to the highest source.  The window's missing entries of ``K.levels``
+    are filled, and the record reads that table itself, with no copy.  The
+    slope is checked as ``thin_surgery_formula`` checks it, and the window
+    against ``MAX_LATTICE_SLOTS``.
     """
     if p == 0:
         raise PreconditionError("slope 0: use zero_surgery_dims for the per-grading table")
@@ -304,16 +374,7 @@ def build_cone_problem(K: KnotComplex, p: int, q: int, window_margin: int = 0) -
     W = w_min + max(0, window_margin)
     check_lattice_slots((2 * W - 1) * q)
     edge = K.genus + 1
-    keys = range(max(1 - W, -edge), min(W, edge + 1))
-    table = _fill_levels(K, keys)
-    levels = {s: table[s] for s in keys}
-    if W > edge + 1:  # the levels past the genus repeat the edge entries
-        levels = {**dict.fromkeys(range(1 - W, -edge), table[-edge]), **levels,
-                  **dict.fromkeys(range(edge + 1, W), table[edge])}
-
-    first = 2 * (1 - W) * q - (q - 1)
-    last = 2 * (W - 1) * q + (q - 1)
-    return ConeProblem(p, q, range(first, last + 1, 2), range(first + 2 * p, last + 1, 2), levels)
+    return ConeProblem(p, q, W, edge, _fill_levels(K, range(max(1 - W, -edge), min(W, edge + 1))))
 
 
 def large_surgery_start(K: KnotComplex) -> int:

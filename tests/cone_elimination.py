@@ -1,18 +1,20 @@
-"""Exact-elimination oracle for the cone sweep of ``ConeProblem.dimension``.
+"""Exact-elimination oracle for the ranked cone of ``ConeProblem.dimension``.
 
-``blocks`` rebuilds the cone's per-source blocks from its level table, its
-slope and its retained slots, in lattice order.  ``assembled_dimension``
-assembles the cone matrix as a SparseExactMap, one column per source class
-and one row per retained slot, from given rows of each level, with each
-source's h row scaled by a chosen nonzero scalar, and ranks it with
-``level_oracle.rank``.  ``elimination_dimension`` does so with the rows
-that ``level_oracle`` computes for the model (each level's shape in the
-table must be theirs), and ``generic_rows`` gives rows of any shape with
-random rational entries.  Slot identifications are fixed only up to such
-scalars, so the dimension must not depend on them.  ``block_kinds`` names the shape of each source's
-block, for tests that must reach every kind.  ``check_path_structure``
-asserts the shape the sweep relies on; the test suite applies it to every
-cone it ranks (see ``conftest.py``).
+``window_levels`` reads the shape of each window level off the cone's
+table, clamped to its edge entries, and ``blocks`` rebuilds the cone's
+per-source blocks from them, its slope and its retained slots, in lattice
+order.  ``assembled_dimension`` assembles the cone matrix as a
+SparseExactMap, one column per source class and one row per retained
+slot, from given rows of each level, with each source's h row scaled by a
+chosen nonzero scalar, and ranks it with ``level_oracle.rank``.
+``elimination_dimension`` does so with the rows that ``level_oracle``
+computes for the model (each level's shape in the table must be theirs),
+and ``generic_rows`` gives rows of any shape with random rational
+entries.  Slot identifications are fixed only up to such scalars, so the
+dimension must not depend on them.  ``block_kinds`` names the shape of
+each source's block, for tests that must reach every kind.
+``check_path_structure`` asserts the shape the rank relies on; the test
+suite applies it to every cone it ranks (see ``conftest.py``).
 """
 from fractions import Fraction
 
@@ -20,10 +22,16 @@ from knotsurgery.linalg import space, sparse_map
 from level_oracle import level_rows, rank, shape
 
 
+def window_levels(prob) -> dict:
+    """{s: shape} for the window's levels, one past +-edge reading the entry at +-edge."""
+    return {s: prob.levels[min(max(s, -prob.edge), prob.edge)]
+            for s in range(1 - prob.window, prob.window)}
+
+
 def blocks(prob) -> list:
     """[(sigma, level, v slot or None, h slot or None)] in lattice order, from the level flags."""
     out = []
-    for s, (_, has_v, has_h, _) in sorted(prob.levels.items()):
+    for s, (_, has_v, has_h, _) in window_levels(prob).items():
         for sigma in range(2 * s * prob.q - (prob.q - 1), 2 * s * prob.q + prob.q, 2):
             v = sigma if has_v and sigma in prob.targets else None
             ht = sigma + 2 * prob.p
@@ -36,7 +44,7 @@ def blocks(prob) -> list:
 def _rows(K, prob) -> dict:
     """{level: (class count, v row, h row)} from the oracle, checked against the cone's shapes."""
     rows = {}
-    for s, level in prob.levels.items():
+    for s, level in window_levels(prob).items():
         assert shape(K, s) == level, (K.name, s)
         rows[s] = level_rows(K, s)
     return rows

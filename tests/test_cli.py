@@ -83,6 +83,18 @@ def test_surgery_compare_table_shows_the_decomposition(capsys):
     assert row.split() == ["t2_7", "7/3", "23", "23", "-", "-", "True"]
 
 
+@pytest.mark.parametrize("slope", ["-1000000000000000000000000000001",
+                                   "-1000000000000000000000000000001/7"])
+def test_surgery_compare_counts_targets_past_a_machine_word(capsys, slope):
+    # the cone's retained slots number more than sys.maxsize, which len()
+    # of their range cannot return
+    code, out, err = run(capsys, "surgery", "--knot", "fig8", "--slope", slope, "--compare")
+    assert code == 0 and not err
+    _, row = out.splitlines()
+    _, _, decomposition, ranked, *_, agree = row.split()
+    assert ranked == decomposition and agree == "True"
+
+
 @pytest.mark.parametrize("K", [assemble(StaircaseSpec(1), [SquareSpec(0, 1), SquareSpec(0, -1)]),
                                assemble(StaircaseSpec(0), [SquareSpec(1, 1), SquareSpec(-1, -1)])],
                          ids=["tau1-squares-at-0", "tau0-squares-at-pm1"])

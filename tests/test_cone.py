@@ -42,6 +42,7 @@ from cone_elimination import (
     elimination_dimension,
     generic_rows,
     h_sources,
+    window_levels,
 )
 from knot_helpers import squares_model, wide_model
 import level_oracle
@@ -350,6 +351,18 @@ def test_sweep_follows_long_paths():
         assert prob.dimension() == elimination_dimension(K, prob) == want
 
 
+@pytest.mark.parametrize("name", ["figure-eight", "unknot", "trefoil-right", "t2_5-mirror"])
+def test_the_ranked_cone_equals_the_decomposition_at_wide_denominators(name):
+    # tens of thousands of sources in runs of a few levels; q stays near
+    # 5 * 10^4 so that the path check of conftest.py, which reads every
+    # source, stays affordable
+    K = get_knot(name)
+    for p, q in ((1, 49999), (49999, 1), (24999, 2), (7, 7143)):
+        for p in (p, -p):
+            assert build_cone_problem(K, p, q).dimension() == surgery_dim(K, p, q).dimension, \
+                (name, p, q)
+
+
 # Every level shape: n classes, and v, h and line as a level of n classes can have them.
 _EVERY_SHAPE = [(n, v, h, line) for n in range(4) for v in (False, True) for h in (False, True)
                 for line in (False, True)
@@ -359,8 +372,8 @@ _EVERY_SHAPE = [(n, v, h, line) for n in range(4) for v in (False, True) for h i
 @settings(max_examples=150, deadline=None)
 @given(st.integers(0, 3).flatmap(lambda g: st.lists(st.sampled_from(_EVERY_SHAPE),
                                                     min_size=2 * g + 3, max_size=2 * g + 3)),
-       st.integers(1, 6).flatmap(lambda q: st.tuples(
-           st.integers(-13, 13).filter(lambda p: p and math.gcd(p, q) == 1), st.just(q))),
+       st.integers(1, 9).flatmap(lambda q: st.tuples(
+           st.integers(-30, 30).filter(lambda p: p and math.gcd(p, q) == 1), st.just(q))),
        st.integers(0, 3), st.integers(0, 2 ** 32))
 def test_sweep_equals_elimination_on_generated_level_words(word, slope, margin, seed):
     # a level word over the table's entries -g-1..g+1, the window widened by
@@ -374,7 +387,7 @@ def test_sweep_equals_elimination_on_generated_level_words(word, slope, margin, 
     prob = build_cone_problem(K, p, q, window_margin=margin)
     rng = random.Random(seed)
     rows = {s: generic_rows(shape, rng) for s, shape in zip(range(-g - 1, g + 2), word)}
-    rows = {s: rows[min(max(s, -g - 1), g + 1)] for s in prob.levels}
+    rows = {s: rows[min(max(s, -g - 1), g + 1)] for s in window_levels(prob)}
     scale = {src: Fraction(rng.choice((-1, 1)) * rng.randrange(1, 9), rng.randrange(1, 5))
              for src in h_sources(prob)}
     dim = prob.dimension()
@@ -474,7 +487,7 @@ def test_cone_source_and_target_counts(name, p, q, sources, targets):
     # the benchmark's cone.sources and cone.targets counters read these lengths
     prob = build_cone_problem(get_knot(name), p, q)
     assert (len(prob.sources), len(prob.targets)) == (sources, targets)
-    assert sources == len(prob.levels) * q  # (2W - 1) q for the 2W - 1 window levels
+    assert sources == (2 * prob.window - 1) * q  # q for each of the 2W - 1 window levels
 
 
 def test_dimension_has_no_scalar_parameter():

@@ -99,8 +99,8 @@ def test_validation_report_is_a_read_only_record():
 
 
 def test_cone_problem_is_a_read_only_record():
-    prob = ConeProblem(1, 1, range(0, 1, 2), range(2, 1, 2), {0: (3, {0: 1}, {0: 1})})
-    assert prob._fields == ("p", "q", "sources", "targets", "levels")
+    prob = ConeProblem(1, 1, 1, 1, {0: (1, True, True, True)})
+    assert prob._fields == ("p", "q", "window", "edge", "levels")
     with pytest.raises(AttributeError):
         prob.levels = {}
     with pytest.raises(TypeError):
