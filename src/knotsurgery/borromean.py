@@ -25,7 +25,7 @@ from fractions import Fraction
 from itertools import accumulate
 from typing import Iterable, NamedTuple
 
-from .cone import PreconditionError, check_lattice_slots
+from .knotcx import PreconditionError
 
 # Size limits, checked before any work starts.  The residue classes are
 # counted per fibre, meeting two halves of balanced product, and the exterior
@@ -35,11 +35,9 @@ from .cone import PreconditionError, check_lattice_slots
 # query at genus 200 (building the table) and 7 us for each one after it, the
 # closed form 0.8 ms, and a genus-2 base with prod(v_i) near 10^5 under 1 ms;
 # the tables of every genus up to MAX_GENUS hold about 3 MB.
-# cone.MAX_LATTICE_SLOTS still bounds the window, on (2W + 1) * prod(v_i)
-# slots: with W = genus for the large-regime test, before anything is
-# counted, and with the cone's W >= genus before each cone.  The count decides
-# whether ``seifert`` needs its cone, so a large slope past the cone's limit
-# still answers.  That genus-2 base is inside all three limits.
+# Neither cost grows with the window, so no limit bounds the cone's slots:
+# ``seifert --genus 200 --base 0 --pair 1/99991``, a window of about 4 * 10^7
+# slots, answers in under a millisecond.
 MAX_GENUS = 200
 MAX_MULTIPLICITY_PRODUCT = 10 ** 5
 
@@ -117,7 +115,6 @@ def _cone_dim_exterior(g: int, p: int, u: int, classes) -> int:
     if u <= 0:
         raise PreconditionError("internal: cone expects a positive total slope")
     W = _window(g, p, u)
-    check_lattice_slots((2 * W + 1) * p)
     full = 4 ** g
     src_total = (2 * W + 1) * p * full
     prefix = _tail_prefix(g)
@@ -335,7 +332,6 @@ def seifert(g: int, m: int, pairs: Iterable[tuple]) -> SeifertResult:
     by regression tests.
     """
     degree, p, u, multiplicities = _seifert_setup(g, m, pairs)
-    check_lattice_slots((2 * g + 1) * p)  # the large-regime test's slots, before counting
     classes = _residue_class_counts(p, u, multiplicities)
     if _large_applicable(g, classes):
         # large-slope regime: direct sum of u full slots
@@ -351,5 +347,4 @@ def seifert_dim(g: int, m: int, pairs: Iterable[tuple]) -> int:
 def seifert_dim_windowed(g: int, m: int, pairs: Iterable[tuple]) -> int:
     """The truncated cone even in the large regime: the oracle of the shortcut."""
     _, p, u, multiplicities = _seifert_setup(g, m, pairs)
-    check_lattice_slots((2 * _window(g, p, u) + 1) * p)  # the cone's slots, before counting
     return _cone_dim_exterior(g, p, u, _residue_class_counts(p, u, multiplicities))

@@ -43,7 +43,9 @@ grounded rows - paths grounded at both ends.  Consecutive window levels
 of equal shape, read straight off the model's table, make runs of
 sources, and all three terms are counted per run, the last by shifting
 the runs by |p| (see ``ConeProblem.dimension``).  The cost depends on the
-table's levels alone, not on q, p or the window's far levels.
+table's levels alone, not on q, p or the window's far levels, so no limit
+bounds a cone's slots: the spec limits bound the table, and
+``cli.MAX_ARG_DIGITS`` bounds a slope.
 
 Sign conventions are calibrated by two anchors: the right trefoil must give
 dimension 1 at slope +1 and the figure-eight 3.
@@ -56,25 +58,6 @@ from typing import NamedTuple, Optional, Sequence
 from .formulas import _check_slope, thin_surgery_formula
 from .knotcx import KnotComplex, PreconditionError, decompose
 from .linalg import block_ranks, homology, induced_map_on_homology
-
-
-# Lattice slots a cone may span, checked before any assembly: (2W - 1) q
-# for the knot cone at slope p/q and (2W + 1) |offsets| for the
-# exterior-algebra cone, W being the window half-width.  The knot cone is
-# ranked by runs of levels, so its cost does not grow with its slots: on a
-# 2-vCPU host (Python 3.11) figure-eight at slope +-1/499999 or 499999/1,
-# at the limit, is built and ranked in 0.07-0.32 ms in process, its level
-# table filled from empty, with no peak RSS above the import baseline.
-# ``surgery_dim`` builds no cone, so the limit binds only ``--compare``,
-# the oracles and the exterior-algebra cone.
-MAX_LATTICE_SLOTS = 5 * 10 ** 5
-
-
-def check_lattice_slots(slots: int):
-    """Raise PreconditionError, naming the limit, when slots exceeds MAX_LATTICE_SLOTS."""
-    if slots > MAX_LATTICE_SLOTS:
-        raise PreconditionError(f"the cone needs {slots} lattice slots, over the limit "
-                                f"MAX_LATTICE_SLOTS = {MAX_LATTICE_SLOTS}")
 
 
 def _bend(K: KnotComplex, s2: int) -> tuple:
@@ -361,8 +344,8 @@ def build_cone_problem(K: KnotComplex, p: int, q: int, window_margin: int = 0) -
     and sigma + 2p; the retained slots run from the lowest source plus 2p
     to the highest source.  The window's missing entries of ``K.levels``
     are filled, and the record reads that table itself, with no copy.  The
-    slope is checked as ``thin_surgery_formula`` checks it, and the window
-    against ``MAX_LATTICE_SLOTS``.
+    slope is checked as ``thin_surgery_formula`` checks it.  No limit bounds
+    the window: the rank's cost does not grow with it (``ConeProblem.dimension``).
     """
     if p == 0:
         raise PreconditionError("slope 0: use zero_surgery_dims for the per-grading table")
@@ -372,7 +355,6 @@ def build_cone_problem(K: KnotComplex, p: int, q: int, window_margin: int = 0) -
     if p > 0:
         w_min = max(w_min, (p + q - 1) // (2 * q) + 1)
     W = w_min + max(0, window_margin)
-    check_lattice_slots((2 * W - 1) * q)
     edge = K.genus + 1
     return ConeProblem(p, q, W, edge, _fill_levels(K, range(max(1 - W, -edge), min(W, edge + 1))))
 

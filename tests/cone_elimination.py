@@ -13,8 +13,9 @@ and ``generic_rows`` gives rows of any shape with random rational
 entries.  Slot identifications are fixed only up to such scalars, so the
 dimension must not depend on them.  ``block_kinds`` names the shape of
 each source's block, for tests that must reach every kind.
-``check_path_structure`` asserts the shape the rank relies on; the test
-suite applies it to every cone it ranks (see ``conftest.py``).
+``check_path_structure`` asserts the shape the rank relies on, per run of
+levels; the test suite applies it to every cone it ranks (see
+``conftest.py``).
 """
 from fractions import Fraction
 
@@ -32,7 +33,7 @@ def blocks(prob) -> list:
     """[(sigma, level, v slot or None, h slot or None)] in lattice order, from the level flags."""
     out = []
     for s, (_, has_v, has_h, _) in window_levels(prob).items():
-        for sigma in range(2 * s * prob.q - (prob.q - 1), 2 * s * prob.q + prob.q, 2):
+        for sigma in level_sources(prob, s, s):
             v = sigma if has_v and sigma in prob.targets else None
             ht = sigma + 2 * prob.p
             h = ht if has_h and ht in prob.targets else None
@@ -119,11 +120,36 @@ def block_kinds(K, prob) -> set:
     return kinds
 
 
+def level_sources(prob, lo: int, hi: int) -> range:
+    """The sources of the window levels lo..hi: q to a level s', 2 s' q - (q-1), ..., 2 s' q + (q-1)."""
+    q = prob.q
+    return range(2 * lo * q - (q - 1), 2 * hi * q + q, 2)
+
+
 def check_path_structure(prob):
-    """Assert that no slot is reached by more than two rows, so the incidence graph is paths."""
-    incoming = {}
-    for _, _, v, h in blocks(prob):
-        for slot in (v, h):
-            if slot is not None:
-                incoming[slot] = incoming.get(slot, 0) + 1
-    assert all(n <= 2 for n in incoming.values()), "cone incidence graph is not a union of paths"
+    """Assert that no slot is reached by more than two rows, so the incidence graph is paths.
+
+    Works per run of levels, the far levels past +-edge joining the run of
+    the entry they read, as in ``ConeProblem.dimension``, so its cost does
+    not grow with q, p or the window.  A run's v and h slots are its sources
+    translated by 0 and by 2p, cut to the retained slots, and a sweep over
+    the ends of these intervals counts the rows that reach each slot.  The
+    runs' sources must tile ``prob.sources`` in order.
+    """
+    W, edge, targets = prob.window, prob.edge, prob.targets
+    low, high = max(1 - W, -edge), min(W - 1, edge)
+    runs, ends = [], []
+    for s in range(low, high + 1):
+        run = level_sources(prob, 1 - W if s == low else s, W - 1 if s == high else s)
+        _, has_v, has_h, _ = prob.levels[s]
+        for reached, shift in ((has_v, 0), (has_h, 2 * prob.p)):
+            lo, hi = max(run.start + shift, targets.start), min(run.stop + shift, targets.stop)
+            if reached and lo < hi:
+                ends += [(lo, 1), (hi, -1)]
+        runs.append(run)
+    depth = 0
+    for _, step in sorted(ends):  # at a shared point one interval ends before the next starts
+        depth += step
+        assert depth <= 2, "cone incidence graph is not a union of paths"
+    assert all(a[-1] + 2 == b.start for a, b in zip(runs, runs[1:])), "levels overlap or leave gaps"
+    assert prob.sources == range(runs[0].start, runs[-1].stop, 2), "levels do not tile the sources"

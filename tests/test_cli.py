@@ -191,10 +191,6 @@ def test_seifert_precondition_exit_code(capsys):
       "--pair", "1/107", "--pair", "1/109"], "MAX_MULTIPLICITY_PRODUCT = 100000"),
     (["circle-bundle", "--genus", "3000", "--euler", "1"], "MAX_GENUS = 200"),
     (["seifert", "--genus", "3000", "--base", "1"], "MAX_GENUS = 200"),
-    (["surgery", "--knot", "fig8", "--slope", "1/1000000", "--compare"],
-     "MAX_LATTICE_SLOTS = 500000"),
-    (["seifert", "--genus", "15", "--base", "0", "--pair", "1/31", "--pair", "1/61",
-      "--pair", "1/51"], "MAX_LATTICE_SLOTS = 500000"),
 ])
 def test_oversized_input_hits_limit_before_work(capsys, argv, limit):
     import time
@@ -202,6 +198,35 @@ def test_oversized_input_hits_limit_before_work(capsys, argv, limit):
     code, _, err = run(capsys, *argv)
     assert time.perf_counter() - start < 1.0
     assert code == 2 and limit in err
+
+
+def test_a_knot_cone_of_millions_of_slots_answers_at_once(capsys):
+    # the knot cone's cost does not grow with its slots, here about 2 * 10^6
+    import time
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "surgery", "--knot", "fig8", "--slope", "1/1000000", "--compare")
+    assert time.perf_counter() - start < 1.0
+    header, row = (line.split() for line in out.splitlines())
+    # figure-eight is thin of dimension 3 with tau = 0, so S^3_{1/q} has dimension 2q + 1
+    assert code == 0 and dict(zip(header, row)) == {
+        "knot": "figure-eight", "slope": "1/1000000", "decomposition": "2000001",
+        "cone": "2000001", "large-surgery": "-", "ladder": "-", "agree": "True"}
+
+
+@pytest.mark.parametrize("genus, pairs", [
+    (15, [(1, 31), (1, 61), (1, 51)]),  # 31 * 96441 slots
+    (200, [(1, 99991)]),  # 401 * 99991 slots
+], ids=["genus-15", "genus-200"])
+def test_a_seifert_cone_of_millions_of_slots_answers_at_once(capsys, genus, pairs):
+    # nor does the exterior-algebra cone's, which sums one term per class key
+    import time
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "seifert", "--genus", str(genus), "--base", "0", "--json",
+                       *(f"--pair={r}/{v}" for r, v in pairs))
+    assert time.perf_counter() - start < 1.0
+    rec = json.loads(out)
+    assert code == 0 and rec["pathway"] == "cone"
+    assert rec["dim"] == borromean.seifert_dim_windowed(genus, 0, pairs)
 
 
 NINES = "9" * 4300  # an int that str() prints, but twice it does not
@@ -263,7 +288,7 @@ def test_multiplicity_product_too_long_to_print_exits_2(capsys):
 
 
 def test_large_denominator_is_answered_without_a_cone(capsys):
-    # the cone at this slope would be over MAX_LATTICE_SLOTS; the decomposition is not
+    # without --compare no cone is built: the decomposition answers alone
     import time
     start = time.perf_counter()
     code, out, _ = run(capsys, "surgery", "--knot", "fig8", "--slope", "1/1000000", "--json")

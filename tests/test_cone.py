@@ -6,6 +6,7 @@ five-step staircases are written out in the comments, and cross-checked
 against the closed thin-knot formula where both apply.
 """
 import math
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 from knotsurgery import cone
 from knotsurgery.catalog import get_knot, thin_catalog
 from knotsurgery.cone import (
+    ConeProblem,
     PreconditionError,
     almost_lspace_scan,
     bent_homology,
@@ -36,9 +38,11 @@ from knotsurgery.knotcx import (
     validate,
 )
 from knotsurgery.linalg import LinearAlgebraError
+import cone_elimination
 from cone_elimination import (
     assembled_dimension,
     block_kinds,
+    check_path_structure,
     elimination_dimension,
     generic_rows,
     h_sources,
@@ -395,14 +399,6 @@ def test_sweep_equals_elimination_on_generated_level_words(word, slope, margin, 
     assert prob._replace(levels=dict(reversed(prob.levels.items()))).dimension() == dim
 
 
-def test_lattice_slot_limit():
-    cone.check_lattice_slots(cone.MAX_LATTICE_SLOTS)
-    with pytest.raises(PreconditionError, match="MAX_LATTICE_SLOTS = 500000"):
-        cone.check_lattice_slots(cone.MAX_LATTICE_SLOTS + 1)
-    # a genus-2 Seifert base at prod v_i = 96441 stays inside: (2 * 2 + 1) * 96441 slots
-    assert 5 * 96441 <= cone.MAX_LATTICE_SLOTS
-
-
 def test_the_level_table_answers_on_a_wide_model():
     # 7803 generators at genus 20: every oracle reads 39 or 40 levels of the
     # table and equals its closed form
@@ -488,6 +484,39 @@ def test_cone_source_and_target_counts(name, p, q, sources, targets):
     prob = build_cone_problem(get_knot(name), p, q)
     assert (len(prob.sources), len(prob.targets)) == (sources, targets)
     assert sources == (2 * prob.window - 1) * q  # q for each of the 2W - 1 window levels
+
+
+def _one_source_lower(real):
+    """A layout in which each level's sources start one source lower: levels overlap by one."""
+    return lambda prob, lo, hi: range(real(prob, lo, hi).start - 2, real(prob, lo, hi).stop, 2)
+
+
+@pytest.mark.parametrize("layout, sources, message", [
+    # the first source of each level is the last of the level below: that slot
+    # takes the v rows of both and the h row of the source 2p under it
+    (_one_source_lower, None, "not a union of paths"),
+    (None, lambda self: range(self.window * self.q, 2 * self.window * self.q, 2),
+     "levels do not tile the sources"),
+])
+def test_the_path_check_fails_a_broken_cone(monkeypatch, layout, sources, message):
+    prob = ConeProblem(1, 2, 3, 3, {s: (2, True, True, False) for s in range(-3, 4)})
+    check_path_structure(prob)
+    if layout:
+        monkeypatch.setattr(cone_elimination, "level_sources", layout(cone_elimination.level_sources))
+    if sources:
+        monkeypatch.setattr(ConeProblem, "sources", property(sources))
+    with pytest.raises(AssertionError, match=message):
+        check_path_structure(prob)
+
+
+def test_the_path_check_costs_the_same_at_any_slope():
+    # it works per run of levels: q and p past sys.maxsize cost no more than 1
+    K = build_staircase(40)
+    for p, q in ((1, 1), (1, 10 ** 30 + 1), (10 ** 30 + 1, 1), (-10 ** 30 - 1, 10 ** 30)):
+        prob = build_cone_problem(K, p, q)
+        start = time.perf_counter()
+        check_path_structure(prob)
+        assert time.perf_counter() - start < 0.05, (p, q)
 
 
 def test_dimension_has_no_scalar_parameter():

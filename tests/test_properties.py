@@ -244,6 +244,24 @@ def test_levels_match_the_cone_on_scrambled_models(K, mirrored, data):
     assert surgery_dim(K, p, q).dimension == build_cone_problem(K, p, q).dimension(), (p, q)
 
 
+HUGE = 10 ** 30  # past sys.maxsize, where no range of the cone has a len()
+
+
+@settings(max_examples=40, deadline=None)
+@given(scrambled_thin_models(), st.booleans(), st.integers(1, HUGE),
+       st.integers(-HUGE, HUGE).filter(bool))
+@example(assemble(StaircaseSpec(2), [SquareSpec(0, 1)], name="e"), False, HUGE + 1, 1)
+@example(assemble(StaircaseSpec(-1), [SquareSpec(1, -1), SquareSpec(-1, -1)], name="e"),
+         True, 1, HUGE + 1)
+@example(assemble(StaircaseSpec(0), [SquareSpec(0, -1)], name="e"), False, HUGE, -HUGE - 1)
+def test_levels_match_the_cone_at_any_slot_count(K, mirrored, q, p):
+    """The ranked cone equals the decomposition at q and |p| up to 10^30, whatever its slot count."""
+    K = mirror(K) if mirrored else K
+    d = math.gcd(abs(p), q)
+    p, q = p // d, q // d
+    assert surgery_dim(K, p, q).dimension == build_cone_problem(K, p, q).dimension(), (p, q)
+
+
 @st.composite
 def whole_space_models(draw):
     """(tau, squares, K): K is ``assemble(StaircaseSpec(tau), squares)`` in a whole-space basis.
