@@ -105,15 +105,14 @@ def _cone_dim_exterior(g: int, p: int, u: int, classes) -> int:
 
     Source slots carry the full exterior algebra (dimension 4^g); target
     slots do too; the image inside each retained target is the monomial
-    block given by the collapse index law.  ``classes`` maps each key
+    block given by the collapse index law.  u > 0: every caller refuses a
+    zero degree and passes |u|.  ``classes`` maps each key
     (e, gamma, c) to its number of residue classes, p in all.  On one class
     the image degree min(g - s_low, g + s_high) runs through consecutive
     integers, up and then down, so each key adds two runs of the tail sums,
     read off the genus's prefix table (``_tail_prefix``).  After the first
     cone of a genus the cost is O(1) per key.
     """
-    if u <= 0:
-        raise PreconditionError("internal: cone expects a positive total slope")
     W = _window(g, p, u)
     full = 4 ** g
     src_total = (2 * W + 1) * p * full

@@ -53,7 +53,7 @@ dimension 1 at slope +1 and the figure-eight 3.
 from __future__ import annotations
 
 from bisect import bisect_right
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional
 
 from .formulas import _check_slope, thin_surgery_formula
 from .knotcx import KnotComplex, PreconditionError, decompose
@@ -95,9 +95,13 @@ def _classes(K: KnotComplex, s2: int, bend_ranks: dict) -> tuple:
 
 
 def bent_homology(K: KnotComplex, s: int) -> int:
-    """Class count of the bent complex at level s, from block ranks; ModelError if K is invalid."""
+    """Class count of level s, read off ``level_table``; ModelError if K is invalid.
+
+    A level past +-(genus + 1) reads that end's entry.
+    """
     decompose(K)
-    return _classes(K, 2 * s, _bend(K, 2 * s)[2])[0]
+    edge = K.genus + 1
+    return level_table(K)[min(max(s, -edge), edge)][0]
 
 
 def pi_maps(K: KnotComplex, s: int) -> tuple:
@@ -313,13 +317,14 @@ class ConeProblem(NamedTuple):
         return (classes - r) + (top - r)
 
 
-def _fill_levels(K: KnotComplex, keys: Sequence[int]) -> dict:
-    """K.levels, with the shape (see ``pi_maps``) of each level in keys computed where it is missing.
+def level_table(K: KnotComplex) -> dict:
+    """K.levels, filled: the shape (see ``pi_maps``) of each level -genus - 1..genus + 1.
 
     Levels past the genus repeat: below -genus the bent complex is d+ alone,
     v is zero and h an isomorphism, and above +genus the reverse.  So the
     table holds the levels -genus - 1..genus + 1, and every level past one
-    end reads that end's entry.  The keys must lie in that range.
+    end reads that end's entry.  An entry already present is kept, so each
+    level is computed once per model.
 
     No limit of its own bounds the table: the spec limits that bound
     ``validate`` bound it too.  A generator is a bend column at one level
@@ -327,7 +332,7 @@ def _fill_levels(K: KnotComplex, keys: Sequence[int]) -> dict:
     the whole table ranks each model block about once more than ``validate``.
     """
     table = K.levels
-    for s in keys:
+    for s in range(-K.genus - 1, K.genus + 2):
         if s not in table:
             table[s] = pi_maps(K, s)
     return table
@@ -342,21 +347,17 @@ def build_cone_problem(K: KnotComplex, p: int, q: int, window_margin: int = 0) -
     -(q-3), ..., q-1: every second integer from the lowest to the highest.
     Source sigma collapses to level s', and its rows reach the slots sigma
     and sigma + 2p; the retained slots run from the lowest source plus 2p
-    to the highest source.  The window's missing entries of ``K.levels``
-    are filled, and the record reads that table itself, with no copy.  The
-    slope is checked as ``thin_surgery_formula`` checks it.  No limit bounds
-    the window: the rank's cost does not grow with it (``ConeProblem.dimension``).
+    to the highest source.  The record reads the model's ``level_table``
+    itself, with no copy, a window level past +-(genus + 1) reading the
+    entry at that end.  The slope is checked as ``thin_surgery_formula``
+    checks it.  No limit bounds the window: the rank's cost does not grow
+    with it (``ConeProblem.dimension``).
     """
     if p == 0:
         raise PreconditionError("slope 0: use zero_surgery_dims for the per-grading table")
     _check_slope(p, q)
-    g = max(K.genus, 1)
-    w_min = g
-    if p > 0:
-        w_min = max(w_min, (p + q - 1) // (2 * q) + 1)
-    W = w_min + max(0, window_margin)
-    edge = K.genus + 1
-    return ConeProblem(p, q, W, edge, _fill_levels(K, range(max(1 - W, -edge), min(W, edge + 1))))
+    w_min = max(K.genus, 1, (p + q - 1) // (2 * q) + 1 if p > 0 else 1)
+    return ConeProblem(p, q, w_min + max(0, window_margin), K.genus + 1, level_table(K))
 
 
 def large_surgery_start(K: KnotComplex) -> int:
@@ -365,21 +366,19 @@ def large_surgery_start(K: KnotComplex) -> int:
 
 
 def large_surgery_dim(K: KnotComplex, n: int) -> int:
-    """Direct sum of the bent homologies at the n levels just below the genus.
+    """Direct sum of the bent homologies at the n levels g - n..g - 1 just below the genus g.
 
-    Equals the cone dimension at integral slope n >= large_surgery_start(K).
+    The class counts are read off ``level_table``; each level below
+    -genus - 1 has the count of -genus - 1.  Equals the cone dimension at
+    integral slope n >= large_surgery_start(K).
     """
     decompose(K)
     if n < large_surgery_start(K):
         raise PreconditionError(f"slope {n} is outside the large-surgery regime "
                                 f"(needs n >= {large_surgery_start(K)})")
-    g = K.genus
-    levels = range(max(g - n, -g - 1), g)
-    table = _fill_levels(K, levels)
-    total = sum(table[s][0] for s in levels)
-    if n > 2 * g + 1:  # each level below -genus - 1 has the rows of -genus - 1
-        total += (n - 2 * g - 1) * table[-g - 1][0]
-    return total
+    g, table = K.genus, level_table(K)
+    low = max(g - n, -g - 1)
+    return sum(table[s][0] for s in range(low, g)) + (low - (g - n)) * table[-g - 1][0]
 
 
 def surgery_dim(K: KnotComplex, p: int, q: int) -> SurgeryResult:
@@ -426,7 +425,7 @@ def zero_surgery_levels(K: KnotComplex, span: Optional[int] = None) -> dict:
     decompose(K)
     edge = K.genus + 1
     top = (K.genus - 1) if span is None else span
-    table = _fill_levels(K, [s for s in range(max(-top, -edge), min(top, edge) + 1) if s or K.tau])
+    table = level_table(K)
     out: dict = {}
     for s in range(-top, top + 1):
         if s == 0 and K.tau == 0:

@@ -185,7 +185,7 @@ class KnotComplex(_ModelFields):
 
     @cached_property
     def levels(self) -> dict:
-        """The cone's level table {s: (class count, v, h, line)}, filled by ``cone``."""
+        """The cone's level table {s: (class count, v, h, line)}, filled by ``cone.level_table``."""
         return {}
 
     @cached_property

@@ -3,11 +3,11 @@ import json
 
 import pytest
 
-from knotsurgery import borromean, formulas
+from knotsurgery import borromean, crosscheck, formulas
 from knotsurgery.catalog import get_knot
 from knotsurgery.cli import MAX_ARG_DIGITS, main
-from knotsurgery.cone import SurgeryResult
-from knotsurgery.crosscheck import PATHWAYS
+from knotsurgery.cone import SurgeryResult, build_cone_problem
+from knotsurgery.crosscheck import PATHWAYS, SuiteResult
 from knotsurgery.knotcx import (
     MAX_MODEL_DIM,
     MAX_MODEL_GENUS,
@@ -18,6 +18,7 @@ from knotsurgery.knotcx import (
     assemble,
     decompose,
     knot_spec_dict,
+    mirror,
     parse_knot_spec,
     poly_to_pairs,
     staircase_polynomial,
@@ -117,8 +118,8 @@ def test_surgery_rejects_an_unreduced_slope(tmp_path, capsys, compare):
     assert err == "error: slope 2/4 is not reduced\n"
 
 
-@pytest.mark.parametrize("spelling", [["--slope", "-1/2"], ["--slope=-1/2"]],
-                         ids=["separate", "joined"])
+@pytest.mark.parametrize("spelling", [["--slope", "-1/2"], ["--slope=-1/2"], ["--slope", "1/-2"]],
+                         ids=["separate", "joined", "negative-denominator"])
 def test_surgery_accepts_a_negative_fractional_slope(capsys, spelling):
     code, out, err = run(capsys, "surgery", "--knot", "fig8", *spelling, "--json")
     assert code == 0 and not err
@@ -397,6 +398,42 @@ def test_crosscheck_fast_suite(capsys):
 def test_crosscheck_unknown_suite(capsys):
     code, _, err = run(capsys, "crosscheck", "--suite", "nope")
     assert code == 2 and "unknown crosscheck suite" in err
+
+
+def test_crosscheck_prints_a_mismatch_as_text(monkeypatch, capsys):
+    planted = SuiteResult("whitehead-loop", 1, ["planted disagreement"])
+    monkeypatch.setitem(crosscheck.ALL_SUITES, "whitehead-loop", lambda: planted)
+    code, out, _ = run(capsys, "crosscheck", "--suite", "whitehead-loop")
+    assert code == 3
+    assert "1 mismatches" in out
+    assert out.splitlines()[-1] == "MISMATCH [whitehead-loop]: planted disagreement"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["surgery", "--slope", "1"], "no knot given"),
+    (["whitehead", "--twists", "1"], "no companion profile"),
+    (["surgery", "--knot", "fig8", "--slope", "0", "--compare"],
+     "slope 0 has no pathway comparison"),
+], ids=["no-knot", "no-profile", "compare-at-slope-zero"])
+def test_missing_input_and_slope_zero_comparison_exit_2(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and not out
+    assert err.startswith(f"error: {message}")
+
+
+@pytest.mark.parametrize("t", range(-3, 4))
+def test_negative_clasp_double_equals_the_ranked_cone_of_its_twist_knot(capsys, t):
+    # the negative-clasp t-twisted double of the unknot is mirror(twist(-t)):
+    # its (+1, -1) dims and tau are that model's ranked cone at +-1 and its tau
+    code, out, _ = run(capsys, "whitehead", "--twists", str(t), "--clasp", "neg",
+                       "--companion-tau", "0", "--companion-base", "0", "--json")
+    assert code == 0
+    payload = json.loads(out)
+    K = mirror(get_knot(f"twist({-t})"))
+    assert K.name == f"mirror(twist({-t}))"
+    cone_dims = {"+1": build_cone_problem(K, 1, 1).dimension(),
+                 "-1": build_cone_problem(K, -1, 1).dimension()}
+    assert (payload["dims"], payload["tau"]) == (cone_dims, K.tau)
 
 
 def test_unknown_knot_exit_code(capsys):

@@ -190,9 +190,9 @@ def test_large_surgery_reuses_levels(monkeypatch):
     assert calls == []  # the scan reads the decomposition, no level
     for n in range(large_surgery_start(K), 2 * K.genus + 4):
         large_surgery_dim(K, n)
-    # the large-surgery sums read the levels -13..11, each once: every level
-    # below -genus has the rows of level -genus - 1
-    assert sorted(calls) == list(range(-13, 12))
+    # the first sum fills the table -13..13, each level once, and the later
+    # sums read it: every level below -genus has the rows of level -genus - 1
+    assert sorted(calls) == list(range(-13, 14))
 
 
 def test_levels_past_the_genus_repeat():
@@ -206,10 +206,15 @@ def test_levels_past_the_genus_repeat():
                 assert rows[0] == rows[1], (K.name, far)
 
 
-def test_large_surgery_reads_no_unused_level():
-    K = build_staircase(1)
-    large_surgery_dim(K, 1)
-    assert sorted(K.levels) == [0]
+def test_every_oracle_fills_the_whole_table():
+    # each oracle fills the levels -genus - 1..genus + 1, whatever it sums
+    oracles = [lambda K: large_surgery_dim(K, 1), lambda K: build_cone_problem(K, 1, 1),
+               lambda K: build_cone_problem(K, -7, 3, window_margin=4),
+               zero_surgery_levels, lambda K: bent_homology(K, 9)]
+    for oracle in oracles:
+        K = build_staircase(1)
+        oracle(K)
+        assert sorted(K.levels) == [-2, -1, 0, 1, 2]
 
 
 def test_large_surgery_far_past_the_genus():
@@ -222,9 +227,9 @@ def test_large_surgery_far_past_the_genus():
 
 
 def test_a_new_level_passes_only_its_source_block(monkeypatch):
-    # filling a level ranks the bend alone, and an induced rank is taken only
+    # a level's shape ranks the bend alone, and an induced rank is taken only
     # on the bend block that holds a survivor, never on all K.dim columns; a
-    # kept level calls nothing
+    # filled table calls nothing
     ranked, induced = [], []
     real_ranks, real_induced = cone.block_ranks, cone.induced_map_on_homology
 
@@ -244,7 +249,7 @@ def test_a_new_level_passes_only_its_source_block(monkeypatch):
         for s in range(-K.genus - 1, K.genus + 2):
             ranked.clear()
             induced.clear()
-            cone._fill_levels(K, [s])
+            K.levels[s] = cone.pi_maps(K, s)
             bend = {i for z in (0, 1) for i in K.blocks.get((2 * s, z), ())}
             assert [set(cols) for cols in ranked] == [bend], (K.name, s)
             for d_src, src_blocks, targets in induced:
@@ -253,10 +258,10 @@ def test_a_new_level_passes_only_its_source_block(monkeypatch):
                 assert set(d_src) == set(positions) == set(K.blocks[2 * s, z]), (K.name, s)
                 assert len(d_src) < K.dim
                 passed.append(targets)
-            ranked.clear()
-            induced.clear()
-            cone._fill_levels(K, [s])
-            assert ranked == induced == [], (K.name, s)
+        ranked.clear()
+        induced.clear()
+        cone.level_table(K)
+        assert ranked == induced == [], K.name
     assert sorted(passed) == [1] * 6 + [2]  # v and h at s = +-tau of each, the pair once
 
 
@@ -272,7 +277,7 @@ def test_pi_maps_checks_each_projection_is_a_chain_map():
     with pytest.raises(LinearAlgebraError, match=r"not a chain map: \(f o d - d o f\)\(4\)"):
         pi_maps(K, 0)
     with pytest.raises(LinearAlgebraError, match="not a chain map"):
-        cone._fill_levels(K, [0])
+        cone.level_table(K)
     assert 0 not in K.levels
 
 
@@ -449,7 +454,7 @@ def test_the_level_table_costs_one_rank_of_each_block_and_its_survivors(monkeypa
     monkeypatch.setattr(linalg.Echelon, "reduce", counting)
     for K in models:
         handed.clear()
-        cone._fill_levels(K, range(-K.genus - 1, K.genus + 2))
+        cone.level_table(K)
         widest = max(Counter(g.alex for g in K.space.generators).values())
         assert sum(handed) <= K.dim + 7 * widest, K.name
     assert max(K.dim for K in models) > 150
@@ -558,7 +563,7 @@ def test_level_table_lives_on_the_model():
     surgery_dim(K, 1, 1)
     assert K.levels == {}  # the answer reads the decomposition, no level
     build_cone_problem(K, 1, 1).dimension()
-    assert sorted(K.levels) == list(range(1 - K.genus, K.genus))
+    assert sorted(K.levels) == list(range(-K.genus - 1, K.genus + 2))
     other = build_staircase(3)
     assert other == K and other.levels == {}
 
@@ -682,7 +687,7 @@ def test_zero_surgery_levels_refuse_every_proportional_level():
     want = zero_surgery_dims(K)
     K.levels[0] = line
     assert zero_surgery_levels(K) == want and want[0] is None
-    assert cone._fill_levels(fig8(), [0])[0] == (3, True, True, True)  # the figure-eight's own level 0
+    assert cone.level_table(fig8())[0] == (3, True, True, True)  # the figure-eight's own level 0
     assert zero_surgery_levels(fig8()) == {0: None}
 
 
@@ -789,7 +794,7 @@ def test_levels_match_the_cone(family):
                     (K.name, p, q)
         # the levels at +-genus, past the level word, have one class and one row each
         if K.genus:
-            table = cone._fill_levels(K, [-K.genus, K.genus])
+            table = cone.level_table(K)
             assert table[K.genus] == (1, True, False, False), K.name
             assert table[-K.genus] == (1, False, True, False), K.name
 

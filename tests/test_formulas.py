@@ -147,3 +147,21 @@ def test_almost_lspace_conditions():
     assert not bad.ok and any("> 1" in v for v in bad.violations)
     asym = almost_lspace_necessary_conditions(1, {-1: 1, 0: 3, 1: 2})
     assert not asym.ok
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 6: the scan calls the left-handed trefoil 'almost', "
+                          "and the necessary conditions reject its table")
+def test_the_conditions_accept_every_model_the_scan_calls_almost():
+    # per-grading dims of each catalog model and mirror with an "almost" scan;
+    # today the left-handed trefoil (dims 1, 1, 1) fails under its three names
+    from collections import Counter
+    from knotsurgery.catalog import thin_catalog
+    from knotsurgery.cone import almost_lspace_scan
+    from knotsurgery.knotcx import mirror
+    almost = [M for K in thin_catalog() for M in (K, mirror(K))
+              if almost_lspace_scan(M).verdict == "almost"]
+    assert len(almost) == 10
+    rejected = [M.name for M in almost if not almost_lspace_necessary_conditions(
+        M.genus, Counter(g.alex // 2 for g in M.space.generators)).ok]
+    assert rejected == []

@@ -58,7 +58,7 @@ def test_split_levels_match_the_full_model(K):
     g = K.genus
     assert split.genus == g
     levels = range(-g - 1, g + 2)
-    table, split_table = cone._fill_levels(K, levels), cone._fill_levels(split, levels)
+    table, split_table = cone.level_table(K), cone.level_table(split)
     for s in levels:
         assert split_table[s] == table[s], (K.name, s)
     for span in (None, g + 1):
@@ -79,7 +79,7 @@ def test_level_word_is_fixed_by_tau(K):
     g, tau = max(K.genus, 1), K.tau
     t = max(abs(tau), 1)
     middle = "E" if tau == 0 else ("0" if tau > 0 else "G") * (2 * abs(tau) - 1)
-    table = cone._fill_levels(K, range(1 - g, g))
+    table = cone.level_table(K)
     word = "".join(_kind(*table[s][1:]) for s in range(1 - g, g))
     assert word == "H" * (g - t) + middle + "V" * (g - t), K.name
 
