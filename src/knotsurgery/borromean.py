@@ -145,8 +145,8 @@ def circle_bundle_dim_module(g: int, m: int) -> int:
     """Circle-bundle dimension over a genus-g surface, module pathway.
 
     Evaluates the truncated cone with monomial-block images on its one
-    residue class (e = c = -|m|, gamma = 0); in the large regime
-    (``_large_applicable``: |m| >= 2g - 1) it collapses to 4^g * |m|.
+    residue class (e = c = -|m|, gamma = 0) for every m, so it checks the
+    closed form in the large regime |m| >= 2g - 1 too.
     """
     if g < 2:
         raise PreconditionError("module pathway requires genus at least 2")
@@ -154,14 +154,11 @@ def circle_bundle_dim_module(g: int, m: int) -> int:
     if m == 0:
         raise PreconditionError("Euler number 0 unsupported (zero orbifold degree)")
     mm = abs(m)  # the bundle and its orientation reverse have equal dimensions
-    classes = {(-mm, 0, -mm): 1}
-    if _large_applicable(g, classes):
-        return (4 ** g) * mm
-    return _cone_dim_exterior(g, 1, mm, classes)
+    return _cone_dim_exterior(g, 1, mm, {(-mm, 0, -mm): 1})
 
 
 def circle_bundle_dim_formula(g: int, m: int) -> int:
-    """Closed-form circle-bundle dimension (three cases by parity and size).
+    """Closed form: 4^g * |m| plus a correction by parity, 0 once |m| >= 2g - 1.
 
     The nested binomial sums take one pass of O(g) steps, each binomial
     C(2g, j + 1) stepped from C(2g, j) by one multiply and divide.  It builds
@@ -174,8 +171,6 @@ def circle_bundle_dim_formula(g: int, m: int) -> int:
     if m == 0:
         raise PreconditionError("Euler number 0 unsupported (zero orbifold degree)")
     mm = abs(m)
-    if mm >= 2 * g - 1:
-        return (4 ** g) * mm
     # With H(j) = sum_{i < j} C(2g, i) and l = ceil(|m| / 2), the correction is
     # 4 (H(1) + ... + H(g - l - 1)) + 2 H(g - l) for even |m| and
     # 4 (H(1) + ... + H(g - l)) for odd |m|: one running head sum gives both.

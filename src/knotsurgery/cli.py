@@ -81,15 +81,21 @@ class JSONInputError(Exception):
     """A --spec or --profile file, or --delta text, that is not UTF-8 JSON; the message names it."""
 
 
+def _decode_json(text: str, source: str):
+    """The JSON document in ``text``; a JSONInputError names ``source``, a file or --delta."""
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:  # malformed, too many digits or nested too deep
+        raise JSONInputError(f"{source}: invalid JSON input: {exc}") from None
+
+
 def _read_json(path: str):
     """The JSON document in a file; ``main`` turns an unreadable file into exit code 1."""
     with open(path, encoding="utf-8") as fh:
         try:
-            return json.load(fh)
-        except UnicodeDecodeError as exc:
+            return _decode_json(fh.read(), path)
+        except UnicodeDecodeError as exc:  # from the read: _decode_json raises none
             raise JSONInputError(f"{path}: {exc}") from None
-        except ValueError as exc:  # malformed JSON, or an integer past int's digit limit
-            raise JSONInputError(f"{path}: invalid JSON input: {exc}") from None
 
 
 def _load_knot(args):
@@ -240,10 +246,7 @@ def cmd_splice(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    try:
-        delta = json.loads(args.delta)
-    except ValueError as exc:  # malformed JSON, or an integer past int's digit limit
-        raise JSONInputError(f"--delta: invalid JSON input: {exc}") from None
+    delta = _decode_json(args.delta, "--delta")
     candidates = formulas.nearly_fibered_classify(args.dim, parse_poly_pairs(delta, "--delta"))
     payload = {"command": "classify", "dim": args.dim, "delta": delta,
                "candidates": list(candidates)}

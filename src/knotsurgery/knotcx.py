@@ -38,14 +38,14 @@ class PreconditionError(Exception):
 Poly = dict
 
 # Largest genus a knot spec may declare, checked by ``parse_knot_spec``
-# before any synthesis or validation: the polynomial degree of the thin form
-# and the "genus" field of the explicit form.  A surgery answer costs one
-# validation and one decomposition: on a 2-vCPU host under 0.02 s for the
-# genus-200 staircase.  The level table that ``--compare`` reads costs one
-# elimination per level, of its bend, and one more at each level whose
-# bend holds a survivor: for the genus-200 staircase, 0.005-0.008 s for
-# the ranked cone at slope 1 and 0.014-0.024 s for the whole slope grid
-# there.  This limit and MAX_MODEL_DIM bound the level table too.
+# before any synthesis or validation: the thin form's polynomial degree, and
+# the explicit form's "genus" field and each generator's |alex|.  A surgery
+# answer costs one validation and one decomposition: on a 2-vCPU host under
+# 0.02 s for the genus-200 staircase.  The level table that ``--compare``
+# reads costs one elimination per level, of its bend, and one more at each
+# level whose bend holds a survivor: for the genus-200 staircase,
+# 0.005-0.008 s for the ranked cone at slope 1 and 0.014-0.024 s for the
+# whole slope grid there.  This limit and MAX_MODEL_DIM bound the level table too.
 MAX_MODEL_GENUS = 200
 
 # Largest model dimension a knot spec may ask for, checked by
@@ -639,8 +639,9 @@ def parse_knot_spec(data: dict) -> KnotComplex:
     gens = []
     for i, g in enumerate(generators):
         where = f"knot spec generators[{i}]"
-        gens.append((spec_field(g, "id", where, str), 2 * spec_field(g, "alex", where),
-                     spec_field(g, "z2", where)))
+        gid, alex = spec_field(g, "id", where, str), spec_field(g, "alex", where)
+        _check_genus(abs(alex), f"generators[{i}] field 'alex': |alex| =")
+        gens.append((gid, 2 * alex, spec_field(g, "z2", where)))
     sp = space(gens)
 
     entries = {}

@@ -10,7 +10,7 @@ from math import comb
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from knotsurgery import borromean
+from knotsurgery import borromean, crosscheck
 from knotsurgery.borromean import (
     circle_bundle_dim_formula,
     circle_bundle_dim_module,
@@ -118,6 +118,19 @@ def test_circle_bundle_formula_equals_the_double_sum():
     for g in range(41, borromean.MAX_GENUS + 1):
         for m in (1, 2, 2 * g - 2, 2 * g - 1):
             assert circle_bundle_dim_formula(g, m) == circle_bundle_dim_double_sum(g, m), (g, m)
+        for m in (2 * g - 1, 2 * g):  # the module's cone at the edge of the large regime
+            assert circle_bundle_dim_module(g, m) == circle_bundle_dim_double_sum(g, m), (g, m)
+
+
+def test_circle_bundles_never_take_the_large_regime_shortcut(monkeypatch):
+    """Both circle-bundle pathways compute in the large regime, so they check each other there."""
+    def refuse(*args):
+        raise AssertionError("circle bundles must not call _large_applicable")
+    monkeypatch.setattr(borromean, "_large_applicable", refuse)
+    result = crosscheck.suite_circle_bundles()
+    assert result.ok and result.cases == 51, result.mismatches
+    for m in (399, -399):
+        assert circle_bundle_dim_module(200, m) == circle_bundle_dim_double_sum(200, m) == 4 ** 200 * 399
 
 
 def test_tail_table_differences_are_the_monomial_dims(monkeypatch):

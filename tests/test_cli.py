@@ -485,12 +485,23 @@ def _squares_at_zero(c):
     return {"alexander": [[c, 1], [1 - 2 * c, 0], [c, -1]], "tau": 1}
 
 
+# one generator, or the target of a d_plus arrow, at a grading whose half overflows a float
+_FAR_GRADING = {"genus": 1, "tau": 0, "generators": [{"id": "a", "alex": 10 ** 400, "z2": 0}]}
+_ARROW_TO_A_FAR_GRADING = {
+    "genus": 1, "tau": 0, "d_plus": [["a", "b", 1]],
+    "generators": [{"id": "a", "alex": 0, "z2": 0}, {"id": "b", "alex": 10 ** 400, "z2": 1}]}
+
+
 @pytest.mark.parametrize("spec, limit", [
     (_genus_400_staircase(), "degree 400 exceeds the limit MAX_MODEL_GENUS = 200"),
     (_explicit_spec_with_genus(201), "genus 201 exceeds the limit MAX_MODEL_GENUS = 200"),
     (_squares_at_zero(10 ** 6),
      "coefficient norm 3999999 (the model dimension) exceeds the limit MAX_MODEL_DIM = 10000"),
-], ids=["thin", "explicit", "thin-norm"])
+    (_FAR_GRADING, f"generators[0] field 'alex': |alex| = {10 ** 400} exceeds the limit "
+                   "MAX_MODEL_GENUS = 200"),
+    (_ARROW_TO_A_FAR_GRADING, f"generators[1] field 'alex': |alex| = {10 ** 400} exceeds the "
+                              "limit MAX_MODEL_GENUS = 200"),
+], ids=["thin", "explicit", "thin-norm", "explicit-alex", "explicit-arrow-target"])
 def test_spec_genus_hits_limit_before_work(tmp_path, capsys, spec, limit):
     import time
     path = tmp_path / "big.json"
@@ -609,20 +620,21 @@ def test_missing_spec_file(capsys):
     (["surgery", "--slope", "1"], "--spec"),
     (["whitehead", "--twists", "1"], "--profile"),
 ], ids=["spec", "profile"])
-@pytest.mark.parametrize("kind", ["directory", "binary", "invalid-json"])
+@pytest.mark.parametrize("kind", ["directory", "binary", "invalid-json", "nested"])
 def test_unreadable_input_file_exits_cleanly(tmp_path, capsys, argv, flag, kind):
     path = tmp_path
     if kind == "binary":
         path = tmp_path / "input.json"
         path.write_bytes(bytes(range(256)))
-    elif kind == "invalid-json":
+    elif kind in ("invalid-json", "nested"):
         path = tmp_path / "input.json"
-        path.write_text('{"tau": ')
+        path.write_text('{"tau": ' if kind == "invalid-json" else "[" * 200000)
     code, out, err = run(capsys, *argv, flag, str(path))
     assert code == 1 and err.startswith("error: ") and not out
     assert str(path) in err
     assert {"directory": "Is a directory", "binary": f"{path}: 'utf-8' codec can't decode",
-            "invalid-json": f"{path}: invalid JSON input: Expecting value"}[kind] in err
+            "invalid-json": f"{path}: invalid JSON input: Expecting value",
+            "nested": f"{path}: invalid JSON input: maximum recursion depth exceeded"}[kind] in err
 
 
 def test_spec_integer_past_the_digit_limit_exits_cleanly(tmp_path, capsys):
@@ -667,7 +679,8 @@ def test_malformed_spec_exits_cleanly(tmp_path, capsys, spec, field):
 @pytest.mark.parametrize("delta, reason", [
     ("[[2,1", "Expecting ',' delimiter"),
     ("[[1" + "0" * 5000 + ",0]]", "Exceeds the limit (4300 digits)"),
-], ids=["malformed", "huge-integer"])
+    ("[" * 100000, "maximum recursion depth exceeded"),
+], ids=["malformed", "huge-integer", "nested-past-the-recursion-limit"])
 def test_classify_delta_that_is_not_json_exits_1(capsys, delta, reason):
     code, out, err = run(capsys, "classify", "--dim", "7", "--delta", delta)
     assert code == 1 and not out
