@@ -60,40 +60,6 @@ from .knotcx import KnotComplex, PreconditionError, decompose
 from .linalg import block_ranks, homology, induced_map_on_homology
 
 
-def _bend(K: KnotComplex, s2: int) -> tuple:
-    """(columns, blocks, ranks) of the bend: the model blocks at doubled grading s2 under d+ + d-.
-
-    They are the bent complex's blocks (0, z), and their ranks take the one
-    elimination of a level: d+ and d- send a column to different gradings,
-    so its (d+ + d-) column is the two joined.
-    """
-    P, M = K.integer_maps
-    blocks = {(0, z): K.blocks.get((s2, z), []) for z in (0, 1)}
-    cols = {i: {**P[i], **M[i]} for positions in blocks.values() for i in positions}
-    return cols, blocks, block_ranks(cols, blocks)
-
-
-def _classes(K: KnotComplex, s2: int, bend_ranks: dict) -> tuple:
-    """(class count, {(k, z): dim H} for k = 0, 2) of the bent complex at doubled level s2.
-
-    The bent block (k, z), k > 0, is the model block (s2 + k, z) under d+
-    and (s2 - k, z) under d-, whose images lie apart, so its rank is the
-    sum of theirs (``K.report.ranks``).  For k >= 4 the rank into it is
-    also the model's, so its dim H is dim H(d+) at s2 + k plus dim H(d-) at
-    s2 - k: the one class of H(d+) when it lies at s2 + 4 or above, and of
-    H(d-) at s2 - 4 or below.  Only the blocks k = 0 and 2, next to the
-    bend, are counted with ``homology``; zeros are left out.
-    """
-    (minus, plus), ((a_m, _),), ((a_p, _),) = K.report.ranks, *K.report.homology_blocks
-    sizes, ranks = {}, dict(bend_ranks)
-    for z in (0, 1):
-        sizes[0, z] = len(K.blocks.get((s2, z), ()))
-        sizes[2, z] = len(K.blocks.get((s2 + 2, z), ())) + len(K.blocks.get((s2 - 2, z), ()))
-        ranks[2, z] = plus.get((s2 + 2, z), 0) + minus.get((s2 - 2, z), 0)
-    near = homology(sizes, ranks, 2)
-    return sum(near.values()) + (a_p >= s2 + 4) + (a_m <= s2 - 4), near
-
-
 def bent_homology(K: KnotComplex, s: int) -> int:
     """Class count of level s, read off ``level_table``; ModelError if K is invalid.
 
@@ -110,7 +76,20 @@ def pi_maps(K: KnotComplex, s: int) -> tuple:
     n is the class count (``bent_homology``).  v and h say whether the
     induced projections of the bent homology to H(d-) (onto levels <= s)
     and to H(d+) (onto levels >= s) are nonzero; line says that both are
-    and that they are proportional, the pair (v, h) having rank 1.
+    and that they are proportional, the pair (v, h) having rank 1.  The
+    level reads ``K.report``, ``K.blocks`` and ``K.integer_maps`` once each.
+
+    The class count takes one elimination, of the bend: the model blocks
+    (s2, z) at doubled grading s2 = 2s under d+ + d-, the bent blocks
+    (0, z).  d+ and d- send a column to different gradings, so its
+    (d+ + d-) column is the two joined.  The bent block (k, z), k > 0, is
+    the model block (s2 + k, z) under d+ and (s2 - k, z) under d-, whose
+    images lie apart, so its rank is the sum of theirs (``K.report.ranks``).
+    For k >= 4 the rank into it is also the model's, so its dim H is dim
+    H(d+) at s2 + k plus dim H(d-) at s2 - k: the one class of H(d+) when
+    it lies at s2 + 4 or above, and of H(d-) at s2 - 4 or below.  Only the
+    blocks k = 0 and 2, next to the bend, are counted with ``homology``;
+    zeros are left out.
 
     H(d-) and H(d+) are one block each (``K.report.homology_blocks``), and
     a projection's rank lives in the bent block at its survivor's grading
@@ -139,12 +118,21 @@ def pi_maps(K: KnotComplex, s: int) -> tuple:
     block's columns alone.
     """
     decompose(K)
-    P, M = K.integer_maps
-    gens, s2 = K.space.generators, 2 * s
-    cols, blocks, ranks = _bend(K, s2)
-    n, near = _classes(K, s2, ranks)
-    rows, sides = [], []
-    for sign, ((a, z),) in zip((-1, 1), K.report.homology_blocks):
+    report, model_blocks, (P, M) = K.report, K.blocks, K.integer_maps
+    (minus, plus), survivors, s2 = report.ranks, report.homology_blocks, 2 * s
+    ((a_m, _),), ((a_p, _),) = survivors
+    blocks = {(0, z): model_blocks.get((s2, z), []) for z in (0, 1)}
+    cols = {i: {**P[i], **M[i]} for positions in blocks.values() for i in positions}
+    ranks = block_ranks(cols, blocks)
+    sizes, near_ranks = {}, dict(ranks)
+    for z in (0, 1):
+        sizes[0, z] = len(blocks[0, z])
+        sizes[2, z] = len(model_blocks.get((s2 + 2, z), ())) + len(model_blocks.get((s2 - 2, z), ()))
+        near_ranks[2, z] = plus.get((s2 + 2, z), 0) + minus.get((s2 - 2, z), 0)
+    near = homology(sizes, near_ranks, 2)
+    n = sum(near.values()) + (a_p >= s2 + 4) + (a_m <= s2 - 4)
+    gens, rows, sides = K.space.generators, [], []
+    for sign, ((a, z),) in zip((-1, 1), survivors):
         if a != s2 or (0, z) not in near:  # no elimination (see above)
             rows.append(sign * (a - s2) > 0)
             continue
@@ -152,7 +140,7 @@ def pi_maps(K: KnotComplex, s: int) -> tuple:
         source = {i: cols[i] for i in block}, {(0, z): block}, {(0, z): ranks.get((0, z), 0)}
         f = {i: {i: 1} if sign * (gens[i].alex - s2) >= 0 else {}
              for i in set(block).union(*source[0].values())}
-        boundary = K.blocks.get((s2 - 2 * sign, 1 - z), [])
+        boundary = model_blocks.get((s2 - 2 * sign, 1 - z), [])
         target = f, M if sign < 0 else P, {(0, z): block, (-2, 1 - z): boundary}, {(0, z)}
         sides.append((source, target))
         rows.append(induced_map_on_homology(*source, [target]) > 0)
@@ -324,7 +312,9 @@ def level_table(K: KnotComplex) -> dict:
     v is zero and h an isomorphism, and above +genus the reverse.  So the
     table holds the levels -genus - 1..genus + 1, and every level past one
     end reads that end's entry.  An entry already present is kept, so each
-    level is computed once per model.
+    level is computed once per model, by one ``pi_maps`` call.  This is the
+    only writer of ``K.levels`` and writes no other level, so a table of
+    2 genus + 3 entries is complete and is returned as it is, with no scan.
 
     No limit of its own bounds the table: the spec limits that bound
     ``validate`` bound it too.  A generator is a bend column at one level
@@ -332,9 +322,10 @@ def level_table(K: KnotComplex) -> dict:
     the whole table ranks each model block about once more than ``validate``.
     """
     table = K.levels
-    for s in range(-K.genus - 1, K.genus + 2):
-        if s not in table:
-            table[s] = pi_maps(K, s)
+    if len(table) < 2 * K.genus + 3:
+        for s in range(-K.genus - 1, K.genus + 2):
+            if s not in table:
+                table[s] = pi_maps(K, s)
     return table
 
 

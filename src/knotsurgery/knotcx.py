@@ -136,7 +136,7 @@ class KnotComplex(_ModelFields):
     # that this subclass adds (not fields, so equality and hashing see only
     # the fields above): the block index and the integer maps that
     # validation and the level table read, the validation report, the level
-    # table that the cone oracles read, and the mirror.
+    # table that the cone oracles read, the mirror and the name.
     @cached_property
     def blocks(self) -> dict:
         """{(doubled grading, z2): positions of that block's generators, in model order}.
@@ -198,8 +198,9 @@ class KnotComplex(_ModelFields):
     def meta_dict(self) -> dict:
         return dict(self.meta)
 
-    @property
+    @cached_property
     def name(self) -> str:
+        """The "name" of ``meta``, or "<unnamed>"; read once, as ``meta`` never changes."""
         return self.meta_dict().get("name", "<unnamed>")
 
     @property
@@ -416,7 +417,7 @@ class ValidationReport(NamedTuple):
 
 
 def validate(K: KnotComplex) -> ValidationReport:
-    """Check every invariant; collects violations, never raises.
+    """Check every invariant; collects violations, never raises, and writes gradings exactly.
 
     Maps over any space but the model's are refused first: ``K.integer_maps``
     keeps their positions.  One pass over the generators (see ``_one_pass``)
@@ -447,7 +448,7 @@ def validate(K: KnotComplex) -> ValidationReport:
             gs, gt = gens[at[src]], gens[at[tgt]]
             if gt.alex - gs.alex != 2 * sgn:
                 shifts.append(
-                    f"{label} shifts grading of {src} by {(gt.alex - gs.alex) / 2}, expected {sgn}")
+                    f"{label} shifts grading of {src} by {_half(gt.alex - gs.alex)}, expected {sgn}")
                 break
             if gt.z2 == gs.z2:
                 shifts.append(f"{label} does not flip the Z/2 grading on {src}")
@@ -459,11 +460,11 @@ def validate(K: KnotComplex) -> ValidationReport:
     rest = []  # the checks reported after anticommutation
     for a, n in dims.items():
         if dims.get(-a, 0) != n:
-            rest.append(f"grading dims asymmetric: {n} at {a / 2} vs {dims.get(-a, 0)} at {-a / 2}")
+            rest.append(f"grading dims asymmetric: {n} at {_half(a)} vs {dims.get(-a, 0)} at {_half(-a)}")
             break
     top = max((abs(a) for a in dims), default=0)
     if top > 2 * K.genus:
-        rest.append(f"generator beyond genus: |grading| {top / 2} > genus {K.genus}")
+        rest.append(f"generator beyond genus: |grading| {_half(top)} > genus {K.genus}")
     if K.genus > 0 and dims.get(2 * K.genus, 0) < 1:
         rest.append(f"no generator at the top grading {K.genus}")
 
@@ -507,6 +508,12 @@ def validate(K: KnotComplex) -> ValidationReport:
         return ValidationReport([f"model dimension {K.dim} differs from 2|tau| + 1 + 4k = "
                                  f"{expected} for tau {K.tau} and its squares"])
     return ValidationReport([], Decomposition(K.tau, squares), homology_blocks, tuple(ranks[:2]))
+
+
+def _half(a: int) -> str:
+    """The doubled grading a in true units, exactly, written as a float prints: 0.5, -1.5, 2.0."""
+    whole, odd = divmod(abs(a), 2)
+    return f"{'-' if a < 0 else ''}{whole}.{5 if odd else 0}"
 
 
 def _one_pass(K: KnotComplex) -> tuple:

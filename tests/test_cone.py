@@ -568,6 +568,45 @@ def test_level_table_lives_on_the_model():
     assert other == K and other.levels == {}
 
 
+def test_a_full_table_is_returned_without_pi_maps(monkeypatch):
+    K = squares_model(3, -1, 2)
+    table = cone.level_table(K)
+    assert len(table) == 2 * K.genus + 3
+
+    def refuse(K, s):
+        raise AssertionError(f"pi_maps called on a full table, for level {s}")
+
+    monkeypatch.setattr(cone, "pi_maps", refuse)
+    assert cone.level_table(K) is table
+    assert build_cone_problem(K, -5, 3, window_margin=2).levels is table
+    build_cone_problem(K, 1, 1).dimension()
+    large_surgery_dim(K, 9)
+    zero_surgery_levels(K)
+    bent_homology(K, -7)
+    assert K.levels is table and len(table) == 2 * K.genus + 3
+
+
+def test_a_partial_table_gets_exactly_its_missing_levels(monkeypatch):
+    full = cone.level_table(squares_model(3, -1, 2))
+    K = squares_model(3, -1, 2)
+    kept = {s: full[s] for s in (-K.genus - 1, -1, 0, 2)}
+    K.levels.update(kept)
+    computed = []
+    real = cone.pi_maps
+
+    def counted(K, s):
+        computed.append(s)
+        return real(K, s)
+
+    monkeypatch.setattr(cone, "pi_maps", counted)
+    assert cone.level_table(K) == full
+    assert sorted(computed) == [s for s in range(-K.genus - 1, K.genus + 2) if s not in kept]
+    assert all(K.levels[s] is shape for s, shape in kept.items())
+    computed.clear()
+    cone.level_table(K)
+    assert computed == []
+
+
 @settings(max_examples=40, deadline=None)
 @given(models())
 def test_block_order_changes_no_answer(K):

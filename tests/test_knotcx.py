@@ -257,6 +257,23 @@ def test_validate_stops_at_a_structural_fault():
     assert validate(K).violations == ["d+ shifts grading of x by 2.0, expected 1"]
 
 
+def test_validate_writes_far_gradings_exactly():
+    # a model built in the library, past what parse_knot_spec admits: y sits
+    # at the true grading 10^400, which no float holds, so the report writes
+    # its halves exactly instead of raising OverflowError; ordinary halves
+    # (0.5, 1.5, 2.0) are pinned by the oracle of test_integer_validation,
+    # which still formats them by float division
+    far = 10 ** 400
+    sp = space([("x", 0, 0), ("y", 2 * far, 1)])
+    K = KnotComplex(sp, sparse_map(sp, sp, [("y", "x", 1)]), zero_map(sp), genus=1, tau=0)
+    assert validate(K).violations == [
+        f"d+ shifts grading of x by {far}.0, expected 1",
+        f"grading dims asymmetric: 1 at {far}.0 vs 0 at -{far}.0",
+        f"generator beyond genus: |grading| {far}.0 > genus 1",
+        "no generator at the top grading 1",
+    ]
+
+
 def test_validate_never_ranks_a_faulty_model(monkeypatch):
     # a grading shift, a composition and the Euler characteristic each end
     # the report before any block is ranked; a clean model ranks d-, d+ and
@@ -342,6 +359,31 @@ def test_model_hash_is_cached_and_not_pickled():
     assert K == thin_from_alexander(delta, tau, name="5_2-bar") and K != mirror(K)
     K2 = pickle.loads(pickle.dumps(K))
     assert K2 == K and hash(K2) == field_hash
+
+
+def test_the_name_is_read_once_and_kept(monkeypatch):
+    reads = []
+    meta_dict = KnotComplex.meta_dict
+
+    def counted(K):
+        reads.append(K.meta)
+        return meta_dict(K)
+
+    delta, tau = [(2, 1), (-3, 0), (2, -1)], 1
+    K = thin_from_alexander(delta, tau, name="5_2-bar")
+    unnamed = KnotComplex(K.space, K.d_plus, K.d_minus, genus=K.genus, tau=K.tau)
+    M, N = mirror(K), mirror(unnamed)
+    monkeypatch.setattr(KnotComplex, "meta_dict", counted)
+    for model, name in ((K, "5_2-bar"), (M, "mirror(5_2-bar)"), (unnamed, "<unnamed>"),
+                        (N, "<unnamed>")):
+        reads.clear()
+        assert model.name == name == dict(model.meta).get("name", "<unnamed>")
+        assert model.name == name and reads == [model.meta], name
+    assert mirror(M).name == "5_2-bar"
+    # the kept name is not a field: equal models stay equal, and hash equal
+    fresh = thin_from_alexander(delta, tau, name="5_2-bar")
+    assert "name" in K.__dict__ and "name" not in fresh.__dict__
+    assert K == fresh and hash(K) == hash(fresh)
 
 
 # --- decomposition -----------------------------------------------------------
