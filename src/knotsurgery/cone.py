@@ -27,14 +27,16 @@ Each level of the table is its shape (``pi_maps``): the class count and
 whether the v and h rows are nonzero and proportional, which is all the
 cone reads.  It comes from integer ranks alone, per block of grading and
 Z/2.  Off the bend, a block of the bent differential has the ranks of d+
-and d- that ``validate`` keeps, so the class count takes one elimination,
-of the bend.  The rank of an induced map is a sum over the blocks of its
-mapping cone, of which only the block where the target's homology lives
-can add anything.  H(d-) and H(d+) are one block each, and off the bend
-a survivor's representative is a cycle of the bent differential, so v, h
-and the pair (v, h) take a small elimination only when a survivor lies
-in the bend, on that block alone, with a chain-map check on its columns.
-No level reads every generator, and no class representative is formed.
+and d- that ``validate`` keeps, and one pass over the model ranks every
+level's bend (``KnotComplex.bend_ranks``), so the class count is a rank
+identity with no elimination.  The rank of an induced map is a sum over
+the blocks of its mapping cone, of which only the block where the
+target's homology lives can add anything.  H(d-) and H(d+) are one block
+each, and off the bend a survivor's representative is a cycle of the
+bent differential, so v, h and the pair (v, h) take a small elimination
+only when a survivor lies in the bend, on that block alone, with a
+chain-map check on its columns.  No level reads every generator, and no
+class representative is formed.
 
 The cone is ranked without elimination, and without visiting its sources
 one by one.  Source sigma reaches only the slots sigma and sigma + 2p, so
@@ -57,7 +59,7 @@ from typing import NamedTuple, Optional
 
 from .formulas import _check_slope, thin_surgery_formula
 from .knotcx import KnotComplex, PreconditionError, decompose
-from .linalg import block_ranks, homology, induced_map_on_homology
+from .linalg import homology, induced_map_on_homology
 
 
 def bent_homology(K: KnotComplex, s: int) -> int:
@@ -76,20 +78,21 @@ def pi_maps(K: KnotComplex, s: int) -> tuple:
     n is the class count (``bent_homology``).  v and h say whether the
     induced projections of the bent homology to H(d-) (onto levels <= s)
     and to H(d+) (onto levels >= s) are nonzero; line says that both are
-    and that they are proportional, the pair (v, h) having rank 1.  The
-    level reads ``K.report``, ``K.blocks`` and ``K.integer_maps`` once each.
+    and that they are proportional, the pair (v, h) having rank 1.
 
-    The class count takes one elimination, of the bend: the model blocks
-    (s2, z) at doubled grading s2 = 2s under d+ + d-, the bent blocks
-    (0, z).  d+ and d- send a column to different gradings, so its
-    (d+ + d-) column is the two joined.  The bent block (k, z), k > 0, is
-    the model block (s2 + k, z) under d+ and (s2 - k, z) under d-, whose
-    images lie apart, so its rank is the sum of theirs (``K.report.ranks``).
-    For k >= 4 the rank into it is also the model's, so its dim H is dim
-    H(d+) at s2 + k plus dim H(d-) at s2 - k: the one class of H(d+) when
-    it lies at s2 + 4 or above, and of H(d-) at s2 - 4 or below.  Only the
-    blocks k = 0 and 2, next to the bend, are counted with ``homology``;
-    zeros are left out.
+    The class count takes no elimination.  With s2 = 2s, the bent block
+    (k, z), k > 0, is the model block (s2 + k, z) under d+ and (s2 - k, z)
+    under d-, whose images lie apart, so its rank is the sum of theirs
+    (``K.report.ranks``), and for k >= 4 so is the rank into it: its dim H
+    is that of H(d+) at s2 + k and H(d-) at s2 - k.  The bend (0, z) is
+    B_z = (s2, z) under d+ + d-, of rank r_z (``K.bend_ranks``): it
+    receives nothing, so its dim H is |B_z| - r_z, and (2, z) receives
+    r_(1-z).  As |B(a, z)| - rk d+(a, z) = [H(d+) at (a, z)] +
+    rk d+(a - 2, 1 - z), likewise for d- downwards, with the survivors of
+    H(d+) and H(d-) at a_p and a_m,
+
+        n = sum over z of (|B_z| + rk d+(B_z) + rk d-(B_z) - 2 r_z)
+            + [a_p > s2] + [a_m < s2].
 
     H(d-) and H(d+) are one block each (``K.report.homology_blocks``), and
     a projection's rank lives in the bent block at its survivor's grading
@@ -98,15 +101,14 @@ def pi_maps(K: KnotComplex, s: int) -> tuple:
     say of H(d-) below the bend, lies in a bent block that is its model
     block under d- joined with the reflected one under d+, whose images
     lie apart: its representative is a cycle there, which the projection
-    keeps, so the projection is nonzero.  Two such projections have rank 2
-    together, never 1.  So only a survivor in the bend takes an
-    elimination, on the bend block alone, and none when that block has no
-    homology; the pair is eliminated only when both survivors share a bend
-    block of more than one class (with one, v and h give it rank 1).  The
-    targets, (C, d-) graded by 2s - alex and (C, d+) by alex - 2s, z2 kept,
-    pass the survivor's block and the boundary block next to it.  No level
-    reads every generator, and nothing here reads d+ d-, so the table
-    stays independent of the decomposition.
+    keeps, so the projection is nonzero, and two such have rank 2.  So
+    only a survivor in the bend takes an elimination, on the bend block
+    alone with its rank r_z, and none when that block has no homology; the
+    pair is eliminated only when both survivors share a bend block of more
+    than one class.  The targets, (C, d-) graded by 2s - alex and (C, d+)
+    by alex - 2s, z2 kept, pass the survivor's block and the boundary
+    block next to it.  No level reads every generator, and nothing here
+    reads d+ d-, so the table stays independent of the decomposition.
 
     The projections are chain maps whatever the columns, once d+ raises
     and d- lowers the grading by exactly one: the bent column of a
@@ -118,29 +120,26 @@ def pi_maps(K: KnotComplex, s: int) -> tuple:
     block's columns alone.
     """
     decompose(K)
-    report, model_blocks, (P, M) = K.report, K.blocks, K.integer_maps
+    report, blocks, bend_ranks = K.report, K.blocks, K.bend_ranks
     (minus, plus), survivors, s2 = report.ranks, report.homology_blocks, 2 * s
     ((a_m, _),), ((a_p, _),) = survivors
-    blocks = {(0, z): model_blocks.get((s2, z), []) for z in (0, 1)}
-    cols = {i: {**P[i], **M[i]} for positions in blocks.values() for i in positions}
-    ranks = block_ranks(cols, blocks)
-    sizes, near_ranks = {}, dict(ranks)
-    for z in (0, 1):
-        sizes[0, z] = len(blocks[0, z])
-        sizes[2, z] = len(model_blocks.get((s2 + 2, z), ())) + len(model_blocks.get((s2 - 2, z), ()))
-        near_ranks[2, z] = plus.get((s2 + 2, z), 0) + minus.get((s2 - 2, z), 0)
-    near = homology(sizes, near_ranks, 2)
-    n = sum(near.values()) + (a_p >= s2 + 4) + (a_m <= s2 - 4)
-    gens, rows, sides = K.space.generators, [], []
+    n = (a_p > s2) + (a_m < s2)
+    for key in ((s2, 0), (s2, 1)):
+        n += len(blocks.get(key, ())) + plus.get(key, 0) + minus.get(key, 0) - 2 * bend_ranks.get(key, 0)
+    if s2 != a_m and s2 != a_p:  # no survivor in the bend (see above)
+        return n, a_m < s2, a_p > s2, False
+    ranks = {(0, z): bend_ranks.get((s2, z), 0) for z in (0, 1)}
+    bend = homology({(0, z): len(blocks.get((s2, z), ())) for z in (0, 1)}, ranks, 2)
+    (P, M), gens, rows, sides = K.integer_maps, K.space.generators, [], []
     for sign, ((a, z),) in zip((-1, 1), survivors):
-        if a != s2 or (0, z) not in near:  # no elimination (see above)
+        if a != s2 or (0, z) not in bend:  # no elimination (see above)
             rows.append(sign * (a - s2) > 0)
             continue
-        block = blocks[0, z]
-        source = {i: cols[i] for i in block}, {(0, z): block}, {(0, z): ranks.get((0, z), 0)}
+        block = blocks[s2, z]
+        source = {i: {**P[i], **M[i]} for i in block}, {(0, z): block}, {(0, z): ranks[0, z]}
         f = {i: {i: 1} if sign * (gens[i].alex - s2) >= 0 else {}
              for i in set(block).union(*source[0].values())}
-        boundary = model_blocks.get((s2 - 2 * sign, 1 - z), [])
+        boundary = blocks.get((s2 - 2 * sign, 1 - z), [])
         target = f, M if sign < 0 else P, {(0, z): block, (-2, 1 - z): boundary}, {(0, z)}
         sides.append((source, target))
         rows.append(induced_map_on_homology(*source, [target]) > 0)
@@ -149,7 +148,7 @@ def pi_maps(K: KnotComplex, s: int) -> tuple:
         return n, v, h, False
     (source, low), (_, high) = sides
     (block,) = low[3]
-    return n, v, h, near[block] == 1 or induced_map_on_homology(*source, [low, high]) == 1
+    return n, v, h, bend[block] == 1 or induced_map_on_homology(*source, [low, high]) == 1
 
 
 class SurgeryResult(NamedTuple):
@@ -317,9 +316,10 @@ def level_table(K: KnotComplex) -> dict:
     2 genus + 3 entries is complete and is returned as it is, with no scan.
 
     No limit of its own bounds the table: the spec limits that bound
-    ``validate`` bound it too.  A generator is a bend column at one level
-    only, and only a level whose bend holds a survivor eliminates again, so
-    the whole table ranks each model block about once more than ``validate``.
+    ``validate`` bound it too.  One pass ranks every level's bend, each
+    model block once (``KnotComplex.bend_ranks``), each level counts its
+    classes by the identity of ``pi_maps``, and only a level whose bend
+    holds a survivor eliminates again, on that bend block.
     """
     table = K.levels
     if len(table) < 2 * K.genus + 3:

@@ -42,10 +42,10 @@ Poly = dict
 # the explicit form's "genus" field and each generator's |alex|.  A surgery
 # answer costs one validation and one decomposition: on a 2-vCPU host under
 # 0.02 s for the genus-200 staircase.  The level table that ``--compare``
-# reads costs one elimination per level, of its bend, and one more at each
-# level whose bend holds a survivor: for the genus-200 staircase,
-# 0.005-0.008 s for the ranked cone at slope 1 and 0.014-0.024 s for the
-# whole slope grid there.  This limit and MAX_MODEL_DIM bound the level table too.
+# reads ranks every level's bend in one pass, and eliminates again only at
+# a level whose bend holds a survivor: for the genus-200 staircase, once
+# validated, 0.0008-0.0009 s for the ranked cone at slope 1 and 0.0013 s
+# for the whole slope grid.  This limit and MAX_MODEL_DIM bound it too.
 MAX_MODEL_GENUS = 200
 
 # Largest model dimension a knot spec may ask for, checked by
@@ -56,7 +56,7 @@ MAX_MODEL_GENUS = 200
 # host the slowest thin spec measured at this limit (squares spread over
 # every level to genus 200) answers ``surgery`` in 0.27 s, and the cost is
 # linear in the dimension; ``--compare`` on it answers as fast, since every
-# level together takes about a third of the validation time.
+# level together takes about a quarter of the validation time.
 MAX_MODEL_DIM = 10 ** 4
 
 # Largest explicit spec, checked by ``parse_knot_spec`` before any map is
@@ -135,8 +135,11 @@ class KnotComplex(_ModelFields):
     # Derived state, computed on first use and kept in the instance __dict__
     # that this subclass adds (not fields, so equality and hashing see only
     # the fields above): the block index and the integer maps that
-    # validation and the level table read, the validation report, the level
-    # table that the cone oracles read, the mirror and the name.
+    # validation and the level table read, the bend ranks, the validation
+    # report, the cone's level table, the mirror and the name.
+    def __getstate__(self):
+        return None  # pickles and copies carry the fields alone
+
     @cached_property
     def blocks(self) -> dict:
         """{(doubled grading, z2): positions of that block's generators, in model order}.
@@ -177,6 +180,12 @@ class KnotComplex(_ModelFields):
             return {i: {j: v * scale if type(v) is int else v.numerator * (scale // v.denominator)
                         for j, v in col.items()} for i, col in d.columns.items()}
         return scaled(self.d_plus), scaled(self.d_minus)
+
+    @cached_property
+    def bend_ranks(self) -> dict:
+        """{block of ``blocks``: rank of d+ + d- out of it}, zeros left out: every level's bend."""
+        P, M = self.integer_maps
+        return block_ranks({i: {**P[i], **M[i]} for i in range(self.dim)}, self.blocks)
 
     @cached_property
     def report(self) -> "ValidationReport":

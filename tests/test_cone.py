@@ -227,41 +227,62 @@ def test_large_surgery_far_past_the_genus():
 
 
 def test_a_new_level_passes_only_its_source_block(monkeypatch):
-    # a level's shape ranks the bend alone, and an induced rank is taken only
-    # on the bend block that holds a survivor, never on all K.dim columns; a
-    # filled table calls nothing
-    ranked, induced = [], []
-    real_ranks, real_induced = cone.block_ranks, cone.induced_map_on_homology
+    # one bend pass per model ranks each model block once, on its joined
+    # d+ + d- columns; no level calls block_ranks, only a level with a
+    # survivor in its bend reads a homology, and an induced rank is taken
+    # only on the bend block that holds a survivor, never on all K.dim
+    # columns; a filled table calls nothing
+    from knotsurgery import knotcx
+    ranked, homologies, induced = [], [], []
+    real_ranks, real_homology = knotcx.block_ranks, cone.homology
+    real_induced = cone.induced_map_on_homology
 
     def ranks_spy(cols, blocks):
-        ranked.append(cols)
+        ranked.append((cols, blocks))
         return real_ranks(cols, blocks)
+
+    def homology_spy(sizes, ranks, shift):
+        homologies.append(sizes)
+        return real_homology(sizes, ranks, shift)
 
     def induced_spy(d_src, src_blocks, src_ranks, targets):
         induced.append((d_src, src_blocks, len(targets)))
         return real_induced(d_src, src_blocks, src_ranks, targets)
 
-    monkeypatch.setattr(cone, "block_ranks", ranks_spy)
+    monkeypatch.setattr(knotcx, "block_ranks", ranks_spy)
+    monkeypatch.setattr(cone, "homology", homology_spy)
     monkeypatch.setattr(cone, "induced_map_on_homology", induced_spy)
+    assert not hasattr(cone, "block_ranks")
     passed = []
     for K in (build_staircase(200), squares_model(4, -1, 3), squares_model(4, 0, 5)):
+        assert K.report.ok  # validation ranks d-, d+ and d+ d- first
+        ranked.clear()
+        K.bend_ranks
+        [(cols, blocks)] = ranked
+        P, M = K.integer_maps
+        assert blocks is K.blocks and cols == {i: {**P[i], **M[i]} for i in range(K.dim)}
+        assert sorted(i for positions in blocks.values() for i in positions) == list(range(K.dim))
+        ranked.clear()
         survivors = {block for h in K.report.homology_blocks for block in h}
         for s in range(-K.genus - 1, K.genus + 2):
-            ranked.clear()
+            homologies.clear()
             induced.clear()
             K.levels[s] = cone.pi_maps(K, s)
-            bend = {i for z in (0, 1) for i in K.blocks.get((2 * s, z), ())}
-            assert [set(cols) for cols in ranked] == [bend], (K.name, s)
+            assert ranked == [], (K.name, s)
+            in_bend = any(a == 2 * s for a, _ in survivors)
+            assert homologies == ([{(0, 0): len(K.blocks.get((2 * s, 0), ())),
+                                    (0, 1): len(K.blocks.get((2 * s, 1), ()))}] if in_bend
+                                  else []), (K.name, s)
             for d_src, src_blocks, targets in induced:
                 [((k, z), positions)] = src_blocks.items()
                 assert k == 0 and (2 * s, z) in survivors, (K.name, s)
                 assert set(d_src) == set(positions) == set(K.blocks[2 * s, z]), (K.name, s)
                 assert len(d_src) < K.dim
                 passed.append(targets)
-        ranked.clear()
+        homologies.clear()
         induced.clear()
         cone.level_table(K)
-        assert ranked == induced == [], K.name
+        assert ranked == homologies == induced == [], K.name
     assert sorted(passed) == [1] * 6 + [2]  # v and h at s = +-tau of each, the pair once
 
 

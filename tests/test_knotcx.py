@@ -361,6 +361,29 @@ def test_model_hash_is_cached_and_not_pickled():
     assert K2 == K and hash(K2) == field_hash
 
 
+def test_pickles_and_copies_carry_the_fields_alone():
+    # derived state (blocks, maps, report, bend ranks, level table, mirror,
+    # name) is recomputed on first use, never carried
+    import copy
+    import pickle
+
+    from knotsurgery import cone
+
+    K = KnotComplex(*get_knot("t2_11"))  # a fresh copy: no derived state yet
+    fresh = pickle.dumps(K)
+    answers = cone.build_cone_problem(K, 7, 3).dimension(), cone.large_surgery_dim(K, 9)
+    assert K.mirrored.mirrored is K and len(K.levels) == 2 * K.genus + 3
+    assert pickle.dumps(K) == fresh
+    K2 = pickle.loads(fresh)
+    assert K2 == K and K2.__dict__ == {}
+    assert (cone.build_cone_problem(K2, 7, 3).dimension(), cone.large_surgery_dim(K2, 9)) == answers
+    assert K2.levels == K.levels and K2.mirrored == K.mirrored and K2.mirrored.mirrored is K2
+    for C in (copy.copy(K), copy.deepcopy(K)):
+        assert C == K and C.__dict__ == {}
+        assert C.levels is not K.levels and C.levels == {}
+        assert C.mirrored == K.mirrored and C.mirrored.mirrored is C
+
+
 def test_the_name_is_read_once_and_kept(monkeypatch):
     reads = []
     meta_dict = KnotComplex.meta_dict
