@@ -132,6 +132,16 @@ def _emit(args, payload: dict, table_rows: list, headers: list) -> None:
         print("  ".join(c.ljust(w) for c, w in zip(row, widths)))
 
 
+def _zero_surgery_table(K) -> dict:
+    """K's zero-surgery table, {grading: dim or None}, the gradings as strings and in order."""
+    return {str(s): d for s, d in sorted(cone.zero_surgery_dims(K).items())}
+
+
+def _shown(dim) -> str:
+    """A zero-surgery slot as the text table shows it."""
+    return "undetermined (tau=0)" if dim is None else str(dim)
+
+
 def cmd_surgery(args) -> int:
     slopes = sorted({_parse_slope(s) for s in args.slope},
                     key=lambda pq: (Fraction(pq[0], pq[1]), pq[1]))
@@ -152,33 +162,31 @@ def cmd_surgery(args) -> int:
         payload = {"command": "surgery", "compare": True, "results": records}
         _emit(args, payload, rows, ["knot", "slope", *crosscheck.PATHWAYS, "agree"])
         return EXIT_OK if all(r["agree"] for r in records) else EXIT_MISMATCH
-    results = []
+    records = []
     for p, q in slopes:
         if p == 0:
-            table = cone.zero_surgery_dims(K)
-            results.append(cone.SurgeryResult(K.name, 0, 1, sum(d or 0 for d in table.values()),
-                                              "decomposition", tuple(sorted(table.items()))))
+            if q != 1:  # gcd(0, q) = q, as "slope 2/2" is refused
+                raise cone.PreconditionError(f"slope 0/{q} is not reduced")
+            table = _zero_surgery_table(K)
+            dim, pathway = sum(d or 0 for d in table.values()), "decomposition"
         else:
-            results.append(cone.surgery_dim(K, p, q))
-    payload = {"command": "surgery", "results": [r.to_json_dict() for r in results]}
-    rows = []
-    for r in results:
-        note = ""
-        if r.per_grading is not None:
-            note = " ".join(f"s={s}:{'undetermined (tau=0)' if d is None else d}"
-                            for s, d in r.per_grading)
-        rows.append([r.knot, r.slope, r.dimension, r.pathway, note])
-    _emit(args, payload, rows, ["knot", "slope", "dim", "pathway", "per-grading"])
+            res = cone.surgery_dim(K, p, q)
+            table, dim, pathway = None, res.dimension, res.pathway
+        records.append({"knot": K.name, "slope": f"{p}/{q}" if p else "0", "p": p, "q": q,
+                        "dim": dim, "pathway": pathway, "per_grading": table})
+    rows = [[r["knot"], r["slope"], r["dim"], r["pathway"],
+             " ".join(f"s={s}:{_shown(d)}" for s, d in (r["per_grading"] or {}).items())]
+            for r in records]
+    _emit(args, {"command": "surgery", "results": records}, rows,
+          ["knot", "slope", "dim", "pathway", "per-grading"])
     return EXIT_OK
 
 
 def cmd_zero_surgery(args) -> int:
     K = _load_knot(args)
-    table = cone.zero_surgery_dims(K)
-    payload = {"command": "zero-surgery", "knot": K.name,
-               "per_grading": {str(s): d for s, d in sorted(table.items())}}
-    rows = [[K.name, s, "undetermined (tau=0)" if d is None else d]
-            for s, d in sorted(table.items())]
+    table = _zero_surgery_table(K)
+    payload = {"command": "zero-surgery", "knot": K.name, "per_grading": table}
+    rows = [[K.name, s, _shown(d)] for s, d in table.items()]
     _emit(args, payload, rows, ["knot", "grading", "dim"])
     return EXIT_OK
 
@@ -186,7 +194,8 @@ def cmd_zero_surgery(args) -> int:
 def cmd_scan(args) -> int:
     K = _load_knot(args)
     res = cone.almost_lspace_scan(K)
-    payload = {"command": "scan", "knot": K.name, **res.to_json_dict()}
+    payload = {"command": "scan", "knot": K.name, "verdict": res.verdict,
+               "witness": res.witness, "dims": {str(n): d for n, d in res.dims}}
     witness = "-" if res.witness is None else res.witness
     dims = " ".join(f"{n}:{d}" for n, d in res.dims)
     _emit(args, payload, [[K.name, res.verdict, witness, dims]],
@@ -226,7 +235,8 @@ def cmd_whitehead(args) -> int:
         res = formulas.whitehead_double_pm1(spec)
     payload = {"command": "whitehead", "twists": args.twists, "clasp": args.clasp,
                "companion": {"tau": prof.tau, "base_dim": prof.base_dim},
-               **res.to_json_dict()}
+               "dims": {"+1": res.dim_plus_one, "-1": res.dim_minus_one},
+               "tau": res.tau, "top_grading_dim": res.top_grading_dim}
     _emit(args, payload,
           [[args.twists, args.clasp, res.dim_plus_one, res.dim_minus_one,
             res.tau, res.top_grading_dim]],
@@ -272,7 +282,8 @@ def cmd_crosscheck(args) -> int:
     names = None if args.all or not args.suite else args.suite
     results = crosscheck.run_suites(names)
     payload = {"command": "crosscheck",
-               "suites": [r.to_json_dict() for r in results],
+               "suites": [{"name": r.name, "cases": r.cases, "ok": r.ok,
+                           "mismatches": list(r.mismatches)} for r in results],
                "ok": all(r.ok for r in results)}
     rows = [[r.name, r.cases, "ok" if r.ok else f"{len(r.mismatches)} mismatches"]
             for r in results]
@@ -293,6 +304,13 @@ def build_parser() -> _Parser:
         p.add_argument("--knot", help="catalog knot name")
         p.add_argument("--spec", help="path to a knot-spec JSON file")
         p.add_argument("--json", action="store_true", help="emit JSON")
+
+    def add_profile_args(p):
+        p.add_argument("--profile", help="companion-profile JSON file")
+        p.add_argument("--companion-tau", type=_int_arg)
+        p.add_argument("--companion-base", type=_int_arg)
+        p.add_argument("--gamma0", type=_int_arg)
+        p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("surgery", help="dimension at one or more slopes")
     add_knot_args(p)
@@ -326,20 +344,12 @@ def build_parser() -> _Parser:
     p = sub.add_parser("whitehead", help="twisted double dimensions at slopes +1/-1")
     p.add_argument("--twists", type=_int_arg, required=True)
     p.add_argument("--clasp", choices=("pos", "neg"), default="pos")
-    p.add_argument("--profile", help="companion-profile JSON file")
-    p.add_argument("--companion-tau", type=_int_arg)
-    p.add_argument("--companion-base", type=_int_arg)
-    p.add_argument("--gamma0", type=_int_arg)
-    p.add_argument("--json", action="store_true")
+    add_profile_args(p)
     p.set_defaults(func=cmd_whitehead)
 
     p = sub.add_parser("splice", help="splice with a twist-knot complement")
     p.add_argument("--n", type=_int_arg, required=True)
-    p.add_argument("--profile", help="companion-profile JSON file")
-    p.add_argument("--companion-tau", type=_int_arg)
-    p.add_argument("--companion-base", type=_int_arg)
-    p.add_argument("--gamma0", type=_int_arg)
-    p.add_argument("--json", action="store_true")
+    add_profile_args(p)
     p.set_defaults(func=cmd_splice)
 
     p = sub.add_parser("classify", help="genus-one nearly-fibered candidates")

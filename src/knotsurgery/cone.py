@@ -152,35 +152,12 @@ def pi_maps(K: KnotComplex, s: int) -> tuple:
 
 
 class SurgeryResult(NamedTuple):
+    """dim I#(S^3_{p/q}(K)) at a nonzero slope p/q, q >= 1, and the pathway that gave it."""
     knot: str
     p: int
     q: int
     dimension: int
     pathway: str  # decomposition
-    per_grading: Optional[tuple] = None  # ((grading, dim or None), ...) for slope 0
-
-    @property
-    def slope(self) -> str:
-        return "0" if self.p == 0 else f"{self.p}/{self.q}"
-
-    def to_json_dict(self) -> dict:
-        return {
-            "knot": self.knot,
-            "slope": self.slope,
-            "p": self.p,
-            "q": self.q,
-            "dim": self.dimension,
-            "pathway": self.pathway,
-            "per_grading": (None if self.per_grading is None
-                            else {str(s): d for s, d in self.per_grading}),
-        }
-
-    @staticmethod
-    def from_json_dict(data: dict) -> "SurgeryResult":
-        pg = data.get("per_grading")
-        per = None if pg is None else tuple(sorted((int(k), v) for k, v in pg.items()))
-        return SurgeryResult(data["knot"], data["p"], data["q"], data["dim"],
-                             data["pathway"], per)
 
 
 class ConeProblem(NamedTuple):
@@ -448,10 +425,6 @@ class ScanResult(NamedTuple):
     verdict: str  # lspace | almost | neither
     witness: Optional[int]
     dims: tuple  # ((n, dim), ...)
-
-    def to_json_dict(self) -> dict:
-        return {"verdict": self.verdict, "witness": self.witness,
-                "dims": {str(n): d for n, d in self.dims}}
 
 
 def almost_lspace_scan(K: KnotComplex) -> ScanResult:

@@ -28,10 +28,6 @@ class SuiteResult(NamedTuple):
     def ok(self) -> bool:
         return not self.mismatches
 
-    def to_json_dict(self) -> dict:
-        return {"name": self.name, "cases": self.cases,
-                "ok": self.ok, "mismatches": list(self.mismatches)}
-
 
 def pathway_values(K, p: int, q: int) -> dict:
     """Every knot pathway that applies at slope p/q, by name, in ``PATHWAYS`` order.

@@ -95,10 +95,6 @@ class WhDoubleResult(NamedTuple):
     tau: int               # tau of the double
     top_grading_dim: int   # knot-homology dimension in the top grading
 
-    def to_json_dict(self) -> dict:
-        return {"dims": {"+1": self.dim_plus_one, "-1": self.dim_minus_one},
-                "tau": self.tau, "top_grading_dim": self.top_grading_dim}
-
 
 def whitehead_double_pm1(spec: WhDoubleSpec) -> WhDoubleResult:
     """Dimensions at slopes +1 and -1 for a positively clasped twisted double.

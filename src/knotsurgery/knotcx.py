@@ -322,9 +322,10 @@ def thin_decomposition(delta: Poly, tau: int) -> tuple:
     """Split a symmetric Alexander polynomial into a staircase and squares.
 
     Normalizes the polynomial so it evaluates to +1 at t=1, removes the
-    staircase part for the given tau, then greedily peels square
-    contributions sign * (t^(s+1) - 2 t^s + t^(s-1)) from the top degree
-    down.  Rejects input that cannot decompose without coefficient
+    staircase part for the given tau, then divides the residual by (t - 1)^2
+    in one pass from the top degree down: the quotient's coefficient at
+    t^(s-1) is the signed count of squares sign * (t^(s+1) - 2 t^s + t^(s-1))
+    centred at s.  Rejects input that cannot decompose without coefficient
     cancellation (total dimension must equal the coefficient norm).
     """
     delta = {p: c for p, c in delta.items() if c}
@@ -348,24 +349,20 @@ def thin_decomposition(delta: Poly, tau: int) -> tuple:
     residual = dict(delta)
     for p, c in staircase_polynomial(tau).items():
         residual[p] = residual.get(p, 0) - c
-    residual = {p: c for p, c in residual.items() if c}
-    squares = []
-    while residual:
-        top = max(residual)
-        if len(squares) >= quads or top - 1 < 1 - degree:
-            raise ModelError("not a thin complex: residual cannot be decomposed into squares")
-        sign = 1 if residual[top] > 0 else -1
-        center = top - 1
-        for p, c in {top: sign, center: -2 * sign, center - 1: sign}.items():
-            acc = residual.get(p, 0) - c
-            if acc:
-                residual[p] = acc
-            else:
-                residual.pop(p, None)
-        squares.append(SquareSpec(center, sign))
-    if len(squares) != quads:
+    # residual = (t - 1)^2 * sum over squares of sign t^(s-1): divide from the
+    # top degree down, b and c being the running quotients by (t - 1) and (t - 1)^2
+    counts, b, c = {}, 0, 0
+    for j in range(degree, -degree - 1, -1):
+        b += residual.get(j, 0)
+        c += b  # signed count of the squares centred at j - 1
+        if c:
+            counts[j - 1] = c
+    if c != 0 or sum(map(abs, counts.values())) != quads:
         raise ModelError("not a thin complex: residual cannot be decomposed into squares")
-    return StaircaseSpec(tau), tuple(sorted(squares, key=lambda q: (q.s, q.sign)))
+    squares = []
+    for s, n in reversed(counts.items()):
+        squares += [SquareSpec(s, 1 if n > 0 else -1)] * abs(n)
+    return StaircaseSpec(tau), tuple(squares)
 
 
 def thin_from_alexander(delta, tau: int, name: Optional[str] = None) -> KnotComplex:
@@ -679,15 +676,3 @@ def parse_knot_spec(data: dict) -> KnotComplex:
         raise ModelError("invalid explicit knot model: " + "; ".join(K.report.violations))
     return K
 
-
-def knot_spec_dict(K: KnotComplex) -> dict:
-    """Serialize a model into the explicit knot-spec format."""
-    return {
-        "name": K.name,
-        "generators": [{"id": g.gid, "alex": g.alex // 2, "z2": g.z2}
-                       for g in K.space.generators],
-        "d_plus": [[src, tgt, v.numerator, v.denominator] for tgt, src, v in K.d_plus.entries],
-        "d_minus": [[src, tgt, v.numerator, v.denominator] for tgt, src, v in K.d_minus.entries],
-        "genus": K.genus,
-        "tau": K.tau,
-    }

@@ -14,6 +14,19 @@ from knotsurgery.linalg import space, sparse_map
 from validation_oracle import dims_by_grading
 
 
+def knot_spec_dict(K: KnotComplex) -> dict:
+    """Serialize a model into the explicit knot-spec format that ``parse_knot_spec`` reads."""
+    return {
+        "name": K.name,
+        "generators": [{"id": g.gid, "alex": g.alex // 2, "z2": g.z2}
+                       for g in K.space.generators],
+        "d_plus": [[src, tgt, v.numerator, v.denominator] for tgt, src, v in K.d_plus.entries],
+        "d_minus": [[src, tgt, v.numerator, v.denominator] for tgt, src, v in K.d_minus.entries],
+        "genus": K.genus,
+        "tau": K.tau,
+    }
+
+
 def graded_signature(K: KnotComplex):
     """Isomorphism signature for thin models: per-grading dims, |chi|, tau."""
     chi = chi_graded(K)

@@ -6,7 +6,7 @@ import pytest
 from knotsurgery import borromean, crosscheck, formulas
 from knotsurgery.catalog import get_knot
 from knotsurgery.cli import MAX_ARG_DIGITS, main
-from knotsurgery.cone import SurgeryResult, build_cone_problem
+from knotsurgery.cone import build_cone_problem
 from knotsurgery.crosscheck import PATHWAYS, SuiteResult
 from knotsurgery.knotcx import (
     MAX_MODEL_DIM,
@@ -17,13 +17,12 @@ from knotsurgery.knotcx import (
     StaircaseSpec,
     assemble,
     decompose,
-    knot_spec_dict,
     mirror,
     parse_knot_spec,
     poly_to_pairs,
     staircase_polynomial,
 )
-from knot_helpers import TWO_SURVIVORS_SPEC, wide_model
+from knot_helpers import TWO_SURVIVORS_SPEC, knot_spec_dict, wide_model
 
 
 def run(capsys, *argv):
@@ -42,17 +41,16 @@ def test_surgery_table(capsys):
     assert "figure-eight" in out and "1/1" in out and " 3 " in out.replace("3 ", " 3 ")
 
 
-def test_surgery_json_round_trip(capsys):
-    code, out, _ = run(capsys, "surgery", "--knot", "5_2-bar", "--slope", "1",
-                       "--slope", "-1", "--slope", "5/2", "--json")
-    assert code == 0
-    payload = json.loads(out)
-    assert payload["command"] == "surgery"
-    for rec in payload["results"]:
-        res = SurgeryResult.from_json_dict(rec)
-        assert res.to_json_dict() == rec
-    dims = {r["slope"]: r["dim"] for r in payload["results"]}
-    assert dims["1/1"] == 3 and dims["-1/1"] == 5
+def test_surgery_json_records_are_pinned(capsys):
+    code, out, err = run(capsys, "surgery", "--knot", "mirror-t2_5", "--slope", "1",
+                         "--slope", "0", "--json")
+    assert code == 0 and not err
+    assert json.loads(out) == {"command": "surgery", "results": [
+        {"knot": "t2_5-mirror", "slope": "0", "p": 0, "q": 1, "dim": 6,
+         "pathway": "decomposition", "per_grading": {"-1": 2, "0": 2, "1": 2}},
+        {"knot": "t2_5-mirror", "slope": "1/1", "p": 1, "q": 1, "dim": 7,
+         "pathway": "decomposition", "per_grading": None},
+    ]}
 
 
 def test_surgery_slope_zero_routes_to_table(capsys):
@@ -116,6 +114,19 @@ def test_surgery_rejects_an_unreduced_slope(tmp_path, capsys, compare):
     code, out, err = run(capsys, "surgery", "--spec", str(path), "--slope", "2/4", *compare)
     assert code == 2 and not out
     assert err == "error: slope 2/4 is not reduced\n"
+
+
+@pytest.mark.parametrize("slopes, shown", [
+    (["0/2"], "0/2"),
+    (["-0/3"], "0/3"),
+    (["0", "0/2", "-0/3"], "0/2"),
+], ids=["0/2", "-0/3", "with-slope-0"])
+def test_surgery_rejects_a_zero_slope_over_q(capsys, slopes, shown):
+    # gcd(0, q) = q, so 0/q is as unreduced as 2/2
+    code, out, err = run(capsys, "surgery", "--knot", "fig8",
+                         *(arg for slope in slopes for arg in ("--slope", slope)))
+    assert code == 2 and not out
+    assert err == f"error: slope {shown} is not reduced\n"
 
 
 @pytest.mark.parametrize("spelling", [["--slope", "-1/2"], ["--slope=-1/2"], ["--slope", "1/-2"]],
@@ -393,6 +404,23 @@ def test_crosscheck_fast_suite(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["ok"] is True
+
+
+@pytest.mark.parametrize("argv, keys", [
+    (["scan", "--knot", "trefoil-left"], {"command", "knot", "verdict", "witness", "dims"}),
+    (["whitehead", "--twists", "2", "--companion-tau", "1", "--companion-base", "1"],
+     {"command", "twists", "clasp", "companion", "dims", "tau", "top_grading_dim"}),
+], ids=["scan", "whitehead"])
+def test_json_keys_are_pinned(capsys, argv, keys):
+    code, out, _ = run(capsys, *argv, "--json")
+    assert code == 0 and set(json.loads(out)) == keys
+
+
+def test_crosscheck_json_keys_are_pinned(capsys):
+    code, out, _ = run(capsys, "crosscheck", "--suite", "symmetries", "--json")
+    payload = json.loads(out)
+    assert code == 0 and set(payload) == {"command", "suites", "ok"}
+    assert [set(r) for r in payload["suites"]] == [{"name", "cases", "ok", "mismatches"}]
 
 
 def test_crosscheck_unknown_suite(capsys):

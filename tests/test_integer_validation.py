@@ -31,13 +31,12 @@ from knotsurgery.knotcx import (
     StaircaseSpec,
     assemble,
     decompose,
-    knot_spec_dict,
     mirror,
     parse_knot_spec,
     validate,
 )
 from knotsurgery.linalg import GradedSpace, SparseExactMap, space, sparse_map
-from knot_helpers import half_level_squares_model
+from knot_helpers import half_level_squares_model, knot_spec_dict
 from test_level_table import models
 from test_properties import _broken, _paired_squares, random_thin_models, scramble
 from validation_oracle import decompose_rational, validate_rational

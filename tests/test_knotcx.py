@@ -17,7 +17,6 @@ from knotsurgery.knotcx import (
     build_staircase,
     chi_graded,
     decompose,
-    knot_spec_dict,
     mirror,
     parse_knot_spec,
     poly_from_pairs,
@@ -27,7 +26,12 @@ from knotsurgery.knotcx import (
     validate,
 )
 from knotsurgery.linalg import space, sparse_map
-from knot_helpers import TWO_SURVIVORS_SPEC, graded_signature, half_level_squares_model
+from knot_helpers import (
+    TWO_SURVIVORS_SPEC,
+    graded_signature,
+    half_level_squares_model,
+    knot_spec_dict,
+)
 from level_oracle import compute_tau, homologies
 from test_properties import random_thin_models, scramble
 from linalg_helpers import homology_two_pass, is_zero, zero_map

@@ -12,7 +12,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from knotsurgery.catalog import thin_catalog
 from knotsurgery.cone import (
@@ -30,15 +30,15 @@ from knotsurgery.knotcx import (
     assemble,
     chi_graded,
     decompose,
-    knot_spec_dict,
     mirror,
     parse_knot_spec,
     poly_norm,
+    thin_decomposition,
     validate,
 )
 from knotsurgery.linalg import GradedSpace, space, sparse_map
 from cone_elimination import elimination_dimension, h_sources
-from knot_helpers import components
+from knot_helpers import components, knot_spec_dict
 from level_oracle import compute_tau
 from linalg_helpers import compose, homology_two_pass
 from map_reads import column
@@ -213,6 +213,26 @@ def scrambled_thin_models(draw):
         st.tuples(st.integers(0, 3), st.sampled_from((-1, 1))), max_size=6)))
     K = assemble(StaircaseSpec(tau), squares, name="hypothesis")
     return scramble(K, random.Random(draw(st.integers(0, 2 ** 32))))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(-4, 4),
+       st.lists(st.tuples(st.integers(0, 5), st.sampled_from((-1, 1))), max_size=8),
+       st.booleans())
+def test_the_thin_split_assembles_to_its_own_counts(tau, picked, negated):
+    """decompose(assemble(*thin_decomposition(delta, tau))) is tau and the split's square counts.
+
+    delta is the graded Euler characteristic of a staircase plus paired
+    squares, kept only when it is thin (no coefficient cancels), and
+    possibly negated, which the split normalises away.
+    """
+    model = assemble(StaircaseSpec(tau), _paired_squares(picked))
+    delta = chi_graded(model)
+    assume(poly_norm(delta) == model.dim)
+    stair, squares = thin_decomposition({p: -c if negated else c for p, c in delta.items()}, tau)
+    K = assemble(stair, squares)
+    assert decompose(K) == (tau, dict(Counter((sq.s, sq.sign) for sq in squares)))
+    assert chi_graded(K) == delta and K.dim == model.dim
 
 
 @st.composite

@@ -4,8 +4,9 @@ import pytest
 from knotsurgery.borromean import circle_bundle_dim_formula
 from knotsurgery.catalog import get_knot
 from knotsurgery.cone import PreconditionError, genus_one_positive_ladder
-from knotsurgery.knotcx import ModelError, build_square, knot_spec_dict, parse_knot_spec
+from knotsurgery.knotcx import ModelError, build_square, parse_knot_spec
 from knotsurgery.linalg import LinearAlgebraError, space
+from knot_helpers import knot_spec_dict
 
 
 def _trefoil_spec(**changes):

@@ -40,8 +40,7 @@ VALUES = [
     (StaircaseSpec(2), ("l",)),
     (SquareSpec(0, -1), ("s", "sign")),
     (build_staircase(1), ("space", "d_plus", "d_minus", "genus", "tau", "meta")),
-    (SurgeryResult("fig8", 1, 1, 3, "decomposition"),
-     ("knot", "p", "q", "dimension", "pathway", "per_grading")),
+    (SurgeryResult("fig8", 1, 1, 3, "decomposition"), ("knot", "p", "q", "dimension", "pathway")),
     (ScanResult("lspace", 1, ((1, 1),)), ("verdict", "witness", "dims")),
     (SeifertResult(Fraction(7, 2), 112, "large-surgery"), ("degree", "dim", "pathway")),
     (SutureDimProfile(1, 2), ("tau", "base_dim")),
@@ -110,6 +109,5 @@ def test_cone_problem_is_a_read_only_record():
 def test_reprs_are_unchanged():
     assert repr(Generator("a1", -2, 1)) == "Generator(gid='a1', alex=-2, z2=1)"
     assert repr(SquareSpec(0, -1)) == "SquareSpec(s=0, sign=-1)"
-    assert repr(SurgeryResult("x", 0, 1, 6, "decomposition", ((0, 2), (1, None)))) == (
-        "SurgeryResult(knot='x', p=0, q=1, dimension=6, pathway='decomposition', "
-        "per_grading=((0, 2), (1, None)))")
+    assert repr(SurgeryResult("x", 5, 2, 9, "decomposition")) == (
+        "SurgeryResult(knot='x', p=5, q=2, dimension=9, pathway='decomposition')")
